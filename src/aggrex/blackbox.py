@@ -18,6 +18,7 @@ self-delimiting, so no separators are needed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,15 +55,16 @@ class BlackBoxModel:
         X = np.asarray(X, dtype=float)
         self._check_dim(X.shape[1])
         if self.kind == "bagged_forest":
-            label_ids = {lab: i for i, lab in enumerate(self.label_set)}
-            votes = np.zeros((X.shape[0], len(self.label_set)), dtype=int)
+            labels = np.array(self.label_set, dtype=int)
+            n_labels = labels.size
+            size = X.shape[0] * n_labels
+            row_base = np.arange(X.shape[0]) * n_labels
+            votes = np.zeros(size, dtype=np.int64)
             for tree in self.trees:
-                pred = tree.predict_batch(X)
-                for lab, col in label_ids.items():
-                    votes[pred == lab, col] += 1
+                votes += np.bincount(row_base + np.searchsorted(labels, tree.predict_batch(X)), minlength=size)
             # argmax takes the first maximum; label_set is sorted, so vote
             # ties resolve toward the smaller label.
-            return np.array([self.label_set[i] for i in np.argmax(votes, axis=1)], dtype=int)
+            return labels[np.argmax(votes.reshape(-1, n_labels), axis=1)]
         return np.array([self._table_lookup(X[i]) for i in range(X.shape[0])], dtype=int)
 
     def _check_dim(self, m: int) -> None:
@@ -70,11 +72,16 @@ class BlackBoxModel:
             if m != self.schema.count:
                 raise ValueError(f"point has {m} features, schema expects {self.schema.count}")
         elif self.kind == "bagged_forest":
-            need = max((t.max_feature_index() for t in self.trees), default=-1) + 1
+            need = self._features_needed
             if m < need:
                 raise ValueError(f"point has {m} features, model references feature {need - 1}")
         elif self.table_points is not None and m != self.table_points.shape[1]:
             raise ValueError(f"point has {m} features, table stores {self.table_points.shape[1]}")
+
+    @cached_property
+    def _features_needed(self) -> int:
+        """One more than the highest feature index any tree splits on."""
+        return max((t.max_feature_index() for t in self.trees), default=-1) + 1
 
     def _table_lookup(self, x: np.ndarray) -> int:
         exact = np.nonzero(np.all(self.table_points == x, axis=1))[0]

@@ -102,10 +102,16 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("every fidelity floor must lie in [0, 1]")
     if a["solver"] not in ("exact", "greedy", "both"):
         raise ConfigError(f"unknown solver {a['solver']!r}")
+    if int(cfg["blackbox"]["n_trees"]) < 1:
+        raise ConfigError("blackbox.n_trees must be at least 1")
+    if int(cfg["filter"]["max_bins"]) < 2:
+        raise ConfigError("filter.max_bins must be at least 2")
     if cfg["filter"]["variant"] not in ("filtered", "unfiltered", "both"):
         raise ConfigError(f"unknown filter variant {cfg['filter']['variant']!r}")
     if not cfg["sampler"]["radii"]:
         raise ConfigError("sampler.radii must be non-empty")
+    if any(float(r) < 0 for r in cfg["sampler"]["radii"]):
+        raise ConfigError("every sampler radius must be nonnegative")
     if int(cfg["sampler"]["N"]) < 2:
         raise ConfigError("sampler.N must be at least 2")
     ds = cfg["dataset"]

@@ -13,7 +13,15 @@ with 0*ln(0) = 0 and N the full sample count (samples in dropped leaves
 contribute nothing but still divide). Each term group is a scaled KL
 divergence, so the estimate is nonnegative up to float rounding.
 
-Forward selection greedily appends the highest-scoring feature, re-splits
+All candidates of a round are scored together: one bincount over packed
+(feature, leaf, bin, label) codes yields every per-leaf contingency table,
+with every feature padded to the widest feature's bin count (padded bins
+are empty and add nothing). Terms are summed in sequence, cell by cell
+within a leaf and then leaf by leaf. A single-feature estimate goes through
+the same scorer, so it equals that feature's score in a round bit for bit.
+
+Forward selection greedily appends the highest-scoring feature (argmax's
+first maximum, so ties go to the lowest feature index), re-splits
 every leaf by that feature's bins, and stops when no remaining feature
 scores above a small positive threshold (a plug-in estimate is almost
 never exactly zero in floating point) or when every leaf has been dropped.
@@ -142,29 +150,49 @@ def _encode_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return codes, classes.size
 
 
-def _cmi_encoded(
-    feature: int,
+def _flatten(leaves: PartitionLeaves) -> tuple[np.ndarray, np.ndarray]:
+    """All leaf members concatenated in leaf order, and each member's leaf number."""
+    sizes = [leaf.size for leaf in leaves]
+    return np.concatenate(leaves.leaves), np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+
+
+def _cmi_scores(
+    features,
     y_codes: np.ndarray,
     n_labels: int,
     leaves: PartitionLeaves,
     bins: BinAssignment,
-) -> float:
-    nb = bins.n_bins[feature]
-    n_total = bins.n_samples
-    total = 0.0
-    for leaf in leaves:
-        size = leaf.size
-        b = bins.assignment[leaf, feature].astype(np.int64)
-        joint = np.bincount(b * n_labels + y_codes[leaf], minlength=nb * n_labels).astype(float)
-        joint = joint.reshape(nb, n_labels)
-        row = joint.sum(axis=1)
-        col = joint.sum(axis=0)
-        nz = joint > 0
-        if not np.any(nz):
-            continue
-        ratio = (joint[nz] * size) / (row[:, None] * col[None, :])[nz]
-        total += float(np.sum(joint[nz] * np.log(ratio))) / n_total
-    return total
+) -> np.ndarray:
+    """Plug-in conditional MI of each listed feature given the leaves, from one bincount.
+
+    Every (feature, leaf, bin, label) count comes from a single bincount
+    over packed codes; all features share the bin width max(n_bins).
+    Terms are added strictly in sequence (cumsum), first over a leaf's
+    (bin, label) cells, then leaf by leaf. Empty and padded cells add
+    exact zeros, so a score depends neither on the padding nor on which
+    other features are scored with it, and features with the same
+    nonzero leaf terms in the same order tie exactly, leaving the tie to
+    the lowest index.
+    """
+    n_feat = len(features)
+    if n_feat == 0 or leaves.empty:
+        return np.zeros(n_feat)
+    n_leaves = len(leaves)
+    width = max(bins.n_bins)
+    members, leaf_of = _flatten(leaves)
+    sizes = np.bincount(leaf_of, minlength=n_leaves)
+    b = bins.assignment[np.ix_(members, features)].T.astype(np.int64)  # (features, members)
+    slot = np.arange(n_feat, dtype=np.int64)[:, None] * n_leaves + leaf_of
+    codes = (slot * width + b) * n_labels + y_codes[members]
+    joint = np.bincount(codes.ravel(), minlength=n_feat * n_leaves * width * n_labels).astype(float)
+    joint = joint.reshape(n_feat, n_leaves, width, n_labels)
+    row = joint.sum(axis=3, keepdims=True)
+    col = joint.sum(axis=2, keepdims=True)
+    nz = joint > 0
+    ratio = np.divide(joint * sizes[:, None, None], row * col, out=np.ones_like(joint), where=nz)
+    terms = (joint * np.log(ratio)).reshape(n_feat, n_leaves, -1)
+    per_leaf = np.cumsum(terms, axis=2)[:, :, -1] / bins.n_samples
+    return np.cumsum(per_leaf, axis=1)[:, -1]
 
 
 def cond_mutual_info(
@@ -177,7 +205,7 @@ def cond_mutual_info(
     if feature < 0 or feature >= bins.n_features:
         raise IndexError(f"feature {feature} out of range for {bins.n_features} features")
     y_codes, n_labels = _encode_labels(labels)
-    return _cmi_encoded(feature, y_codes, n_labels, leaves, bins)
+    return float(_cmi_scores([feature], y_codes, n_labels, leaves, bins)[0])
 
 
 def bin_partition(
@@ -189,14 +217,19 @@ def bin_partition(
     """Split every leaf by the feature's bin index; drop empty and sub-min_cell cells."""
     if feature < 0 or feature >= bins.n_features:
         raise IndexError(f"feature {feature} out of range")
-    out: list[np.ndarray] = []
-    for leaf in leaves:
-        b = bins.assignment[leaf, feature]
-        for bv in range(bins.n_bins[feature]):
-            cell = leaf[b == bv]
-            if cell.size >= min_cell:
-                out.append(cell)
-    return PartitionLeaves(tuple(out))
+    if leaves.empty:
+        return leaves
+    nb = bins.n_bins[feature]
+    members, leaf_of = _flatten(leaves)
+    # A stable sort by (leaf, bin) lists the cells in leaf-then-bin order
+    # and keeps each cell's samples in their order within the leaf.
+    key = leaf_of * nb + bins.assignment[members, feature]
+    ordered = members[np.argsort(key, kind="stable")]
+    counts = np.bincount(key, minlength=len(leaves) * nb)
+    ends = np.cumsum(counts).tolist()
+    return PartitionLeaves(
+        tuple(ordered[end - c : end] for end, c in zip(ends, counts.tolist()) if c >= min_cell)
+    )
 
 
 def select_feature(
@@ -216,15 +249,10 @@ def select_feature(
     if not state.unselected:
         raise ValueError("no unselected features left")
     y_codes, n_labels = _encode_labels(labels)
-    scores: dict[int, float] = {}
-    best_f = None
-    best = -np.inf
-    for f in state.unselected:
-        score = _cmi_encoded(f, y_codes, n_labels, state.leaves, bins)
-        scores[f] = score
-        if score > best:  # strict: ties keep the lowest feature index
-            best = score
-            best_f = f
+    values = _cmi_scores(state.unselected, y_codes, n_labels, state.leaves, bins)
+    scores = {f: float(v) for f, v in zip(state.unselected, values)}
+    pick = int(np.argmax(values))  # first maximum: ties keep the lowest feature index
+    best_f, best = state.unselected[pick], float(values[pick])
     if best <= eps_mi:
         record = RoundRecord(scores=scores, selected=None, best_score=best, leaf_count=len(state.leaves))
         return SelectionState(

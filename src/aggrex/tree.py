@@ -6,6 +6,14 @@ smaller label. Zero-gain splits are allowed on impure nodes (both children
 are always non-empty, so growth terminates), which lets the tree represent
 parity-style targets no single split can improve on.
 
+Each node scores every candidate cut of every feature in one pass, as
+CART implementations do: the node's n x F block is stable-sorted column by
+column, one one-hot cumulative sum gives the class counts left of each
+cut, and the (F, n-1) gain array is reduced by a single argmax. The gain
+array is laid out feature-major with cuts in ascending value order, so
+argmax's first maximum is exactly the (lower feature, lower threshold)
+tie order. Thresholds are midpoints between adjacent distinct values.
+
 Trees serialize to a line-oriented text grammar, one pre-order record per
 line: `node <id> split <feature> <threshold>` | `node <id> leaf <label>`.
 """
@@ -88,33 +96,35 @@ def _majority_label(counts: np.ndarray, classes: np.ndarray) -> int:
     return int(classes[int(np.argmax(counts))])
 
 
-def _best_split_for_feature(xs, y_codes, n_classes, min_leaf, parent_gini):
-    """Best (gain, threshold) for one feature column, or None if no valid split."""
-    order = np.argsort(xs, kind="stable")
-    xs_sorted = xs[order]
-    cuts = np.nonzero(xs_sorted[1:] > xs_sorted[:-1])[0]
-    if cuts.size == 0:
-        return None
-    onehot = np.zeros((xs.size, n_classes))
-    onehot[np.arange(xs.size), y_codes[order]] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    total = cum[-1]
-    n = xs.size
+def _best_split(Xn: np.ndarray, y_codes: np.ndarray, n_classes: int, min_leaf: int, parent_gini: float):
+    """Best (gain, column, threshold) over every column of the node's n x F block.
 
-    left_counts = cum[cuts]
-    left_n = (cuts + 1).astype(float)
-    right_counts = total[None, :] - left_counts
+    All candidate cuts are scored at once: each column is stable-sorted,
+    one (F, n, C) one-hot cumsum gives the left class counts after every
+    sorted position, and a cut between positions i and i+1 is valid where
+    the value strictly increases and both sides keep min_leaf points.
+    Invalid cuts score -inf. The temporaries die with this frame, so they
+    are not held across the caller's recursion.
+    """
+    n, n_cols = Xn.shape
+    cols = Xn.T
+    order = cols.argsort(axis=1, kind="stable")  # (F, n)
+    xs = cols[np.arange(n_cols)[:, None], order]
+    cum = (y_codes[order][:, :, None] == np.arange(n_classes)).cumsum(axis=1, dtype=float)  # (F, n, C)
+    left_counts = cum[:, :-1, :]
+    right_counts = cum[:, -1:, :] - left_counts
+    left_n = np.arange(1, n, dtype=float)
     right_n = n - left_n
-    valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-    if not np.any(valid):
-        return None
-    gini_l = 1.0 - np.sum((left_counts / left_n[:, None]) ** 2, axis=1)
-    gini_r = 1.0 - np.sum((right_counts / right_n[:, None]) ** 2, axis=1)
+    gini_l = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=2)
+    gini_r = 1.0 - ((right_counts / right_n[:, None]) ** 2).sum(axis=2)
     weighted = (left_n * gini_l + right_n * gini_r) / n
+    valid = (xs[:, 1:] > xs[:, :-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
     gain = np.where(valid, parent_gini - weighted, -np.inf)
-    best = int(np.argmax(gain))  # first max -> lowest threshold
-    threshold = (xs_sorted[cuts[best]] + xs_sorted[cuts[best] + 1]) / 2.0
-    return float(gain[best]), float(threshold)
+    # Feature-major flattening: the first maximum is the lowest column,
+    # then the lowest cut position, i.e. the lowest threshold.
+    col, cut = divmod(int(np.argmax(gain)), n - 1)
+    threshold = (xs[col, cut] + xs[col, cut + 1]) / 2.0
+    return float(gain[col, cut]), col, float(threshold)
 
 
 def tree_fit(
@@ -132,6 +142,7 @@ def tree_fit(
     features = sorted(int(f) for f in features)
     if not features:
         raise ValueError("feature subset must be non-empty")
+    Xf = X[:, features]
     classes, y_codes = np.unique(y, return_inverse=True)
     n_classes = classes.size
     used: set[int] = set()
@@ -147,18 +158,10 @@ def tree_fit(
         depth_ok = max_depth is None or depth < max_depth
         if pure or not depth_ok or n_here < 2 * min_leaf:
             return Node(label=label)
-        parent_gini = gini(counts, n_here)
-        best = None  # (gain, feature, threshold)
-        for f in features:
-            cand = _best_split_for_feature(X[idx, f], y_codes[idx], n_classes, min_leaf, parent_gini)
-            if cand is None:
-                continue
-            gain, threshold = cand
-            if best is None or gain > best[0]:
-                best = (gain, f, threshold)
-        if best is None or best[0] < -1e-12:  # zero-gain splits allowed, rounding noise too
+        gain, col, threshold = _best_split(Xf[idx], y_codes[idx], n_classes, min_leaf, gini(counts, n_here))
+        if gain < -1e-12:  # no valid cut (-inf); zero-gain splits allowed, rounding noise too
             return Node(label=label)
-        _, f, threshold = best
+        f = features[col]
         used.add(f)
         go_left = X[idx, f] <= threshold
         node = Node(feature=f, threshold=threshold, label=label)

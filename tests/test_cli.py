@@ -73,6 +73,18 @@ class TestConfig:
         assert main(["train", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, match",
+        [("--max-bins=1", "max_bins"), ("--n-trees=0", "n_trees"), ("--radii=-1", "radius")],
+    )
+    def test_bad_flag_exits_2_before_any_stage(self, tmp_path, capsys, flag, match):
+        out_dir = tmp_path / "runs"
+        path = write_config(tmp_path, small_config(out_dir))
+        assert main(["sweep", "--config", str(path), flag]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+        assert not out_dir.exists()
+
 
 class TestTrainStage:
     def test_model_file_reloadable_and_identical(self, tmp_path):

@@ -213,6 +213,23 @@ class TestBinPartition:
             seen |= set(leaf.tolist())
 
 
+    def test_matches_per_leaf_per_bin_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(2, 60))
+            bins = random_bins(rng, n, 2)
+            leaves = random_leaves(rng, n)
+            min_cell = int(rng.integers(0, 4))
+            want = [
+                leaf[bins.assignment[leaf, 1] == bv]
+                for leaf in leaves
+                for bv in range(bins.n_bins[1])
+            ]
+            want = [cell.tolist() for cell in want if cell.size >= min_cell]
+            got = bin_partition(bins, leaves, 1, min_cell=min_cell)
+            assert [cell.tolist() for cell in got] == want
+
+
 class TestSelection:
     def test_all_constant_terminates(self):
         n = 20
@@ -296,6 +313,23 @@ class TestSelection:
         out = forward_select(SelectionState.fresh(1, 2), bins, labels)
         assert out.selected == (0,)
         assert out.leaves.empty
+
+
+class TestBatchedScores:
+    def test_round_scores_equal_single_feature_estimates(self):
+        rng = np.random.default_rng(606)
+        for _ in range(60):
+            n = int(rng.integers(4, 120))
+            m = int(rng.integers(1, 7))
+            bins = random_bins(rng, n, m, max_bins=int(rng.integers(1, 5)))
+            labels = rng.integers(0, int(rng.integers(1, 6)), size=n)
+            state = SelectionState.fresh(m, n)
+            while state.unselected and not state.leaves.empty:
+                leaves = state.leaves
+                state = select_feature(state, bins, labels)
+                for f, score in state.trace[-1].scores.items():
+                    assert score == cond_mutual_info(f, labels, leaves, bins)
+                    assert abs(score - mi_oracle(f, labels, leaves, bins)) <= 1e-12
 
 
 class TestEndToEnd:

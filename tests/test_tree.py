@@ -1,6 +1,8 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aggrex.tree import tree_fit, tree_from_lines, tree_to_lines, tree_to_rules
+from aggrex.tree import DecisionTree, Node, tree_fit, tree_from_lines, tree_to_lines, tree_to_rules
 
 
 def predictions(tree, X):
@@ -95,3 +97,110 @@ class TestTreeText:
         text = tree_to_rules(t, ["age"])
         assert "if age <= 0.5:" in text
         assert "predict 0" in text and "predict 1" in text
+
+
+# -- reference: the per-feature split search the whole-node search replaced --
+
+def reference_split_for_feature(xs, y_codes, n_classes, min_leaf, parent_gini):
+    """Best (gain, threshold) for one feature column, or None if no valid split."""
+    order = np.argsort(xs, kind="stable")
+    xs_sorted = xs[order]
+    cuts = np.nonzero(xs_sorted[1:] > xs_sorted[:-1])[0]
+    if cuts.size == 0:
+        return None
+    onehot = np.zeros((xs.size, n_classes))
+    onehot[np.arange(xs.size), y_codes[order]] = 1.0
+    cum = np.cumsum(onehot, axis=0)
+    total = cum[-1]
+    n = xs.size
+    left_counts = cum[cuts]
+    left_n = (cuts + 1).astype(float)
+    right_counts = total[None, :] - left_counts
+    right_n = n - left_n
+    valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+    if not np.any(valid):
+        return None
+    gini_l = 1.0 - np.sum((left_counts / left_n[:, None]) ** 2, axis=1)
+    gini_r = 1.0 - np.sum((right_counts / right_n[:, None]) ** 2, axis=1)
+    weighted = (left_n * gini_l + right_n * gini_r) / n
+    gain = np.where(valid, parent_gini - weighted, -np.inf)
+    best = int(np.argmax(gain))
+    threshold = (xs_sorted[cuts[best]] + xs_sorted[cuts[best] + 1]) / 2.0
+    return float(gain[best]), float(threshold)
+
+
+def reference_tree_fit(X, y, features, max_depth, min_leaf):
+    """Tree induction that scans features one at a time, keeping strict improvements."""
+    features = sorted(features)
+    classes, y_codes = np.unique(y, return_inverse=True)
+    n_classes = classes.size
+
+    def build(idx, depth):
+        counts = np.bincount(y_codes[idx], minlength=n_classes).astype(float)
+        label = int(classes[int(np.argmax(counts))])
+        n_here = idx.size
+        if np.max(counts) == n_here or (max_depth is not None and depth >= max_depth) or n_here < 2 * min_leaf:
+            return Node(label=label)
+        parent_gini = 1.0 - float(np.sum((counts / n_here) ** 2))
+        best = None
+        for f in features:
+            cand = reference_split_for_feature(X[idx, f], y_codes[idx], n_classes, min_leaf, parent_gini)
+            if cand is not None and (best is None or cand[0] > best[0]):
+                best = (cand[0], f, cand[1])
+        if best is None or best[0] < -1e-12:
+            return Node(label=label)
+        _, f, threshold = best
+        go_left = X[idx, f] <= threshold
+        node = Node(feature=f, threshold=threshold, label=label)
+        node.left = build(idx[go_left], depth + 1)
+        node.right = build(idx[~go_left], depth + 1)
+        return node
+
+    return DecisionTree(root=build(np.arange(X.shape[0]), 0))
+
+
+@st.composite
+def fit_problems(draw):
+    """Small fits rich in ties: duplicate, constant, {0,1} and coarse-valued columns."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["coarse", "fine", "binary", "constant", "copy"]))
+        if kind == "copy" and cols:
+            cols.append(cols[int(rng.integers(0, len(cols)))].copy())
+        elif kind == "binary":
+            cols.append(rng.integers(0, 2, size=n).astype(float))
+        elif kind == "constant":
+            cols.append(np.full(n, float(rng.normal())))
+        elif kind == "fine":
+            cols.append(rng.normal(size=n))
+        else:
+            cols.append(rng.integers(0, 4, size=n) * 0.5)
+    X = np.column_stack(cols)
+    n_classes = draw(st.integers(1, 9))
+    y = rng.integers(0, n_classes, size=n) * 3 - 2  # sparse, partly negative labels
+    features = draw(st.sets(st.integers(0, m - 1), min_size=1))
+    min_leaf = draw(st.integers(1, max(1, n // 2 + 1)))
+    max_depth = draw(st.sampled_from([None, 0, 1, 2, 3, 12]))
+    return X, y, features, max_depth, min_leaf
+
+
+class TestWholeNodeSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(fit_problems())
+    def test_matches_per_feature_reference(self, problem):
+        X, y, features, max_depth, min_leaf = problem
+        got = tree_fit(X, y, features, max_depth=max_depth, min_leaf=min_leaf)
+        want = reference_tree_fit(X, y, features, max_depth, min_leaf)
+        assert tree_to_lines(got) == tree_to_lines(want)
+
+    def test_matches_reference_on_forest_sized_fits(self):
+        rng = np.random.default_rng(17)
+        for n_classes in (2, 5, 9):
+            X = np.column_stack([rng.normal(size=300), rng.integers(0, 2, 300), rng.integers(0, 5, 300) * 0.25])
+            X = np.column_stack([X, X[:, 1], rng.normal(size=300)])
+            y = rng.integers(0, n_classes, size=300)
+            got = tree_fit(X, y, range(5), max_depth=12, min_leaf=2)
+            assert tree_to_lines(got) == tree_to_lines(reference_tree_fit(X, y, range(5), 12, 2))
