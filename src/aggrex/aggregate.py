@@ -11,7 +11,11 @@ and z (candidate claims point, only inside the candidate's ball):
          sum_i w_i <= K                  (budget)
 
 Out-of-ball z variables are presolved away (fixed to zero); they appear as
-comments in the exported LP for auditability.
+comments in the exported LP for auditability. build_ip materializes the
+model only for that export: solve_exact branches over w directly, and for
+a fixed selection the z problem is a bipartite b-matching (disagreeing
+points to candidates, capacities from the fidelity rows) solved exactly by
+augmenting paths, so every solve_exact result is certified "optimal".
 
 Two coverage numbers coexist: ip_coverage counts the points actually
 claimed through z (a solver may drop in-ball points to satisfy a fidelity
@@ -36,7 +40,6 @@ from .data import Dataset
 from .sampler import within_ball
 
 PHI_DENOM = 10**6
-INNER_EXHAUSTIVE_LIMIT = 20
 METRIC_DESCRIPTOR = "max(Linf over continuous, L1 over binary)"
 
 
@@ -206,102 +209,58 @@ def _claims_for_selection(
     agree: list[int],
     phi_num: int,
     phi_den: int,
-    inner_limit: int,
 ):
-    """Best z claims for a fixed selection: (z masks, covered mask, objective, exact?).
+    """Best z claims for a fixed selection: (z masks, objective).
 
     Agreeing in-ball points are always claimed (each adds 1 - phi >= 0 of
     slack and can only help). Disagreeing in-ball points each cost phi of
     slack, so candidate i can absorb at most
-    floor(n_agree_i * (1 - phi) / phi) of them; uncovered disagreeing
-    points are then assigned to candidates by exhaustive search when the
-    total disagreeing-pair count is within inner_limit, else by a greedy
-    that is not optimality-certified.
+    floor(n_agree_i * (1 - phi) / phi) of them. Placing the uncovered
+    disagreeing points is then a max-cardinality bipartite b-matching with
+    those capacities, solved exactly by augmenting paths: each point, in
+    index order, takes the first eligible candidate with room, and only
+    when none has room searches for a path that moves earlier points along.
     """
     if not selected:
-        return {}, 0, 0, True
+        return {}, 0
     if phi_num == 0:
         z = {i: ball[i] for i in selected}
         covered = 0
         for i in selected:
             covered |= ball[i]
-        return z, covered, covered.bit_count(), True
+        return z, covered.bit_count()
 
     z = {i: ball[i] & agree[i] for i in selected}
     covered = 0
     for i in selected:
         covered |= z[i]
-    slack_units = {i: z[i].bit_count() * (phi_den - phi_num) for i in selected}
-    caps = {i: slack_units[i] // phi_num for i in selected}
+    room = {i: z[i].bit_count() * (phi_den - phi_num) // phi_num for i in selected}
+    spendable = [(i, ball[i] & ~agree[i]) for i in selected if room[i] > 0]
+    open_mask = 0
+    for _, mask in spendable:
+        open_mask |= mask
+    held: dict[int, list[int]] = {i: [] for i, _ in spendable}
 
-    pair_count = sum((ball[i] & ~agree[i]).bit_count() for i in selected)
-    open_points: list[tuple[int, list[int]]] = []
-    candidate_mask = 0
-    for i in selected:
-        candidate_mask |= ball[i] & ~agree[i]
-    for j in _iter_bits(candidate_mask & ~covered):
-        eligible = [i for i in selected if (ball[i] >> j) & 1 and not (agree[i] >> j) & 1 and caps[i] > 0]
-        if eligible:
-            open_points.append((j, eligible))
-
-    if not open_points:
-        return z, covered, covered.bit_count(), True
-
-    if pair_count <= inner_limit:
-        assignment = _assign_exhaustive(open_points, caps)
-        exact = True
-    else:
-        assignment = _assign_greedy(open_points, caps)
-        exact = False
-    for j, i in assignment.items():
-        z[i] |= 1 << j
-        covered |= 1 << j
-    return z, covered, covered.bit_count(), exact
-
-
-def _assign_exhaustive(open_points, caps) -> dict[int, int]:
-    """Max-cardinality point->candidate assignment under capacities, by pruned DFS."""
-    best_count = -1
-    best: dict[int, int] = {}
-    remaining = dict(caps)
-    current: dict[int, int] = {}
-
-    def dfs(k: int) -> None:
-        nonlocal best_count, best
-        if len(current) + (len(open_points) - k) <= best_count:
-            return
-        if k == len(open_points):
-            if len(current) > best_count:
-                best_count = len(current)
-                best = dict(current)
-            return
-        j, eligible = open_points[k]
+    def place(j: int, seen: set[int]) -> bool:
+        eligible = [i for i, mask in spendable if (mask >> j) & 1]
         for i in eligible:
-            if remaining[i] > 0:
-                remaining[i] -= 1
-                current[j] = i
-                dfs(k + 1)
-                del current[j]
-                remaining[i] += 1
-        dfs(k + 1)
-
-    dfs(0)
-    return best
-
-
-def _assign_greedy(open_points, caps) -> dict[int, int]:
-    """Points in index order, each to the eligible candidate with most remaining slack."""
-    remaining = dict(caps)
-    out: dict[int, int] = {}
-    for j, eligible in open_points:
-        pick = None
+            if len(held[i]) < room[i]:
+                held[i].append(j)
+                return True
         for i in eligible:
-            if remaining[i] > 0 and (pick is None or remaining[i] > remaining[pick]):
-                pick = i
-        if pick is not None:
-            remaining[pick] -= 1
-            out[j] = pick
-    return out
+            if i not in seen:
+                seen.add(i)
+                for t, other in enumerate(held[i]):
+                    if place(other, seen):
+                        held[i][t] = j
+                        return True
+        return False
+
+    placed = sum(place(j, set()) for j in _iter_bits(open_mask & ~covered))
+    for i, js in held.items():
+        for j in js:
+            z[i] |= 1 << j
+    return z, covered.bit_count() + placed
 
 
 def _finish_solution(selected, z_masks, obj, status, pool, nodes, t0) -> AggregateSolution:
@@ -329,7 +288,7 @@ def _finish_solution(selected, z_masks, obj, status, pool, nodes, t0) -> Aggrega
     return sol
 
 
-def solve_exact(model: IPModel, pool: CandidatePool, inner_limit: int = INNER_EXHAUSTIVE_LIMIT) -> AggregateSolution:
+def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> AggregateSolution:
     """Provably optimal solution by branch-and-bound on the selection variables.
 
     Depth-first binary branching, 1-branch before 0-branch, over candidates
@@ -340,20 +299,19 @@ def solve_exact(model: IPModel, pool: CandidatePool, inner_limit: int = INNER_EX
     row has any slack to spend): fixed-in candidates contribute the union
     of their claimable sets, remaining ones the cheaper of (sum of the
     largest capped gains, size of the still-reachable claimable point set).
-    Everything over-counts the true claims, so pruning is safe.
-    Warm-started with the greedy solution. Status degrades from optimal to
-    feasible only when some evaluated leaf exceeded the exhaustive inner
-    claim limit.
+    Everything over-counts the true claims, so pruning is safe. Each leaf
+    solves its inner claim problem exactly (a b-matching), so the status is
+    always "optimal". Warm-started with the greedy solution.
     """
     t0 = time.perf_counter()
-    if model.n != pool.n:
-        raise ValueError("model and pool disagree on candidate count")
-    n, budget = model.n, model.budget
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    phi_num, phi_den = _phi_to_rational(fidelity_floor)
     if budget == 0:
         return _finish_solution((), {}, 0, "optimal", pool, 1, t0)
+    n = pool.n
     ball = pool.ball_masks()
     agree = pool.agree_masks()
-    phi_num, phi_den = model.phi_num, model.phi_den
 
     # claimable set and per-candidate claim cap under the fidelity row
     claimable = [0] * n
@@ -375,7 +333,7 @@ def solve_exact(model: IPModel, pool: CandidatePool, inner_limit: int = INNER_EX
     for k in range(n - 1, -1, -1):
         suffix_reach[k] = suffix_reach[k + 1] | claim_o[k]
 
-    warm = solve_greedy(pool, budget, model.fidelity_floor, inner_limit=inner_limit)
+    warm = solve_greedy(pool, budget, fidelity_floor)
     best_obj = warm.ip_coverage
     best_selected = warm.selected
     best_z = {i: 0 for i in warm.selected}
@@ -383,7 +341,6 @@ def solve_exact(model: IPModel, pool: CandidatePool, inner_limit: int = INNER_EX
         best_z[i] = sum(1 << j for j in js)
 
     nodes = 0
-    all_leaves_exact = True
     # frames: (next position in preorder, union of fixed claimables,
     #          selected count, selection as a parent-linked chain)
     stack = [(0, 0, 0, None)]
@@ -397,9 +354,7 @@ def solve_exact(model: IPModel, pool: CandidatePool, inner_limit: int = INNER_EX
                 selected.append(node[0])
                 node = node[1]
             selected = tuple(sorted(selected))
-            z, _, obj, exact = _claims_for_selection(selected, ball, agree, phi_num, phi_den, inner_limit)
-            if not exact:
-                all_leaves_exact = False
+            z, obj = _claims_for_selection(selected, ball, agree, phi_num, phi_den)
             if obj > best_obj:
                 best_obj = obj
                 best_selected = selected
@@ -422,16 +377,10 @@ def solve_exact(model: IPModel, pool: CandidatePool, inner_limit: int = INNER_EX
         stack.append((next_k + 1, covered, count, chain))
         stack.append((next_k + 1, covered | claim_o[next_k], count + 1, (order[next_k], chain)))
 
-    status = "optimal" if all_leaves_exact else "feasible"
-    return _finish_solution(best_selected, best_z, best_obj, status, pool, nodes, t0)
+    return _finish_solution(best_selected, best_z, best_obj, "optimal", pool, nodes, t0)
 
 
-def solve_greedy(
-    pool: CandidatePool,
-    budget: int,
-    fidelity_floor: float,
-    inner_limit: int = INNER_EXHAUSTIVE_LIMIT,
-) -> AggregateSolution:
+def solve_greedy(pool: CandidatePool, budget: int, fidelity_floor: float) -> AggregateSolution:
     """Iteratively add the candidate with the largest claimable-coverage gain."""
     t0 = time.perf_counter()
     if budget < 0:
@@ -450,7 +399,7 @@ def solve_greedy(
             if i in selected:
                 continue
             trial = tuple(sorted(selected + (i,)))
-            _, _, obj, _ = _claims_for_selection(trial, ball, agree, phi_num, phi_den, inner_limit)
+            _, obj = _claims_for_selection(trial, ball, agree, phi_num, phi_den)
             evals += 1
             if obj - current_obj > best_gain:  # strict: ties keep the lowest index
                 best_gain = obj - current_obj
@@ -459,7 +408,7 @@ def solve_greedy(
             break
         selected = tuple(sorted(selected + (best_i,)))
         current_obj += best_gain
-    z, _, obj, _ = _claims_for_selection(selected, ball, agree, phi_num, phi_den, inner_limit)
+    z, obj = _claims_for_selection(selected, ball, agree, phi_num, phi_den)
     return _finish_solution(selected, z, obj, "feasible", pool, evals, t0)
 
 

@@ -7,7 +7,7 @@ timestamp, and files are written atomically. Per-cell wall times are kept
 out of sweep.csv (they land in timings.csv, which the manifest lists but
 does not hash) so reruns are byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 infeasible aggregation cell.
+Exit codes: 0 success, 2 config error.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ DEFAULT_CONFIG = {
         "solver": "both",
         "radius": None,  # default: first sampler radius
         "use_filtered": None,  # default: filtered when the variant produced any
-        "inner_limit": 20,
         "export_lp": False,
     },
     "output_dir": "runs",
@@ -90,7 +89,21 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+def _unknown_keys(cfg: dict, defaults: dict, prefix: str = "") -> list[str]:
+    out = []
+    for key, value in cfg.items():
+        name = prefix + key
+        if key not in defaults:
+            out.append(name)
+        elif isinstance(value, dict) and isinstance(defaults[key], dict):
+            out.extend(_unknown_keys(value, defaults[key], name + "."))
+    return out
+
+
 def validate_config(cfg: dict) -> None:
+    unknown = _unknown_keys(cfg, DEFAULT_CONFIG)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     a = cfg["aggregate"]
     if not a["budgets"]:
         raise ConfigError("aggregate.budgets must be non-empty")
@@ -112,6 +125,15 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("sampler.radii must be non-empty")
     if any(float(r) < 0 for r in cfg["sampler"]["radii"]):
         raise ConfigError("every sampler radius must be nonnegative")
+    radius, filtered = _aggregated_slice(cfg)
+    if radius not in [float(r) for r in cfg["sampler"]["radii"]]:
+        raise ConfigError(f"aggregate.radius {radius} is not one of sampler.radii")
+    if filtered not in _variants(cfg):
+        kind = "filtered" if filtered else "unfiltered"
+        raise ConfigError(
+            f"aggregate.use_filtered wants {kind} explainers, which filter.variant "
+            f"{cfg['filter']['variant']!r} does not train"
+        )
     if int(cfg["sampler"]["N"]) < 2:
         raise ConfigError("sampler.N must be at least 2")
     ds = cfg["dataset"]
@@ -255,23 +277,27 @@ def cmd_explain(cfg: dict) -> Path:
     return rd / "explainers.json"
 
 
+def _aggregated_slice(cfg: dict) -> tuple[float, bool]:
+    """(radius, filtered) of the explainers the aggregate stage reads."""
+    radius = cfg["aggregate"]["radius"]
+    if radius is None:
+        radius = cfg["sampler"]["radii"][0]
+    want = cfg["aggregate"]["use_filtered"]
+    if want is None:
+        return float(radius), cfg["filter"]["variant"] != "unfiltered"
+    return float(radius), bool(want)
+
+
 def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
     rd = run_dir_for(cfg)
     bundle_path = rd / "explainers.json"
     if not bundle_path.exists():
         raise ConfigError(f"missing bundle {bundle_path}; run the explain stage first")
     bundle = json.loads(bundle_path.read_text(encoding="utf-8"))
-    radius = cfg["aggregate"]["radius"]
-    if radius is None:
-        radius = cfg["sampler"]["radii"][0]
-    want = cfg["aggregate"]["use_filtered"]
-    if want is None:
-        want_filtered = cfg["filter"]["variant"] != "unfiltered"
-    else:
-        want_filtered = bool(want)
+    radius, want_filtered = _aggregated_slice(cfg)
     picked: dict[int, LocalExplainer] = {}
     for rec in bundle["explainers"]:
-        if rec["radius"] != float(radius) or rec["filtered"] != want_filtered:
+        if rec["radius"] != radius or rec["filtered"] != want_filtered:
             continue
         tree, _ = tree_from_lines(rec["tree"])
         i = int(rec["center_index"])
@@ -308,32 +334,25 @@ def cmd_aggregate(cfg: dict) -> Path:
     pool = agg.build_pool(data, explainers, model)
     acfg = cfg["aggregate"]
     solvers = ["exact", "greedy"] if acfg["solver"] == "both" else [acfg["solver"]]
-    inner_limit = int(acfg["inner_limit"])
     (rd / "solutions").mkdir(parents=True, exist_ok=True)
     sweep_rows = []
     timing_rows = []
     outputs = ["sweep.csv"]
     unhashed = ["timings.csv"]
-    infeasible = False
     for floor in acfg["floors"]:
         for budget in acfg["budgets"]:
-            model_ip = agg.build_ip(pool, int(budget), float(floor))
             if acfg["export_lp"]:
                 lp_name = f"solutions/model_K{budget}_phi{_fmt(float(floor))}.lp"
-                agg.export_lp(model_ip, rd / lp_name)
+                agg.export_lp(agg.build_ip(pool, int(budget), float(floor)), rd / lp_name)
                 outputs.append(lp_name)
             for solver in solvers:
-                if solver == "exact":
-                    sol = agg.solve_exact(model_ip, pool, inner_limit=inner_limit)
-                else:
-                    sol = agg.solve_greedy(pool, int(budget), float(floor), inner_limit=inner_limit)
+                solve = agg.solve_exact if solver == "exact" else agg.solve_greedy
+                sol = solve(pool, int(budget), float(floor))
                 violations = agg.verify_solution(pool, int(budget), float(floor), sol)
                 if violations:
                     raise RuntimeError(
                         f"solver {solver} produced an invalid solution at K={budget}, phi={floor}: {violations}"
                     )
-                if sol.status == "infeasible":
-                    infeasible = True
                 name = f"solutions/sol_K{budget}_phi{_fmt(float(floor))}_{solver}.json"
                 _write_atomic(rd / name, canonical_json(sol.to_dict()))
                 unhashed.append(name)
@@ -361,13 +380,7 @@ def cmd_aggregate(cfg: dict) -> Path:
         "K,phi,solver,wall_ms\n" + "\n".join(",".join(row_val for row_val in map(str, row)) for row in timing_rows) + "\n",
     )
     update_manifest(cfg, "aggregate", outputs, unhashed)
-    if infeasible:
-        raise InfeasibleAggregation("an aggregation cell reported infeasible")
     return rd / "sweep.csv"
-
-
-class InfeasibleAggregation(RuntimeError):
-    pass
 
 
 def cmd_report(cfg: dict) -> list[Path]:
@@ -499,9 +512,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except InfeasibleAggregation as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
     elapsed = time.perf_counter() - t0
     if isinstance(out, list):
         for path in out:

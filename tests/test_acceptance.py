@@ -48,7 +48,7 @@ def test_criterion_01_exact_matches_brute_force():
         pool = random_pool(seed=7000 + t)
         budget = 1 + t % 3
         floor = FLOORS[t % 4]
-        exact = solve_exact(build_ip(pool, budget, floor), pool)
+        exact = solve_exact(pool, budget, floor)
         brute = brute_force(pool, budget, floor)
         if exact.ip_coverage != brute.ip_coverage:
             mismatches += 1
@@ -68,9 +68,8 @@ def test_criterion_02_constraint_verifier_zero_violations():
         pool = random_pool(seed=8000 + t)
         budget = 1 + t % 3
         floor = FLOORS[t % 4]
-        model = build_ip(pool, budget, floor)
         for sol in (
-            solve_exact(model, pool),
+            solve_exact(pool, budget, floor),
             solve_greedy(pool, budget, floor),
             brute_force(pool, budget, floor),
         ):
@@ -91,7 +90,7 @@ def test_criterion_03_dominance_and_monotonicity():
         for floor in (0.0, 0.7):
             by_k = []
             for budget in range(4):
-                exact = solve_exact(build_ip(pool, budget, floor), pool)
+                exact = solve_exact(pool, budget, floor)
                 greedy = solve_greedy(pool, budget, floor)
                 if exact.ip_coverage < greedy.ip_coverage:
                     dominance_bad += 1
@@ -99,7 +98,7 @@ def test_criterion_03_dominance_and_monotonicity():
             if by_k != sorted(by_k):
                 monotone_k_bad += 1
         by_phi = [
-            solve_exact(build_ip(pool, 2, floor), pool).ip_coverage for floor in FLOORS
+            solve_exact(pool, 2, floor).ip_coverage for floor in FLOORS
         ]
         if by_phi != sorted(by_phi, reverse=True):
             monotone_phi_bad += 1
@@ -109,7 +108,7 @@ def test_criterion_03_dominance_and_monotonicity():
     balls = [{0, 1, 2, 3, 4}, {1}, {2}, {3}, {4}, {5, 0, 1, 2}, {6, 3, 4, 7}, {7}]
     strict_pool = pool_from_sets(balls)
     strict_gap = (
-        solve_exact(build_ip(strict_pool, 2, 0.0), strict_pool).ip_coverage
+        solve_exact(strict_pool, 2, 0.0).ip_coverage
         - solve_greedy(strict_pool, 2, 0.0).ip_coverage
     )
     report(

@@ -6,6 +6,7 @@ import pytest
 
 from aggrex.aggregate import (
     AggregateSolution,
+    _claims_for_selection,
     BruteForceRefused,
     CandidatePool,
     brute_force,
@@ -193,15 +194,18 @@ class TestBuildIP:
 class TestSolveExact:
     def test_budget_zero(self):
         pool = random_pool(1)
-        m = build_ip(pool, 0, 0.5)
-        sol = solve_exact(m, pool)
+        sol = solve_exact(pool, 0, 0.5)
         assert sol.selected == () and sol.ip_coverage == 0 and sol.status == "optimal"
+
+    @pytest.mark.parametrize("budget, floor", [(-1, 0.5), (1, -0.1), (1, 1.5)])
+    def test_bad_budget_or_floor_rejected(self, budget, floor):
+        with pytest.raises(ValueError):
+            solve_exact(random_pool(1), budget, floor)
 
     def test_three_ball_instance(self):
         # balls {0,1}, {1,2}, {2}; K=1, floor 0: best single ball covers 2
         pool = pool_from_sets([{0, 1}, {1, 2}, {2}])
-        m = build_ip(pool, 1, 0.0)
-        sol = solve_exact(m, pool)
+        sol = solve_exact(pool, 1, 0.0)
         assert sol.ip_coverage == 2
         assert sol.selected in ((0,), (1,))
 
@@ -209,15 +213,13 @@ class TestSolveExact:
         # one candidate, ball of 3, agrees on 2: at floor 0.5 the slack
         # 2*(0.5) - 0.5 >= 0 lets it claim all 3
         pool = pool_from_sets([{0, 1, 2}], agree_sets=[{0, 1}], n=3)
-        m = build_ip(pool, 1, 0.5)
-        sol = solve_exact(m, pool)
+        sol = solve_exact(pool, 1, 0.5)
         assert sol.ip_coverage == 3
         assert exhaustive_oracle(pool, 1, 0.5) == 3
 
     def test_floor_one_claims_only_agreeing(self):
         pool = pool_from_sets([{0, 1, 2}], agree_sets=[{0, 1}], n=3)
-        m = build_ip(pool, 1, 1.0)
-        sol = solve_exact(m, pool)
+        sol = solve_exact(pool, 1, 1.0)
         assert sol.ip_coverage == 2
         assert set(sol.z_assignment.get(0, ())) == {0, 1}
 
@@ -225,8 +227,7 @@ class TestSolveExact:
         # 9 agreeing + 1 disagreeing at floor 0.9 sits exactly on the row
         # boundary and must be claimable (integer arithmetic, no float slip)
         pool = pool_from_sets([set(range(10))], agree_sets=[set(range(9))], n=10)
-        m = build_ip(pool, 1, 0.9)
-        sol = solve_exact(m, pool)
+        sol = solve_exact(pool, 1, 0.9)
         assert sol.ip_coverage == 10
         assert sol.claimed_min_fidelity == 0.9
 
@@ -236,8 +237,7 @@ class TestSolveExact:
             pool = random_pool(seed=1000 + t)
             budget = 1 + t % 3
             floor = floors[t % 4]
-            m = build_ip(pool, budget, floor)
-            exact = solve_exact(m, pool)
+            exact = solve_exact(pool, budget, floor)
             brute = brute_force(pool, budget, floor)
             assert exact.ip_coverage == brute.ip_coverage, (t, budget, floor)
             assert verify_solution(pool, budget, floor, exact) == []
@@ -256,8 +256,7 @@ class TestSolveExact:
             budget = int(rng.integers(1, 3))
             floor = [0.0, 0.5, 0.7, 1.0][t % 4]
             want = exhaustive_oracle(pool, budget, floor)
-            m = build_ip(pool, budget, floor)
-            assert solve_exact(m, pool).ip_coverage == want
+            assert solve_exact(pool, budget, floor).ip_coverage == want
             if pool.disagree_pair_count() <= 20:
                 assert brute_force(pool, budget, floor).ip_coverage == want
 
@@ -266,12 +265,12 @@ class TestSolveExact:
             pool = random_pool(seed=2000 + t)
             for floor in (0.0, 0.5, 0.9):
                 values = [
-                    solve_exact(build_ip(pool, k, floor), pool).ip_coverage for k in range(4)
+                    solve_exact(pool, k, floor).ip_coverage for k in range(4)
                 ]
                 assert values == sorted(values)
             for k in (1, 2):
                 by_floor = [
-                    solve_exact(build_ip(pool, k, floor), pool).ip_coverage
+                    solve_exact(pool, k, floor).ip_coverage
                     for floor in (0.0, 0.5, 0.7, 0.9, 1.0)
                 ]
                 assert by_floor == sorted(by_floor, reverse=True)
@@ -279,7 +278,7 @@ class TestSolveExact:
     def test_ball_coverage_dominates_ip_coverage(self):
         for t in range(10):
             pool = random_pool(seed=3000 + t)
-            sol = solve_exact(build_ip(pool, 2, 0.8), pool)
+            sol = solve_exact(pool, 2, 0.8)
             assert sol.ball_coverage >= sol.ip_coverage
 
 
@@ -292,7 +291,7 @@ class TestSolveGreedy:
     def test_disjoint_balls_greedy_optimal(self):
         pool = pool_from_sets([{0, 1}, {2, 3}, {4}], n=5)
         greedy = solve_greedy(pool, 2, 0.0)
-        exact = solve_exact(build_ip(pool, 2, 0.0), pool)
+        exact = solve_exact(pool, 2, 0.0)
         assert greedy.ip_coverage == exact.ip_coverage == 4
 
     def test_overlap_instance_greedy_suboptimal(self):
@@ -311,7 +310,7 @@ class TestSolveGreedy:
         ]
         pool = pool_from_sets(balls)
         greedy = solve_greedy(pool, 2, 0.0)
-        exact = solve_exact(build_ip(pool, 2, 0.0), pool)
+        exact = solve_exact(pool, 2, 0.0)
         assert greedy.ip_coverage == 7
         assert greedy.selected == (0, 6)
         assert exact.ip_coverage == 8
@@ -324,7 +323,7 @@ class TestSolveGreedy:
             budget = 1 + t % 3
             floor = [0.0, 0.5, 0.7, 0.9][t % 4]
             g = solve_greedy(pool, budget, floor)
-            e = solve_exact(build_ip(pool, budget, floor), pool)
+            e = solve_exact(pool, budget, floor)
             assert e.ip_coverage >= g.ip_coverage
             assert verify_solution(pool, budget, floor, g) == []
 
@@ -392,7 +391,7 @@ class TestVerifier:
 
     def test_clean_solution_passes(self):
         pool = random_pool(9)
-        sol = solve_exact(build_ip(pool, 2, 0.7), pool)
+        sol = solve_exact(pool, 2, 0.7)
         assert verify_solution(pool, 2, 0.7, sol) == []
 
 
@@ -443,16 +442,30 @@ class TestInnerClaimLimit:
         agree_sets[6] = {0, 1, 2, 3, 4, 5, 6}
         return pool_from_sets(balls, agree_sets)
 
-    def test_exceeding_pair_limit_downgrades_status(self):
-        pool = self.decoy_pool_with_disagreement()
-        capped = solve_exact(build_ip(pool, 2, 0.5), pool, inner_limit=0)
-        assert capped.status == "feasible"
-        assert capped.ip_coverage == 8
-        assert verify_solution(pool, 2, 0.5, capped) == []
+    def test_more_than_twenty_pairs_stays_optimal(self):
+        # 23 disagreeing in-ball pairs, one unit of slack per candidate at
+        # floor 0.5. Point 3 fits candidates 0 and 1, point 4 only 0: first
+        # fit gives 3 to candidate 0 and strands 4, so reaching 6 needs an
+        # augmenting path that moves 3 over to candidate 1.
+        n = 25
+        within = np.eye(n, dtype=bool)
+        agree = np.ones((n, n), dtype=bool)
+        for i, extra in ((0, [3, 4]), (1, [3]), (2, range(5, n))):
+            for j in extra:
+                within[i, j] = True
+                agree[i, j] = False
+        pool = CandidatePool(radii=np.ones(n), within=within, agree=agree)
+        assert pool.disagree_pair_count() == 23
+        sol = solve_exact(pool, 3, 0.5)
+        assert sol.ip_coverage == 6
+        assert sol.status == "optimal"
+        assert sol.selected == (0, 1, 2)
+        assert verify_solution(pool, 3, 0.5, sol) == []
+        assert solve_greedy(pool, 3, 0.5).ip_coverage == 6
 
     def test_within_pair_limit_keeps_certificate(self):
         pool = self.decoy_pool_with_disagreement()
-        sol = solve_exact(build_ip(pool, 2, 0.5), pool)
+        sol = solve_exact(pool, 2, 0.5)
         assert sol.status == "optimal"
         assert sol.ip_coverage == 8
         assert sol.selected == (5, 6)
@@ -474,7 +487,7 @@ class TestFloorZeroIsMaxCoverage:
                     for i in sel:
                         mask |= pool.within[i]
                     best = max(best, int(mask.sum()))
-            sol = solve_exact(build_ip(pool, budget, 0.0), pool)
+            sol = solve_exact(pool, budget, 0.0)
             assert sol.ip_coverage == best
 
 
@@ -485,7 +498,7 @@ class TestFloorHonoredOnBalls:
         for t in range(20):
             pool = random_pool(seed=6000 + t)
             floor = 0.7
-            sol = solve_exact(build_ip(pool, 2, floor), pool)
+            sol = solve_exact(pool, 2, floor)
             if not sol.selected:
                 continue
             balls_pass = all(
@@ -494,3 +507,49 @@ class TestFloorHonoredOnBalls:
             )
             if balls_pass:
                 assert fidelity(sol, pool) >= floor - 1e-9
+
+
+class TestClaimMatchingOracle:
+    def test_inner_objective_matches_bipartite_matching(self):
+        # For a fixed selection, the claim objective is the sure-claimed
+        # (agreeing in-ball) count plus a maximum matching of the remaining
+        # disagreeing points onto unit slots of candidate capacity.
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        from scipy.sparse import csr_matrix
+
+        rng = np.random.default_rng(4242)
+        over_twenty = 0
+        for t in range(300):
+            n = int(rng.integers(20, 61))
+            within = rng.random((n, n)) < rng.uniform(0.2, 0.6)
+            agree = rng.random((n, n)) < rng.uniform(0.3, 0.9)
+            pool = CandidatePool(radii=np.ones(n), within=within, agree=agree)
+            selected = tuple(sorted(rng.choice(n, size=int(rng.integers(2, 7)), replace=False).tolist()))
+            phi_num = int(rng.choice([5, 6, 7, 8, 9])) * 10**5
+            ball, agree_m = pool.ball_masks(), pool.agree_masks()
+            z, obj = _claims_for_selection(selected, ball, agree_m, phi_num, 10**6)
+            over_twenty += sum((ball[i] & ~agree_m[i]).bit_count() for i in selected) > 20
+
+            sure = [j for j in range(n) if any(within[i, j] and agree[i, j] for i in selected)]
+            slots = [
+                i
+                for i in selected
+                for _ in range(int(np.sum(within[i] & agree[i])) * (10**6 - phi_num) // phi_num)
+            ]
+            open_points = [
+                j for j in range(n) if j not in sure and any(within[i, j] and not agree[i, j] for i in selected)
+            ]
+            graph = np.array(
+                [[within[i, j] and not agree[i, j] for i in slots] for j in open_points], dtype=np.int8
+            ).reshape(len(open_points), len(slots))
+            matched = csgraph.maximum_bipartite_matching(csr_matrix(graph), perm_type="column")
+            assert obj == len(sure) + int(np.sum(matched >= 0)), t
+
+            claimed = 0
+            for i, mask in z.items():
+                assert mask & ~ball[i] == 0
+                spent = (mask & ~agree_m[i]).bit_count() * phi_num
+                assert spent <= (mask & agree_m[i]).bit_count() * (10**6 - phi_num)
+                claimed |= mask
+            assert claimed.bit_count() == obj
+        assert over_twenty >= 100

@@ -85,6 +85,23 @@ class TestConfig:
         assert "config error" in err and match in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "extra, flags, match",
+        [
+            ({}, ["--radii", "1.0", "--agg-radius", "2.0"], "aggregate.radius"),
+            ({"aggregate": {"use_filtered": True}, "filter": {"variant": "unfiltered"}}, [], "use_filtered"),
+            ({"aggregate": {"inner_limit": 20}}, [], "aggregate.inner_limit"),
+        ],
+        ids=["radius-not-sampled", "variant-not-trained", "unknown-key"],
+    )
+    def test_bad_config_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, flags, match):
+        out_dir = tmp_path / "runs"
+        path = write_config(tmp_path, small_config(out_dir, **extra))
+        assert main(["sweep", "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+        assert not list(tmp_path.rglob("run-*"))
+
 
 class TestTrainStage:
     def test_model_file_reloadable_and_identical(self, tmp_path):
