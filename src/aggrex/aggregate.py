@@ -22,6 +22,13 @@ claimed through z (a solver may drop in-ball points to satisfy a fidelity
 row), while ball_coverage counts every point inside any selected ball.
 ball_coverage >= ip_coverage always; both are reported.
 
+A sweep solves one pool for many (K, phi) cells, so the pool does the
+per-pool work once: CandidatePool is frozen over read-only arrays, builds
+its row bitmasks on first use, and keeps one greedy path per floor, which
+every greedy solve and every exact warm start at that floor extends only as
+far as its budget needs. Results, node counts included, are those of a
+solve on a fresh pool.
+
 Fidelity-floor arithmetic is exact: phi is quantized to a rational with
 denominator 10^6 and every feasibility check runs on integers, so e.g.
 9 agreeing + 1 disagreeing claims at phi = 0.9 is feasible, not a float
@@ -31,13 +38,14 @@ rounding accident.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from heapq import heappush, heapreplace
 from itertools import combinations
 
 import numpy as np
 
 from .data import Dataset
-from .sampler import within_ball
 
 PHI_DENOM = 10**6
 METRIC_DESCRIPTOR = "max(Linf over continuous, L1 over binary)"
@@ -61,23 +69,71 @@ def _iter_bits(mask: int):
 
 
 @dataclass
+class _GreedyPath:
+    """Greedy's run at one floor, kept on the pool and extended on demand.
+
+    steps[k] = (selection, z masks, objective, evaluations after k scans);
+    greedy with budget K is steps[K], the first K steps of any longer run.
+    stall_evals is set once a scan finds no positive gain: the path ends
+    there, and every larger budget reports that scan's evaluations too.
+    """
+
+    steps: list = field(default_factory=lambda: [((), {}, 0, 0)])
+    stall_evals: int | None = None
+
+
+def _row_masks(matrix: np.ndarray) -> tuple[int, ...]:
+    """Row i as a Python int whose bit j is matrix[i, j]."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+@dataclass(frozen=True, eq=False)
 class CandidatePool:
-    """Pairwise ball membership and surrogate/black-box agreement for all candidates."""
+    """Pairwise ball membership and surrogate/black-box agreement for all candidates.
+
+    Frozen, with read-only copies of its arrays, so whatever is derived from
+    them is computed once and kept: the row bitmasks, and one greedy path
+    per fidelity floor (see solve_greedy).
+    """
 
     radii: np.ndarray
     within: np.ndarray
     agree: np.ndarray
     metric: str = METRIC_DESCRIPTOR
 
+    def __post_init__(self):
+        for name, dtype in (("radii", float), ("within", bool), ("agree", bool)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        n = self.radii.shape[0]
+        if self.within.shape != (n, n) or self.agree.shape != (n, n):
+            raise ValueError(
+                f"within {self.within.shape} and agree {self.agree.shape} must be ({n}, {n}) for {n} radii"
+            )
+
     @property
     def n(self) -> int:
         return self.within.shape[0]
 
-    def ball_masks(self) -> list[int]:
-        return [int(sum(1 << j for j in range(self.n) if self.within[i, j])) for i in range(self.n)]
+    @cached_property
+    def _ball_masks(self) -> tuple[int, ...]:
+        return _row_masks(self.within)
 
-    def agree_masks(self) -> list[int]:
-        return [int(sum(1 << j for j in range(self.n) if self.agree[i, j])) for i in range(self.n)]
+    @cached_property
+    def _agree_masks(self) -> tuple[int, ...]:
+        return _row_masks(self.agree)
+
+    @cached_property
+    def _greedy_paths(self) -> dict[int, _GreedyPath]:
+        return {}
+
+    def ball_masks(self) -> tuple[int, ...]:
+        return self._ball_masks
+
+    def agree_masks(self) -> tuple[int, ...]:
+        return self._agree_masks
 
     def disagree_pair_count(self) -> int:
         return int(np.sum(self.within & ~self.agree))
@@ -87,7 +143,8 @@ def build_pool(dataset: Dataset, explainers, blackbox) -> CandidatePool:
     """One candidate per dataset point, in dataset order.
 
     within[i][j] tests the mixed-metric ball of radius radii[i] around
-    point i; agree[i][j] compares explainer i and the black box at point j.
+    point i (sampler.within_ball, for all pairs at once); agree[i][j]
+    compares explainer i and the black box at point j.
     """
     n = dataset.n
     if len(explainers) != n:
@@ -98,16 +155,22 @@ def build_pool(dataset: Dataset, explainers, blackbox) -> CandidatePool:
         if ex.center.shape != (dataset.m,):
             raise ValueError("explainer center does not match the dataset schema")
     radii = np.array([ex.radius for ex in explainers], dtype=float)
-    within = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            within[i, j] = within_ball(dataset.X[j], dataset.X[i], radii[i], dataset.schema)
-    f_labels = blackbox.predict_batch(dataset.X)
+    X = dataset.X
+    # [i, j] compares point j with center i, one column at a time so the
+    # temporaries stay n x n
+    linf = np.zeros((n, n))
+    for c in dataset.schema.continuous_idx:
+        col = X[:, c]
+        np.maximum(linf, np.abs(col[None, :] - col[:, None]), out=linf)
+    flips = np.zeros((n, n), dtype=int)
+    for b in dataset.schema.binary_idx:
+        col = X[:, b]
+        flips += col[None, :] != col[:, None]
+    within = (linf <= radii[:, None]) & (flips <= np.floor(radii)[:, None])
+    f_labels = blackbox.predict_batch(X)
     agree = np.zeros((n, n), dtype=bool)
     for i, ex in enumerate(explainers):
-        agree[i, :] = ex.predict_batch(dataset.X) == f_labels
-    within.setflags(write=False)
-    agree.setflags(write=False)
+        agree[i, :] = ex.predict_batch(X) == f_labels
     return CandidatePool(radii=radii, within=within, agree=agree)
 
 
@@ -299,9 +362,12 @@ def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> Aggr
     row has any slack to spend): fixed-in candidates contribute the union
     of their claimable sets, remaining ones the cheaper of (sum of the
     largest capped gains, size of the still-reachable claimable point set).
+    The gains scan stops early: caps never increase along the preorder, so
+    once the q largest gains seen all reach the next cap the sum is final.
     Everything over-counts the true claims, so pruning is safe. Each leaf
     solves its inner claim problem exactly (a b-matching), so the status is
-    always "optimal". Warm-started with the greedy solution.
+    always "optimal". Warm-started with the greedy solution (solve_greedy,
+    which reuses the pool's greedy path for this floor).
     """
     t0 = time.perf_counter()
     if budget < 0:
@@ -364,14 +430,24 @@ def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> Aggr
         reach = (suffix_reach[next_k] & ~covered).bit_count()
         if base + reach <= best_obj:
             continue
+        # sum of the q largest capped gains; cap_o never increases along the
+        # preorder, so once the q held gains all reach cap_o[k] no later
+        # candidate can displace one
         q = budget - count
-        gains = []
+        uncovered = ~covered
+        top: list[int] = []
         for k in range(next_k, n):
-            g = (claim_o[k] & ~covered).bit_count()
             cap = cap_o[k]
-            gains.append(g if g < cap else cap)
-        gains.sort(reverse=True)
-        if base + min(sum(gains[:q]), reach) <= best_obj:
+            if len(top) == q and top[0] >= cap:
+                break
+            g = (claim_o[k] & uncovered).bit_count()
+            if g > cap:
+                g = cap
+            if len(top) < q:
+                heappush(top, g)
+            elif g > top[0]:
+                heapreplace(top, g)
+        if base + min(sum(top), reach) <= best_obj:
             continue
         # LIFO: push the 0-branch first so the 1-branch is explored first
         stack.append((next_k + 1, covered, count, chain))
@@ -380,35 +456,49 @@ def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> Aggr
     return _finish_solution(best_selected, best_z, best_obj, "optimal", pool, nodes, t0)
 
 
-def solve_greedy(pool: CandidatePool, budget: int, fidelity_floor: float) -> AggregateSolution:
-    """Iteratively add the candidate with the largest claimable-coverage gain."""
-    t0 = time.perf_counter()
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    phi_num, phi_den = _phi_to_rational(fidelity_floor)
+def _extend_greedy(pool: CandidatePool, path: _GreedyPath, budget: int, phi_num: int, phi_den: int) -> None:
+    """Scan until path.steps reaches budget or greedy stalls."""
     n = pool.n
     ball = pool.ball_masks()
     agree = pool.agree_masks()
-    selected: tuple[int, ...] = ()
-    current_obj = 0
-    evals = 0
-    while len(selected) < budget:
+    steps = path.steps
+    while len(steps) <= budget and path.stall_evals is None:
+        selected, _, current_obj, evals = steps[-1]
         best_gain = 0
-        best_i = None
+        best = None
         for i in range(n):
             if i in selected:
                 continue
             trial = tuple(sorted(selected + (i,)))
-            _, obj = _claims_for_selection(trial, ball, agree, phi_num, phi_den)
+            z, obj = _claims_for_selection(trial, ball, agree, phi_num, phi_den)
             evals += 1
             if obj - current_obj > best_gain:  # strict: ties keep the lowest index
                 best_gain = obj - current_obj
-                best_i = i
-        if best_i is None:
-            break
-        selected = tuple(sorted(selected + (best_i,)))
-        current_obj += best_gain
-    z, obj = _claims_for_selection(selected, ball, agree, phi_num, phi_den)
+                best = (trial, z, obj)
+        if best is None:
+            path.stall_evals = evals
+        else:
+            steps.append((*best, evals))
+
+
+def solve_greedy(pool: CandidatePool, budget: int, fidelity_floor: float) -> AggregateSolution:
+    """Iteratively add the candidate with the largest claimable-coverage gain.
+
+    The run is the same for every budget at one floor, so the pool keeps it
+    per floor and a call only scans past the steps an earlier call made.
+    nodes_explored counts every claim evaluation a fresh run would make.
+    """
+    t0 = time.perf_counter()
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    phi_num, phi_den = _phi_to_rational(fidelity_floor)
+    path = pool._greedy_paths.setdefault(phi_num, _GreedyPath())
+    _extend_greedy(pool, path, budget, phi_num, phi_den)
+    if budget < len(path.steps):
+        selected, z, obj, evals = path.steps[budget]
+    else:
+        selected, z, obj, _ = path.steps[-1]
+        evals = path.stall_evals
     return _finish_solution(selected, z, obj, "feasible", pool, evals, t0)
 
 

@@ -32,6 +32,21 @@ def random_pool(
     raise RuntimeError(f"could not generate a bounded pool from seed {seed}")
 
 
+def geometric_pool(seed: int) -> CandidatePool:
+    """Sweep-sized pool: 30-60 points in the unit square with Linf balls.
+
+    Each candidate agrees with the black box on a random share (60-95%) of
+    the points, so balls hold many disagreeing pairs; about 30-95 in all.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 61))
+    points = rng.random((n, 2))
+    radii = rng.uniform(0.08, 0.25, size=n)
+    within = np.abs(points[None, :, :] - points[:, None, :]).max(axis=2) <= radii[:, None]
+    agree = rng.random((n, n)) < rng.uniform(0.6, 0.95, size=(n, 1))
+    return CandidatePool(radii=radii, within=within, agree=agree)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -1,10 +1,17 @@
+import dataclasses
+import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggrex.aggregate import (
+    PHI_DENOM,
     AggregateSolution,
     _claims_for_selection,
     BruteForceRefused,
@@ -23,9 +30,10 @@ from aggrex.aggregate import (
 from aggrex.blackbox import table_oracle
 from aggrex.data import Dataset, FeatureSchema
 from aggrex.explainer import LocalExplainer
+from aggrex.sampler import within_ball
 from aggrex.tree import DecisionTree, Node
 
-from conftest import random_pool
+from conftest import geometric_pool, random_pool
 
 
 def pool_from_sets(balls, agree_sets=None, n=None):
@@ -553,3 +561,206 @@ class TestClaimMatchingOracle:
                 claimed |= mask
             assert claimed.bit_count() == obj
         assert over_twenty >= 100
+
+
+def highs_optimum(pool, budget, floor):
+    """Optimum of the full integer program by scipy's HiGHS MILP solver.
+
+    Every fidelity row is scaled to integers (agree * 10^6 - phi * 10^6,
+    divided by their gcd), so feasibility is decided exactly.
+    """
+    from scipy import optimize, sparse
+
+    n = pool.n
+    support = [(i, j) for i in range(n) for j in range(n) if pool.within[i, j]]
+    w, y, z = 0, n, 2 * n  # variable offsets
+    phi_num = int(round(floor * PHI_DENOM))
+    g = gcd(phi_num, PHI_DENOM)
+    rows, cols, vals, lo, hi = [], [], [], [], []
+
+    def row(coefs, low, high):
+        for col, value in coefs.items():
+            rows.append(len(lo))
+            cols.append(col)
+            vals.append(value)
+        lo.append(low)
+        hi.append(high)
+
+    cover = {j: {y + j: 1} for j in range(n)}
+    fid = {i: {} for i in range(n)}
+    for k, (i, j) in enumerate(support):
+        row({z + k: 1, w + i: -1}, -np.inf, 0)  # z_ij <= w_i
+        row({y + j: 1, z + k: -1}, 0, np.inf)  # y_j >= z_ij
+        cover[j][z + k] = -1
+        fid[i][z + k] = (PHI_DENOM * int(pool.agree[i, j]) - phi_num) // g
+    for j in range(n):
+        row(cover[j], -np.inf, 0)  # y_j <= sum_i z_ij
+    for i in range(n):
+        row(fid[i], 0, np.inf)
+    row({w + i: 1 for i in range(n)}, -np.inf, budget)
+
+    width = 2 * n + len(support)
+    A = sparse.csr_matrix((vals, (rows, cols)), shape=(len(lo), width))
+    c = np.zeros(width)
+    c[y : y + n] = -1.0
+    res = optimize.milp(
+        c,
+        constraints=optimize.LinearConstraint(A, lo, hi),
+        integrality=np.ones_like(c),
+        bounds=optimize.Bounds(0, 1),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message
+    return int(round(-res.fun))
+
+
+def solution_bytes(sol):
+    out = sol.to_dict()
+    del out["wall_time_ms"]
+    return out
+
+
+class TestExactAtSweepSize:
+    def test_matches_highs_on_sweep_sized_pools(self):
+        pytest.importorskip("scipy.optimize")
+        for seed in range(20):
+            pool = geometric_pool(seed)
+            budget = (3, 5, 7)[seed % 3]
+            floor = (0.5, 0.7, 0.9)[seed // 3 % 3]
+            sol = solve_exact(pool, budget, floor)
+            assert sol.ip_coverage == highs_optimum(pool, budget, floor), (seed, budget, floor)
+            assert verify_solution(pool, budget, floor, sol) == []
+
+    def test_node_counts_pinned(self):
+        # recorded from the solver before the gains scan stopped at the caps
+        # and before greedy paths were kept on the pool: the bound prunes
+        # the same nodes and the search picks the same selections
+        pool = geometric_pool(17)
+        want = [
+            (1, (19,)),
+            (5, (1, 19)),
+            (17, (1, 19, 34)),
+            (41, (1, 19, 34, 48)),
+            (283, (1, 19, 31, 34, 48)),
+            (1623, (1, 19, 31, 33, 34, 48)),
+            (4077, (1, 19, 31, 33, 34, 44, 48)),
+        ]
+        got = [(sol.nodes_explored, sol.selected) for sol in (solve_exact(pool, k, 0.9) for k in range(1, 8))]
+        assert got == want
+
+
+class TestGreedyPathCache:
+    BUDGETS = range(0, 9)
+
+    def fresh(self, make_pool, budget, floor, solve=solve_greedy):
+        return solution_bytes(solve(make_pool(), budget, floor))
+
+    @pytest.mark.parametrize("floor", [0.0, 0.7, 0.9])
+    def test_any_budget_order_matches_fresh_pools(self, floor):
+        make = lambda: geometric_pool(5)  # noqa: E731
+        want = {k: self.fresh(make, k, floor) for k in self.BUDGETS}
+        descending = make()
+        for k in reversed(self.BUDGETS):
+            assert solution_bytes(solve_greedy(descending, k, floor)) == want[k], k
+        shuffled = make()
+        order = list(self.BUDGETS) * 2
+        random.Random(3).shuffle(order)
+        for k in order:
+            assert solution_bytes(solve_greedy(shuffled, k, floor)) == want[k], k
+
+    def test_exact_first_then_greedy(self):
+        make = lambda: geometric_pool(5)  # noqa: E731
+        pool = make()
+        for k in (4, 2, 6):
+            assert solution_bytes(solve_exact(pool, k, 0.7)) == self.fresh(make, k, 0.7, solve_exact)
+            assert solution_bytes(solve_greedy(pool, k, 0.7)) == self.fresh(make, k, 0.7)
+
+    def test_floors_keep_separate_paths(self):
+        pool = geometric_pool(5)
+        for floor in (0.5, 0.9, 0.5, 0.0):
+            assert solution_bytes(solve_greedy(pool, 3, floor)) == self.fresh(lambda: geometric_pool(5), 3, floor)
+
+    def test_stall_counts_the_last_scan(self):
+        # greedy takes ball 0 (3 points), then ball 3 (1 point), and then no
+        # candidate adds anything: 4 + 3 + 2 claim evaluations, however
+        # large the budget and in whatever order budgets are asked for
+        make = lambda: pool_from_sets([{0, 1, 2}, {0, 1}, {1, 2}, {3}], n=4)  # noqa: E731
+        pool = make()
+        for k, nodes, selected in ((2, 7, (0, 3)), (5, 9, (0, 3)), (3, 9, (0, 3)), (1, 4, (0,)), (2, 7, (0, 3))):
+            sol = solve_greedy(pool, k, 0.0)
+            assert (sol.nodes_explored, sol.selected, sol.ip_coverage) == (nodes, selected, 4 if k > 1 else 3)
+            assert solution_bytes(sol) == self.fresh(make, k, 0.0)
+
+
+class TestFrozenPool:
+    def pools(self):
+        yield random_pool(1)
+        yield pool_from_sets([{0, 1}, {1}])
+        d = TestBuildPool().line_dataset()
+        f = table_oracle([(tuple(d.X[i]), int(d.y[i])) for i in range(d.n)], schema=d.schema)
+        yield build_pool(d, [constant_explainer(i, d.X[i], 1.0, 0) for i in range(d.n)], f)
+
+    def test_arrays_are_read_only(self):
+        for pool in self.pools():
+            for arr in (pool.within, pool.agree, pool.radii):
+                with pytest.raises(ValueError):
+                    arr[0, ...] = 0
+
+    def test_attributes_cannot_be_set(self):
+        for pool in self.pools():
+            for name, value in (("within", np.eye(pool.n, dtype=bool)), ("agree", pool.agree), ("n", 3)):
+                with pytest.raises((dataclasses.FrozenInstanceError, AttributeError)):
+                    setattr(pool, name, value)
+
+    def test_pool_does_not_share_the_callers_arrays(self):
+        within = np.eye(3, dtype=bool)
+        pool = CandidatePool(radii=np.ones(3), within=within, agree=np.ones((3, 3), dtype=bool))
+        masks = pool.ball_masks()
+        within[0, 1] = True
+        assert not pool.within[0, 1]
+        assert pool.ball_masks() == masks == (1, 2, 4)
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            CandidatePool(radii=np.ones(3), within=np.eye(3, dtype=bool), agree=np.ones((3, 2), dtype=bool))
+
+
+@st.composite
+def ball_problems(draw):
+    kinds = draw(st.lists(st.sampled_from(["continuous", "binary"]), min_size=1, max_size=5))
+    n = draw(st.integers(1, 12))
+    grid = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+    X = np.array(
+        [[draw(grid) if k == "continuous" else float(draw(st.integers(0, 1))) for k in kinds] for _ in range(n)]
+    ).reshape(n, len(kinds))
+    n_bin = kinds.count("binary")
+    radius = st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, float(n_bin), n_bin + 0.5, n_bin + 3.0]),
+        st.floats(0.0, 6.0, allow_nan=False),
+    )
+    radii = [draw(radius) for _ in range(n)]
+    schema = FeatureSchema(tuple(f"f{t}" for t in range(len(kinds))), tuple(kinds))
+    return Dataset(X, np.zeros(n, dtype=int), schema), radii
+
+
+class TestBroadcastBallTest:
+    @settings(max_examples=200, deadline=None)
+    @given(ball_problems())
+    def test_within_matches_within_ball(self, problem):
+        d, radii = problem
+        exps = [constant_explainer(i, d.X[i], radii[i], 0) for i in range(d.n)]
+        f = SimpleNamespace(predict_batch=lambda X: np.zeros(len(X), dtype=int))
+        pool = build_pool(d, exps, f)
+        want = np.array([[within_ball(d.X[j], d.X[i], radii[i], d.schema) for j in range(d.n)] for i in range(d.n)])
+        assert np.array_equal(pool.within, want)
+        assert np.all(pool.agree)
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 63, 64, 65, 130])
+    def test_masks_match_rows(self, n):
+        rng = np.random.default_rng(n)
+        pool = CandidatePool(radii=np.ones(n), within=rng.random((n, n)) < 0.4, agree=rng.random((n, n)) < 0.6)
+        for masks, matrix in ((pool.ball_masks(), pool.within), (pool.agree_masks(), pool.agree)):
+            assert len(masks) == n
+            for i in range(n):
+                assert masks[i] < 1 << n
+                assert [masks[i] >> j & 1 for j in range(n)] == matrix[i].astype(int).tolist()
