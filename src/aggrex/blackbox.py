@@ -13,6 +13,11 @@ run separately:
 
 with each tree's pre-order records concatenated (pre-order is
 self-delimiting, so no separators are needed).
+
+A forest predicts in one traversal: `tree.stack_trees` concatenates its
+trees' node arrays once (tree t starts at node `roots[t]`), `tree.route`
+sends every (tree, row) pair down in one loop, and a single `bincount`
+over (row, leaf label) codes tallies the votes.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .data import Dataset, FeatureSchema
 from .sampler import mixed_distance
-from .tree import DecisionTree, tree_fit, tree_from_lines, tree_to_lines
+from .tree import DecisionTree, route, stack_trees, tree_fit, tree_from_lines, tree_to_lines
 
 FOREST_MAX_DEPTH = 12
 FOREST_MIN_LEAF = 2
@@ -55,16 +60,13 @@ class BlackBoxModel:
         X = np.asarray(X, dtype=float)
         self._check_dim(X.shape[1])
         if self.kind == "bagged_forest":
-            labels = np.array(self.label_set, dtype=int)
-            n_labels = labels.size
-            size = X.shape[0] * n_labels
-            row_base = np.arange(X.shape[0]) * n_labels
-            votes = np.zeros(size, dtype=np.int64)
-            for tree in self.trees:
-                votes += np.bincount(row_base + np.searchsorted(labels, tree.predict_batch(X)), minlength=size)
+            nodes, roots, codes = self._forest
+            n_labels = len(self.label_set)
+            cells = codes[route(nodes, X, roots)] + np.arange(X.shape[0]) * n_labels
+            votes = np.bincount(cells.ravel(), minlength=X.shape[0] * n_labels)
             # argmax takes the first maximum; label_set is sorted, so vote
             # ties resolve toward the smaller label.
-            return labels[np.argmax(votes.reshape(-1, n_labels), axis=1)]
+            return np.array(self.label_set, dtype=int)[np.argmax(votes.reshape(-1, n_labels), axis=1)]
         return np.array([self._table_lookup(X[i]) for i in range(X.shape[0])], dtype=int)
 
     def _check_dim(self, m: int) -> None:
@@ -72,16 +74,17 @@ class BlackBoxModel:
             if m != self.schema.count:
                 raise ValueError(f"point has {m} features, schema expects {self.schema.count}")
         elif self.kind == "bagged_forest":
-            need = self._features_needed
+            need = int(self._forest[0].feature.max()) + 1  # one past the highest split feature
             if m < need:
                 raise ValueError(f"point has {m} features, model references feature {need - 1}")
         elif self.table_points is not None and m != self.table_points.shape[1]:
             raise ValueError(f"point has {m} features, table stores {self.table_points.shape[1]}")
 
     @cached_property
-    def _features_needed(self) -> int:
-        """One more than the highest feature index any tree splits on."""
-        return max((t.max_feature_index() for t in self.trees), default=-1) + 1
+    def _forest(self) -> tuple[DecisionTree, np.ndarray, np.ndarray]:
+        """All trees' nodes in one DecisionTree, each tree's root, and each node's label_set index."""
+        nodes, roots = stack_trees(self.trees)
+        return nodes, roots, np.searchsorted(np.array(self.label_set, dtype=int), nodes.label)
 
     def _table_lookup(self, x: np.ndarray) -> int:
         exact = np.nonzero(np.all(self.table_points == x, axis=1))[0]
@@ -174,23 +177,12 @@ def load_model(path) -> BlackBoxModel:
     kind, n_trees = header[2], int(header[3])
     if kind != "bagged_forest":
         raise ValueError(f"unsupported model kind {kind!r}")
-    trees = []
-    rest = lines[1:]
-    for _ in range(n_trees):
-        tree, consumed = tree_from_lines(rest)
-        trees.append(tree)
-        rest = rest[consumed:]
+    if n_trees < 1:
+        raise ValueError(f"model declares {n_trees} trees, need at least one")
+    records = iter(lines[1:])
+    trees = [tree_from_lines(records)[0] for _ in range(n_trees)]
+    rest = sum(1 for _ in records)
     if rest:
-        raise ValueError(f"{len(rest)} trailing records after {n_trees} trees")
-    labels: set[int] = set()
-
-    def leaf_labels(node):
-        if node.is_leaf:
-            labels.add(node.label)
-        else:
-            leaf_labels(node.left)
-            leaf_labels(node.right)
-
-    for tree in trees:
-        leaf_labels(tree.root)
-    return BlackBoxModel(kind="bagged_forest", label_set=tuple(sorted(labels)), trees=trees)
+        raise ValueError(f"{rest} trailing records after {n_trees} trees")
+    leaves = np.concatenate([t.label[t.feature < 0] for t in trees])
+    return BlackBoxModel(kind="bagged_forest", label_set=tuple(np.unique(leaves).tolist()), trees=trees)

@@ -230,12 +230,19 @@ def _variants(cfg: dict) -> list[bool]:
     return [True, False]
 
 
-def cmd_explain(cfg: dict) -> Path:
-    rd = run_dir_for(cfg)
+def _load_model(rd: Path) -> bb.BlackBoxModel:
     model_path = rd / "model.txt"
     if not model_path.exists():
         raise ConfigError(f"missing model file {model_path}; run the train stage first")
-    model = bb.load_model(model_path)
+    try:
+        return bb.load_model(model_path)
+    except ValueError as exc:
+        raise ConfigError(f"corrupt model file {model_path}: {exc}")
+
+
+def cmd_explain(cfg: dict) -> Path:
+    rd = run_dir_for(cfg)
+    model = _load_model(rd)
     data = prepare_dataset(cfg)
     records = []
     rules = []
@@ -299,7 +306,10 @@ def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
     for rec in bundle["explainers"]:
         if rec["radius"] != radius or rec["filtered"] != want_filtered:
             continue
-        tree, _ = tree_from_lines(rec["tree"])
+        try:
+            tree, _ = tree_from_lines(rec["tree"])
+        except ValueError as exc:
+            raise ConfigError(f"corrupt tree record in {bundle_path}: {exc}")
         i = int(rec["center_index"])
         picked[i] = LocalExplainer(
             center_index=i,
@@ -328,7 +338,7 @@ def _fmt(value) -> str:
 
 def cmd_aggregate(cfg: dict) -> Path:
     rd = run_dir_for(cfg)
-    model = bb.load_model(rd / "model.txt")
+    model = _load_model(rd)
     data = prepare_dataset(cfg)
     explainers = _load_bundle_explainers(cfg, data)
     pool = agg.build_pool(data, explainers, model)

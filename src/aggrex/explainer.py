@@ -16,7 +16,7 @@ import numpy as np
 from .data import FeatureSchema
 from .infofilter import EPS_MI, MIN_CELL, select_informative_features
 from .sampler import sample_ball
-from .tree import DecisionTree, Node, tree_fit
+from .tree import DecisionTree, tree_fit
 
 DEFAULT_MAX_DEPTH = 12
 DEFAULT_MIN_LEAF = 2
@@ -41,12 +41,6 @@ class LocalExplainer:
     @property
     def leaf_count(self) -> int:
         return self.tree.leaf_count
-
-
-def _majority_leaf_tree(labels: np.ndarray) -> DecisionTree:
-    values, counts = np.unique(labels, return_counts=True)
-    label = int(values[int(np.argmax(counts))])  # ties -> smaller label
-    return DecisionTree(root=Node(label=label), features_used=frozenset())
 
 
 def train_local_explainer(
@@ -91,7 +85,8 @@ def train_local_explainer(
     if features:
         tree = tree_fit(samples.points, labels, features, max_depth=max_depth, min_leaf=min_leaf)
     else:
-        tree = _majority_leaf_tree(labels)
+        values, counts = np.unique(labels, return_counts=True)
+        tree = DecisionTree.leaf(int(values[np.argmax(counts)]))  # ties -> smaller label
     fidelity = float(np.mean(tree.predict_batch(samples.points) == labels))
     return LocalExplainer(
         center_index=int(center_index),

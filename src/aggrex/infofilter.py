@@ -287,6 +287,15 @@ def forward_select(
     return state
 
 
+def _forward_selection(samples, labels, schema, max_bins, eps_mi, min_cell, max_features) -> SelectionState:
+    labels = np.asarray(labels, dtype=int)
+    if labels.shape[0] != samples.count:
+        raise ValueError("labels and samples must align")
+    bins = build_histograms(samples, schema, max_bins=max_bins)
+    state = SelectionState.fresh(schema.count, samples.count)
+    return forward_select(state, bins, labels, eps_mi=eps_mi, min_cell=min_cell, max_features=max_features)
+
+
 def select_informative_features(
     samples: SampleSet,
     labels: np.ndarray,
@@ -297,13 +306,7 @@ def select_informative_features(
     max_features: int | None = None,
 ) -> tuple[int, ...]:
     """Histogram the samples, then forward-select features by conditional MI."""
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape[0] != samples.count:
-        raise ValueError("labels and samples must align")
-    bins = build_histograms(samples, schema, max_bins=max_bins)
-    state = SelectionState.fresh(schema.count, samples.count)
-    state = forward_select(state, bins, labels, eps_mi=eps_mi, min_cell=min_cell, max_features=max_features)
-    return state.selected
+    return _forward_selection(samples, labels, schema, max_bins, eps_mi, min_cell, max_features).selected
 
 
 def selection_trace(
@@ -316,10 +319,7 @@ def selection_trace(
     max_features: int | None = None,
 ) -> dict:
     """JSON-ready debug dump: per-round candidate scores, pick, and leaf counts."""
-    labels = np.asarray(labels, dtype=int)
-    bins = build_histograms(samples, schema, max_bins=max_bins)
-    state = SelectionState.fresh(schema.count, samples.count)
-    state = forward_select(state, bins, labels, eps_mi=eps_mi, min_cell=min_cell, max_features=max_features)
+    state = _forward_selection(samples, labels, schema, max_bins, eps_mi, min_cell, max_features)
     return {
         "selected": list(state.selected),
         "rounds": [

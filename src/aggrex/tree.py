@@ -14,80 +14,89 @@ array is laid out feature-major with cuts in ascending value order, so
 argmax's first maximum is exactly the (lower feature, lower threshold)
 tie order. Thresholds are midpoints between adjacent distinct values.
 
+A tree is four read-only node arrays in pre-order, as in scikit-learn's
+`Tree`: `feature` (-1 at a leaf), `threshold`, `label` (-1 at a split) and
+`right`, a split's right child (a split's left child is the next node).
+`route` moves only the rows still at a split, one level per step, from any
+set of roots, so a forest concatenated by `stack_trees` routes in one loop.
+
 Trees serialize to a line-oriented text grammar, one pre-order record per
 line: `node <id> split <feature> <threshold>` | `node <id> leaf <label>`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass
-class Node:
-    feature: int = -1
-    threshold: float = 0.0
-    label: int = -1
-    left: "Node | None" = None
-    right: "Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+_DTYPES = {"feature": np.int64, "threshold": np.float64, "label": np.int64, "right": np.int64}
+ROOT = np.zeros(1, dtype=np.int64)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DecisionTree:
-    root: Node
-    features_used: frozenset[int] = field(default_factory=frozenset)
+    feature: np.ndarray
+    threshold: np.ndarray
+    label: np.ndarray
+    right: np.ndarray
+
+    def __post_init__(self) -> None:
+        n_nodes = len(self.feature)
+        for name, dtype in _DTYPES.items():
+            arr = np.array(getattr(self, name), dtype=dtype)
+            if arr.shape != (n_nodes,):
+                raise ValueError(f"{name} must be a vector of {n_nodes} nodes, got shape {arr.shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def leaf(cls, label: int) -> "DecisionTree":
+        """The single-leaf tree that predicts `label` everywhere."""
+        return cls(feature=[-1], threshold=[0.0], label=[label], right=[-1])
 
     @property
     def leaf_count(self) -> int:
-        def count(node: Node) -> int:
-            if node.is_leaf:
-                return 1
-            return count(node.left) + count(node.right)
+        return int(np.count_nonzero(self.feature < 0))
 
-        return count(self.root)
+    @property
+    def features_used(self) -> frozenset[int]:
+        return frozenset(np.unique(self.feature[self.feature >= 0]).tolist())
 
     def predict(self, x) -> int:
-        node = self.root
-        x = np.asarray(x, dtype=float)
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.label
+        return int(self.predict_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0], dtype=int)
+        return self.label[route(self, np.asarray(X, dtype=float), ROOT)[0]]
 
-        def route(node: Node, idx: np.ndarray) -> None:
-            if idx.size == 0:
-                return
-            if node.is_leaf:
-                out[idx] = node.label
-                return
-            go_left = X[idx, node.feature] <= node.threshold
-            route(node.left, idx[go_left])
-            route(node.right, idx[~go_left])
 
-        route(self.root, np.arange(X.shape[0]))
-        return out
+def stack_trees(trees) -> tuple[DecisionTree, np.ndarray]:
+    """All trees' nodes in one DecisionTree, and the node where each tree's root lands."""
+    sizes = [t.feature.size for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, label, right = (np.concatenate([getattr(t, name) for t in trees]) for name in _DTYPES)
+    right = np.where(feature >= 0, right + np.repeat(roots, sizes), -1)
+    return DecisionTree(feature, threshold, label, right), roots
 
-    def max_feature_index(self) -> int:
-        best = -1
 
-        def walk(node: Node) -> None:
-            nonlocal best
-            if not node.is_leaf:
-                best = max(best, node.feature)
-                walk(node.left)
-                walk(node.right)
+def route(tree: DecisionTree, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Leaf reached by every row of X from every root: shape (len(roots), n_rows).
 
-        walk(self.root)
-        return best
+    Each step moves every (root, row) pair still at a split one level
+    down (left when the value is <= the threshold) and drops the pairs
+    that reached a leaf, so the loop runs once per level of the deepest
+    path taken.
+    """
+    n_rows = X.shape[0]
+    node = np.repeat(roots, n_rows)  # pair k is (root k // n_rows, row k % n_rows)
+    live = np.flatnonzero(tree.feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        at = np.where(X[live % n_rows, tree.feature[at]] <= tree.threshold[at], at + 1, tree.right[at])
+        node[live] = at
+        live = live[tree.feature[at] >= 0]
+    return node.reshape(len(roots), n_rows)
 
 
 def _majority_label(counts: np.ndarray, classes: np.ndarray) -> int:
@@ -145,105 +154,95 @@ def tree_fit(
     Xf = X[:, features]
     classes, y_codes = np.unique(y, return_inverse=True)
     n_classes = classes.size
-    used: set[int] = set()
+    nodes: list[list] = []  # [feature, threshold, label, right] in pre-order
 
-    def gini(counts: np.ndarray, n: int) -> float:
-        return 1.0 - float(np.sum((counts / n) ** 2))
-
-    def build(idx: np.ndarray, depth: int) -> Node:
+    def build(idx: np.ndarray, depth: int) -> None:
         counts = np.bincount(y_codes[idx], minlength=n_classes).astype(float)
-        label = _majority_label(counts, classes)
+        node = [-1, 0.0, _majority_label(counts, classes), -1]
+        nodes.append(node)
         n_here = idx.size
-        pure = np.max(counts) == n_here
-        depth_ok = max_depth is None or depth < max_depth
-        if pure or not depth_ok or n_here < 2 * min_leaf:
-            return Node(label=label)
-        gain, col, threshold = _best_split(Xf[idx], y_codes[idx], n_classes, min_leaf, gini(counts, n_here))
+        if np.max(counts) == n_here or (max_depth is not None and depth >= max_depth) or n_here < 2 * min_leaf:
+            return  # pure, at the depth limit, or too small to split
+        gini = 1.0 - float(np.sum((counts / n_here) ** 2))
+        gain, col, threshold = _best_split(Xf[idx], y_codes[idx], n_classes, min_leaf, gini)
         if gain < -1e-12:  # no valid cut (-inf); zero-gain splits allowed, rounding noise too
-            return Node(label=label)
+            return
         f = features[col]
-        used.add(f)
+        node[:3] = f, threshold, -1
         go_left = X[idx, f] <= threshold
-        node = Node(feature=f, threshold=threshold, label=label)
-        node.left = build(idx[go_left], depth + 1)
-        node.right = build(idx[~go_left], depth + 1)
-        return node
+        build(idx[go_left], depth + 1)
+        node[3] = len(nodes)
+        build(idx[~go_left], depth + 1)
 
-    root = build(np.arange(X.shape[0]), 0)
-    return DecisionTree(root=root, features_used=frozenset(used))
+    build(np.arange(X.shape[0]), 0)
+    return DecisionTree(*zip(*nodes))
 
 
 # -- text format ------------------------------------------------------------
 
 def tree_to_lines(tree: DecisionTree) -> list[str]:
-    """Pre-order node records, ids numbered in visit order."""
-    lines: list[str] = []
-
-    def emit(node: Node) -> None:
-        nid = len(lines)
-        if node.is_leaf:
-            lines.append(f"node {nid} leaf {node.label}")
-        else:
-            lines.append(f"node {nid} split {node.feature} {node.threshold!r}")
-            emit(node.left)
-            emit(node.right)
-
-    emit(tree.root)
-    return lines
+    """Pre-order node records; a record's id is its node index."""
+    return [
+        f"node {i} leaf {lab}" if f < 0 else f"node {i} split {f} {t!r}"
+        for i, (f, t, lab) in enumerate(zip(tree.feature.tolist(), tree.threshold.tolist(), tree.label.tolist()))
+    ]
 
 
 def tree_from_lines(lines) -> tuple[DecisionTree, int]:
     """Parse one pre-order tree from an iterable of records.
 
-    Returns (tree, records consumed); extra trailing lines are left for the
-    caller, which lets forests concatenate trees without separators.
+    Returns (tree, records consumed). Records are read only up to the
+    tree's last one, so an iterator over concatenated trees (a forest has
+    no separators) is left at the next tree's first record. Raises
+    ValueError on a malformed or truncated record stream, a record whose
+    id is not its pre-order position, a negative split feature or a
+    non-finite threshold.
     """
-    records = list(lines)
-    pos = 0
-    used: set[int] = set()
-
-    def parse() -> Node:
-        nonlocal pos
-        if pos >= len(records):
-            raise ValueError("truncated tree record stream")
-        parts = records[pos].split()
-        pos += 1
+    nodes: list[list] = []
+    open_splits: list[int] = []  # splits whose right child comes next, innermost last
+    for pos, record in enumerate(lines):
+        parts = record.split()
         if len(parts) < 4 or parts[0] != "node":
-            raise ValueError(f"bad node record: {records[pos - 1]!r}")
+            raise ValueError(f"bad node record: {record!r}")
+        if int(parts[1]) != pos:
+            raise ValueError(f"record id {parts[1]} at pre-order position {pos}: {record!r}")
         if parts[2] == "leaf":
-            return Node(label=int(parts[3]))
-        if parts[2] == "split":
+            nodes.append([-1, 0.0, int(parts[3]), -1])
+            if not open_splits:
+                return DecisionTree(*zip(*nodes)), pos + 1
+            nodes[open_splits.pop()][3] = pos + 1
+        elif parts[2] == "split":
             if len(parts) != 5:
-                raise ValueError(f"bad split record: {records[pos - 1]!r}")
-            feature = int(parts[3])
-            threshold = float(parts[4])
-            used.add(feature)
-            node = Node(feature=feature, threshold=threshold)
-            node.left = parse()
-            node.right = parse()
-            return node
-        raise ValueError(f"unknown node type in record: {records[pos - 1]!r}")
-
-    root = parse()
-    return DecisionTree(root=root, features_used=frozenset(used)), pos
+                raise ValueError(f"bad split record: {record!r}")
+            f, t = int(parts[3]), float(parts[4])
+            if f < 0:
+                raise ValueError(f"negative split feature: {record!r}")
+            if not math.isfinite(t):
+                raise ValueError(f"non-finite threshold: {record!r}")
+            nodes.append([f, t, -1, -1])
+            open_splits.append(pos)
+        else:
+            raise ValueError(f"unknown node type in record: {record!r}")
+    raise ValueError("truncated tree record stream")
 
 
 def tree_to_rules(tree: DecisionTree, feature_names=None) -> str:
     """Human-readable nested if/else rendering."""
     out: list[str] = []
+    feature, threshold, label, right = (a.tolist() for a in (tree.feature, tree.threshold, tree.label, tree.right))
 
     def name(f: int) -> str:
         return feature_names[f] if feature_names is not None else f"x{f}"
 
-    def walk(node: Node, indent: int) -> None:
+    def walk(node: int, indent: int) -> None:
         pad = "  " * indent
-        if node.is_leaf:
-            out.append(f"{pad}predict {node.label}")
+        if feature[node] < 0:
+            out.append(f"{pad}predict {label[node]}")
             return
-        out.append(f"{pad}if {name(node.feature)} <= {node.threshold:.6g}:")
-        walk(node.left, indent + 1)
+        out.append(f"{pad}if {name(feature[node])} <= {threshold[node]:.6g}:")
+        walk(node + 1, indent + 1)
         out.append(f"{pad}else:")
-        walk(node.right, indent + 1)
+        walk(right[node], indent + 1)
 
-    walk(tree.root, 0)
+    walk(0, 0)
     return "\n".join(out) + "\n"

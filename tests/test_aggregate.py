@@ -31,7 +31,7 @@ from aggrex.blackbox import table_oracle
 from aggrex.data import Dataset, FeatureSchema
 from aggrex.explainer import LocalExplainer
 from aggrex.sampler import within_ball
-from aggrex.tree import DecisionTree, Node
+from aggrex.tree import DecisionTree
 
 from conftest import geometric_pool, random_pool
 
@@ -86,7 +86,7 @@ def constant_explainer(i, center, radius, label):
         center=np.asarray(center, dtype=float),
         radius=radius,
         selected_features=(),
-        tree=DecisionTree(root=Node(label=label), features_used=frozenset()),
+        tree=DecisionTree.leaf(label),
         filtered=True,
         train_fidelity=1.0,
     )

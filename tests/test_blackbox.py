@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggrex.blackbox import (
     BlackBoxModel,
@@ -9,11 +11,62 @@ from aggrex.blackbox import (
     train_bagged_forest,
 )
 from aggrex.data import Dataset, FeatureSchema, synth_multiclass
-from aggrex.tree import DecisionTree, Node, tree_fit
+from aggrex.tree import DecisionTree, tree_fit
 
 
 def constant_tree(label):
-    return DecisionTree(root=Node(label=label), features_used=frozenset())
+    return DecisionTree.leaf(label)
+
+
+def reference_vote(model, X):
+    """Per-tree bincount tally, one tree at a time, each row walked node by node."""
+    labels = np.array(model.label_set, dtype=int)
+    n_labels = labels.size
+    size = X.shape[0] * n_labels
+    row_base = np.arange(X.shape[0]) * n_labels
+    votes = np.zeros(size, dtype=np.int64)
+    for tree in model.trees:
+        preds = []
+        for x in X:
+            node = 0
+            while tree.feature[node] >= 0:
+                node = node + 1 if x[tree.feature[node]] <= tree.threshold[node] else int(tree.right[node])
+            preds.append(tree.label[node])
+        votes += np.bincount(row_base + np.searchsorted(labels, preds), minlength=size)
+    return labels[np.argmax(votes.reshape(-1, n_labels), axis=1)]
+
+
+@st.composite
+def forests(draw):
+    """Forests mixing single-leaf and deep trees over a few labels, with probe rows on thresholds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 4))
+    label_pool = sorted(draw(st.sets(st.integers(-3, 6), min_size=1, max_size=4)))
+    trees = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            trees.append(DecisionTree.leaf(int(rng.choice(label_pool))))
+        else:
+            n = int(rng.integers(2, 40))
+            X = rng.integers(0, 5, size=(n, m)) * 0.5
+            y = rng.choice(label_pool, size=n)
+            trees.append(tree_fit(X, y, range(m), max_depth=draw(st.sampled_from([1, 3, 12])), min_leaf=1))
+    X = rng.integers(-2, 11, size=(int(rng.integers(1, 30)), m)) * 0.25  # quarter steps hit every midpoint cut
+    return BlackBoxModel(kind="bagged_forest", label_set=tuple(label_pool), trees=trees), X
+
+
+class TestForestVote:
+    @settings(max_examples=200, deadline=None)
+    @given(forests())
+    def test_one_pass_vote_matches_per_tree_tally(self, case):
+        model, X = case
+        assert model.predict_batch(X).tolist() == reference_vote(model, X).tolist()
+
+    def test_split_and_leaf_trees_tie(self):
+        split = tree_fit(np.array([[0.0], [1.0]]), np.array([2, 5]), [0], min_leaf=1)
+        model = BlackBoxModel(kind="bagged_forest", label_set=(2, 5), trees=[constant_tree(5), split])
+        # row 0: 5 vs 2 ties to 2; row 1: 5 and 5
+        assert model.predict_batch(np.array([[0.0], [1.0]])).tolist() == [2, 5]
 
 
 class TestForest:
@@ -164,3 +217,28 @@ class TestModelFile:
         (tmp_path / "extra.txt").write_text(path.read_text() + "node 0 leaf 1\n")
         with pytest.raises(ValueError, match="trailing"):
             load_model(tmp_path / "extra.txt")
+
+    def test_zero_trees_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("aggrex-model v1 bagged_forest 0\n")
+        with pytest.raises(ValueError, match="declares 0 trees"):
+            load_model(path)
+
+    def test_negative_split_feature_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("aggrex-model v1 bagged_forest 1\nnode 0 split -1 0.5\nnode 1 leaf 0\nnode 2 leaf 1\n")
+        with pytest.raises(ValueError, match="negative split feature"):
+            load_model(path)
+
+    def test_label_set_and_feature_count_from_leaves(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(
+            "aggrex-model v1 bagged_forest 2\n"
+            "node 0 split 2 0.5\nnode 1 leaf 4\nnode 2 leaf -1\n"
+            "node 0 leaf 4\n"
+        )
+        f = load_model(path)
+        assert f.label_set == (-1, 4)
+        with pytest.raises(ValueError, match="references feature 2"):
+            f.predict([0.0, 0.0])
+        assert f.predict_batch(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])).tolist() == [-1, 4]

@@ -317,6 +317,37 @@ class TestManifest:
         assert run_dir_for(cfg_a) != run_dir_for(cfg_b)
 
 
+class TestCorruptInputs:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda lines: lines[:-2], lambda lines: [lines[0], "node 0 split -1 0.5", *lines[2:]]],
+        ids=["truncated", "negative-feature"],
+    )
+    def test_corrupt_model_exits_2(self, tmp_path, capsys, corrupt):
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["train", "--config", str(path)]) == 0
+        model_path = run_dir_for(load_config(str(path), {})) / "model.txt"
+        model_path.write_text("\n".join(corrupt(model_path.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        assert main(["explain", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "model.txt" in err
+        assert main(["aggregate", "--config", str(path)]) == 2
+
+    def test_corrupt_bundle_tree_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
+        bundle = json.loads(bundle_path.read_text())
+        tree = next(rec["tree"] for rec in bundle["explainers"] if len(rec["tree"]) > 1)
+        del tree[-1]
+        bundle_path.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["aggregate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "explainers.json" in err and "truncated" in err
+
+
 class TestMainEntry:
     def test_full_sweep_via_main(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config(tmp_path))

@@ -373,6 +373,13 @@ class TestEndToEnd:
             if rec["selected"] is not None:
                 assert rec["best_score"] > 0
 
+    def test_trace_rejects_misaligned_labels(self):
+        schema = FeatureSchema.mixed(1, 2)
+        s = sample_ball(np.array([0.0, 0.0, 1.0]), 2.0, 200, schema, seed=5)
+        labels = np.zeros(250, dtype=int)
+        with pytest.raises(ValueError, match="align"):
+            selection_trace(s, labels, schema)
+
     def test_planted_relevance_containment_small(self):
         # three relevant binary features among twelve; labels pure per cell,
         # so selection must stop inside the relevant set

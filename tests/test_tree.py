@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggrex.tree import DecisionTree, Node, tree_fit, tree_from_lines, tree_to_lines, tree_to_rules
+from aggrex.tree import ROOT, DecisionTree, route, stack_trees, tree_fit, tree_from_lines, tree_to_lines, tree_to_rules
 
 
 def predictions(tree, X):
@@ -43,7 +46,7 @@ class TestTreeFit:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([0, 0, 1, 1])
         t = tree_fit(X, y, [0, 1], min_leaf=1)
-        assert t.root.feature == 0
+        assert t.feature[0] == 0
 
     def test_tie_breaks_lower_threshold(self):
         # labels 0,1,0: cutting at 0.5 or 1.5 gives equal Gini gain (one
@@ -51,7 +54,7 @@ class TestTreeFit:
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0, 1, 0])
         t = tree_fit(X, y, [0], min_leaf=1)
-        assert t.root.threshold == 0.5
+        assert t.threshold[0] == 0.5
 
     def test_unrestricted_fit_is_exact_without_conflicts(self):
         rng = np.random.default_rng(4)
@@ -130,17 +133,23 @@ def reference_split_for_feature(xs, y_codes, n_classes, min_leaf, parent_gini):
 
 
 def reference_tree_fit(X, y, features, max_depth, min_leaf):
-    """Tree induction that scans features one at a time, keeping strict improvements."""
+    """Tree induction that scans features one at a time, keeping strict improvements.
+
+    Returns the tree's pre-order text records.
+    """
     features = sorted(features)
     classes, y_codes = np.unique(y, return_inverse=True)
     n_classes = classes.size
+    lines = []
 
     def build(idx, depth):
+        nid = len(lines)
         counts = np.bincount(y_codes[idx], minlength=n_classes).astype(float)
         label = int(classes[int(np.argmax(counts))])
         n_here = idx.size
         if np.max(counts) == n_here or (max_depth is not None and depth >= max_depth) or n_here < 2 * min_leaf:
-            return Node(label=label)
+            lines.append(f"node {nid} leaf {label}")
+            return
         parent_gini = 1.0 - float(np.sum((counts / n_here) ** 2))
         best = None
         for f in features:
@@ -148,15 +157,16 @@ def reference_tree_fit(X, y, features, max_depth, min_leaf):
             if cand is not None and (best is None or cand[0] > best[0]):
                 best = (cand[0], f, cand[1])
         if best is None or best[0] < -1e-12:
-            return Node(label=label)
+            lines.append(f"node {nid} leaf {label}")
+            return
         _, f, threshold = best
+        lines.append(f"node {nid} split {f} {threshold!r}")
         go_left = X[idx, f] <= threshold
-        node = Node(feature=f, threshold=threshold, label=label)
-        node.left = build(idx[go_left], depth + 1)
-        node.right = build(idx[~go_left], depth + 1)
-        return node
+        build(idx[go_left], depth + 1)
+        build(idx[~go_left], depth + 1)
 
-    return DecisionTree(root=build(np.arange(X.shape[0]), 0))
+    build(np.arange(X.shape[0]), 0)
+    return lines
 
 
 @st.composite
@@ -194,7 +204,7 @@ class TestWholeNodeSplitSearch:
         X, y, features, max_depth, min_leaf = problem
         got = tree_fit(X, y, features, max_depth=max_depth, min_leaf=min_leaf)
         want = reference_tree_fit(X, y, features, max_depth, min_leaf)
-        assert tree_to_lines(got) == tree_to_lines(want)
+        assert tree_to_lines(got) == want
 
     def test_matches_reference_on_forest_sized_fits(self):
         rng = np.random.default_rng(17)
@@ -203,4 +213,131 @@ class TestWholeNodeSplitSearch:
             X = np.column_stack([X, X[:, 1], rng.normal(size=300)])
             y = rng.integers(0, n_classes, size=300)
             got = tree_fit(X, y, range(5), max_depth=12, min_leaf=2)
-            assert tree_to_lines(got) == tree_to_lines(reference_tree_fit(X, y, range(5), 12, 2))
+            assert tree_to_lines(got) == reference_tree_fit(X, y, range(5), 12, 2)
+
+
+# -- the array router against a scalar walk of the same arrays ----------------
+
+def scalar_leaf(tree, x):
+    """Leaf index one row reaches, one node at a time."""
+    node = 0
+    while tree.feature[node] >= 0:
+        node = node + 1 if x[tree.feature[node]] <= tree.threshold[node] else int(tree.right[node])
+    return node
+
+
+def probe_rows(tree, X, rng):
+    """The fit's rows, random rows, and rows that sit exactly on each split's threshold."""
+    rows = [X, rng.normal(size=(5, X.shape[1]))]
+    for f, t in zip(tree.feature.tolist(), tree.threshold.tolist()):
+        if f >= 0:
+            on_cut = X[rng.integers(0, X.shape[0], size=2)].copy()
+            on_cut[:, f] = t
+            rows.append(on_cut)
+    return np.vstack(rows)
+
+
+class TestRouter:
+    @settings(max_examples=200, deadline=None)
+    @given(fit_problems(), st.integers(0, 2**32 - 1))
+    def test_matches_scalar_walk(self, problem, seed):
+        X, y, features, max_depth, min_leaf = problem
+        t = tree_fit(X, y, features, max_depth=max_depth, min_leaf=min_leaf)
+        probe = probe_rows(t, X, np.random.default_rng(seed))
+        want = [scalar_leaf(t, x) for x in probe]
+        assert route(t, probe, ROOT)[0].tolist() == want
+        assert t.predict_batch(probe).tolist() == t.label[want].tolist()
+        assert [t.predict(x) for x in probe[:5]] == t.label[want[:5]].tolist()
+
+    def test_threshold_value_goes_left(self):
+        t = tree_fit(np.array([[0.0], [1.0]]), np.array([4, 9]), [0], min_leaf=1)
+        assert t.threshold[0] == 0.5
+        assert t.predict_batch(np.array([[0.5], [np.nextafter(0.5, 1.0)]])).tolist() == [4, 9]
+
+    def test_single_leaf_tree(self):
+        t = DecisionTree.leaf(-3)
+        assert t.leaf_count == 1 and t.features_used == frozenset()
+        assert t.predict_batch(np.zeros((4, 2))).tolist() == [-3] * 4
+        assert t.predict([7.0]) == -3
+
+    def test_no_rows(self):
+        t = tree_fit(np.array([[0.0], [1.0]]), np.array([0, 1]), [0], min_leaf=1)
+        assert t.predict_batch(np.empty((0, 1))).shape == (0,)
+
+    def test_stacked_trees_route_independently(self):
+        rng = np.random.default_rng(3)
+        X = rng.random((30, 2))
+        trees = [
+            tree_fit(X, (X[:, 0] > 0.5).astype(int), [0, 1], min_leaf=1),
+            DecisionTree.leaf(7),
+            tree_fit(X, (X[:, 1] > 0.3).astype(int) + 2 * (X[:, 0] > 0.8), [0, 1], min_leaf=1),
+        ]
+        both, roots = stack_trees(trees)
+        assert roots.tolist() == [0, trees[0].feature.size, trees[0].feature.size + 1]
+        leaves = route(both, X, roots)
+        for t, reached in zip(trees, leaves):
+            assert np.array_equal(both.label[reached], t.predict_batch(X))
+
+
+# -- the array layout and its text form -----------------------------------------
+
+def assert_same_arrays(a, b):
+    for name in ("feature", "threshold", "label", "right"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+class TestArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(fit_problems(), min_size=1, max_size=4))
+    def test_text_round_trip_gives_equal_arrays(self, problems):
+        trees = [tree_fit(X, y, f, max_depth=d, min_leaf=m) for X, y, f, d, m in problems]
+        for t in trees:
+            lines = tree_to_lines(t)
+            back, consumed = tree_from_lines(lines)
+            assert consumed == len(lines)
+            assert_same_arrays(back, t)
+            assert tree_to_lines(back) == lines
+        records = iter([line for t in trees for line in tree_to_lines(t)])
+        for t in trees:
+            back, consumed = tree_from_lines(records)
+            assert consumed == t.feature.size
+            assert_same_arrays(back, t)
+        assert next(records, None) is None
+
+    def test_arrays_read_only(self):
+        t = tree_fit(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 1]), [0], min_leaf=1)
+        for name in ("feature", "threshold", "label", "right"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(t, name)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.feature = np.zeros(3, dtype=np.int64)
+
+    def test_caller_arrays_not_aliased(self):
+        feature = np.array([0, -1, -1])
+        t = DecisionTree(feature=feature, threshold=[0.5, 0.0, 0.0], label=[-1, 1, 2], right=[2, -1, -1])
+        feature[0] = -1
+        assert t.feature[0] == 0 and t.leaf_count == 2 and t.features_used == {0}
+
+    def test_ragged_arrays_rejected(self):
+        with pytest.raises(ValueError, match="label"):
+            DecisionTree(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0], label=[1], right=[2, -1, -1])
+
+
+class TestParserRejects:
+    def test_negative_split_feature(self):
+        with pytest.raises(ValueError, match="negative split feature"):
+            tree_from_lines(["node 0 split -1 0.5", "node 1 leaf 0", "node 2 leaf 1"])
+
+    def test_id_not_preorder_position(self):
+        with pytest.raises(ValueError, match="pre-order position"):
+            tree_from_lines(["node 0 split 0 0.5", "node 2 leaf 0", "node 1 leaf 1"])
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold(self, threshold):
+        with pytest.raises(ValueError, match="non-finite"):
+            tree_from_lines([f"node 0 split 0 {threshold}", "node 1 leaf 0", "node 2 leaf 1"])
+
+    def test_truncated_stream(self):
+        with pytest.raises(ValueError, match="truncated"):
+            tree_from_lines(["node 0 split 0 0.5", "node 1 leaf 0"])
