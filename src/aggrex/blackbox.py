@@ -113,7 +113,7 @@ def train_bagged_forest(d: Dataset, n_trees: int = 50, seed: int = 0) -> BlackBo
     for _ in range(n_trees):
         idx = rng.integers(0, d.n, size=d.n)
         trees.append(
-            tree_fit(d.X[idx], d.y[idx], all_features, max_depth=FOREST_MAX_DEPTH, min_leaf=FOREST_MIN_LEAF)
+            tree_fit(d.X[idx], d.y[idx], all_features, max_depth=FOREST_MAX_DEPTH, min_leaf=FOREST_MIN_LEAF)[0]
         )
     return BlackBoxModel(kind="bagged_forest", label_set=d.label_set, trees=trees, schema=d.schema)
 

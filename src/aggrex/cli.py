@@ -230,20 +230,24 @@ def _variants(cfg: dict) -> list[bool]:
     return [True, False]
 
 
-def _load_model(rd: Path) -> bb.BlackBoxModel:
+def _load_model(rd: Path, data: Dataset) -> bb.BlackBoxModel:
     model_path = rd / "model.txt"
     if not model_path.exists():
         raise ConfigError(f"missing model file {model_path}; run the train stage first")
     try:
-        return bb.load_model(model_path)
+        model = bb.load_model(model_path)
     except ValueError as exc:
         raise ConfigError(f"corrupt model file {model_path}: {exc}")
+    widest = max(int(t.feature.max()) for t in model.trees)
+    if widest >= data.m:
+        raise ConfigError(f"model file {model_path} splits on feature {widest}, but the dataset has {data.m} features")
+    return model
 
 
 def cmd_explain(cfg: dict) -> Path:
     rd = run_dir_for(cfg)
-    model = _load_model(rd)
     data = prepare_dataset(cfg)
+    model = _load_model(rd, data)
     records = []
     rules = []
     for slot, radius in enumerate(cfg["sampler"]["radii"]):
@@ -307,7 +311,9 @@ def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
         if rec["radius"] != radius or rec["filtered"] != want_filtered:
             continue
         try:
-            tree, _ = tree_from_lines(rec["tree"])
+            tree, consumed = tree_from_lines(rec["tree"])
+            if consumed != len(rec["tree"]):
+                raise ValueError(f"{len(rec['tree']) - consumed} trailing records after the tree's last one")
         except ValueError as exc:
             raise ConfigError(f"corrupt tree record in {bundle_path}: {exc}")
         i = int(rec["center_index"])
@@ -338,8 +344,8 @@ def _fmt(value) -> str:
 
 def cmd_aggregate(cfg: dict) -> Path:
     rd = run_dir_for(cfg)
-    model = _load_model(rd)
     data = prepare_dataset(cfg)
+    model = _load_model(rd, data)
     explainers = _load_bundle_explainers(cfg, data)
     pool = agg.build_pool(data, explainers, model)
     acfg = cfg["aggregate"]

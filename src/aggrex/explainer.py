@@ -4,7 +4,9 @@ Training samples the mixed-metric ball, labels the samples with the black
 box, optionally filters features through the information filter, then fits
 a Gini tree on the (possibly restricted) features against the black-box
 labels. The tree's leaf count is the complexity measure; train fidelity is
-the fraction of samples where surrogate and black box agree.
+the fraction of samples where surrogate and black box agree, counted by
+the fit itself (each leaf's majority count) rather than by routing the
+samples through the tree again.
 """
 
 from __future__ import annotations
@@ -83,11 +85,12 @@ def train_local_explainer(
     else:
         features = tuple(range(schema.count))
     if features:
-        tree = tree_fit(samples.points, labels, features, max_depth=max_depth, min_leaf=min_leaf)
+        tree, agree = tree_fit(samples.points, labels, features, max_depth=max_depth, min_leaf=min_leaf)
     else:
         values, counts = np.unique(labels, return_counts=True)
         tree = DecisionTree.leaf(int(values[np.argmax(counts)]))  # ties -> smaller label
-    fidelity = float(np.mean(tree.predict_batch(samples.points) == labels))
+        agree = int(counts.max())
+    fidelity = agree / labels.size
     return LocalExplainer(
         center_index=int(center_index),
         center=np.asarray(center, dtype=float),

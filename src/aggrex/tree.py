@@ -3,16 +3,34 @@
 Induction rules: best split by Gini gain; ties broken by (lower feature
 index, lower threshold); leaves take the majority label, ties toward the
 smaller label. Zero-gain splits are allowed on impure nodes (both children
-are always non-empty, so growth terminates), which lets the tree represent
-parity-style targets no single split can improve on.
+are always non-empty, see the threshold rule below, so growth terminates),
+which lets the tree represent parity-style targets no single split can
+improve on.
 
-Each node scores every candidate cut of every feature in one pass, as
-CART implementations do: the node's n x F block is stable-sorted column by
-column, one one-hot cumulative sum gives the class counts left of each
-cut, and the (F, n-1) gain array is reduced by a single argmax. The gain
-array is laid out feature-major with cuts in ascending value order, so
-argmax's first maximum is exactly the (lower feature, lower threshold)
-tie order. Thresholds are midpoints between adjacent distinct values.
+A fit sorts once, as SLIQ and SPRINT do: each selected column is
+stable-argsorted at the root, and every node holds three (F, n) arrays,
+each column's rows, values and label codes in ascending value order. A
+split partitions them with one boolean mask (a row goes left exactly when
+its position in the chosen column is at or before the cut); boolean
+indexing keeps order, so each child's columns arrive sorted and no node
+sorts again.
+
+Each node scores every valid cut of every column in one pass. A cut is
+valid where the value strictly increases and both sides keep min_leaf
+rows; only valid cuts are scored. Class counts left of each cut come from
+an integer cumulative sum over one-hot label codes, and are exact when cast
+to float in the Gini formula. The cuts are listed feature-major in
+ascending value order, so argmax's first maximum is exactly the (lower
+feature, lower threshold) tie order. The chosen cut's left counts become
+the left child's counts, and the parent's counts minus them the right
+child's, so no node counts its labels again. The fit also sums each leaf's
+majority count: the number of training rows the tree predicts correctly.
+
+A threshold is the midpoint between the values either side of the cut,
+unless the midpoint rounds onto the upper value (neighbouring floats) or
+overflows; then it is the lower value. Either way a row goes left exactly
+when its value is at most the lower one, so "<= threshold" and the
+positional partition agree and both children are non-empty.
 
 A tree is four read-only node arrays in pre-order, as in scikit-learn's
 `Tree`: `feature` (-1 at a leaf), `threshold`, `label` (-1 at a split) and
@@ -99,41 +117,32 @@ def route(tree: DecisionTree, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return node.reshape(len(roots), n_rows)
 
 
-def _majority_label(counts: np.ndarray, classes: np.ndarray) -> int:
-    # argmax returns the first maximum; classes are sorted, so ties go to
-    # the smaller label.
-    return int(classes[int(np.argmax(counts))])
+def _best_split(xs: np.ndarray, codes: np.ndarray, eye: np.ndarray, min_leaf: int, parent_gini: float):
+    """Best (gain, column, cut, left class counts) over a node's presorted (F, n) columns.
 
-
-def _best_split(Xn: np.ndarray, y_codes: np.ndarray, n_classes: int, min_leaf: int, parent_gini: float):
-    """Best (gain, column, threshold) over every column of the node's n x F block.
-
-    All candidate cuts are scored at once: each column is stable-sorted,
-    one (F, n, C) one-hot cumsum gives the left class counts after every
-    sorted position, and a cut between positions i and i+1 is valid where
-    the value strictly increases and both sides keep min_leaf points.
-    Invalid cuts score -inf. The temporaries die with this frame, so they
-    are not held across the caller's recursion.
+    Cut i lies between sorted positions i and i+1 of a column. It is valid
+    where the value strictly increases and both sides keep min_leaf points;
+    only valid cuts are scored. Returns None when there is none. The
+    temporaries die with this frame, so they are not held across the
+    caller's recursion.
     """
-    n, n_cols = Xn.shape
-    cols = Xn.T
-    order = cols.argsort(axis=1, kind="stable")  # (F, n)
-    xs = cols[np.arange(n_cols)[:, None], order]
-    cum = (y_codes[order][:, :, None] == np.arange(n_classes)).cumsum(axis=1, dtype=float)  # (F, n, C)
-    left_counts = cum[:, :-1, :]
-    right_counts = cum[:, -1:, :] - left_counts
-    left_n = np.arange(1, n, dtype=float)
+    n = xs.shape[1]
+    lo = max(min_leaf, 1) - 1  # cuts lo .. n - lo - 2 leave min_leaf points on each side
+    col, cut = (xs[:, lo + 1 : n - lo] > xs[:, lo : n - lo - 1]).nonzero()  # feature-major order
+    if not col.size:
+        return None
+    cut += lo
+    cum = eye[codes]  # (F, n, C) one-hot rows, summed in place into integer class counts
+    cum.cumsum(axis=1, out=cum)
+    left = cum[col, cut]  # (k, C): the class counts left of each valid cut
+    right = cum[0, -1] - left
+    left_n = cut + 1.0
     right_n = n - left_n
-    gini_l = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=2)
-    gini_r = 1.0 - ((right_counts / right_n[:, None]) ** 2).sum(axis=2)
-    weighted = (left_n * gini_l + right_n * gini_r) / n
-    valid = (xs[:, 1:] > xs[:, :-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
-    gain = np.where(valid, parent_gini - weighted, -np.inf)
-    # Feature-major flattening: the first maximum is the lowest column,
-    # then the lowest cut position, i.e. the lowest threshold.
-    col, cut = divmod(int(np.argmax(gain)), n - 1)
-    threshold = (xs[col, cut] + xs[col, cut + 1]) / 2.0
-    return float(gain[col, cut]), col, float(threshold)
+    gini_l = 1.0 - ((left / left_n[:, None]) ** 2).sum(axis=1)
+    gini_r = 1.0 - ((right / right_n[:, None]) ** 2).sum(axis=1)
+    gain = parent_gini - (left_n * gini_l + right_n * gini_r) / n
+    best = int(gain.argmax())  # the first maximum: lowest column, then lowest cut
+    return float(gain[best]), int(col[best]), int(cut[best]), left[best].tolist()
 
 
 def tree_fit(
@@ -142,8 +151,13 @@ def tree_fit(
     features,
     max_depth: int | None = 12,
     min_leaf: int = 2,
-) -> DecisionTree:
-    """Fit a Gini decision tree on X[:, features] vs integer labels y."""
+) -> tuple[DecisionTree, int]:
+    """Fit a Gini decision tree on X[:, features] vs integer labels y.
+
+    Returns (tree, agree), where agree is the number of training rows
+    whose label is their leaf's majority label: the rows the tree
+    predicts correctly, summed as the leaves are made.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.shape[0] == 0:
@@ -151,31 +165,50 @@ def tree_fit(
     features = sorted(int(f) for f in features)
     if not features:
         raise ValueError("feature subset must be non-empty")
-    Xf = X[:, features]
+    cols = X[:, features].T
     classes, y_codes = np.unique(y, return_inverse=True)
-    n_classes = classes.size
+    labels = classes.tolist()
+    eye = np.eye(len(labels), dtype=np.int64)
+    n_cols = len(features)
     nodes: list[list] = []  # [feature, threshold, label, right] in pre-order
+    is_left = np.empty(X.shape[0], dtype=bool)  # reused by every split: each row's side of it
+    agree = 0
 
-    def build(idx: np.ndarray, depth: int) -> None:
-        counts = np.bincount(y_codes[idx], minlength=n_classes).astype(float)
-        node = [-1, 0.0, _majority_label(counts, classes), -1]
+    def build(order: np.ndarray, xs: np.ndarray, codes: np.ndarray, counts: list[int], depth: int) -> None:
+        # order, xs and codes are (F, n): each column's rows, values and
+        # label codes in ascending value order; counts is per class.
+        nonlocal agree
+        n_here = order.shape[1]
+        top = max(counts)
+        node = [-1, 0.0, labels[counts.index(top)], -1]  # the first maximum: ties to the smaller label
         nodes.append(node)
-        n_here = idx.size
-        if np.max(counts) == n_here or (max_depth is not None and depth >= max_depth) or n_here < 2 * min_leaf:
+        if top == n_here or (max_depth is not None and depth >= max_depth) or n_here < 2 * min_leaf:
+            agree += top
             return  # pure, at the depth limit, or too small to split
-        gini = 1.0 - float(np.sum((counts / n_here) ** 2))
-        gain, col, threshold = _best_split(Xf[idx], y_codes[idx], n_classes, min_leaf, gini)
-        if gain < -1e-12:  # no valid cut (-inf); zero-gain splits allowed, rounding noise too
+        gini = 1.0 - float(((np.array(counts) / n_here) ** 2).sum())
+        best = _best_split(xs, codes, eye, min_leaf, gini)
+        if best is None or best[0] < -1e-12:  # zero-gain splits allowed, rounding noise too
+            agree += top
             return
-        f = features[col]
-        node[:3] = f, threshold, -1
-        go_left = X[idx, f] <= threshold
-        build(idx[go_left], depth + 1)
+        _, col, cut, left_counts = best
+        below, above = xs[col, cut : cut + 2].tolist()
+        threshold = (below + above) / 2.0
+        if not below <= threshold < above:  # the midpoint rounded onto the upper value, or overflowed
+            threshold = below
+        node[:3] = features[col], threshold, -1
+        # A row goes left exactly when its position in column col is <= cut;
+        # boolean indexing keeps each column's order, so both children stay sorted.
+        is_left[order[col]] = np.arange(n_here) <= cut
+        go = is_left[order]
+        build(*(a[go].reshape(n_cols, -1) for a in (order, xs, codes)), left_counts, depth + 1)
         node[3] = len(nodes)
-        build(idx[~go_left], depth + 1)
+        go = ~go
+        right_counts = [c - c_left for c, c_left in zip(counts, left_counts)]
+        build(*(a[go].reshape(n_cols, -1) for a in (order, xs, codes)), right_counts, depth + 1)
 
-    build(np.arange(X.shape[0]), 0)
-    return DecisionTree(*zip(*nodes))
+    order = cols.argsort(axis=1, kind="stable")
+    build(order, np.take_along_axis(cols, order, axis=1), y_codes[order], np.bincount(y_codes).tolist(), 0)
+    return DecisionTree(*zip(*nodes)), agree
 
 
 # -- text format ------------------------------------------------------------

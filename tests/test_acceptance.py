@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 print. Tolerances and trial counts are pinned here, not configurable.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -334,3 +335,21 @@ def test_criterion_10_pipeline_determinism(tmp_path, monkeypatch):
         "two pipeline runs from one root seed are byte-identical across manifest, model, "
         f"sweep CSV, dataset, bundle and report files (differs: {differing or 'none'})",
     )
+
+
+# sha256 of the criterion-10 run's outputs. They pin the bytes every
+# same-output refactor must keep; change them only with a change that is
+# meant to alter the output, and say why.
+PINNED_SHA256 = {
+    "model.txt": "802b10b50381ac14571101390f4f44fd945855e56f712d4bf07fc5821d34c365",
+    "explainers.json": "2c722af76007efed93f3476a4ac19b5b549ee6d485aad3dd11f968ff5d79d43a",
+    "sweep.csv": "4c9fcbc9aaf176cbb56e2db98f37c02c197404a853aad9fe07383bf06962ee1d",
+}
+
+
+def test_criterion_10_output_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config(None, json.loads(json.dumps(DETERMINISM_CONFIG)))
+    cmd_sweep(cfg)
+    rd = tmp_path / run_dir_for(cfg)
+    assert {name: hashlib.sha256((rd / name).read_bytes()).hexdigest() for name in PINNED_SHA256} == PINNED_SHA256

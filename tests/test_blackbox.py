@@ -50,7 +50,7 @@ def forests(draw):
             n = int(rng.integers(2, 40))
             X = rng.integers(0, 5, size=(n, m)) * 0.5
             y = rng.choice(label_pool, size=n)
-            trees.append(tree_fit(X, y, range(m), max_depth=draw(st.sampled_from([1, 3, 12])), min_leaf=1))
+            trees.append(tree_fit(X, y, range(m), max_depth=draw(st.sampled_from([1, 3, 12])), min_leaf=1)[0])
     X = rng.integers(-2, 11, size=(int(rng.integers(1, 30)), m)) * 0.25  # quarter steps hit every midpoint cut
     return BlackBoxModel(kind="bagged_forest", label_set=tuple(label_pool), trees=trees), X
 
@@ -63,7 +63,7 @@ class TestForestVote:
         assert model.predict_batch(X).tolist() == reference_vote(model, X).tolist()
 
     def test_split_and_leaf_trees_tie(self):
-        split = tree_fit(np.array([[0.0], [1.0]]), np.array([2, 5]), [0], min_leaf=1)
+        split, _ = tree_fit(np.array([[0.0], [1.0]]), np.array([2, 5]), [0], min_leaf=1)
         model = BlackBoxModel(kind="bagged_forest", label_set=(2, 5), trees=[constant_tree(5), split])
         # row 0: 5 vs 2 ties to 2; row 1: 5 and 5
         assert model.predict_batch(np.array([[0.0], [1.0]])).tolist() == [2, 5]

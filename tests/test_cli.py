@@ -347,6 +347,34 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert "config error" in err and "explainers.json" in err and "truncated" in err
 
+    @pytest.mark.parametrize("stage", ["explain", "aggregate"])
+    def test_model_wider_than_dataset_exits_2(self, tmp_path, capsys, stage):
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        model_path = run_dir_for(load_config(str(path), {})) / "model.txt"
+        lines = model_path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if " split " in line)
+        node, _, _, threshold = lines[at].rsplit(" ", 3)
+        lines[at] = f"{node} split 4 {threshold}"  # the dataset has features 0..3
+        model_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([stage, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "model.txt" in err and "feature 4" in err
+
+    def test_trailing_bundle_record_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
+        bundle = json.loads(bundle_path.read_text())
+        tree = bundle["explainers"][0]["tree"]
+        tree.append(f"node {len(tree)} leaf 12345")
+        bundle_path.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["aggregate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "explainers.json" in err and "trailing" in err
+
 
 class TestMainEntry:
     def test_full_sweep_via_main(self, tmp_path, capsys):

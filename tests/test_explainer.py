@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggrex.blackbox import table_oracle, train_bagged_forest
 from aggrex.data import FeatureSchema, synth_multiclass
 from aggrex.explainer import local_fidelity, train_local_explainer
+from aggrex.sampler import sample_ball
 from aggrex.tree import tree_to_lines
 
 
@@ -26,6 +29,16 @@ class FeatureIndicatorBox:
 
     def predict(self, x):
         return int(x[self.feature])
+
+
+class RandomLabelBox:
+    """Labels from a seeded stream, independent of the points."""
+
+    def __init__(self, seed, n_labels):
+        self.seed, self.n_labels = seed, n_labels
+
+    def predict_batch(self, X):
+        return np.random.default_rng(self.seed).integers(0, self.n_labels, size=X.shape[0]) * 2 - 1
 
 
 SCHEMA = FeatureSchema.mixed(2, 3)
@@ -79,6 +92,25 @@ class TestTrainLocalExplainer:
         assert tree_to_lines(a.tree) == tree_to_lines(b.tree)
         assert a.train_fidelity == b.train_fidelity
         assert a.selected_features == b.selected_features
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(2, 120),
+        st.sampled_from([(False, None), (True, None), (True, 0)]),
+    )
+    def test_train_fidelity_equals_a_recount(self, seed, n_labels, N, variant):
+        # max_features=0 selects nothing: the single-leaf fallback
+        filtered, max_features = variant
+        box = RandomLabelBox(seed, n_labels)
+        ex = train_local_explainer(
+            box, CENTER, 1.5, N, schema=SCHEMA, seed=seed, filtered=filtered, max_features=max_features
+        )
+        points = sample_ball(CENTER, 1.5, N, SCHEMA, seed).points
+        assert ex.train_fidelity == float(np.mean(ex.predict_batch(points) == box.predict_batch(points)))
+        if max_features == 0:
+            assert ex.leaf_count == 1 and ex.selected_features == ()
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

@@ -16,21 +16,21 @@ class TestTreeFit:
     def test_pure_labels_single_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([3, 3, 3])
-        t = tree_fit(X, y, [0])
+        t, _ = tree_fit(X, y, [0])
         assert t.leaf_count == 1
         assert t.predict([5.0]) == 3
 
     def test_xor_four_leaves_perfect_fit(self):
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         y = np.array([0, 1, 1, 0])
-        t = tree_fit(X, y, [0, 1], max_depth=2, min_leaf=1)
+        t, _ = tree_fit(X, y, [0, 1], max_depth=2, min_leaf=1)
         assert t.leaf_count == 4
         assert np.array_equal(predictions(t, X), y)
 
     def test_min_leaf_equal_n_majority_leaf(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 0])
-        t = tree_fit(X, y, [0], min_leaf=4)
+        t, _ = tree_fit(X, y, [0], min_leaf=4)
         assert t.leaf_count == 1
         assert t.predict([9.0]) == 0
 
@@ -38,14 +38,14 @@ class TestTreeFit:
         rng = np.random.default_rng(0)
         X = rng.random((60, 4))
         y = (X[:, 3] > 0.5).astype(int)  # signal lives in an excluded feature
-        t = tree_fit(X, y, [0, 1], max_depth=4)
+        t, _ = tree_fit(X, y, [0, 1], max_depth=4)
         assert t.features_used <= {0, 1}
 
     def test_tie_breaks_lower_feature(self):
         # two identical columns: the split must use feature 0
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([0, 0, 1, 1])
-        t = tree_fit(X, y, [0, 1], min_leaf=1)
+        t, _ = tree_fit(X, y, [0, 1], min_leaf=1)
         assert t.feature[0] == 0
 
     def test_tie_breaks_lower_threshold(self):
@@ -53,28 +53,28 @@ class TestTreeFit:
         # pure singleton either way); the lower midpoint must win
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0, 1, 0])
-        t = tree_fit(X, y, [0], min_leaf=1)
+        t, _ = tree_fit(X, y, [0], min_leaf=1)
         assert t.threshold[0] == 0.5
 
     def test_unrestricted_fit_is_exact_without_conflicts(self):
         rng = np.random.default_rng(4)
         X = rng.random((80, 3))
         y = rng.integers(0, 3, size=80)
-        t = tree_fit(X, y, [0, 1, 2], max_depth=None, min_leaf=1)
+        t, _ = tree_fit(X, y, [0, 1, 2], max_depth=None, min_leaf=1)
         assert np.array_equal(predictions(t, X), y)
 
     def test_leaf_count_at_least_distinct_predictions(self):
         rng = np.random.default_rng(5)
         X = rng.random((50, 2))
         y = rng.integers(0, 4, size=50)
-        t = tree_fit(X, y, [0, 1], max_depth=6)
+        t, _ = tree_fit(X, y, [0, 1], max_depth=6)
         preds = predictions(t, X)
         assert t.leaf_count >= len(set(int(v) for v in preds))
 
     def test_majority_tie_smaller_label(self):
         X = np.array([[0.0], [0.0]])
         y = np.array([2, 5])
-        t = tree_fit(X, y, [0])
+        t, _ = tree_fit(X, y, [0])
         assert t.predict([0.0]) == 2
 
 
@@ -83,7 +83,7 @@ class TestTreeText:
         rng = np.random.default_rng(9)
         X = rng.random((70, 3))
         y = rng.integers(0, 3, size=70)
-        t = tree_fit(X, y, [0, 1, 2], max_depth=5)
+        t, _ = tree_fit(X, y, [0, 1, 2], max_depth=5)
         lines = tree_to_lines(t)
         t2, consumed = tree_from_lines(lines)
         assert consumed == len(lines)
@@ -96,7 +96,7 @@ class TestTreeText:
     def test_rules_render(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
-        t = tree_fit(X, y, [0], min_leaf=1)
+        t, _ = tree_fit(X, y, [0], min_leaf=1)
         text = tree_to_rules(t, ["age"])
         assert "if age <= 0.5:" in text
         assert "predict 0" in text and "predict 1" in text
@@ -128,7 +128,10 @@ def reference_split_for_feature(xs, y_codes, n_classes, min_leaf, parent_gini):
     weighted = (left_n * gini_l + right_n * gini_r) / n
     gain = np.where(valid, parent_gini - weighted, -np.inf)
     best = int(np.argmax(gain))
-    threshold = (xs_sorted[cuts[best]] + xs_sorted[cuts[best] + 1]) / 2.0
+    below, above = xs_sorted[cuts[best]], xs_sorted[cuts[best] + 1]
+    threshold = (below + above) / 2.0
+    if not below <= threshold < above:  # the midpoint rounded onto the upper value, or overflowed
+        threshold = below
     return float(gain[best]), float(threshold)
 
 
@@ -169,15 +172,18 @@ def reference_tree_fit(X, y, features, max_depth, min_leaf):
     return lines
 
 
+ADJACENT_FLOATS = np.array([np.nextafter(1.0, -np.inf), 1.0, np.nextafter(1.0, np.inf), 3.0, np.nextafter(3.0, np.inf)])
+
+
 @st.composite
 def fit_problems(draw):
-    """Small fits rich in ties: duplicate, constant, {0,1} and coarse-valued columns."""
+    """Small fits rich in ties: duplicate, constant, {0,1}, coarse-valued and adjacent-float columns."""
     n = draw(st.integers(1, 40))
     m = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cols = []
     for _ in range(m):
-        kind = draw(st.sampled_from(["coarse", "fine", "binary", "constant", "copy"]))
+        kind = draw(st.sampled_from(["coarse", "fine", "binary", "constant", "copy", "adjacent"]))
         if kind == "copy" and cols:
             cols.append(cols[int(rng.integers(0, len(cols)))].copy())
         elif kind == "binary":
@@ -186,6 +192,8 @@ def fit_problems(draw):
             cols.append(np.full(n, float(rng.normal())))
         elif kind == "fine":
             cols.append(rng.normal(size=n))
+        elif kind == "adjacent":  # neighbouring floats, whose midpoints round onto one of them
+            cols.append(rng.choice(ADJACENT_FLOATS, size=n))
         else:
             cols.append(rng.integers(0, 4, size=n) * 0.5)
     X = np.column_stack(cols)
@@ -202,7 +210,7 @@ class TestWholeNodeSplitSearch:
     @given(fit_problems())
     def test_matches_per_feature_reference(self, problem):
         X, y, features, max_depth, min_leaf = problem
-        got = tree_fit(X, y, features, max_depth=max_depth, min_leaf=min_leaf)
+        got, _ = tree_fit(X, y, features, max_depth=max_depth, min_leaf=min_leaf)
         want = reference_tree_fit(X, y, features, max_depth, min_leaf)
         assert tree_to_lines(got) == want
 
@@ -212,8 +220,37 @@ class TestWholeNodeSplitSearch:
             X = np.column_stack([rng.normal(size=300), rng.integers(0, 2, 300), rng.integers(0, 5, 300) * 0.25])
             X = np.column_stack([X, X[:, 1], rng.normal(size=300)])
             y = rng.integers(0, n_classes, size=300)
-            got = tree_fit(X, y, range(5), max_depth=12, min_leaf=2)
+            got, _ = tree_fit(X, y, range(5), max_depth=12, min_leaf=2)
             assert tree_to_lines(got) == reference_tree_fit(X, y, range(5), 12, 2)
+
+
+class TestAdjacentValues:
+    """A cut between neighbouring floats whose midpoint rounds onto the upper value."""
+
+    BELOW = float(np.nextafter(1.0, -np.inf))
+
+    @pytest.mark.parametrize("max_depth", [3, None])
+    def test_one_cut_separates_the_classes(self, max_depth):
+        X = np.array([[self.BELOW], [1.0]])
+        t, agree = tree_fit(X, np.array([0, 1]), [0], max_depth=max_depth, min_leaf=1)
+        assert tree_to_lines(t) == [f"node 0 split 0 {self.BELOW!r}", "node 1 leaf 0", "node 2 leaf 1"]
+        assert predictions(t, X).tolist() == [0, 1] and agree == 2
+
+    def test_threshold_stays_below_an_overflowing_midpoint(self):
+        X = np.array([[1e308], [1.5e308]])
+        t, _ = tree_fit(X, np.array([0, 1]), [0], min_leaf=1)
+        assert t.threshold[0] == 1e308
+        assert predictions(t, X).tolist() == [0, 1]
+
+
+class TestFitAgreement:
+    @settings(max_examples=200, deadline=None)
+    @given(fit_problems())
+    def test_agree_counts_the_rows_predicted_right(self, problem):
+        X, y, features, max_depth, min_leaf = problem
+        t, agree = tree_fit(X, y, features, max_depth=max_depth, min_leaf=min_leaf)
+        assert type(agree) is int
+        assert agree / y.size == float(np.mean(t.predict_batch(X) == y))
 
 
 # -- the array router against a scalar walk of the same arrays ----------------
@@ -242,7 +279,7 @@ class TestRouter:
     @given(fit_problems(), st.integers(0, 2**32 - 1))
     def test_matches_scalar_walk(self, problem, seed):
         X, y, features, max_depth, min_leaf = problem
-        t = tree_fit(X, y, features, max_depth=max_depth, min_leaf=min_leaf)
+        t, _ = tree_fit(X, y, features, max_depth=max_depth, min_leaf=min_leaf)
         probe = probe_rows(t, X, np.random.default_rng(seed))
         want = [scalar_leaf(t, x) for x in probe]
         assert route(t, probe, ROOT)[0].tolist() == want
@@ -250,7 +287,7 @@ class TestRouter:
         assert [t.predict(x) for x in probe[:5]] == t.label[want[:5]].tolist()
 
     def test_threshold_value_goes_left(self):
-        t = tree_fit(np.array([[0.0], [1.0]]), np.array([4, 9]), [0], min_leaf=1)
+        t, _ = tree_fit(np.array([[0.0], [1.0]]), np.array([4, 9]), [0], min_leaf=1)
         assert t.threshold[0] == 0.5
         assert t.predict_batch(np.array([[0.5], [np.nextafter(0.5, 1.0)]])).tolist() == [4, 9]
 
@@ -261,16 +298,16 @@ class TestRouter:
         assert t.predict([7.0]) == -3
 
     def test_no_rows(self):
-        t = tree_fit(np.array([[0.0], [1.0]]), np.array([0, 1]), [0], min_leaf=1)
+        t, _ = tree_fit(np.array([[0.0], [1.0]]), np.array([0, 1]), [0], min_leaf=1)
         assert t.predict_batch(np.empty((0, 1))).shape == (0,)
 
     def test_stacked_trees_route_independently(self):
         rng = np.random.default_rng(3)
         X = rng.random((30, 2))
         trees = [
-            tree_fit(X, (X[:, 0] > 0.5).astype(int), [0, 1], min_leaf=1),
+            tree_fit(X, (X[:, 0] > 0.5).astype(int), [0, 1], min_leaf=1)[0],
             DecisionTree.leaf(7),
-            tree_fit(X, (X[:, 1] > 0.3).astype(int) + 2 * (X[:, 0] > 0.8), [0, 1], min_leaf=1),
+            tree_fit(X, (X[:, 1] > 0.3).astype(int) + 2 * (X[:, 0] > 0.8), [0, 1], min_leaf=1)[0],
         ]
         both, roots = stack_trees(trees)
         assert roots.tolist() == [0, trees[0].feature.size, trees[0].feature.size + 1]
@@ -291,7 +328,7 @@ class TestArrays:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(fit_problems(), min_size=1, max_size=4))
     def test_text_round_trip_gives_equal_arrays(self, problems):
-        trees = [tree_fit(X, y, f, max_depth=d, min_leaf=m) for X, y, f, d, m in problems]
+        trees = [tree_fit(X, y, f, max_depth=d, min_leaf=m)[0] for X, y, f, d, m in problems]
         for t in trees:
             lines = tree_to_lines(t)
             back, consumed = tree_from_lines(lines)
@@ -306,7 +343,7 @@ class TestArrays:
         assert next(records, None) is None
 
     def test_arrays_read_only(self):
-        t = tree_fit(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 1]), [0], min_leaf=1)
+        t, _ = tree_fit(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 1]), [0], min_leaf=1)
         for name in ("feature", "threshold", "label", "right"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(t, name)[0] = 0
