@@ -17,6 +17,13 @@ a fixed selection the z problem is a bipartite b-matching (disagreeing
 points to candidates, capacities from the fidelity rows) solved exactly by
 augmenting paths, so every solve_exact result is certified "optimal".
 
+The search works on claimable sets: a candidate can only ever claim its
+agreeing in-ball points, plus its disagreeing ones when its fidelity row
+has slack. It branches dynamically, always on the remaining candidate
+with the largest capped gain, and only over undominated candidates: i is
+dropped when some other candidate's agreeing in-ball set holds all of i's
+claimable set, since that one claims it all for free.
+
 Two coverage numbers coexist: ip_coverage counts the points actually
 claimed through z (a solver may drop in-ball points to satisfy a fidelity
 row), while ball_coverage counts every point inside any selected ball.
@@ -24,10 +31,13 @@ ball_coverage >= ip_coverage always; both are reported.
 
 A sweep solves one pool for many (K, phi) cells, so the pool does the
 per-pool work once: CandidatePool is frozen over read-only arrays, builds
-its row bitmasks on first use, and keeps one greedy path per floor, which
-every greedy solve and every exact warm start at that floor extends only as
-far as its budget needs. Results, node counts included, are those of a
-solve on a fresh pool.
+its row bitmasks on first use, and keeps one record per floor. The record
+holds the claimable sets, claim caps and undominated candidates, and the
+greedy path, which every greedy solve and every exact warm start at that
+floor extends only as far as its budget needs. Greedy evaluates a
+candidate only when its claimable set could beat the best gain of the
+scan, and its nodes_explored counts the evaluations made. Results, node
+counts included, are those of a solve on a fresh pool.
 
 Fidelity-floor arithmetic is exact: phi is quantized to a rational with
 denominator 10^6 and every feasibility check runs on integers, so e.g.
@@ -40,7 +50,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heappush, heapreplace
 from itertools import combinations
 
 import numpy as np
@@ -69,15 +78,24 @@ def _iter_bits(mask: int):
 
 
 @dataclass
-class _GreedyPath:
-    """Greedy's run at one floor, kept on the pool and extended on demand.
+class _Floor:
+    """What every solve at one fidelity floor shares, kept on the pool.
 
-    steps[k] = (selection, z masks, objective, evaluations after k scans);
-    greedy with budget K is steps[K], the first K steps of any longer run.
-    stall_evals is set once a scan finds no positive gain: the path ends
-    there, and every larger budget reports that scan's evaluations too.
+    claimable[i] is the set of points candidate i can ever claim (agreeing
+    in-ball points, plus disagreeing ones when its fidelity row has any
+    slack), caps[i] the most claims its row allows, and undominated the
+    candidates solve_exact branches on.
+
+    steps and stall_evals are greedy's run, extended on demand:
+    steps[k] = (selection, z masks, objective, evaluations after k scans),
+    and greedy with budget K is steps[K], the first K steps of any longer
+    run. stall_evals is set once a scan finds no positive gain: the run
+    ends there, and every larger budget reports that scan's evaluations too.
     """
 
+    claimable: tuple[int, ...]
+    caps: tuple[int, ...]
+    undominated: tuple[int, ...]
     steps: list = field(default_factory=lambda: [((), {}, 0, 0)])
     stall_evals: int | None = None
 
@@ -93,8 +111,8 @@ class CandidatePool:
     """Pairwise ball membership and surrogate/black-box agreement for all candidates.
 
     Frozen, with read-only copies of its arrays, so whatever is derived from
-    them is computed once and kept: the row bitmasks, and one greedy path
-    per fidelity floor (see solve_greedy).
+    them is computed once and kept: the row bitmasks, and one _Floor record
+    per fidelity floor (claimable sets, dominance and greedy's run).
     """
 
     radii: np.ndarray
@@ -126,7 +144,7 @@ class CandidatePool:
         return _row_masks(self.agree)
 
     @cached_property
-    def _greedy_paths(self) -> dict[int, _GreedyPath]:
+    def _floors(self) -> dict[int, _Floor]:
         return {}
 
     def ball_masks(self) -> tuple[int, ...]:
@@ -135,8 +153,40 @@ class CandidatePool:
     def agree_masks(self) -> tuple[int, ...]:
         return self._agree_masks
 
+    def _floor(self, phi_num: int) -> _Floor:
+        floor = self._floors.get(phi_num)
+        if floor is None:
+            floor = self._floors[phi_num] = _build_floor(self.within, self.agree, phi_num)
+        return floor
+
     def disagree_pair_count(self) -> int:
         return int(np.sum(self.within & ~self.agree))
+
+
+def _build_floor(within: np.ndarray, agree: np.ndarray, phi_num: int) -> _Floor:
+    """Claimable sets, claim caps and undominated candidates at one floor.
+
+    Candidate k dominates i when claimable_i lies inside ball_k & agree_k:
+    k claims all of that at no cost to its fidelity row, so swapping i for
+    k, or dropping i beside k, never lowers coverage. Two candidates
+    dominate each other only when both sets are the same all-agreeing set;
+    of those the lowest index stays.
+    """
+    n = within.shape[0]
+    sure = within & agree
+    n_sure = sure.sum(axis=1)
+    room = np.full(n, n) if phi_num == 0 else n_sure * (PHI_DENOM - phi_num) // phi_num
+    claimable = sure | (within & (room > 0)[:, None])
+    caps = np.minimum(claimable.sum(axis=1), n_sure + room)
+    # dominated[i, k]: no point of claimable_i lies outside sure_k
+    dominated = claimable.astype(np.int64) @ (~sure).T.astype(np.int64) == 0
+    np.fill_diagonal(dominated, False)
+    beaten = dominated & ~(dominated.T & np.triu(np.ones((n, n), dtype=bool), 1))
+    return _Floor(
+        claimable=_row_masks(claimable),
+        caps=tuple(caps.tolist()),
+        undominated=tuple(np.flatnonzero(~beaten.any(axis=1)).tolist()),
+    )
 
 
 def build_pool(dataset: Dataset, explainers, blackbox) -> CandidatePool:
@@ -354,20 +404,21 @@ def _finish_solution(selected, z_masks, obj, status, pool, nodes, t0) -> Aggrega
 def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> AggregateSolution:
     """Provably optimal solution by branch-and-bound on the selection variables.
 
-    Depth-first binary branching, 1-branch before 0-branch, over candidates
-    in a deterministic static preorder (descending claimable-set size, ties
-    by index): big candidates first makes incumbents and bounds bite early.
-    The node bound works on claimable sets (an agreeing in-ball point is
-    always claimable; disagreeing ones only when the candidate's fidelity
-    row has any slack to spend): fixed-in candidates contribute the union
-    of their claimable sets, remaining ones the cheaper of (sum of the
-    largest capped gains, size of the still-reachable claimable point set).
-    The gains scan stops early: caps never increase along the preorder, so
-    once the q largest gains seen all reach the next cap the sum is final.
-    Everything over-counts the true claims, so pruning is safe. Each leaf
-    solves its inner claim problem exactly (a b-matching), so the status is
-    always "optimal". Warm-started with the greedy solution (solve_greedy,
-    which reuses the pool's greedy path for this floor).
+    Depth-first binary branching over the floor's undominated candidates
+    (no optimum needs a dominated one, see _build_floor). Each node branches
+    on the remaining candidate with the largest capped gain, ties to the
+    lowest index, and explores its 1-branch first; the 0-branch keeps its
+    parent's gains less that entry, so only a 1-branch recomputes them.
+    A candidate's capped gain is the smaller of its claim cap and the part
+    of its claimable set not yet covered by the fixed-in candidates'. The
+    node bound is that covered count plus the cheaper of (sum of the q
+    largest gains, size of the claimable points the remaining candidates
+    still reach). Everything over-counts the true claims, so pruning is
+    safe. A leaf whose covered count does not beat the incumbent is not
+    solved; every other leaf solves its inner claim problem exactly (a
+    b-matching), so the status is always "optimal". Warm-started with the
+    greedy solution (solve_greedy, which reuses the pool's greedy path for
+    this floor).
     """
     t0 = time.perf_counter()
     if budget < 0:
@@ -375,29 +426,10 @@ def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> Aggr
     phi_num, phi_den = _phi_to_rational(fidelity_floor)
     if budget == 0:
         return _finish_solution((), {}, 0, "optimal", pool, 1, t0)
-    n = pool.n
     ball = pool.ball_masks()
     agree = pool.agree_masks()
-
-    # claimable set and per-candidate claim cap under the fidelity row
-    claimable = [0] * n
-    max_claim = [0] * n
-    for i in range(n):
-        sure = ball[i] & agree[i]
-        n_sure = sure.bit_count()
-        if phi_num == 0:
-            cap = n
-        else:
-            cap = (n_sure * (phi_den - phi_num)) // phi_num
-        claimable[i] = sure | (ball[i] & ~agree[i] if cap > 0 else 0)
-        max_claim[i] = min(claimable[i].bit_count(), n_sure + cap)
-
-    order = sorted(range(n), key=lambda i: (-max_claim[i], i))
-    claim_o = [claimable[i] for i in order]
-    cap_o = [max_claim[i] for i in order]
-    suffix_reach = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix_reach[k] = suffix_reach[k + 1] | claim_o[k]
+    floor = pool._floor(phi_num)
+    claim, cap = floor.claimable, floor.caps
 
     warm = solve_greedy(pool, budget, fidelity_floor)
     best_obj = warm.ip_coverage
@@ -406,14 +438,22 @@ def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> Aggr
     for i, js in warm.z_assignment.items():
         best_z[i] = sum(1 << j for j in js)
 
+    # a remaining candidate i with capped gain g is held as the key i - n*g,
+    # so an ascending sort puts the largest gain first, ties to the lowest
+    # index, and key // n == -g, key % n == i
+    n = pool.n
     nodes = 0
-    # frames: (next position in preorder, union of fixed claimables,
-    #          selected count, selection as a parent-linked chain)
-    stack = [(0, 0, 0, None)]
+    # frames: (union of fixed claimables, selected count, selection as a
+    #          parent-linked chain, sorted keys of the remaining candidates,
+    #          whether their gains are stale)
+    stack = [(0, 0, None, sorted(i - n * cap[i] for i in floor.undominated), False)]
     while stack:
-        next_k, covered, count, chain = stack.pop()
+        covered, count, chain, keys, stale = stack.pop()
         nodes += 1
-        if count == budget or next_k == n:
+        base = covered.bit_count()
+        if count == budget or not keys:
+            if base <= best_obj:
+                continue
             selected = []
             node = chain
             while node is not None:
@@ -426,48 +466,53 @@ def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> Aggr
                 best_selected = selected
                 best_z = z
             continue
-        base = covered.bit_count()
-        reach = (suffix_reach[next_k] & ~covered).bit_count()
-        if base + reach <= best_obj:
+        if stale:
+            uncovered = ~covered
+            fresh = []
+            for key in keys:
+                i = key % n
+                g = (claim[i] & uncovered).bit_count()
+                fresh.append(i - n * (g if g < cap[i] else cap[i]))
+            fresh.sort()
+            keys = fresh
+        if base - sum(key // n for key in keys[: budget - count]) <= best_obj:
             continue
-        # sum of the q largest capped gains; cap_o never increases along the
-        # preorder, so once the q held gains all reach cap_o[k] no later
-        # candidate can displace one
-        q = budget - count
-        uncovered = ~covered
-        top: list[int] = []
-        for k in range(next_k, n):
-            cap = cap_o[k]
-            if len(top) == q and top[0] >= cap:
-                break
-            g = (claim_o[k] & uncovered).bit_count()
-            if g > cap:
-                g = cap
-            if len(top) < q:
-                heappush(top, g)
-            elif g > top[0]:
-                heapreplace(top, g)
-        if base + min(sum(top), reach) <= best_obj:
+        reach = 0
+        for key in keys:
+            reach |= claim[key % n]
+        if base + (reach & ~covered).bit_count() <= best_obj:
             continue
+        pick = keys[0] % n
+        rest = keys[1:]
         # LIFO: push the 0-branch first so the 1-branch is explored first
-        stack.append((next_k + 1, covered, count, chain))
-        stack.append((next_k + 1, covered | claim_o[next_k], count + 1, (order[next_k], chain)))
+        stack.append((covered, count, chain, rest, False))
+        stack.append((covered | claim[pick], count + 1, (pick, chain), rest, True))
 
     return _finish_solution(best_selected, best_z, best_obj, "optimal", pool, nodes, t0)
 
 
-def _extend_greedy(pool: CandidatePool, path: _GreedyPath, budget: int, phi_num: int, phi_den: int) -> None:
-    """Scan until path.steps reaches budget or greedy stalls."""
+def _extend_greedy(pool: CandidatePool, floor: _Floor, budget: int, phi_num: int, phi_den: int) -> None:
+    """Scan until floor.steps reaches budget or greedy stalls.
+
+    A candidate is evaluated only if its claimable set, joined with the
+    selection's, could beat the best gain so far: every claim lies in a
+    claimable set and a gain must be strictly larger to win, so skipping the
+    others leaves the run unchanged.
+    """
     n = pool.n
     ball = pool.ball_masks()
     agree = pool.agree_masks()
-    steps = path.steps
-    while len(steps) <= budget and path.stall_evals is None:
+    claim = floor.claimable
+    steps = floor.steps
+    while len(steps) <= budget and floor.stall_evals is None:
         selected, _, current_obj, evals = steps[-1]
+        reach = 0
+        for i in selected:
+            reach |= claim[i]
         best_gain = 0
         best = None
         for i in range(n):
-            if i in selected:
+            if i in selected or (reach | claim[i]).bit_count() - current_obj <= best_gain:
                 continue
             trial = tuple(sorted(selected + (i,)))
             z, obj = _claims_for_selection(trial, ball, agree, phi_num, phi_den)
@@ -476,7 +521,7 @@ def _extend_greedy(pool: CandidatePool, path: _GreedyPath, budget: int, phi_num:
                 best_gain = obj - current_obj
                 best = (trial, z, obj)
         if best is None:
-            path.stall_evals = evals
+            floor.stall_evals = evals
         else:
             steps.append((*best, evals))
 
@@ -486,19 +531,20 @@ def solve_greedy(pool: CandidatePool, budget: int, fidelity_floor: float) -> Agg
 
     The run is the same for every budget at one floor, so the pool keeps it
     per floor and a call only scans past the steps an earlier call made.
-    nodes_explored counts every claim evaluation a fresh run would make.
+    nodes_explored counts the claim evaluations a fresh run makes; a scan
+    skips the candidates whose claimable sets cannot beat its best gain.
     """
     t0 = time.perf_counter()
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     phi_num, phi_den = _phi_to_rational(fidelity_floor)
-    path = pool._greedy_paths.setdefault(phi_num, _GreedyPath())
-    _extend_greedy(pool, path, budget, phi_num, phi_den)
-    if budget < len(path.steps):
-        selected, z, obj, evals = path.steps[budget]
+    floor = pool._floor(phi_num)
+    _extend_greedy(pool, floor, budget, phi_num, phi_den)
+    if budget < len(floor.steps):
+        selected, z, obj, evals = floor.steps[budget]
     else:
-        selected, z, obj, _ = path.steps[-1]
-        evals = path.stall_evals
+        selected, z, obj, _ = floor.steps[-1]
+        evals = floor.stall_evals
     return _finish_solution(selected, z, obj, "feasible", pool, evals, t0)
 
 

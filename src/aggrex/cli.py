@@ -136,6 +136,10 @@ def validate_config(cfg: dict) -> None:
         )
     if int(cfg["sampler"]["N"]) < 2:
         raise ConfigError("sampler.N must be at least 2")
+    if int(cfg["explainer"]["min_leaf"]) < 1:
+        raise ConfigError("explainer.min_leaf must be at least 1")
+    if cfg["explainer"]["max_depth"] is not None and int(cfg["explainer"]["max_depth"]) < 0:
+        raise ConfigError("explainer.max_depth must be nonnegative or null")
     ds = cfg["dataset"]
     if ds["path"] is None and ds.get("synth") is None:
         raise ConfigError("dataset needs either a path or a synth block")

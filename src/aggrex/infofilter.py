@@ -40,6 +40,10 @@ from .sampler import SampleSet
 
 EPS_MI = 1e-9
 MIN_CELL = 2
+# at most this many (feature, member) codes per bincount, so the codes and
+# their temporaries stay cache-sized and the count work grows linearly in
+# the sample count
+COUNT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -163,10 +167,11 @@ def _cmi_scores(
     leaves: PartitionLeaves,
     bins: BinAssignment,
 ) -> np.ndarray:
-    """Plug-in conditional MI of each listed feature given the leaves, from one bincount.
+    """Plug-in conditional MI of each listed feature given the leaves, from blocked bincounts.
 
-    Every (feature, leaf, bin, label) count comes from a single bincount
-    over packed codes; all features share the bin width max(n_bins).
+    Every (feature, leaf, bin, label) count comes from a bincount over
+    packed codes, one per block of features of at most COUNT_BLOCK codes;
+    all features share the bin width max(n_bins).
     Terms are added strictly in sequence (cumsum), first over a leaf's
     (bin, label) cells, then leaf by leaf. Empty and padded cells add
     exact zeros, so a score depends neither on the padding nor on which
@@ -181,10 +186,16 @@ def _cmi_scores(
     width = max(bins.n_bins)
     members, leaf_of = _flatten(leaves)
     sizes = np.bincount(leaf_of, minlength=n_leaves)
-    b = bins.assignment[np.ix_(members, features)].T.astype(np.int64)  # (features, members)
-    slot = np.arange(n_feat, dtype=np.int64)[:, None] * n_leaves + leaf_of
-    codes = (slot * width + b) * n_labels + y_codes[members]
-    joint = np.bincount(codes.ravel(), minlength=n_feat * n_leaves * width * n_labels).astype(float)
+    member_labels = y_codes[members]
+    cells = n_leaves * width * n_labels
+    joint = np.empty((n_feat, cells))
+    step = max(1, COUNT_BLOCK // members.size)
+    for start in range(0, n_feat, step):
+        block = features[start : start + step]
+        b = bins.assignment[np.ix_(members, block)].T.astype(np.int64)  # (block, members)
+        slot = np.arange(len(block), dtype=np.int64)[:, None] * n_leaves + leaf_of
+        codes = (slot * width + b) * n_labels + member_labels
+        joint[start : start + len(block)] = np.bincount(codes.ravel(), minlength=len(block) * cells).reshape(-1, cells)
     joint = joint.reshape(n_feat, n_leaves, width, n_labels)
     row = joint.sum(axis=3, keepdims=True)
     col = joint.sum(axis=2, keepdims=True)

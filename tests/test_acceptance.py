@@ -192,22 +192,23 @@ def test_criterion_06_filter_runtime_scales_linearly():
         )
         return code % 5
 
-    medians = {}
-    for n_samples in (5000, 10000, 20000):
-        times = []
-        for t in range(5):
+    # the three sizes take turns within each repetition, so a drift in the
+    # host's speed hits them alike, and each size keeps its fastest run
+    sizes = (5000, 10000, 20000)
+    fastest = dict.fromkeys(sizes, float("inf"))
+    for t in range(5):
+        for n_samples in sizes:
             s = sample_ball(center, 7.0, n_samples, schema, seed=50_000 + t)
             y = labels_for(s)
             t0 = time.perf_counter()
             select_informative_features(s, y, schema, max_bins=3)
-            times.append(time.perf_counter() - t0)
-        medians[n_samples] = median(times)
-    r1 = medians[10000] / medians[5000]
-    r2 = medians[20000] / medians[10000]
+            fastest[n_samples] = min(fastest[n_samples], time.perf_counter() - t0)
+    r1 = fastest[10000] / fastest[5000]
+    r2 = fastest[20000] / fastest[10000]
     report(
         6,
         r1 <= 2.5 and r2 <= 2.5,
-        f"median wall time x{r1:.2f} for 5k->10k and x{r2:.2f} for 10k->20k samples "
+        f"fastest wall time x{r1:.2f} for 5k->10k and x{r2:.2f} for 10k->20k samples "
         "(each <= 2.5 per doubling; fixed bins and feature count)",
     )
 
@@ -343,7 +344,7 @@ def test_criterion_10_pipeline_determinism(tmp_path, monkeypatch):
 PINNED_SHA256 = {
     "model.txt": "802b10b50381ac14571101390f4f44fd945855e56f712d4bf07fc5821d34c365",
     "explainers.json": "2c722af76007efed93f3476a4ac19b5b549ee6d485aad3dd11f968ff5d79d43a",
-    "sweep.csv": "4c9fcbc9aaf176cbb56e2db98f37c02c197404a853aad9fe07383bf06962ee1d",
+    "sweep.csv": "e34ee2236f6874d51cf1b39032310794613a5a26fec436547467988a1f9ad1bb",
 }
 
 

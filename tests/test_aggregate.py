@@ -632,18 +632,17 @@ class TestExactAtSweepSize:
             assert verify_solution(pool, budget, floor, sol) == []
 
     def test_node_counts_pinned(self):
-        # recorded from the solver before the gains scan stopped at the caps
-        # and before greedy paths were kept on the pool: the bound prunes
-        # the same nodes and the search picks the same selections
+        # recorded when branching became dynamic over undominated candidates;
+        # the selections are those the static preorder search picked
         pool = geometric_pool(17)
         want = [
             (1, (19,)),
             (5, (1, 19)),
-            (17, (1, 19, 34)),
-            (41, (1, 19, 34, 48)),
-            (283, (1, 19, 31, 34, 48)),
-            (1623, (1, 19, 31, 33, 34, 48)),
-            (4077, (1, 19, 31, 33, 34, 44, 48)),
+            (13, (1, 19, 34)),
+            (27, (1, 19, 34, 48)),
+            (103, (1, 19, 31, 34, 48)),
+            (263, (1, 19, 31, 33, 34, 48)),
+            (341, (1, 19, 31, 33, 34, 44, 48)),
         ]
         got = [(sol.nodes_explored, sol.selected) for sol in (solve_exact(pool, k, 0.9) for k in range(1, 8))]
         assert got == want
@@ -682,14 +681,150 @@ class TestGreedyPathCache:
 
     def test_stall_counts_the_last_scan(self):
         # greedy takes ball 0 (3 points), then ball 3 (1 point), and then no
-        # candidate adds anything: 4 + 3 + 2 claim evaluations, however
-        # large the budget and in whatever order budgets are asked for
+        # candidate adds anything. Each scan evaluates only the candidates
+        # whose claimable sets could beat its best gain: ball 0 first (the
+        # rest cannot beat 3), then ball 3 alone, then none. That is 1 + 1
+        # + 0 claim evaluations, however large the budget and in whatever
+        # order budgets are asked for
         make = lambda: pool_from_sets([{0, 1, 2}, {0, 1}, {1, 2}, {3}], n=4)  # noqa: E731
         pool = make()
-        for k, nodes, selected in ((2, 7, (0, 3)), (5, 9, (0, 3)), (3, 9, (0, 3)), (1, 4, (0,)), (2, 7, (0, 3))):
+        for k, nodes, selected in ((2, 2, (0, 3)), (5, 2, (0, 3)), (3, 2, (0, 3)), (1, 1, (0,)), (2, 2, (0, 3))):
             sol = solve_greedy(pool, k, 0.0)
             assert (sol.nodes_explored, sol.selected, sol.ip_coverage) == (nodes, selected, 4 if k > 1 else 3)
             assert solution_bytes(sol) == self.fresh(make, k, 0.0)
+
+    @pytest.mark.parametrize("shuffle_seed", [0, 1, 2])
+    def test_any_floor_budget_and_solver_order_matches_fresh_pools(self, shuffle_seed):
+        make = lambda: geometric_pool(11)  # noqa: E731
+        cells = [(floor, k, solve) for floor in (0.0, 0.5, 0.9) for k in range(0, 7) for solve in (solve_exact, solve_greedy)]
+        want = {cell: self.fresh(make, cell[1], cell[0], cell[2]) for cell in cells}
+        random.Random(shuffle_seed).shuffle(cells)
+        pool = make()
+        for floor, k, solve in cells:
+            assert solution_bytes(solve(pool, k, floor)) == want[floor, k, solve], (floor, k, solve.__name__)
+
+
+def static_preorder_exact(pool, budget, floor):
+    """ip_coverage by the earlier branch-and-bound: static preorder, no dominance.
+
+    Kept in the tests as an independent reference: candidates are branched
+    in descending claim-cap order, ties by index, and the bound is the same
+    claimable-set bound without the leaf and greedy shortcuts.
+    """
+    phi_num, phi_den = round(floor * PHI_DENOM), PHI_DENOM
+    n, ball, agree = pool.n, pool.ball_masks(), pool.agree_masks()
+    claimable, max_claim = [], []
+    for i in range(n):
+        sure = ball[i] & agree[i]
+        cap = n if phi_num == 0 else sure.bit_count() * (phi_den - phi_num) // phi_num
+        claimable.append(sure | (ball[i] & ~agree[i] if cap > 0 else 0))
+        max_claim.append(min(claimable[i].bit_count(), sure.bit_count() + cap))
+    order = sorted(range(n), key=lambda i: (-max_claim[i], i))
+    best = 0
+    stack = [(0, 0, ())]
+    while stack:
+        k, covered, selected = stack.pop()
+        if len(selected) == budget or k == n:
+            best = max(best, _claims_for_selection(tuple(sorted(selected)), ball, agree, phi_num, phi_den)[1])
+            continue
+        rest = order[k:]
+        reach = 0
+        for i in rest:
+            reach |= claimable[i]
+        gains = sorted((min(max_claim[i], (claimable[i] & ~covered).bit_count()) for i in rest), reverse=True)
+        if covered.bit_count() + min(sum(gains[: budget - len(selected)]), (reach & ~covered).bit_count()) <= best:
+            continue
+        stack.append((k + 1, covered, selected))
+        stack.append((k + 1, covered | claimable[order[k]], selected + (order[k],)))
+    return best
+
+
+def unskipped_greedy_steps(pool, budget, floor):
+    """Greedy's run when every scan evaluates every candidate.
+
+    Returns the steps [(selection, z masks, objective, evaluations so far)]
+    from the empty selection on, up to the budget, and the evaluation count
+    of the scan that stalled (None if none did).
+    """
+    phi_num, phi_den = round(floor * PHI_DENOM), PHI_DENOM
+    ball, agree = pool.ball_masks(), pool.agree_masks()
+    steps = [((), {}, 0, 0)]
+    evals = 0
+    while len(steps) <= budget:
+        selected, _, current, _ = steps[-1]
+        best = None
+        for i in range(pool.n):
+            if i in selected:
+                continue
+            trial = tuple(sorted(selected + (i,)))
+            z, obj = _claims_for_selection(trial, ball, agree, phi_num, phi_den)
+            evals += 1
+            if obj > (best[2] if best else current):
+                best = (trial, z, obj)
+        if best is None:
+            return steps, evals
+        steps.append((*best, evals))
+    return steps, None
+
+
+FLOORS = [0.0, 0.5, 0.7, 0.9, 1.0]
+search_pools = st.one_of(
+    st.integers(0, 10**6).map(lambda seed: random_pool(seed, n_max=12)),
+    st.integers(0, 10**6).map(geometric_pool),
+)
+
+
+class TestBoundedSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(search_pools, st.sampled_from(FLOORS), st.integers(1, 7))
+    def test_exact_matches_the_static_preorder_search(self, pool, floor, budget):
+        sol = solve_exact(pool, budget, floor)
+        assert sol.status == "optimal"
+        assert sol.ip_coverage == static_preorder_exact(pool, budget, floor)
+        assert verify_solution(pool, budget, floor, sol) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_pools, st.sampled_from(FLOORS))
+    def test_every_dropped_candidate_has_a_kept_dominator(self, pool, floor):
+        phi_num = round(floor * PHI_DENOM)
+        kept = set(pool._floor(phi_num).undominated)
+        sure = pool.within & pool.agree
+        room = sure.sum(axis=1) * (PHI_DENOM - phi_num) // phi_num if phi_num else np.full(pool.n, pool.n)
+        claimable = sure | (pool.within & (room > 0)[:, None])
+
+        def dominates(k, i):
+            return k != i and not np.any(claimable[i] & ~sure[k])
+
+        for i in range(pool.n):
+            if i in kept:
+                # only an identical all-agreeing set at a higher index may dominate it
+                assert all(k > i and dominates(i, k) for k in range(pool.n) if dominates(k, i)), i
+            else:
+                assert any(dominates(k, i) for k in kept), i
+
+    def test_identical_agreeing_sets_keep_the_lowest_index(self):
+        # 1, 2 and 3 hold the same all-agreeing ball; 5 holds it too plus
+        # its own point, where it disagrees. At floor 0.5 candidate 5 can
+        # claim that point and beats 1-3; at floor 1 it cannot, its set is
+        # theirs, and of the four only 1 stays
+        balls = [{0}, {1, 2, 3}, {1, 2, 3}, {1, 2, 3}, {4}, {1, 2, 3, 5}]
+        agree_sets = [set(range(6))] * 5 + [{1, 2, 3}]
+        pool = pool_from_sets(balls, agree_sets)
+        assert pool._floor(round(0.5 * PHI_DENOM)).undominated == (0, 4, 5)
+        assert pool._floor(PHI_DENOM).undominated == (0, 1, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_pools, st.sampled_from(FLOORS), st.integers(1, 8))
+    def test_greedy_skips_only_evaluations_that_cannot_win(self, pool, floor, budget):
+        want, want_stall = unskipped_greedy_steps(pool, budget, floor)
+        sol = solve_greedy(pool, budget, floor)
+        run = pool._floor(round(floor * PHI_DENOM))
+        assert len(run.steps) == len(want) and (run.stall_evals is None) == (want_stall is None)
+        for (sel, z, obj, evals), (want_sel, want_z, want_obj, want_evals) in zip(run.steps, want):
+            assert (sel, z, obj) == (want_sel, want_z, want_obj)
+            assert evals <= want_evals
+        assert sol.selected == want[-1][0]
+        assert sol.nodes_explored <= (want[budget][3] if budget < len(want) else want_stall)
 
 
 class TestFrozenPool:

@@ -91,8 +91,10 @@ class TestConfig:
             ({}, ["--radii", "1.0", "--agg-radius", "2.0"], "aggregate.radius"),
             ({"aggregate": {"use_filtered": True}, "filter": {"variant": "unfiltered"}}, [], "use_filtered"),
             ({"aggregate": {"inner_limit": 20}}, [], "aggregate.inner_limit"),
+            ({"explainer": {"min_leaf": 0}}, [], "explainer.min_leaf"),
+            ({"explainer": {"max_depth": -1}}, [], "explainer.max_depth"),
         ],
-        ids=["radius-not-sampled", "variant-not-trained", "unknown-key"],
+        ids=["radius-not-sampled", "variant-not-trained", "unknown-key", "min-leaf-zero", "negative-max-depth"],
     )
     def test_bad_config_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, flags, match):
         out_dir = tmp_path / "runs"

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from aggrex import infofilter
 from aggrex.data import FeatureSchema
 from aggrex.infofilter import (
     BinAssignment,
@@ -330,6 +331,29 @@ class TestBatchedScores:
                 for f, score in state.trace[-1].scores.items():
                     assert score == cond_mutual_info(f, labels, leaves, bins)
                     assert abs(score - mi_oracle(f, labels, leaves, bins)) <= 1e-12
+
+
+    @pytest.mark.parametrize("block", [1, 50, 200])
+    def test_scores_do_not_depend_on_the_count_blocks(self, monkeypatch, block):
+        # a round's features are counted in blocks of at most COUNT_BLOCK
+        # codes; every block size gives each feature the same score, bit for bit
+        rng = np.random.default_rng(607)
+        for _ in range(20):
+            n = int(rng.integers(4, 120))
+            m = int(rng.integers(2, 9))
+            bins = random_bins(rng, n, m, max_bins=int(rng.integers(1, 5)))
+            labels = rng.integers(0, int(rng.integers(1, 6)), size=n)
+            monkeypatch.setattr(infofilter, "COUNT_BLOCK", 1 << 30)
+            want = round_scores(bins, labels, m)
+            monkeypatch.setattr(infofilter, "COUNT_BLOCK", block)
+            assert round_scores(bins, labels, m) == want
+
+
+def round_scores(bins, labels, m):
+    state = SelectionState.fresh(m, len(labels))
+    while state.unselected and not state.leaves.empty:
+        state = select_feature(state, bins, labels)
+    return [record.scores for record in state.trace]
 
 
 class TestEndToEnd:
