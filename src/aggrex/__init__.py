@@ -29,7 +29,7 @@ from .data import (
     synth_multiclass,
     write_dataset,
 )
-from .explainer import LocalExplainer, local_fidelity, train_local_explainer
+from .explainer import LabelledBall, LocalExplainer, label_ball, local_fidelity, train_local_explainer
 from .infofilter import (
     BinAssignment,
     PartitionLeaves,

@@ -32,9 +32,10 @@ ball_coverage >= ip_coverage always; both are reported.
 A sweep solves one pool for many (K, phi) cells, so the pool does the
 per-pool work once: CandidatePool is frozen over read-only arrays, builds
 its row bitmasks on first use, and keeps one record per floor. The record
-holds the claimable sets, claim caps and undominated candidates, and the
-greedy path, which every greedy solve and every exact warm start at that
-floor extends only as far as its budget needs. Greedy evaluates a
+holds the claimable sets and claim caps, the undominated candidates (found
+by the first exact solve at that floor), and the greedy path, which every
+greedy solve and every exact warm start at that floor extends only as far
+as its budget needs. Greedy evaluates a
 candidate only when its claimable set could beat the best gain of the
 scan, and its nodes_explored counts the evaluations made. Results, node
 counts included, are those of a solve on a fresh pool.
@@ -83,8 +84,10 @@ class _Floor:
 
     claimable[i] is the set of points candidate i can ever claim (agreeing
     in-ball points, plus disagreeing ones when its fidelity row has any
-    slack), caps[i] the most claims its row allows, and undominated the
-    candidates solve_exact branches on.
+    slack; claimable_matrix holds the same sets as rows, and sure the
+    agreeing in-ball ones), caps[i] the most claims its row allows, and
+    undominated the candidates solve_exact branches on, computed by the
+    first exact solve at this floor (greedy never reads it).
 
     steps and stall_evals are greedy's run, extended on demand:
     steps[k] = (selection, z masks, objective, evaluations after k scans),
@@ -95,9 +98,14 @@ class _Floor:
 
     claimable: tuple[int, ...]
     caps: tuple[int, ...]
-    undominated: tuple[int, ...]
+    claimable_matrix: np.ndarray
+    sure: np.ndarray
     steps: list = field(default_factory=lambda: [((), {}, 0, 0)])
     stall_evals: int | None = None
+
+    @cached_property
+    def undominated(self) -> tuple[int, ...]:
+        return _undominated(self.claimable_matrix, self.sure)
 
 
 def _row_masks(matrix: np.ndarray) -> tuple[int, ...]:
@@ -164,7 +172,20 @@ class CandidatePool:
 
 
 def _build_floor(within: np.ndarray, agree: np.ndarray, phi_num: int) -> _Floor:
-    """Claimable sets, claim caps and undominated candidates at one floor.
+    """Claimable sets and claim caps at one floor."""
+    n = within.shape[0]
+    sure = within & agree
+    n_sure = sure.sum(axis=1)
+    room = np.full(n, n) if phi_num == 0 else n_sure * (PHI_DENOM - phi_num) // phi_num
+    claimable = sure | (within & (room > 0)[:, None])
+    caps = np.minimum(claimable.sum(axis=1), n_sure + room)
+    return _Floor(
+        claimable=_row_masks(claimable), caps=tuple(caps.tolist()), claimable_matrix=claimable, sure=sure
+    )
+
+
+def _undominated(claimable: np.ndarray, sure: np.ndarray) -> tuple[int, ...]:
+    """The candidates no other candidate dominates, ascending.
 
     Candidate k dominates i when claimable_i lies inside ball_k & agree_k:
     k claims all of that at no cost to its fidelity row, so swapping i for
@@ -172,21 +193,12 @@ def _build_floor(within: np.ndarray, agree: np.ndarray, phi_num: int) -> _Floor:
     dominate each other only when both sets are the same all-agreeing set;
     of those the lowest index stays.
     """
-    n = within.shape[0]
-    sure = within & agree
-    n_sure = sure.sum(axis=1)
-    room = np.full(n, n) if phi_num == 0 else n_sure * (PHI_DENOM - phi_num) // phi_num
-    claimable = sure | (within & (room > 0)[:, None])
-    caps = np.minimum(claimable.sum(axis=1), n_sure + room)
+    n = claimable.shape[0]
     # dominated[i, k]: no point of claimable_i lies outside sure_k
     dominated = claimable.astype(np.int64) @ (~sure).T.astype(np.int64) == 0
     np.fill_diagonal(dominated, False)
     beaten = dominated & ~(dominated.T & np.triu(np.ones((n, n), dtype=bool), 1))
-    return _Floor(
-        claimable=_row_masks(claimable),
-        caps=tuple(caps.tolist()),
-        undominated=tuple(np.flatnonzero(~beaten.any(axis=1)).tolist()),
-    )
+    return tuple(np.flatnonzero(~beaten.any(axis=1)).tolist())
 
 
 def build_pool(dataset: Dataset, explainers, blackbox) -> CandidatePool:
@@ -405,7 +417,7 @@ def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> Aggr
     """Provably optimal solution by branch-and-bound on the selection variables.
 
     Depth-first binary branching over the floor's undominated candidates
-    (no optimum needs a dominated one, see _build_floor). Each node branches
+    (no optimum needs a dominated one, see _undominated). Each node branches
     on the remaining candidate with the largest capped gain, ties to the
     lowest index, and explores its 1-branch first; the 0-branch keeps its
     parent's gains less that entry, so only a 1-branch recomputes them.

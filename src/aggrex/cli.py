@@ -16,6 +16,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ from pathlib import Path
 from . import aggregate as agg
 from . import blackbox as bb
 from .data import Dataset, FeatureSchema, load_dataset, standardize, synth_multiclass, write_dataset
-from .explainer import LocalExplainer, train_local_explainer
+from .explainer import LocalExplainer, label_ball, train_local_explainer
 from .sampler import derive_seed
 from .tree import tree_from_lines, tree_to_lines, tree_to_rules
 
@@ -100,33 +101,52 @@ def _unknown_keys(cfg: dict, defaults: dict, prefix: str = "") -> list[str]:
     return out
 
 
+def _as(kind, value, name: str):
+    """kind(value), or a ConfigError naming the config key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+
+
+def _as_list(kind, value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return [_as(kind, v, name) for v in value]
+
+
 def validate_config(cfg: dict) -> None:
     unknown = _unknown_keys(cfg, DEFAULT_CONFIG)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    _as(int, cfg["seed"], "seed")
     a = cfg["aggregate"]
     if not a["budgets"]:
         raise ConfigError("aggregate.budgets must be non-empty")
-    if any(int(k) < 0 for k in a["budgets"]):
+    if any(k < 0 for k in _as_list(int, a["budgets"], "aggregate.budgets")):
         raise ConfigError("budgets must be nonnegative")
     if not a["floors"]:
         raise ConfigError("aggregate.floors must be non-empty")
-    if any(not (0.0 <= float(p) <= 1.0) for p in a["floors"]):
+    if any(not (0.0 <= p <= 1.0) for p in _as_list(float, a["floors"], "aggregate.floors")):
         raise ConfigError("every fidelity floor must lie in [0, 1]")
     if a["solver"] not in ("exact", "greedy", "both"):
         raise ConfigError(f"unknown solver {a['solver']!r}")
-    if int(cfg["blackbox"]["n_trees"]) < 1:
+    if _as(int, cfg["blackbox"]["n_trees"], "blackbox.n_trees") < 1:
         raise ConfigError("blackbox.n_trees must be at least 1")
-    if int(cfg["filter"]["max_bins"]) < 2:
+    if _as(int, cfg["filter"]["max_bins"], "filter.max_bins") < 2:
         raise ConfigError("filter.max_bins must be at least 2")
+    _as(float, cfg["filter"]["eps_mi"], "filter.eps_mi")
     if cfg["filter"]["variant"] not in ("filtered", "unfiltered", "both"):
         raise ConfigError(f"unknown filter variant {cfg['filter']['variant']!r}")
     if not cfg["sampler"]["radii"]:
         raise ConfigError("sampler.radii must be non-empty")
-    if any(float(r) < 0 for r in cfg["sampler"]["radii"]):
-        raise ConfigError("every sampler radius must be nonnegative")
+    radii = _as_list(float, cfg["sampler"]["radii"], "sampler.radii")
+    if any(not (math.isfinite(r) and r >= 0) for r in radii):
+        raise ConfigError("every sampler radius must be finite and nonnegative")
+    if a["radius"] is not None:
+        _as(float, a["radius"], "aggregate.radius")
     radius, filtered = _aggregated_slice(cfg)
-    if radius not in [float(r) for r in cfg["sampler"]["radii"]]:
+    if radius not in radii:
         raise ConfigError(f"aggregate.radius {radius} is not one of sampler.radii")
     if filtered not in _variants(cfg):
         kind = "filtered" if filtered else "unfiltered"
@@ -134,17 +154,23 @@ def validate_config(cfg: dict) -> None:
             f"aggregate.use_filtered wants {kind} explainers, which filter.variant "
             f"{cfg['filter']['variant']!r} does not train"
         )
-    if int(cfg["sampler"]["N"]) < 2:
+    if _as(int, cfg["sampler"]["N"], "sampler.N") < 2:
         raise ConfigError("sampler.N must be at least 2")
-    if int(cfg["explainer"]["min_leaf"]) < 1:
+    if _as(int, cfg["explainer"]["min_leaf"], "explainer.min_leaf") < 1:
         raise ConfigError("explainer.min_leaf must be at least 1")
-    if cfg["explainer"]["max_depth"] is not None and int(cfg["explainer"]["max_depth"]) < 0:
+    max_depth = cfg["explainer"]["max_depth"]
+    if max_depth is not None and _as(int, max_depth, "explainer.max_depth") < 0:
         raise ConfigError("explainer.max_depth must be nonnegative or null")
     ds = cfg["dataset"]
     if ds["path"] is None and ds.get("synth") is None:
         raise ConfigError("dataset needs either a path or a synth block")
     if ds["path"] is not None and ds.get("schema") is None:
         raise ConfigError("path datasets need dataset.schema = {m_cont, m_bin}")
+    block = "schema" if ds["path"] is not None else "synth"
+    for key in ("m_cont", "m_bin") if ds["path"] is not None else ("n", "m_cont", "m_bin", "classes"):
+        _as(int, ds[block].get(key), f"dataset.{block}.{key}")
+    if ds["path"] is None:
+        _as_list(int, ds["synth"].get("relevant"), "dataset.synth.relevant")
 
 
 def canonical_json(obj) -> str:
@@ -196,14 +222,17 @@ def prepare_dataset(cfg: dict) -> Dataset:
         data = load_dataset(ds["path"], schema)
     else:
         sy = ds["synth"]
-        data = synth_multiclass(
-            seed=int(cfg["seed"]),
-            n=int(sy["n"]),
-            m_cont=int(sy["m_cont"]),
-            m_bin=int(sy["m_bin"]),
-            classes=int(sy["classes"]),
-            relevant=tuple(sy["relevant"]),
-        )
+        try:
+            data = synth_multiclass(
+                seed=int(cfg["seed"]),
+                n=int(sy["n"]),
+                m_cont=int(sy["m_cont"]),
+                m_bin=int(sy["m_bin"]),
+                classes=int(sy["classes"]),
+                relevant=tuple(sy["relevant"]),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"dataset.synth: {exc}")
     if ds["standardize"]:
         data = standardize(data)
     return data
@@ -212,9 +241,9 @@ def prepare_dataset(cfg: dict) -> Dataset:
 # -- stages -------------------------------------------------------------------
 
 def cmd_train(cfg: dict) -> Path:
+    data = prepare_dataset(cfg)  # before the run directory, so a bad dataset block leaves none
     rd = run_dir_for(cfg)
     rd.mkdir(parents=True, exist_ok=True)
-    data = prepare_dataset(cfg)
     write_dataset(data, rd / "dataset_used.csv.tmp")
     os.replace(rd / "dataset_used.csv.tmp", rd / "dataset_used.csv")
     model = bb.train_bagged_forest(data, n_trees=int(cfg["blackbox"]["n_trees"]), seed=int(cfg["seed"]))
@@ -252,11 +281,13 @@ def cmd_explain(cfg: dict) -> Path:
     rd = run_dir_for(cfg)
     data = prepare_dataset(cfg)
     model = _load_model(rd, data)
+    max_depth = cfg["explainer"]["max_depth"]
     records = []
     rules = []
     for slot, radius in enumerate(cfg["sampler"]["radii"]):
         for i in range(data.n):
             seed = derive_seed(int(cfg["seed"]), i, slot)
+            ball = label_ball(model, data.X[i], float(radius), int(cfg["sampler"]["N"]), data.schema, seed)
             for filtered in _variants(cfg):
                 ex = train_local_explainer(
                     model,
@@ -268,9 +299,10 @@ def cmd_explain(cfg: dict) -> Path:
                     seed=seed,
                     schema=data.schema,
                     center_index=i,
-                    max_depth=cfg["explainer"]["max_depth"],
+                    max_depth=None if max_depth is None else int(max_depth),
                     min_leaf=int(cfg["explainer"]["min_leaf"]),
                     eps_mi=float(cfg["filter"]["eps_mi"]),
+                    ball=ball,
                 )
                 records.append(
                     {
@@ -308,28 +340,29 @@ def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
     bundle_path = rd / "explainers.json"
     if not bundle_path.exists():
         raise ConfigError(f"missing bundle {bundle_path}; run the explain stage first")
-    bundle = json.loads(bundle_path.read_text(encoding="utf-8"))
     radius, want_filtered = _aggregated_slice(cfg)
     picked: dict[int, LocalExplainer] = {}
-    for rec in bundle["explainers"]:
-        if rec["radius"] != radius or rec["filtered"] != want_filtered:
-            continue
-        try:
+    try:
+        for rec in json.loads(bundle_path.read_text(encoding="utf-8"))["explainers"]:
+            if rec["radius"] != radius or rec["filtered"] != want_filtered:
+                continue
             tree, consumed = tree_from_lines(rec["tree"])
             if consumed != len(rec["tree"]):
                 raise ValueError(f"{len(rec['tree']) - consumed} trailing records after the tree's last one")
-        except ValueError as exc:
-            raise ConfigError(f"corrupt tree record in {bundle_path}: {exc}")
-        i = int(rec["center_index"])
-        picked[i] = LocalExplainer(
-            center_index=i,
-            center=data.X[i],
-            radius=float(rec["radius"]),
-            selected_features=tuple(rec["selected_features"]),
-            tree=tree,
-            filtered=bool(rec["filtered"]),
-            train_fidelity=float(rec["train_fidelity"]),
-        )
+            i = int(rec["center_index"])
+            picked[i] = LocalExplainer(
+                center_index=i,
+                center=data.X[i],
+                radius=float(rec["radius"]),
+                selected_features=tuple(rec["selected_features"]),
+                tree=tree,
+                filtered=bool(rec["filtered"]),
+                train_fidelity=float(rec["train_fidelity"]),
+            )
+    except KeyError as exc:
+        raise ConfigError(f"corrupt bundle {bundle_path}: missing field {exc}")
+    except (ValueError, TypeError, IndexError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"corrupt bundle {bundle_path}: {exc}")
     if len(picked) != data.n:
         raise ConfigError(
             f"bundle holds {len(picked)} explainers for radius {radius} "

@@ -7,6 +7,11 @@ labels. The tree's leaf count is the complexity measure; train fidelity is
 the fraction of samples where surrogate and black box agree, counted by
 the fit itself (each leaf's majority count) rather than by routing the
 samples through the tree again.
+
+A ball is sampled, labelled and its labels encoded once (`label_ball`);
+the filtered and the unfiltered surrogate of one (center, radius, seed)
+train on that same `LabelledBall`, which is exactly what each would draw
+on its own from the same seed.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .data import FeatureSchema
 from .infofilter import EPS_MI, MIN_CELL, select_informative_features
-from .sampler import sample_ball
+from .sampler import SampleSet, sample_ball
 from .tree import DecisionTree, tree_fit
 
 DEFAULT_MAX_DEPTH = 12
@@ -45,6 +50,23 @@ class LocalExplainer:
         return self.tree.leaf_count
 
 
+@dataclass(frozen=True)
+class LabelledBall:
+    """Ball samples with their black-box labels, encoded once for every fit on them."""
+
+    samples: SampleSet
+    classes: np.ndarray  # the distinct labels, ascending
+    codes: np.ndarray  # each sample's index into classes
+
+
+def label_ball(blackbox, center, r: float, N: int, schema: FeatureSchema, seed: int) -> LabelledBall:
+    """Draw N points from the ball around center and label them with the black box."""
+    samples = sample_ball(center, r, N, schema, seed)
+    labels = blackbox.predict_batch(samples.points)
+    classes, codes = np.unique(np.asarray(labels, dtype=int), return_inverse=True)
+    return LabelledBall(samples, classes, codes)
+
+
 def train_local_explainer(
     blackbox,
     center,
@@ -60,37 +82,44 @@ def train_local_explainer(
     eps_mi: float = EPS_MI,
     min_cell: int = MIN_CELL,
     max_features: int | None = None,
+    ball: LabelledBall | None = None,
 ) -> LocalExplainer:
     """Sample, label, filter, fit. Deterministic given the seed.
 
-    An empty filter result falls back to the unique zero-feature model: a
-    single majority-label leaf.
+    `ball` is the labelled sample to train on; when None it is drawn here,
+    as `label_ball(blackbox, center, r, N, schema, seed)`. An empty filter
+    result falls back to the unique zero-feature model: a single
+    majority-label leaf.
     """
     if schema is None:
         raise ValueError("schema is required")
     if N < 2:
         raise ValueError("need at least 2 samples")
-    samples = sample_ball(center, r, N, schema, seed)
-    labels = blackbox.predict_batch(samples.points)
+    if ball is None:
+        ball = label_ball(blackbox, center, r, N, schema, seed)
+    samples, classes, codes = ball.samples, ball.classes, ball.codes
     if filtered:
         features = select_informative_features(
             samples,
-            labels,
+            codes,
             schema,
             max_bins=max_bins,
             eps_mi=eps_mi,
             min_cell=min_cell,
             max_features=max_features,
+            n_labels=classes.size,
         )
     else:
         features = tuple(range(schema.count))
     if features:
-        tree, agree = tree_fit(samples.points, labels, features, max_depth=max_depth, min_leaf=min_leaf)
+        tree, agree = tree_fit(
+            samples.points, codes, features, max_depth=max_depth, min_leaf=min_leaf, classes=classes
+        )
     else:
-        values, counts = np.unique(labels, return_counts=True)
-        tree = DecisionTree.leaf(int(values[np.argmax(counts)]))  # ties -> smaller label
+        counts = np.bincount(codes)
+        tree = DecisionTree.leaf(int(classes[np.argmax(counts)]))  # ties -> smaller label
         agree = int(counts.max())
-    fidelity = agree / labels.size
+    fidelity = agree / codes.size
     return LocalExplainer(
         center_index=int(center_index),
         center=np.asarray(center, dtype=float),

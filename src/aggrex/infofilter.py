@@ -27,11 +27,17 @@ scores above a small positive threshold (a plug-in estimate is almost
 never exactly zero in floating point) or when every leaf has been dropped.
 Cells smaller than 2 samples are dropped at each split: singletons carry
 zero empirical information and would otherwise keep the recursion alive.
+
+The labels are encoded once per selection, not per round, and the
+partition is held flat (member indices grouped by leaf, plus leaf sizes),
+so a re-split is one stable argsort by (leaf, bin), one bincount of the
+cell sizes and one keep-mask over the sorted members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,25 +74,37 @@ class BinAssignment:
         return self.assignment.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionLeaves:
-    """Disjoint sample-index sets conditioning the MI estimate."""
+    """Disjoint sample-index sets conditioning the MI estimate, held flat.
 
-    leaves: tuple[np.ndarray, ...]
+    `members` lists every leaf's sample indices, leaf after leaf, and
+    `sizes` gives each leaf's length, so leaf k is
+    members[sum(sizes[:k]) : sum(sizes[:k + 1])].
+    """
+
+    members: np.ndarray
+    sizes: np.ndarray
 
     @staticmethod
     def whole(n: int) -> "PartitionLeaves":
-        return PartitionLeaves((np.arange(n),))
+        return PartitionLeaves(np.arange(n), np.array([n]))
+
+    @cached_property
+    def leaf_of(self) -> np.ndarray:
+        """Each member's leaf number."""
+        return np.repeat(np.arange(self.sizes.size), self.sizes)
 
     def __len__(self) -> int:
-        return len(self.leaves)
+        return self.sizes.size
 
     def __iter__(self):
-        return iter(self.leaves)
+        ends = np.cumsum(self.sizes).tolist()
+        return (self.members[end - size : end] for end, size in zip(ends, self.sizes.tolist()))
 
     @property
     def empty(self) -> bool:
-        return len(self.leaves) == 0
+        return self.sizes.size == 0
 
 
 @dataclass(frozen=True)
@@ -149,15 +167,12 @@ def build_histograms(samples: SampleSet, schema: FeatureSchema, max_bins: int = 
     return BinAssignment(edges=tuple(edges), n_bins=tuple(n_bins), assignment=assignment)
 
 
-def _encode_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
+def _encode_labels(labels: np.ndarray, n_labels: int | None = None) -> tuple[np.ndarray, int]:
+    """The labels as codes 0..C-1, and C; labels already encoded (n_labels given) pass through."""
+    if n_labels is not None:
+        return np.asarray(labels), n_labels
     classes, codes = np.unique(np.asarray(labels, dtype=int), return_inverse=True)
     return codes, classes.size
-
-
-def _flatten(leaves: PartitionLeaves) -> tuple[np.ndarray, np.ndarray]:
-    """All leaf members concatenated in leaf order, and each member's leaf number."""
-    sizes = [leaf.size for leaf in leaves]
-    return np.concatenate(leaves.leaves), np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
 
 
 def _cmi_scores(
@@ -184,8 +199,7 @@ def _cmi_scores(
         return np.zeros(n_feat)
     n_leaves = len(leaves)
     width = max(bins.n_bins)
-    members, leaf_of = _flatten(leaves)
-    sizes = np.bincount(leaf_of, minlength=n_leaves)
+    members, leaf_of, sizes = leaves.members, leaves.leaf_of, leaves.sizes
     member_labels = y_codes[members]
     cells = n_leaves * width * n_labels
     joint = np.empty((n_feat, cells))
@@ -231,16 +245,13 @@ def bin_partition(
     if leaves.empty:
         return leaves
     nb = bins.n_bins[feature]
-    members, leaf_of = _flatten(leaves)
     # A stable sort by (leaf, bin) lists the cells in leaf-then-bin order
     # and keeps each cell's samples in their order within the leaf.
-    key = leaf_of * nb + bins.assignment[members, feature]
-    ordered = members[np.argsort(key, kind="stable")]
+    key = leaves.leaf_of * nb + bins.assignment[leaves.members, feature]
     counts = np.bincount(key, minlength=len(leaves) * nb)
-    ends = np.cumsum(counts).tolist()
-    return PartitionLeaves(
-        tuple(ordered[end - c : end] for end, c in zip(ends, counts.tolist()) if c >= min_cell)
-    )
+    keep = counts >= min_cell
+    members = leaves.members[np.argsort(key, kind="stable")]
+    return PartitionLeaves(members[np.repeat(keep, counts)], counts[keep])
 
 
 def select_feature(
@@ -249,17 +260,19 @@ def select_feature(
     labels: np.ndarray,
     eps_mi: float = EPS_MI,
     min_cell: int = MIN_CELL,
+    n_labels: int | None = None,
 ) -> SelectionState:
     """One forward-selection round.
 
     Scores every unselected feature; if the best score clears eps_mi, moves
     the argmax (ties to the lowest index) into the selected list and
     re-partitions the leaves, else empties the unselected set as the
-    termination signal, leaving selection and leaves untouched.
+    termination signal, leaving selection and leaves untouched. With
+    n_labels given, labels are already codes 0..n_labels-1.
     """
     if not state.unselected:
         raise ValueError("no unselected features left")
-    y_codes, n_labels = _encode_labels(labels)
+    y_codes, n_labels = _encode_labels(labels, n_labels)
     values = _cmi_scores(state.unselected, y_codes, n_labels, state.leaves, bins)
     scores = {f: float(v) for f, v in zip(state.unselected, values)}
     pick = int(np.argmax(values))  # first maximum: ties keep the lowest feature index
@@ -289,22 +302,31 @@ def forward_select(
     eps_mi: float = EPS_MI,
     min_cell: int = MIN_CELL,
     max_features: int | None = None,
+    n_labels: int | None = None,
 ) -> SelectionState:
-    """Run selection rounds until no features remain, leaves empty, or the cap is hit."""
+    """Run selection rounds until no features remain, leaves empty, or the cap is hit.
+
+    The labels are encoded once, here, not once per round.
+    """
+    y_codes, n_labels = _encode_labels(labels, n_labels)
     while state.unselected and not state.leaves.empty:
         if max_features is not None and len(state.selected) >= max_features:
             break
-        state = select_feature(state, bins, labels, eps_mi=eps_mi, min_cell=min_cell)
+        state = select_feature(state, bins, y_codes, eps_mi=eps_mi, min_cell=min_cell, n_labels=n_labels)
     return state
 
 
-def _forward_selection(samples, labels, schema, max_bins, eps_mi, min_cell, max_features) -> SelectionState:
+def _forward_selection(
+    samples, labels, schema, max_bins, eps_mi, min_cell, max_features, n_labels=None
+) -> SelectionState:
     labels = np.asarray(labels, dtype=int)
     if labels.shape[0] != samples.count:
         raise ValueError("labels and samples must align")
     bins = build_histograms(samples, schema, max_bins=max_bins)
     state = SelectionState.fresh(schema.count, samples.count)
-    return forward_select(state, bins, labels, eps_mi=eps_mi, min_cell=min_cell, max_features=max_features)
+    return forward_select(
+        state, bins, labels, eps_mi=eps_mi, min_cell=min_cell, max_features=max_features, n_labels=n_labels
+    )
 
 
 def select_informative_features(
@@ -315,9 +337,14 @@ def select_informative_features(
     eps_mi: float = EPS_MI,
     min_cell: int = MIN_CELL,
     max_features: int | None = None,
+    n_labels: int | None = None,
 ) -> tuple[int, ...]:
-    """Histogram the samples, then forward-select features by conditional MI."""
-    return _forward_selection(samples, labels, schema, max_bins, eps_mi, min_cell, max_features).selected
+    """Histogram the samples, then forward-select features by conditional MI.
+
+    With n_labels given, labels are already codes 0..n_labels-1 (a caller
+    that fits several models on one labelled sample encodes it once).
+    """
+    return _forward_selection(samples, labels, schema, max_bins, eps_mi, min_cell, max_features, n_labels).selected
 
 
 def selection_trace(

@@ -8,23 +8,27 @@ which lets the tree represent parity-style targets no single split can
 improve on.
 
 A fit sorts once, as SLIQ and SPRINT do: each selected column is
-stable-argsorted at the root, and every node holds three (F, n) arrays,
-each column's rows, values and label codes in ascending value order. A
-split partitions them with one boolean mask (a row goes left exactly when
-its position in the chosen column is at or before the cut); boolean
-indexing keeps order, so each child's columns arrive sorted and no node
-sorts again.
+stable-argsorted at the root, and every node holds two (F, n) arrays,
+each column's rows and values in ascending value order. A split
+partitions them with one boolean mask (a row goes left exactly when its
+position in the chosen column is at or before the cut); boolean indexing
+keeps order, so each child's columns arrive sorted and no node sorts
+again.
 
 Each node scores every valid cut of every column in one pass. A cut is
 valid where the value strictly increases and both sides keep min_leaf
 rows; only valid cuts are scored. Class counts left of each cut come from
-an integer cumulative sum over one-hot label codes, and are exact when cast
-to float in the Gini formula. The cuts are listed feature-major in
-ascending value order, so argmax's first maximum is exactly the (lower
-feature, lower threshold) tie order. The chosen cut's left counts become
-the left child's counts, and the parent's counts minus them the right
-child's, so no node counts its labels again. The fit also sums each leaf's
-majority count: the number of training rows the tree predicts correctly.
+an integer cumulative sum over one-hot label rows, gathered by the node's
+rows from one (N, C) table made per fit, and are exact when cast to float
+in the Gini formula. The cuts are listed feature-major in ascending value
+order, so argmax's first maximum is exactly the (lower feature, lower
+threshold) tie order. The chosen cut's left counts become the left
+child's counts, and the parent's counts minus them the right child's, so
+no node counts its labels again; likewise each child takes its Gini from
+the chosen cut (the same float a recount gives, as the sums run over the
+same C terms in the same order), and only the root computes its own. The
+fit also sums each leaf's majority count: the number of training rows the
+tree predicts correctly.
 
 A threshold is the midpoint between the values either side of the cut,
 unless the midpoint rounds onto the upper value (neighbouring floats) or
@@ -117,8 +121,8 @@ def route(tree: DecisionTree, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return node.reshape(len(roots), n_rows)
 
 
-def _best_split(xs: np.ndarray, codes: np.ndarray, eye: np.ndarray, min_leaf: int, parent_gini: float):
-    """Best (gain, column, cut, left class counts) over a node's presorted (F, n) columns.
+def _best_split(order: np.ndarray, xs: np.ndarray, onehot: np.ndarray, min_leaf: int, parent_gini: float):
+    """Best (gain, column, cut, left class counts, left Gini, right Gini) over a node's presorted columns.
 
     Cut i lies between sorted positions i and i+1 of a column. It is valid
     where the value strictly increases and both sides keep min_leaf points;
@@ -132,7 +136,7 @@ def _best_split(xs: np.ndarray, codes: np.ndarray, eye: np.ndarray, min_leaf: in
     if not col.size:
         return None
     cut += lo
-    cum = eye[codes]  # (F, n, C) one-hot rows, summed in place into integer class counts
+    cum = onehot[order]  # (F, n, C) one-hot rows, summed in place into integer class counts
     cum.cumsum(axis=1, out=cum)
     left = cum[col, cut]  # (k, C): the class counts left of each valid cut
     right = cum[0, -1] - left
@@ -142,7 +146,9 @@ def _best_split(xs: np.ndarray, codes: np.ndarray, eye: np.ndarray, min_leaf: in
     gini_r = 1.0 - ((right / right_n[:, None]) ** 2).sum(axis=1)
     gain = parent_gini - (left_n * gini_l + right_n * gini_r) / n
     best = int(gain.argmax())  # the first maximum: lowest column, then lowest cut
-    return float(gain[best]), int(col[best]), int(cut[best]), left[best].tolist()
+    return (
+        float(gain[best]), int(col[best]), int(cut[best]), left[best].tolist(), float(gini_l[best]), float(gini_r[best])
+    )
 
 
 def tree_fit(
@@ -151,12 +157,15 @@ def tree_fit(
     features,
     max_depth: int | None = 12,
     min_leaf: int = 2,
+    classes: np.ndarray | None = None,
 ) -> tuple[DecisionTree, int]:
     """Fit a Gini decision tree on X[:, features] vs integer labels y.
 
-    Returns (tree, agree), where agree is the number of training rows
-    whose label is their leaf's majority label: the rows the tree
-    predicts correctly, summed as the leaves are made.
+    With classes given (sorted distinct labels), y already holds each
+    row's index into it and is not encoded again. Returns (tree, agree),
+    where agree is the number of training rows whose label is their
+    leaf's majority label: the rows the tree predicts correctly, summed
+    as the leaves are made.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -166,17 +175,20 @@ def tree_fit(
     if not features:
         raise ValueError("feature subset must be non-empty")
     cols = X[:, features].T
-    classes, y_codes = np.unique(y, return_inverse=True)
-    labels = classes.tolist()
-    eye = np.eye(len(labels), dtype=np.int64)
+    if classes is None:
+        classes, y_codes = np.unique(y, return_inverse=True)
+    else:
+        y_codes = y
+    labels = np.asarray(classes).tolist()
+    onehot = np.eye(len(labels), dtype=np.int32)[y_codes]  # (N, C): row i is the one-hot of y[i]
     n_cols = len(features)
     nodes: list[list] = []  # [feature, threshold, label, right] in pre-order
     is_left = np.empty(X.shape[0], dtype=bool)  # reused by every split: each row's side of it
     agree = 0
 
-    def build(order: np.ndarray, xs: np.ndarray, codes: np.ndarray, counts: list[int], depth: int) -> None:
-        # order, xs and codes are (F, n): each column's rows, values and
-        # label codes in ascending value order; counts is per class.
+    def build(order: np.ndarray, xs: np.ndarray, counts: list[int], gini: float, depth: int) -> None:
+        # order and xs are (F, n): each column's rows and values in
+        # ascending value order; counts is per class, gini is the node's.
         nonlocal agree
         n_here = order.shape[1]
         top = max(counts)
@@ -185,12 +197,11 @@ def tree_fit(
         if top == n_here or (max_depth is not None and depth >= max_depth) or n_here < 2 * min_leaf:
             agree += top
             return  # pure, at the depth limit, or too small to split
-        gini = 1.0 - float(((np.array(counts) / n_here) ** 2).sum())
-        best = _best_split(xs, codes, eye, min_leaf, gini)
+        best = _best_split(order, xs, onehot, min_leaf, gini)
         if best is None or best[0] < -1e-12:  # zero-gain splits allowed, rounding noise too
             agree += top
             return
-        _, col, cut, left_counts = best
+        _, col, cut, left_counts, gini_left, gini_right = best
         below, above = xs[col, cut : cut + 2].tolist()
         threshold = (below + above) / 2.0
         if not below <= threshold < above:  # the midpoint rounded onto the upper value, or overflowed
@@ -200,14 +211,16 @@ def tree_fit(
         # boolean indexing keeps each column's order, so both children stay sorted.
         is_left[order[col]] = np.arange(n_here) <= cut
         go = is_left[order]
-        build(*(a[go].reshape(n_cols, -1) for a in (order, xs, codes)), left_counts, depth + 1)
+        build(order[go].reshape(n_cols, -1), xs[go].reshape(n_cols, -1), left_counts, gini_left, depth + 1)
         node[3] = len(nodes)
         go = ~go
         right_counts = [c - c_left for c, c_left in zip(counts, left_counts)]
-        build(*(a[go].reshape(n_cols, -1) for a in (order, xs, codes)), right_counts, depth + 1)
+        build(order[go].reshape(n_cols, -1), xs[go].reshape(n_cols, -1), right_counts, gini_right, depth + 1)
 
     order = cols.argsort(axis=1, kind="stable")
-    build(order, np.take_along_axis(cols, order, axis=1), y_codes[order], np.bincount(y_codes).tolist(), 0)
+    counts = np.bincount(y_codes, minlength=len(labels))
+    gini = 1.0 - float(((counts / X.shape[0]) ** 2).sum())  # every other node inherits its Gini from its parent's cut
+    build(order, np.take_along_axis(cols, order, axis=1), counts.tolist(), gini, 0)
     return DecisionTree(*zip(*nodes)), agree
 
 

@@ -4,12 +4,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aggrex import aggregate
 from aggrex.aggregate import (
     PHI_DENOM,
     AggregateSolution,
@@ -825,6 +827,70 @@ class TestBoundedSearch:
             assert evals <= want_evals
         assert sol.selected == want[-1][0]
         assert sol.nodes_explored <= (want[budget][3] if budget < len(want) else want_stall)
+
+    @settings(max_examples=40, deadline=None)
+    @given(search_pools, st.integers(1, 6))
+    def test_dominance_waits_for_the_first_exact_solve(self, pool, budget):
+        # greedy never reads the undominated candidates, so a greedy-only
+        # pool never runs the n x n dominance product; the first exact solve
+        # at a floor runs it once, and solves as on a fresh pool
+        fresh = CandidatePool(radii=pool.radii, within=pool.within, agree=pool.agree)
+        want = {f: [solution_bytes(solve_exact(fresh, k, f)) for k in (budget, budget + 1)] for f in FLOORS}
+        with mock.patch.object(aggregate, "_undominated", wraps=aggregate._undominated) as dominance:
+            for floor in FLOORS:
+                solve_greedy(pool, budget, floor)
+            assert dominance.call_count == 0
+            for calls, floor in enumerate(FLOORS, start=1):
+                assert [solution_bytes(solve_exact(pool, k, floor)) for k in (budget, budget + 1)] == want[floor]
+                assert dominance.call_count == calls
+
+
+MUTATIONS = ["claim-out-of-ball", "unselected-claim", "broken-fidelity-row", "over-budget", "duplicate-selection"]
+
+
+def mutate(pool, budget, floor, sol, kind):
+    """A copy of a verified solution with one fault, the budget to check it at, and the fault's word."""
+    sol = dataclasses.replace(sol, z_assignment=dict(sol.z_assignment))
+    selected = sorted(sol.selected)
+    if kind == "claim-out-of-ball":
+        outside = [(i, j) for i in selected for j in range(pool.n) if not pool.within[i, j]]
+        if not outside:
+            return None
+        i, j = outside[0]
+        sol.z_assignment[i] = tuple(sol.z_assignment.get(i, ())) + (j,)
+        return sol, budget, "radius"
+    if kind == "unselected-claim":
+        unselected = [k for k in range(pool.n) if k not in sol.selected]
+        if not unselected:
+            return None
+        sol.z_assignment[unselected[0]] = (unselected[0],)
+        return sol, budget, "unselected"
+    if kind == "broken-fidelity-row":
+        rows = [(i, np.flatnonzero(pool.within[i] & ~pool.agree[i])) for i in selected]
+        rows = [(i, js) for i, js in rows if js.size]
+        if floor == 0.0 or not rows:
+            return None
+        i, js = rows[0]
+        sol.z_assignment[i] = tuple(js.tolist())  # disagreeing claims only: the row goes negative
+        return sol, budget, "fidelity"
+    if not selected:
+        return None
+    if kind == "over-budget":
+        return sol, len(selected) - 1, "budget"
+    sol.selected = tuple(sol.selected) + (selected[0],)
+    return sol, budget, "duplicates"
+
+
+class TestVerifierSoundness:
+    @settings(max_examples=50, deadline=None)
+    @given(search_pools, st.sampled_from(FLOORS), st.integers(1, 5), st.sampled_from(MUTATIONS), st.booleans())
+    def test_every_mutation_of_a_verified_solution_is_reported(self, pool, floor, budget, kind, exact):
+        sol = (solve_exact if exact else solve_greedy)(pool, budget, floor)
+        assert verify_solution(pool, budget, floor, sol) == []
+        mutated = mutate(pool, budget, floor, sol, kind)
+        assume(mutated is not None)
+        bad, at_budget, word = mutated
+        assert any(word in v for v in verify_solution(pool, at_budget, floor, bad))
 
 
 class TestFrozenPool:

@@ -104,6 +104,46 @@ class TestConfig:
         assert "config error" in err and match in err
         assert not list(tmp_path.rglob("run-*"))
 
+    @pytest.mark.parametrize(
+        "extra, match",
+        [
+            ({"sampler": {"N": "abc"}}, "sampler.N"),
+            ({"blackbox": {"n_trees": None}}, "blackbox.n_trees"),
+            ({"filter": {"max_bins": [3]}}, "filter.max_bins"),
+            ({"aggregate": {"budgets": [1, "two"]}}, "aggregate.budgets"),
+            ({"aggregate": {"budgets": 3}}, "aggregate.budgets"),
+            ({"aggregate": {"floors": [0.5, {}]}}, "aggregate.floors"),
+            ({"sampler": {"radii": ["wide"]}}, "sampler.radii"),
+            ({"sampler": {"N": 1e400}}, "sampler.N"),
+            ({"dataset": {"synth": {"n": 16, "m_cont": 2, "m_bin": 2, "classes": 3, "relevant": ["a"]}}},
+             "dataset.synth.relevant"),
+            ({"dataset": {"synth": {"n": 16, "m_cont": 2, "m_bin": 2, "classes": 3, "relevant": [9]}}},
+             "relevant indices out of range"),
+            ({"sampler": {"radii": [float("nan")]}}, "radius"),
+        ],
+        ids=["N-text", "n-trees-null", "max-bins-list", "budget-text", "budgets-scalar", "floor-object",
+             "radius-text", "N-infinite", "relevant-text", "relevant-out-of-range", "radius-nan"],
+    )
+    def test_non_numeric_value_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, match):
+        out_dir = tmp_path / "runs"
+        path = write_config(tmp_path, small_config(out_dir, **extra))
+        assert main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+        assert not list(tmp_path.rglob("run-*"))
+
+    def test_numeric_text_runs_as_its_number(self, tmp_path):
+        # values given as numeric text are converted where they are used,
+        # max_depth included, and give the same run as the numbers
+        text = small_config(tmp_path / "text", sampler={"N": "200"}, explainer={"max_depth": "4"})
+        plain = small_config(tmp_path / "plain", explainer={"max_depth": 4})
+        outputs = []
+        for name, cfg in (("text", text), ("plain", plain)):
+            path = write_config(tmp_path, cfg, f"{name}.json")
+            assert main(["sweep", "--config", str(path)]) == 0
+            outputs.append((run_dir_for(load_config(str(path), {})) / "explainers.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestTrainStage:
     def test_model_file_reloadable_and_identical(self, tmp_path):
@@ -348,6 +388,29 @@ class TestCorruptInputs:
         assert main(["aggregate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "explainers.json" in err and "truncated" in err
+
+    def test_truncated_bundle_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
+        text = bundle_path.read_text()
+        bundle_path.write_text(text[: len(text) // 2])
+        capsys.readouterr()
+        assert main(["aggregate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "explainers.json" in err
+
+    def test_bundle_record_without_train_fidelity_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
+        bundle = json.loads(bundle_path.read_text())
+        del bundle["explainers"][3]["train_fidelity"]
+        bundle_path.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["aggregate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "explainers.json" in err and "train_fidelity" in err
 
     @pytest.mark.parametrize("stage", ["explain", "aggregate"])
     def test_model_wider_than_dataset_exits_2(self, tmp_path, capsys, stage):

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from aggrex.blackbox import table_oracle, train_bagged_forest
 from aggrex.data import FeatureSchema, synth_multiclass
-from aggrex.explainer import local_fidelity, train_local_explainer
+from aggrex.explainer import label_ball, local_fidelity, train_local_explainer
+from aggrex.infofilter import select_informative_features
 from aggrex.sampler import sample_ball
-from aggrex.tree import tree_to_lines
+from aggrex.tree import tree_fit, tree_to_lines
 
 
 class ConstantBox:
@@ -115,6 +116,37 @@ class TestTrainLocalExplainer:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             train_local_explainer(ConstantBox(), CENTER, 1.0, 1, schema=SCHEMA, seed=0)
+
+
+def separately_trained(box, center, r, N, seed, filtered):
+    """The explainer's stages run on their own: raw labels, each stage encoding them itself."""
+    samples = sample_ball(center, r, N, SCHEMA, seed)
+    labels = box.predict_batch(samples.points)
+    features = select_informative_features(samples, labels, SCHEMA) if filtered else tuple(range(SCHEMA.count))
+    if not features:
+        values, counts = np.unique(labels, return_counts=True)
+        return (), [f"node 0 leaf {int(values[np.argmax(counts)])}"], int(counts.max()) / N
+    tree, agree = tree_fit(samples.points, labels, features)
+    return features, tree_to_lines(tree), agree / N
+
+
+class TestSharedBall:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["random", "indicator", "constant"]),
+        st.integers(1, 6),
+        st.integers(2, 150),
+        st.sampled_from([0.5, 1.5, 3.0]),
+    )
+    def test_one_ball_gives_the_separately_trained_explainers(self, seed, kind, n_labels, N, r):
+        boxes = {"random": RandomLabelBox(seed, n_labels), "indicator": FeatureIndicatorBox(3), "constant": ConstantBox()}
+        box = boxes[kind]
+        ball = label_ball(box, CENTER, r, N, SCHEMA, seed)
+        for filtered in (True, False):
+            ex = train_local_explainer(box, CENTER, r, N, schema=SCHEMA, seed=seed, filtered=filtered, ball=ball)
+            got = ex.selected_features, tree_to_lines(ex.tree), ex.train_fidelity
+            assert got == separately_trained(box, CENTER, r, N, seed, filtered)
 
 
 class TestLocalFidelity:

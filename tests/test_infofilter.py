@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggrex import infofilter
 from aggrex.data import FeatureSchema
@@ -62,7 +64,8 @@ def random_leaves(rng, n):
     kept = perm[: int(rng.integers(max(2, n // 2), n + 1))]
     n_leaves = int(rng.integers(1, 4))
     chunks = np.array_split(kept, n_leaves)
-    return PartitionLeaves(tuple(c for c in chunks if c.size))
+    chunks = [c for c in chunks if c.size]
+    return PartitionLeaves(np.concatenate(chunks), np.array([c.size for c in chunks]))
 
 
 class TestEstimatorOracle:
@@ -229,6 +232,30 @@ class TestBinPartition:
             want = [cell.tolist() for cell in want if cell.size >= min_cell]
             got = bin_partition(bins, leaves, 1, min_cell=min_cell)
             assert [cell.tolist() for cell in got] == want
+
+
+def tuple_of_leaves_partition(bins, leaves, feature, min_cell):
+    """The per-leaf partition the flat one replaced: each leaf's cells in bin order, one tuple."""
+    cells = (leaf[bins.assignment[leaf, feature] == b] for leaf in leaves for b in range(bins.n_bins[feature]))
+    return tuple(cell for cell in cells if cell.size >= min_cell)
+
+
+class TestFlatPartition:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 80), st.integers(1, 5), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_rounds_give_the_tuple_of_leaves_cells_in_order(self, n, m, min_cell, seed):
+        # every feature in turn, each round fed the last round's partition,
+        # empty cells kept when min_cell is 0
+        rng = np.random.default_rng(seed)
+        bins = random_bins(rng, n, m, max_bins=4)
+        flat = random_leaves(rng, n)
+        want = tuple(flat)
+        for feature in rng.permutation(m).tolist():
+            flat = bin_partition(bins, flat, feature, min_cell=min_cell)
+            want = tuple_of_leaves_partition(bins, want, feature, min_cell)
+            assert [cell.tolist() for cell in flat] == [cell.tolist() for cell in want]
+            assert len(flat) == len(want) and flat.empty == (not want)
+            assert flat.leaf_of.tolist() == [k for k, cell in enumerate(want) for _ in cell]
 
 
 class TestSelection:

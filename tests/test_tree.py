@@ -2,10 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aggrex.tree import ROOT, DecisionTree, route, stack_trees, tree_fit, tree_from_lines, tree_to_lines, tree_to_rules
+from aggrex.tree import (
+    ROOT,
+    DecisionTree,
+    _best_split,
+    route,
+    stack_trees,
+    tree_fit,
+    tree_from_lines,
+    tree_to_lines,
+    tree_to_rules,
+)
 
 
 def predictions(tree, X):
@@ -222,6 +232,35 @@ class TestWholeNodeSplitSearch:
             y = rng.integers(0, n_classes, size=300)
             got, _ = tree_fit(X, y, range(5), max_depth=12, min_leaf=2)
             assert tree_to_lines(got) == reference_tree_fit(X, y, range(5), 12, 2)
+
+
+def recounted_gini(counts, n):
+    return 1.0 - float(((np.array(counts) / n) ** 2).sum())
+
+
+class TestInheritedGini:
+    """A child's Gini comes from its parent's chosen cut, bit for bit what a recount gives.
+
+    numpy sums 8 or more terms pairwise, so C = 8 and 9 run a second
+    summation order.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 9), st.integers(2, 60), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_child_gini_equals_a_recount(self, n_classes, n, n_cols, min_leaf, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, n_classes, size=n)
+        cols = rng.integers(0, 8, size=(n_cols, n)) * 0.25
+        order = cols.argsort(axis=1, kind="stable")
+        xs = np.take_along_axis(cols, order, axis=1)
+        onehot = np.eye(n_classes, dtype=np.int32)[y]
+        best = _best_split(order, xs, onehot, min_leaf, recounted_gini(np.bincount(y, minlength=n_classes), n))
+        assume(best is not None)
+        _, _, cut, left_counts, gini_left, gini_right = best
+        right_counts = (np.bincount(y, minlength=n_classes) - left_counts).tolist()
+        assert len(left_counts) == n_classes
+        assert gini_left == recounted_gini(left_counts, cut + 1)
+        assert gini_right == recounted_gini(right_counts, n - cut - 1)
 
 
 class TestAdjacentValues:
