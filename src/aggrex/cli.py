@@ -102,9 +102,16 @@ def _unknown_keys(cfg: dict, defaults: dict, prefix: str = "") -> list[str]:
 
 
 def _as(kind, value, name: str):
-    """kind(value), or a ConfigError naming the config key."""
+    """kind(value), or a ConfigError naming the config key.
+
+    An integer key rejects a fractional number rather than truncate it, so
+    that a config runs only as the values it states.
+    """
     try:
-        return kind(value)
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError
+        return out
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
 

@@ -39,8 +39,10 @@ positional partition agree and both children are non-empty.
 A tree is four read-only node arrays in pre-order, as in scikit-learn's
 `Tree`: `feature` (-1 at a leaf), `threshold`, `label` (-1 at a split) and
 `right`, a split's right child (a split's left child is the next node).
-`route` moves only the rows still at a split, one level per step, from any
-set of roots, so a forest concatenated by `stack_trees` routes in one loop.
+`route` moves only the rows still at a split, one level per step, so its
+temporaries span one tree's rows. A forest does not route: `stack_trees`
+concatenates its trees' arrays as the input of the compiled forest in
+`blackbox`, which finds every tree's exit leaf without walking the levels.
 
 Trees serialize to a line-oriented text grammar, one pre-order record per
 line: `node <id> split <feature> <threshold>` | `node <id> leaf <label>`.
@@ -54,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _DTYPES = {"feature": np.int64, "threshold": np.float64, "label": np.int64, "right": np.int64}
-ROOT = np.zeros(1, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +91,7 @@ class DecisionTree:
         return int(self.predict_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.label[route(self, np.asarray(X, dtype=float), ROOT)[0]]
+        return self.label[route(self, np.asarray(X, dtype=float))]
 
 
 def stack_trees(trees) -> tuple[DecisionTree, np.ndarray]:
@@ -102,23 +103,26 @@ def stack_trees(trees) -> tuple[DecisionTree, np.ndarray]:
     return DecisionTree(feature, threshold, label, right), roots
 
 
-def route(tree: DecisionTree, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Leaf reached by every row of X from every root: shape (len(roots), n_rows).
+def route(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
+    """Leaf node reached by each row of X.
 
-    Each step moves every (root, row) pair still at a split one level
-    down (left when the value is <= the threshold) and drops the pairs
+    Each step moves every row still at a split one level down (left when
+    the value is <= the threshold, so NaN goes right) and drops the rows
     that reached a leaf, so the loop runs once per level of the deepest
     path taken.
     """
-    n_rows = X.shape[0]
-    node = np.repeat(roots, n_rows)  # pair k is (root k // n_rows, row k % n_rows)
+    width = X.shape[1]
+    if tree.feature.max() >= width:  # flat indexing would read the next row's values
+        raise ValueError(f"rows have {width} features, tree splits on feature {tree.feature.max()}")
+    flat = X.ravel()  # row i's feature f is flat[i * width + f]
+    node = np.zeros(X.shape[0], dtype=np.int64)
     live = np.flatnonzero(tree.feature[node] >= 0)
     while live.size:
         at = node[live]
-        at = np.where(X[live % n_rows, tree.feature[at]] <= tree.threshold[at], at + 1, tree.right[at])
+        at = np.where(flat[live * width + tree.feature[at]] <= tree.threshold[at], at + 1, tree.right[at])
         node[live] = at
         live = live[tree.feature[at] >= 0]
-    return node.reshape(len(roots), n_rows)
+    return node
 
 
 def _best_split(order: np.ndarray, xs: np.ndarray, onehot: np.ndarray, min_leaf: int, parent_gini: float):

@@ -11,7 +11,7 @@ from aggrex.blackbox import (
     train_bagged_forest,
 )
 from aggrex.data import Dataset, FeatureSchema, synth_multiclass
-from aggrex.tree import DecisionTree, tree_fit
+from aggrex.tree import DecisionTree, route, tree_fit
 
 
 def constant_tree(label):
@@ -55,11 +55,78 @@ def forests(draw):
     return BlackBoxModel(kind="bagged_forest", label_set=tuple(label_pool), trees=trees), X
 
 
+THRESHOLDS = (-1.5, -0.5, -0.0, 0.0, 0.25, 1.0, 2.5)  # -0.0 and 0.0 are one value to `<=`
+PROBES = THRESHOLDS + (np.nan, np.inf, -np.inf, -1.0, 0.1, 3.0)
+
+
+def random_tree(rng, n_leaves, features, label_pool, root_feature=None):
+    """A pre-order tree of any shape with n_leaves leaves; splits draw a feature and a threshold from THRESHOLDS.
+
+    Thresholds need not be consistent along a path (a split may be
+    unreachable), which the traversal must not care about.
+    """
+    nodes = []
+    chain = rng.random() < 0.3  # then most splits put one leaf on a side, so paths run deep
+
+    def grow(k, feature):
+        at = len(nodes)
+        if k == 1:
+            nodes.append([-1, 0.0, int(rng.choice(label_pool)), -1])
+            return
+        nodes.append([feature, float(rng.choice(THRESHOLDS)), -1, -1])
+        left = int(rng.choice([1, k - 1])) if chain else int(rng.integers(1, k))
+        grow(left, int(rng.choice(features)))
+        nodes[at][3] = len(nodes)
+        grow(k - left, int(rng.choice(features)))
+
+    grow(n_leaves, int(rng.choice(features)) if root_feature is None else root_feature)
+    return DecisionTree(*zip(*nodes))
+
+
+@st.composite
+def compiled_forests(draw):
+    """Forests at the bitmask tables' edges, with probe rows on every threshold and at NaN, ±inf and ±0.
+
+    Trees of 65-200 leaves need 2-4 words per mask and mix with single-leaf
+    trees; some forests never split; feature m - 1 is split on by one tree
+    only; X may have no rows or one.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 4))
+    label_pool = sorted(draw(st.sets(st.integers(-3, 6), min_size=1, max_size=4)))
+    n_trees = draw(st.integers(1, 6))
+    lone = draw(st.integers(0, n_trees - 1))  # the one tree that splits on feature m - 1
+    no_splits = draw(st.integers(0, 3)) == 0
+    leaves = st.just(1) if no_splits else st.one_of(st.just(1), st.integers(2, 64), st.integers(65, 200))
+    trees = [
+        random_tree(rng, draw(leaves), range(m), label_pool, root_feature=m - 1)
+        if t == lone
+        else random_tree(rng, draw(leaves), range(m - 1), label_pool)
+        for t in range(n_trees)
+    ]
+    X = rng.choice(PROBES, size=(int(rng.integers(1, 12)), m))
+    for f in range(m):  # a row exactly on each threshold of each feature
+        on_cut = rng.choice(PROBES, size=(len(THRESHOLDS), m))
+        on_cut[:, f] = THRESHOLDS
+        X = np.vstack([X, on_cut])
+    X = X[: draw(st.sampled_from([0, 1, None]))]
+    return BlackBoxModel(kind="bagged_forest", label_set=tuple(label_pool), trees=trees), X
+
+
 class TestForestVote:
     @settings(max_examples=200, deadline=None)
     @given(forests())
     def test_one_pass_vote_matches_per_tree_tally(self, case):
         model, X = case
+        assert model.predict_batch(X).tolist() == reference_vote(model, X).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(compiled_forests())
+    def test_compiled_forest_matches_per_tree_walks(self, case):
+        model, X = case
+        ranks = model._forest.exit_ranks(X)
+        for t, tree in enumerate(model.trees):  # the exit leaf itself, not only its label
+            assert np.flatnonzero(tree.feature < 0)[ranks[:, t]].tolist() == route(tree, X).tolist()
         assert model.predict_batch(X).tolist() == reference_vote(model, X).tolist()
 
     def test_split_and_leaf_trees_tie(self):

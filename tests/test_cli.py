@@ -132,10 +132,28 @@ class TestConfig:
         assert "config error" in err and match in err
         assert not list(tmp_path.rglob("run-*"))
 
+    @pytest.mark.parametrize(
+        "extra, match",
+        [
+            ({"sampler": {"N": 50.9}}, "sampler.N"),
+            ({"aggregate": {"budgets": [1, 2.5]}}, "aggregate.budgets"),
+            ({"explainer": {"min_leaf": 1.5}}, "explainer.min_leaf"),
+        ],
+        ids=["N", "budget", "min-leaf"],
+    )
+    def test_fractional_integer_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, match):
+        # truncating would run N=50 under another config's run-* hash
+        path = write_config(tmp_path, small_config(tmp_path / "runs", **extra))
+        assert main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err and "must be an integer" in err
+        assert not list(tmp_path.rglob("run-*"))
+
     def test_numeric_text_runs_as_its_number(self, tmp_path):
-        # values given as numeric text are converted where they are used,
-        # max_depth included, and give the same run as the numbers
-        text = small_config(tmp_path / "text", sampler={"N": "200"}, explainer={"max_depth": "4"})
+        # values given as numeric text or as integral floats are converted
+        # where they are used, max_depth included, and give the same run as
+        # the numbers
+        text = small_config(tmp_path / "text", sampler={"N": "200"}, explainer={"max_depth": "4", "min_leaf": 2.0})
         plain = small_config(tmp_path / "plain", explainer={"max_depth": 4})
         outputs = []
         for name, cfg in (("text", text), ("plain", plain)):

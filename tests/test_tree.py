@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aggrex.blackbox import CompiledForest
 from aggrex.tree import (
-    ROOT,
     DecisionTree,
     _best_split,
     route,
@@ -321,7 +321,7 @@ class TestRouter:
         t, _ = tree_fit(X, y, features, max_depth=max_depth, min_leaf=min_leaf)
         probe = probe_rows(t, X, np.random.default_rng(seed))
         want = [scalar_leaf(t, x) for x in probe]
-        assert route(t, probe, ROOT)[0].tolist() == want
+        assert route(t, probe).tolist() == want
         assert t.predict_batch(probe).tolist() == t.label[want].tolist()
         assert [t.predict(x) for x in probe[:5]] == t.label[want[:5]].tolist()
 
@@ -335,6 +335,12 @@ class TestRouter:
         assert t.leaf_count == 1 and t.features_used == frozenset()
         assert t.predict_batch(np.zeros((4, 2))).tolist() == [-3] * 4
         assert t.predict([7.0]) == -3
+
+    def test_rows_narrower_than_a_split_feature_rejected(self):
+        # flat indexing would otherwise read the next row's values
+        t = DecisionTree(feature=[2, -1, -1], threshold=[0.5, 0.0, 0.0], label=[-1, 0, 1], right=[2, -1, -1])
+        with pytest.raises(ValueError, match="splits on feature 2"):
+            route(t, np.zeros((3, 2)))
 
     def test_no_rows(self):
         t, _ = tree_fit(np.array([[0.0], [1.0]]), np.array([0, 1]), [0], min_leaf=1)
@@ -350,9 +356,10 @@ class TestRouter:
         ]
         both, roots = stack_trees(trees)
         assert roots.tolist() == [0, trees[0].feature.size, trees[0].feature.size + 1]
-        leaves = route(both, X, roots)
-        for t, reached in zip(trees, leaves):
-            assert np.array_equal(both.label[reached], t.predict_batch(X))
+        # the compiled forest finds each tree's exit leaf, as a pre-order leaf rank, where route on that tree alone does
+        ranks = CompiledForest(trees, (0, 1, 2, 3, 7)).exit_ranks(X)
+        for t, reached in zip(trees, ranks.T):
+            assert np.flatnonzero(t.feature < 0)[reached].tolist() == route(t, X).tolist()
 
 
 # -- the array layout and its text form -----------------------------------------
