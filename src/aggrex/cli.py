@@ -356,6 +356,9 @@ def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
             tree, consumed = tree_from_lines(rec["tree"])
             if consumed != len(rec["tree"]):
                 raise ValueError(f"{len(rec['tree']) - consumed} trailing records after the tree's last one")
+            widest = int(tree.feature.max())
+            if widest >= data.m:
+                raise ValueError(f"a tree splits on feature {widest}, but the dataset has {data.m} features")
             i = int(rec["center_index"])
             picked[i] = LocalExplainer(
                 center_index=i,

@@ -13,22 +13,26 @@ each column's rows and values in ascending value order. A split
 partitions them with one boolean mask (a row goes left exactly when its
 position in the chosen column is at or before the cut); boolean indexing
 keeps order, so each child's columns arrive sorted and no node sorts
-again.
+again. A child that stops (pure, smaller than 2 * min_leaf, or at the
+depth cap, all known from the chosen cut's counts) is appended as a leaf
+and never partitioned out; when both children stop, nothing is.
 
-Each node scores every valid cut of every column in one pass. A cut is
-valid where the value strictly increases and both sides keep min_leaf
-rows; only valid cuts are scored. Class counts left of each cut come from
-an integer cumulative sum over one-hot label rows, gathered by the node's
-rows from one (N, C) table made per fit, and are exact when cast to float
-in the Gini formula. The cuts are listed feature-major in ascending value
-order, so argmax's first maximum is exactly the (lower feature, lower
-threshold) tie order. The chosen cut's left counts become the left
-child's counts, and the parent's counts minus them the right child's, so
-no node counts its labels again; likewise each child takes its Gini from
-the chosen cut (the same float a recount gives, as the sums run over the
-same C terms in the same order), and only the root computes its own. The
-fit also sums each leaf's majority count: the number of training rows the
-tree predicts correctly.
+The split search is class-major. A fit makes one (C, N) int32 one-hot
+table; a node takes its (C, F, n) columns by the node's rows and sums
+them in place along the rows into integer class counts, exact when cast
+to float in the Gini formula. Every cut that leaves min_leaf rows on each
+side is scored on contiguous slices of those counts (a cut where the
+value does not strictly increase scores -inf), and the class terms are
+summed by `_class_sum` in the order numpy sums a row, so each Gini is bit
+for bit the row-major one. The (F, cuts) grid is feature-major in
+ascending value order, so argmax's first maximum is exactly the (lower
+feature, lower threshold) tie order. The chosen cut's left counts become
+the left child's counts, and the parent's counts minus them the right
+child's, so no node counts its labels again; likewise each child takes
+its Gini from the chosen cut (the same float a recount gives, as the sums
+run over the same C terms in the same order), and only the root computes
+its own. The fit also sums each leaf's majority count: the number of
+training rows the tree predicts correctly.
 
 A threshold is the midpoint between the values either side of the cut,
 unless the midpoint rounds onto the upper value (neighbouring floats) or
@@ -125,33 +129,88 @@ def route(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
     return node
 
 
-def _best_split(order: np.ndarray, xs: np.ndarray, onehot: np.ndarray, min_leaf: int, parent_gini: float):
+def _class_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 (the classes) in the order numpy's sum over a contiguous last axis takes.
+
+    That order is pairwise: sequential below 8 terms; up to 128 terms, eight
+    running sums over blocks of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the tail added one by one; above 128, the two halves (the first
+    rounded down to a multiple of 8) summed apart and added. So a class-major
+    Gini is bit for bit the row-major one. Below 8 terms `sum(axis=0)` adds
+    the rows one by one, which is that order.
+    """
+    n = terms.shape[0]
+    if n < 8:
+        return terms.sum(axis=0)
+    if n <= 128:
+        blocks = n - n % 8
+        r = terms[:8].copy()
+        for i in range(8, blocks, 8):
+            r += terms[i : i + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in terms[blocks:]:
+            total += row
+        return total
+    half = n // 2
+    half -= half % 8
+    return _class_sum(terms[:half]) + _class_sum(terms[half:])
+
+
+def _best_split(
+    order: np.ndarray, xs: np.ndarray, table: np.ndarray, sizes: np.ndarray, min_leaf: int, parent_gini: float
+):
     """Best (gain, column, cut, left class counts, left Gini, right Gini) over a node's presorted columns.
 
     Cut i lies between sorted positions i and i+1 of a column. It is valid
-    where the value strictly increases and both sides keep min_leaf points;
-    only valid cuts are scored. Returns None when there is none. The
+    where the value strictly increases and both sides keep min_leaf points.
+    `table` is the fit's (C, N) int32 one-hot table and `sizes` its
+    arange(N + 1.0). The node's (C, F, n) class counts are `table` taken
+    by `order` and summed in place along the rows; the cuts lo .. n-lo-2
+    (the ones leaving min_leaf points each side) are contiguous slices of
+    them, with the left sizes a slice of `sizes` and the right sizes that
+    slice reversed. The per-cut Gini formula is the row-major one, its
+    class terms summed by `_class_sum`. Invalid cuts score -inf, so the
+    first maximum of the feature-major (F, cuts) grid is the lowest
+    column, then the lowest cut. Returns None when no cut is valid. The
     temporaries die with this frame, so they are not held across the
     caller's recursion.
     """
     n = xs.shape[1]
     lo = max(min_leaf, 1) - 1  # cuts lo .. n - lo - 2 leave min_leaf points on each side
-    col, cut = (xs[:, lo + 1 : n - lo] > xs[:, lo : n - lo - 1]).nonzero()  # feature-major order
-    if not col.size:
+    hi = n - lo - 1
+    if hi <= lo:
         return None
-    cut += lo
-    cum = onehot[order]  # (F, n, C) one-hot rows, summed in place into integer class counts
-    cum.cumsum(axis=1, out=cum)
-    left = cum[col, cut]  # (k, C): the class counts left of each valid cut
-    right = cum[0, -1] - left
-    left_n = cut + 1.0
-    right_n = n - left_n
-    gini_l = 1.0 - ((left / left_n[:, None]) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((right / right_n[:, None]) ** 2).sum(axis=1)
-    gain = parent_gini - (left_n * gini_l + right_n * gini_r) / n
-    best = int(gain.argmax())  # the first maximum: lowest column, then lowest cut
+    invalid = ~(xs[:, lo + 1 : hi + 1] > xs[:, lo:hi])  # the value does not strictly increase (or is NaN)
+    cum = table.take(order, axis=1)  # (C, F, n) one-hot columns, summed in place into integer class counts
+    cum.cumsum(axis=2, out=cum)
+    left = cum[:, :, lo:hi]  # (C, F, cuts): the class counts left of each cut
+    left_n = sizes[lo + 1 : hi + 1]
+    right_n = left_n[::-1]  # the cut grid is symmetric: cut i leaves n - i - 1 points on the right
+    share = left / left_n
+    share *= share  # the same floats ** 2 gives
+    gini_l = _class_sum(share)
+    np.subtract(1.0, gini_l, out=gini_l)
+    # the right counts are the node's (its last cumsum column) less the left ones; the
+    # arithmetic runs in place, as reusing warm buffers takes several percent off a fit
+    np.divide(cum[:, :1, -1:] - left, right_n, out=share)
+    share *= share
+    gini_r = _class_sum(share)
+    np.subtract(1.0, gini_r, out=gini_r)
+    gain = left_n * gini_l  # parent_gini - (left_n * gini_l + right_n * gini_r) / n
+    gain += right_n * gini_r
+    gain /= n
+    np.subtract(parent_gini, gain, out=gain)
+    gain[invalid] = -np.inf
+    col, cut = divmod(int(gain.argmax()), hi - lo)  # the first maximum: lowest column, then lowest cut
+    if invalid[col, cut]:
+        return None  # no cut is valid
     return (
-        float(gain[best]), int(col[best]), int(cut[best]), left[best].tolist(), float(gini_l[best]), float(gini_r[best])
+        float(gain[col, cut]),
+        col,
+        cut + lo,
+        left[:, col, cut].tolist(),
+        float(gini_l[col, cut]),
+        float(gini_r[col, cut]),
     )
 
 
@@ -184,47 +243,67 @@ def tree_fit(
     else:
         y_codes = y
     labels = np.asarray(classes).tolist()
-    onehot = np.eye(len(labels), dtype=np.int32)[y_codes]  # (N, C): row i is the one-hot of y[i]
+    n_rows = X.shape[0]
+    table = np.eye(len(labels), dtype=np.int32)[:, y_codes]  # (C, N): column i is the one-hot of y[i]
+    sizes = np.arange(n_rows + 1.0)
+    depth_cap = math.inf if max_depth is None else max_depth
     n_cols = len(features)
     nodes: list[list] = []  # [feature, threshold, label, right] in pre-order
-    is_left = np.empty(X.shape[0], dtype=bool)  # reused by every split: each row's side of it
+    is_left = np.empty(n_rows, dtype=bool)  # reused by every split: each row's side of it
     agree = 0
 
-    def build(order: np.ndarray, xs: np.ndarray, counts: list[int], gini: float, depth: int) -> None:
-        # order and xs are (F, n): each column's rows and values in
-        # ascending value order; counts is per class, gini is the node's.
+    def stops(counts: list[int], n_here: int, depth: int) -> bool:
+        return max(counts) == n_here or depth >= depth_cap or n_here < 2 * min_leaf  # pure, at the cap, too small
+
+    def leaf(counts: list[int]) -> None:
         nonlocal agree
-        n_here = order.shape[1]
         top = max(counts)
-        node = [-1, 0.0, labels[counts.index(top)], -1]  # the first maximum: ties to the smaller label
-        nodes.append(node)
-        if top == n_here or (max_depth is not None and depth >= max_depth) or n_here < 2 * min_leaf:
-            agree += top
-            return  # pure, at the depth limit, or too small to split
-        best = _best_split(order, xs, onehot, min_leaf, gini)
+        nodes.append([-1, 0.0, labels[counts.index(top)], -1])  # the first maximum: ties to the smaller label
+        agree += top
+
+    def build(order: np.ndarray, xs: np.ndarray, counts: list[int], gini: float, depth: int) -> None:
+        # A node that does not stop. order and xs are (F, n): each column's
+        # rows and values in ascending value order; counts is per class,
+        # gini is the node's.
+        n_here = order.shape[1]
+        best = _best_split(order, xs, table, sizes, min_leaf, gini)
         if best is None or best[0] < -1e-12:  # zero-gain splits allowed, rounding noise too
-            agree += top
+            leaf(counts)
             return
         _, col, cut, left_counts, gini_left, gini_right = best
         below, above = xs[col, cut : cut + 2].tolist()
         threshold = (below + above) / 2.0
         if not below <= threshold < above:  # the midpoint rounded onto the upper value, or overflowed
             threshold = below
-        node[:3] = features[col], threshold, -1
-        # A row goes left exactly when its position in column col is <= cut;
-        # boolean indexing keeps each column's order, so both children stay sorted.
-        is_left[order[col]] = np.arange(n_here) <= cut
-        go = is_left[order]
-        build(order[go].reshape(n_cols, -1), xs[go].reshape(n_cols, -1), left_counts, gini_left, depth + 1)
-        node[3] = len(nodes)
-        go = ~go
+        node = [features[col], threshold, -1, -1]
+        nodes.append(node)
         right_counts = [c - c_left for c, c_left in zip(counts, left_counts)]
-        build(order[go].reshape(n_cols, -1), xs[go].reshape(n_cols, -1), right_counts, gini_right, depth + 1)
+        # A child that stops becomes a leaf straight from its counts: its rows are never partitioned out.
+        left_stops = stops(left_counts, cut + 1, depth + 1)
+        right_stops = stops(right_counts, n_here - cut - 1, depth + 1)
+        if not (left_stops and right_stops):
+            # A row goes left exactly when its position in column col is <= cut;
+            # boolean indexing keeps each column's order, so both children stay sorted.
+            is_left[order[col]] = np.arange(n_here) <= cut
+            go = is_left.take(order)
+        if left_stops:
+            leaf(left_counts)
+        else:
+            build(order[go].reshape(n_cols, -1), xs[go].reshape(n_cols, -1), left_counts, gini_left, depth + 1)
+        node[3] = len(nodes)
+        if right_stops:
+            leaf(right_counts)
+        else:
+            go = ~go
+            build(order[go].reshape(n_cols, -1), xs[go].reshape(n_cols, -1), right_counts, gini_right, depth + 1)
 
-    order = cols.argsort(axis=1, kind="stable")
-    counts = np.bincount(y_codes, minlength=len(labels))
-    gini = 1.0 - float(((counts / X.shape[0]) ** 2).sum())  # every other node inherits its Gini from its parent's cut
-    build(order, np.take_along_axis(cols, order, axis=1), counts.tolist(), gini, 0)
+    counts = np.bincount(y_codes, minlength=len(labels)).tolist()
+    if stops(counts, n_rows, 0):
+        leaf(counts)
+    else:
+        order = cols.argsort(axis=1, kind="stable")
+        gini = 1.0 - float(((np.array(counts) / n_rows) ** 2).sum())  # every other node inherits its Gini
+        build(order, np.take_along_axis(cols, order, axis=1), counts, gini, 0)
     return DecisionTree(*zip(*nodes)), agree
 
 

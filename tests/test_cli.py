@@ -445,6 +445,19 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert "config error" in err and "model.txt" in err and "feature 4" in err
 
+    def test_bundle_tree_wider_than_dataset_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
+        bundle = json.loads(bundle_path.read_text())
+        for rec in bundle["explainers"]:
+            rec["tree"] = ["node 0 split 9 0.5", "node 1 leaf 0", "node 2 leaf 1"]  # the dataset has features 0..3
+        bundle_path.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["aggregate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "explainers.json" in err and "feature 9" in err
+
     def test_trailing_bundle_record_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config(tmp_path))
         assert main(["sweep", "--config", str(path)]) == 0

@@ -9,6 +9,7 @@ from aggrex.blackbox import CompiledForest
 from aggrex.tree import (
     DecisionTree,
     _best_split,
+    _class_sum,
     route,
     stack_trees,
     tree_fit,
@@ -185,15 +186,11 @@ def reference_tree_fit(X, y, features, max_depth, min_leaf):
 ADJACENT_FLOATS = np.array([np.nextafter(1.0, -np.inf), 1.0, np.nextafter(1.0, np.inf), 3.0, np.nextafter(3.0, np.inf)])
 
 
-@st.composite
-def fit_problems(draw):
-    """Small fits rich in ties: duplicate, constant, {0,1}, coarse-valued and adjacent-float columns."""
-    n = draw(st.integers(1, 40))
-    m = draw(st.integers(1, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def tie_rich_columns(draw, rng, n, m, kinds=("coarse", "fine", "binary", "constant", "copy", "adjacent")):
+    """m columns of n values, each of a drawn kind."""
     cols = []
     for _ in range(m):
-        kind = draw(st.sampled_from(["coarse", "fine", "binary", "constant", "copy", "adjacent"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "copy" and cols:
             cols.append(cols[int(rng.integers(0, len(cols)))].copy())
         elif kind == "binary":
@@ -206,7 +203,16 @@ def fit_problems(draw):
             cols.append(rng.choice(ADJACENT_FLOATS, size=n))
         else:
             cols.append(rng.integers(0, 4, size=n) * 0.5)
-    X = np.column_stack(cols)
+    return cols
+
+
+@st.composite
+def fit_problems(draw):
+    """Small fits rich in ties: duplicate, constant, {0,1}, coarse-valued and adjacent-float columns."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.column_stack(tie_rich_columns(draw, rng, n, m))
     n_classes = draw(st.integers(1, 9))
     y = rng.integers(0, n_classes, size=n) * 3 - 2  # sparse, partly negative labels
     features = draw(st.sets(st.integers(0, m - 1), min_size=1))
@@ -253,14 +259,97 @@ class TestInheritedGini:
         cols = rng.integers(0, 8, size=(n_cols, n)) * 0.25
         order = cols.argsort(axis=1, kind="stable")
         xs = np.take_along_axis(cols, order, axis=1)
-        onehot = np.eye(n_classes, dtype=np.int32)[y]
-        best = _best_split(order, xs, onehot, min_leaf, recounted_gini(np.bincount(y, minlength=n_classes), n))
+        table = np.eye(n_classes, dtype=np.int32)[:, y]
+        gini = recounted_gini(np.bincount(y, minlength=n_classes), n)
+        best = _best_split(order, xs, table, np.arange(n + 1.0), min_leaf, gini)
         assume(best is not None)
         _, _, cut, left_counts, gini_left, gini_right = best
         right_counts = (np.bincount(y, minlength=n_classes) - left_counts).tolist()
         assert len(left_counts) == n_classes
         assert gini_left == recounted_gini(left_counts, cut + 1)
         assert gini_right == recounted_gini(right_counts, n - cut - 1)
+
+
+# -- the class-major split search against the row-major one it replaced ------
+
+def row_major_best_split(order, xs, onehot, min_leaf, parent_gini):
+    """The split search over (N, C) one-hot rows that scores only the valid cuts, gathered."""
+    n = xs.shape[1]
+    lo = max(min_leaf, 1) - 1
+    col, cut = (xs[:, lo + 1 : n - lo] > xs[:, lo : n - lo - 1]).nonzero()
+    if not col.size:
+        return None
+    cut += lo
+    cum = onehot[order]
+    cum.cumsum(axis=1, out=cum)
+    left = cum[col, cut]
+    right = cum[0, -1] - left
+    left_n = cut + 1.0
+    right_n = n - left_n
+    gini_l = 1.0 - ((left / left_n[:, None]) ** 2).sum(axis=1)
+    gini_r = 1.0 - ((right / right_n[:, None]) ** 2).sum(axis=1)
+    gain = parent_gini - (left_n * gini_l + right_n * gini_r) / n
+    best = int(gain.argmax())
+    return (
+        float(gain[best]), int(col[best]), int(cut[best]), left[best].tolist(), float(gini_l[best]), float(gini_r[best])
+    )
+
+
+@st.composite
+def split_problems(draw):
+    """One node's presorted columns, rich in ties, with up to 12 classes."""
+    n = draw(st.integers(2, 80))
+    n_cols = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = np.array(tie_rich_columns(draw, rng, n, n_cols, ("coarse", "binary", "constant", "copy", "adjacent")))
+    y = rng.integers(0, n_classes, size=n)
+    order = cols.argsort(axis=1, kind="stable")
+    return order, np.take_along_axis(cols, order, axis=1), y, n_classes, draw(st.integers(1, 4))
+
+
+class TestClassMajorSplitSearch:
+    @settings(max_examples=400, deadline=None)
+    @given(split_problems())
+    def test_matches_row_major_search(self, problem):
+        order, xs, y, n_classes, min_leaf = problem
+        n = y.size
+        gini = recounted_gini(np.bincount(y, minlength=n_classes), n)
+        got = _best_split(order, xs, np.eye(n_classes, dtype=np.int32)[:, y], np.arange(n + 1.0), min_leaf, gini)
+        want = row_major_best_split(order, xs, np.eye(n_classes, dtype=np.int32)[y], min_leaf, gini)
+        assert got == want
+
+    @pytest.mark.parametrize("n_terms", [*range(1, 141), 200, 256, 257, 517])
+    def test_class_sum_is_numpy_row_sum(self, n_terms):
+        # numpy sums a contiguous last axis pairwise; a numpy that sums in another order fails here
+        rng = np.random.default_rng(n_terms)
+        for shape in ((3, 17), (1, 1)):
+            rows = rng.random((*shape, n_terms)) * 10.0 ** rng.integers(-12, 13, size=(*shape, n_terms))
+            rows *= rng.choice([-1.0, 1.0], size=rows.shape)
+            want = rows.sum(axis=-1)
+            got = _class_sum(np.ascontiguousarray(np.moveaxis(rows, -1, 0)))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestStoppingChildren:
+    """A split whose children both stop: they become leaves straight from the cut's counts."""
+
+    @pytest.mark.parametrize(
+        "y, max_depth, min_leaf",
+        [
+            ([0, 0, 0, 1, 1, 1], None, 1),  # both halves pure
+            ([0, 1, 0, 1, 0], None, 2),  # n = 2 * min_leaf + 1: neither side can split again
+            ([0, 1, 0, 0, 1, 1, 0, 1], 1, 1),  # both children at the depth cap
+        ],
+        ids=["pure-halves", "too-small", "depth-cap"],
+    )
+    def test_both_children_stop(self, y, max_depth, min_leaf):
+        y = np.array(y)
+        X = np.arange(y.size, dtype=float)[:, None]
+        t, agree = tree_fit(X, y, [0], max_depth=max_depth, min_leaf=min_leaf)
+        assert tree_to_lines(t) == reference_tree_fit(X, y, [0], max_depth, min_leaf)
+        assert t.leaf_count == 2 and t.feature[0] == 0
+        assert agree == int(np.count_nonzero(t.label[route(t, X)] == y))
 
 
 class TestAdjacentValues:
