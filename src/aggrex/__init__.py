@@ -43,6 +43,6 @@ from .infofilter import (
     selection_trace,
 )
 from .sampler import SampleSet, derive_seed, mixed_distance, sample_ball, within_ball
-from .tree import DecisionTree, tree_fit, tree_from_lines, tree_to_lines, tree_to_rules
+from .tree import DecisionTree, FitJob, fit_job, fit_trees, tree_fit, tree_from_lines, tree_to_lines, tree_to_rules
 
 __version__ = "0.1.0"

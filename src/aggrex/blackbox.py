@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import Dataset, FeatureSchema
 from .sampler import mixed_distance
-from .tree import DecisionTree, stack_trees, tree_fit, tree_from_lines, tree_to_lines
+from .tree import DecisionTree, fit_job, fit_trees, stack_trees, tree_from_lines, tree_to_lines
 
 FOREST_MAX_DEPTH = 12
 FOREST_MIN_LEAF = 2
@@ -167,19 +167,15 @@ class CompiledForest:
 
 
 def train_bagged_forest(d: Dataset, n_trees: int = 50, seed: int = 0) -> BlackBoxModel:
-    """Fit n_trees Gini trees on seeded bootstrap resamples; predict by majority vote."""
+    """Fit n_trees Gini trees on seeded bootstrap resamples, grown together; predict by majority vote."""
     if d.n == 0:
         raise ValueError("cannot train on an empty dataset")
     if n_trees < 1:
         raise ValueError("need at least one tree")
     rng = np.random.default_rng(seed)
-    trees = []
-    all_features = range(d.m)
-    for _ in range(n_trees):
-        idx = rng.integers(0, d.n, size=d.n)
-        trees.append(
-            tree_fit(d.X[idx], d.y[idx], all_features, max_depth=FOREST_MAX_DEPTH, min_leaf=FOREST_MIN_LEAF)[0]
-        )
+    resamples = [rng.integers(0, d.n, size=d.n) for _ in range(n_trees)]
+    jobs = [fit_job(d.X[idx], d.y[idx], range(d.m)) for idx in resamples]
+    trees = [tree for tree, _ in fit_trees(jobs, max_depth=FOREST_MAX_DEPTH, min_leaf=FOREST_MIN_LEAF)]
     return BlackBoxModel(kind="bagged_forest", label_set=d.label_set, trees=trees, schema=d.schema)
 
 

@@ -27,7 +27,7 @@ from . import blackbox as bb
 from .data import Dataset, FeatureSchema, load_dataset, standardize, synth_multiclass, write_dataset
 from .explainer import LocalExplainer, label_ball, train_local_explainer
 from .sampler import derive_seed
-from .tree import tree_from_lines, tree_to_lines, tree_to_rules
+from .tree import GROUP_CELLS, tree_from_lines, tree_to_lines, tree_to_rules
 
 SEED_ENV_VAR = "AGGREX_SEED"
 
@@ -142,7 +142,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("blackbox.n_trees must be at least 1")
     if _as(int, cfg["filter"]["max_bins"], "filter.max_bins") < 2:
         raise ConfigError("filter.max_bins must be at least 2")
-    _as(float, cfg["filter"]["eps_mi"], "filter.eps_mi")
+    if not math.isfinite(_as(float, cfg["filter"]["eps_mi"], "filter.eps_mi")):
+        raise ConfigError(f"filter.eps_mi must be finite, got {cfg['filter']['eps_mi']!r}")
     if cfg["filter"]["variant"] not in ("filtered", "unfiltered", "both"):
         raise ConfigError(f"unknown filter variant {cfg['filter']['variant']!r}")
     if not cfg["sampler"]["radii"]:
@@ -241,6 +242,8 @@ def prepare_dataset(cfg: dict) -> Dataset:
         except ValueError as exc:
             raise ConfigError(f"dataset.synth: {exc}")
     if ds["standardize"]:
+        if data.n < 2:
+            raise ConfigError(f"dataset.standardize needs at least 2 rows, the dataset has {data.n}")
         data = standardize(data)
     return data
 
@@ -289,42 +292,45 @@ def cmd_explain(cfg: dict) -> Path:
     data = prepare_dataset(cfg)
     model = _load_model(rd, data)
     max_depth = cfg["explainer"]["max_depth"]
+    n_samples = int(cfg["sampler"]["N"])
+    variants = _variants(cfg)
+    centers = [(slot, radius, i) for slot, radius in enumerate(cfg["sampler"]["radii"]) for i in range(data.n)]
+    # balls whose trees grow together: their (column, row) grid fills about GROUP_CELLS
+    per_group = max(1, GROUP_CELLS // (n_samples * data.m * len(variants)))
     records = []
     rules = []
-    for slot, radius in enumerate(cfg["sampler"]["radii"]):
-        for i in range(data.n):
-            seed = derive_seed(int(cfg["seed"]), i, slot)
-            ball = label_ball(model, data.X[i], float(radius), int(cfg["sampler"]["N"]), data.schema, seed)
-            for filtered in _variants(cfg):
-                ex = train_local_explainer(
-                    model,
-                    data.X[i],
-                    float(radius),
-                    int(cfg["sampler"]["N"]),
-                    max_bins=int(cfg["filter"]["max_bins"]),
-                    filtered=filtered,
-                    seed=seed,
-                    schema=data.schema,
-                    center_index=i,
-                    max_depth=None if max_depth is None else int(max_depth),
-                    min_leaf=int(cfg["explainer"]["min_leaf"]),
-                    eps_mi=float(cfg["filter"]["eps_mi"]),
-                    ball=ball,
-                )
-                records.append(
-                    {
-                        "center_index": i,
-                        "radius": float(radius),
-                        "radius_slot": slot,
-                        "filtered": filtered,
-                        "selected_features": list(ex.selected_features),
-                        "leaf_count": ex.leaf_count,
-                        "train_fidelity": ex.train_fidelity,
-                        "tree": tree_to_lines(ex.tree),
-                    }
-                )
-                head = f"center {i} radius {radius} {'filtered' if filtered else 'unfiltered'}"
-                rules.append(f"# {head}\n" + tree_to_rules(ex.tree, data.schema.names))
+    for first in range(0, len(centers), per_group):
+        group = centers[first : first + per_group]
+        balls = [
+            label_ball(
+                model, data.X[i], float(radius), n_samples, data.schema, derive_seed(int(cfg["seed"]), i, slot), i
+            )
+            for slot, radius, i in group
+        ]
+        explainers = train_local_explainer(
+            balls,
+            data.schema,
+            variants,
+            max_bins=int(cfg["filter"]["max_bins"]),
+            max_depth=None if max_depth is None else int(max_depth),
+            min_leaf=int(cfg["explainer"]["min_leaf"]),
+            eps_mi=float(cfg["filter"]["eps_mi"]),
+        )
+        for (slot, radius, i), ex in zip((c for c in group for _ in variants), explainers):
+            records.append(
+                {
+                    "center_index": i,
+                    "radius": float(radius),
+                    "radius_slot": slot,
+                    "filtered": ex.filtered,
+                    "selected_features": list(ex.selected_features),
+                    "leaf_count": ex.leaf_count,
+                    "train_fidelity": ex.train_fidelity,
+                    "tree": tree_to_lines(ex.tree),
+                }
+            )
+            head = f"center {i} radius {radius} {'filtered' if ex.filtered else 'unfiltered'}"
+            rules.append(f"# {head}\n" + tree_to_rules(ex.tree, data.schema.names))
     _write_atomic(rd / "explainers.json", canonical_json({"explainers": records}))
     _write_atomic(rd / "explainers_rules.txt", "\n".join(rules))
     update_manifest(cfg, "explain", ["explainers.json", "explainers_rules.txt"])

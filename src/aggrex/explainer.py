@@ -11,7 +11,9 @@ samples through the tree again.
 A ball is sampled, labelled and its labels encoded once (`label_ball`);
 the filtered and the unfiltered surrogate of one (center, radius, seed)
 train on that same `LabelledBall`, which is exactly what each would draw
-on its own from the same seed.
+on its own from the same seed. Explainers are trained a group of balls at
+a time, so that the trees of the whole group grow together, level by
+level (`tree.fit_trees`); a tree's bytes do not depend on its group.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 from .data import FeatureSchema
 from .infofilter import EPS_MI, MIN_CELL, select_informative_features
 from .sampler import SampleSet, sample_ball
-from .tree import DecisionTree, tree_fit
+from .tree import DecisionTree, fit_job
+from .tree import fit_trees as tree_fit  # the name perfbench's tracer times as the tree.fit layer
 
 DEFAULT_MAX_DEPTH = 12
 DEFAULT_MIN_LEAF = 2
@@ -54,81 +57,86 @@ class LocalExplainer:
 class LabelledBall:
     """Ball samples with their black-box labels, encoded once for every fit on them."""
 
+    center: np.ndarray
+    radius: float
+    center_index: int  # the dataset row the ball is centred on, or -1
     samples: SampleSet
     classes: np.ndarray  # the distinct labels, ascending
     codes: np.ndarray  # each sample's index into classes
 
 
-def label_ball(blackbox, center, r: float, N: int, schema: FeatureSchema, seed: int) -> LabelledBall:
+def label_ball(
+    blackbox, center, r: float, N: int, schema: FeatureSchema, seed: int, center_index: int = -1
+) -> LabelledBall:
     """Draw N points from the ball around center and label them with the black box."""
+    if N < 2:
+        raise ValueError("need at least 2 samples")
     samples = sample_ball(center, r, N, schema, seed)
     labels = blackbox.predict_batch(samples.points)
     classes, codes = np.unique(np.asarray(labels, dtype=int), return_inverse=True)
-    return LabelledBall(samples, classes, codes)
+    return LabelledBall(np.asarray(center, dtype=float), float(r), int(center_index), samples, classes, codes)
 
 
 def train_local_explainer(
-    blackbox,
-    center,
-    r: float,
-    N: int,
+    balls,
+    schema: FeatureSchema,
+    variants=(True,),
     max_bins: int = 3,
-    filtered: bool = True,
-    seed: int = 0,
-    schema: FeatureSchema | None = None,
-    center_index: int = -1,
     max_depth: int | None = DEFAULT_MAX_DEPTH,
     min_leaf: int = DEFAULT_MIN_LEAF,
     eps_mi: float = EPS_MI,
     min_cell: int = MIN_CELL,
     max_features: int | None = None,
-    ball: LabelledBall | None = None,
-) -> LocalExplainer:
-    """Sample, label, filter, fit. Deterministic given the seed.
+) -> list[LocalExplainer]:
+    """Filter, fit: the explainers of a group of labelled balls. Deterministic given the balls.
 
-    `ball` is the labelled sample to train on; when None it is drawn here,
-    as `label_ball(blackbox, center, r, N, schema, seed)`. An empty filter
-    result falls back to the unique zero-feature model: a single
-    majority-label leaf.
+    There is one explainer per ball and variant (True: filtered, False:
+    every feature), ball by ball, variants in the given order. Each
+    variant is filtered on its own, then every tree of the group is grown
+    in one `fit_trees` call. An empty filter result falls back to the
+    unique zero-feature model: a single majority-label leaf.
     """
-    if schema is None:
-        raise ValueError("schema is required")
-    if N < 2:
-        raise ValueError("need at least 2 samples")
-    if ball is None:
-        ball = label_ball(blackbox, center, r, N, schema, seed)
-    samples, classes, codes = ball.samples, ball.classes, ball.codes
-    if filtered:
-        features = select_informative_features(
-            samples,
-            codes,
-            schema,
-            max_bins=max_bins,
-            eps_mi=eps_mi,
-            min_cell=min_cell,
-            max_features=max_features,
-            n_labels=classes.size,
+    plans = []  # (ball, filtered, features)
+    jobs = []
+    for ball in balls:
+        for filtered in variants:
+            if filtered:
+                features = select_informative_features(
+                    ball.samples,
+                    ball.codes,
+                    schema,
+                    max_bins=max_bins,
+                    eps_mi=eps_mi,
+                    min_cell=min_cell,
+                    max_features=max_features,
+                    n_labels=ball.classes.size,
+                )
+            else:
+                features = tuple(range(schema.count))
+            plans.append((ball, bool(filtered), features))
+            if features:
+                jobs.append(fit_job(ball.samples.points, ball.codes, features, classes=ball.classes))
+    fitted = iter(tree_fit(jobs, max_depth=max_depth, min_leaf=min_leaf))
+    out = []
+    for ball, filtered, features in plans:
+        if features:
+            tree, agree = next(fitted)
+        else:
+            counts = np.bincount(ball.codes)
+            tree = DecisionTree.leaf(int(ball.classes[np.argmax(counts)]))  # ties -> smaller label
+            agree = int(counts.max())
+        out.append(
+            LocalExplainer(
+                center_index=ball.center_index,
+                center=ball.center,
+                radius=ball.radius,
+                selected_features=tuple(features),
+                tree=tree,
+                filtered=filtered,
+                train_fidelity=agree / ball.codes.size,
+            )
         )
-    else:
-        features = tuple(range(schema.count))
-    if features:
-        tree, agree = tree_fit(
-            samples.points, codes, features, max_depth=max_depth, min_leaf=min_leaf, classes=classes
-        )
-    else:
-        counts = np.bincount(codes)
-        tree = DecisionTree.leaf(int(classes[np.argmax(counts)]))  # ties -> smaller label
-        agree = int(counts.max())
-    fidelity = agree / codes.size
-    return LocalExplainer(
-        center_index=int(center_index),
-        center=np.asarray(center, dtype=float),
-        radius=float(r),
-        selected_features=tuple(features),
-        tree=tree,
-        filtered=bool(filtered),
-        train_fidelity=fidelity,
-    )
+    return out
 
 
 def local_fidelity(explainer: LocalExplainer, blackbox, points: np.ndarray) -> float:

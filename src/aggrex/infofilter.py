@@ -65,6 +65,15 @@ class BinAssignment:
     n_bins: tuple[int, ...]
     assignment: np.ndarray
 
+    @cached_property
+    def by_feature(self) -> np.ndarray:
+        """The m x N assignment, each feature's bins contiguous, so that gathering members reads rows.
+
+        `build_histograms` stores it this way and hands out `assignment` as
+        its transpose, so here no copy is made.
+        """
+        return np.ascontiguousarray(self.assignment.T)
+
     @property
     def n_features(self) -> int:
         return len(self.n_bins)
@@ -145,26 +154,27 @@ def build_histograms(samples: SampleSet, schema: FeatureSchema, max_bins: int = 
         raise ValueError("empty sample set")
     edges: list[np.ndarray] = []
     n_bins: list[int] = []
-    assignment = np.empty(points.shape, dtype=np.int32)
+    columns = np.ascontiguousarray(points.T)  # one strided pass, so each feature below reads a contiguous row
+    by_feature = np.empty(columns.shape, dtype=np.int32)  # feature-major too: each row is one feature's bins
     for f in range(schema.count):
-        col = points[:, f]
+        col = columns[f]
         if schema.kinds[f] == BINARY:
             edges.append(np.array([0.0, 0.5, 1.0]))
             n_bins.append(2)
-            assignment[:, f] = col.astype(np.int32)
+            by_feature[f] = col.astype(np.int32)
             continue
         lo, hi = float(col.min()), float(col.max())
         if hi == lo:
             edges.append(np.array([lo, hi]))
             n_bins.append(1)
-            assignment[:, f] = 0
+            by_feature[f] = 0
             continue
         edges.append(np.linspace(lo, hi, max_bins + 1))
         n_bins.append(max_bins)
         idx = ((col - lo) / (hi - lo) * max_bins).astype(np.int32)
-        assignment[:, f] = np.clip(idx, 0, max_bins - 1)
-    assignment.setflags(write=False)
-    return BinAssignment(edges=tuple(edges), n_bins=tuple(n_bins), assignment=assignment)
+        by_feature[f] = np.clip(idx, 0, max_bins - 1)
+    by_feature.setflags(write=False)
+    return BinAssignment(edges=tuple(edges), n_bins=tuple(n_bins), assignment=by_feature.T)
 
 
 def _encode_labels(labels: np.ndarray, n_labels: int | None = None) -> tuple[np.ndarray, int]:
@@ -206,7 +216,7 @@ def _cmi_scores(
     step = max(1, COUNT_BLOCK // members.size)
     for start in range(0, n_feat, step):
         block = features[start : start + step]
-        b = bins.assignment[np.ix_(members, block)].T.astype(np.int64)  # (block, members)
+        b = bins.by_feature.take(block, axis=0).take(members, axis=1).astype(np.int64)  # (block, members)
         slot = np.arange(len(block), dtype=np.int64)[:, None] * n_leaves + leaf_of
         codes = (slot * width + b) * n_labels + member_labels
         joint[start : start + len(block)] = np.bincount(codes.ravel(), minlength=len(block) * cells).reshape(-1, cells)
@@ -247,7 +257,7 @@ def bin_partition(
     nb = bins.n_bins[feature]
     # A stable sort by (leaf, bin) lists the cells in leaf-then-bin order
     # and keeps each cell's samples in their order within the leaf.
-    key = leaves.leaf_of * nb + bins.assignment[leaves.members, feature]
+    key = leaves.leaf_of * nb + bins.by_feature[feature].take(leaves.members)
     counts = np.bincount(key, minlength=len(leaves) * nb)
     keep = counts >= min_cell
     members = leaves.members[np.argsort(key, kind="stable")]

@@ -7,32 +7,51 @@ are always non-empty, see the threshold rule below, so growth terminates),
 which lets the tree represent parity-style targets no single split can
 improve on.
 
-A fit sorts once, as SLIQ and SPRINT do: each selected column is
-stable-argsorted at the root, and every node holds two (F, n) arrays,
-each column's rows and values in ascending value order. A split
-partitions them with one boolean mask (a row goes left exactly when its
-position in the chosen column is at or before the cut); boolean indexing
-keeps order, so each child's columns arrive sorted and no node sorts
-again. A child that stops (pure, smaller than 2 * min_leaf, or at the
-depth cap, all known from the chosen cut's counts) is appended as a leaf
-and never partitioned out; when both children stop, nothing is.
+Trees are grown a group at a time, level by level, as SLIQ and SPRINT
+(Mehta et al. 1996; Shafer et al. 1996) grow one tree breadth-first: the
+nodes at one depth of every tree in the group are searched together, so
+the number of numpy calls grows with the depth and not with the node
+count. `tree_fit` is a group of one. `fit_trees` cuts a list of jobs into
+groups of at most GROUP_CELLS (column, row) cells; a tree's bytes do not
+depend on its group.
 
-The split search is class-major. A fit makes one (C, N) int32 one-hot
-table; a node takes its (C, F, n) columns by the node's rows and sums
-them in place along the rows into integer class counts, exact when cast
-to float in the Gini formula. Every cut that leaves min_leaf rows on each
-side is scored on contiguous slices of those counts (a cut where the
-value does not strictly increase scores -inf), and the class terms are
-summed by `_class_sum` in the order numpy sums a row, so each Gini is bit
-for bit the row-major one. The (F, cuts) grid is feature-major in
-ascending value order, so argmax's first maximum is exactly the (lower
-feature, lower threshold) tie order. The chosen cut's left counts become
-the left child's counts, and the parent's counts minus them the right
-child's, so no node counts its labels again; likewise each child takes
-its Gini from the chosen cut (the same float a recount gives, as the sums
-run over the same C terms in the same order), and only the root computes
-its own. The fit also sums each leaf's majority count: the number of
-training rows the tree predicts correctly.
+A group sorts once: each root's columns are stable-argsorted, and a depth
+holds one (F, R) `order` array, the rows of every node that goes on, node
+after node, each column in ascending value order (values are read from
+the group's (F, rows) `vals`). A job with fewer columns than the group's
+widest is padded with constant columns, which never hold a valid cut. A
+split partitions `order` with one boolean mask per side (a row goes left
+exactly when its position in the chosen column is at or before the cut);
+boolean indexing keeps order, so each child's segments arrive sorted and
+nothing sorts again. A child that stops (pure, smaller than 2 * min_leaf,
+or at the depth cap, all known from the chosen cut's counts) becomes a
+leaf and its rows are dropped, never partitioned.
+
+The split search is class-major and covers a block of consecutive nodes,
+about SEARCH_CELLS cells of the (C, F, positions) class table at a time,
+with one `take`, one `cumsum` and one Gini pass per block. A group makes
+one (C, rows) int32 one-hot table; the block takes its columns by `order`
+and sums them in place into integer class counts, each node's counts
+restarting at its first row, exact when cast to float in the Gini
+formula. Node size, left and right sizes and parent Gini are per-position
+arrays, so every cut's float formula is the per-node one, and the class
+terms are summed by `_class_sum` in the order numpy sums a row, so each
+Gini is bit for bit the row-major one. A cut where the value does not
+strictly increase, or that leaves fewer than min_leaf rows on a side,
+scores -inf. A node's winner is its first maximum in feature-major order
+(`maximum.reduceat` per column, the first column at the node's maximum,
+then the first position there), which is the (lower feature, lower
+threshold) tie order. Groups pad the class table with empty classes only
+while the padded count stays below 8, since `_class_sum` adds 8 or more
+terms in another order; jobs with 8 or more classes share a group only
+with jobs of as many. The chosen cut's left counts become the left
+child's counts, and the parent's counts minus them the right child's, so
+no node counts its labels again; likewise each child takes its Gini from
+the chosen cut (the same float a recount gives, as the sums run over the
+same C terms in the same order), and only the roots compute their own.
+The fit also sums each leaf's majority count: the number of training rows
+the tree predicts correctly. The pre-order arrays are assembled from the
+depths at the end.
 
 A threshold is the midpoint between the values either side of the cut,
 unless the midpoint rounds onto the upper value (neighbouring floats) or
@@ -56,8 +75,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+# (column, row) cells of the trees one level-wise fit grows together, which bounds its arrays
+GROUP_CELLS = 1 << 15
+# (class, column, row) cells of the class table one split search spans
+SEARCH_CELLS = 1 << 15
 
 _DTYPES = {"feature": np.int64, "threshold": np.float64, "label": np.int64, "right": np.int64}
 
@@ -156,62 +181,31 @@ def _class_sum(terms: np.ndarray) -> np.ndarray:
     return _class_sum(terms[:half]) + _class_sum(terms[half:])
 
 
-def _best_split(
-    order: np.ndarray, xs: np.ndarray, table: np.ndarray, sizes: np.ndarray, min_leaf: int, parent_gini: float
-):
-    """Best (gain, column, cut, left class counts, left Gini, right Gini) over a node's presorted columns.
+class FitJob(NamedTuple):
+    """One tree to fit on X[:, features] vs each row's index into labels."""
 
-    Cut i lies between sorted positions i and i+1 of a column. It is valid
-    where the value strictly increases and both sides keep min_leaf points.
-    `table` is the fit's (C, N) int32 one-hot table and `sizes` its
-    arange(N + 1.0). The node's (C, F, n) class counts are `table` taken
-    by `order` and summed in place along the rows; the cuts lo .. n-lo-2
-    (the ones leaving min_leaf points each side) are contiguous slices of
-    them, with the left sizes a slice of `sizes` and the right sizes that
-    slice reversed. The per-cut Gini formula is the row-major one, its
-    class terms summed by `_class_sum`. Invalid cuts score -inf, so the
-    first maximum of the feature-major (F, cuts) grid is the lowest
-    column, then the lowest cut. Returns None when no cut is valid. The
-    temporaries die with this frame, so they are not held across the
-    caller's recursion.
+    X: np.ndarray  # (N, m) float64
+    codes: np.ndarray  # (N,)
+    features: list[int]  # ascending
+    labels: list[int]  # the distinct labels, ascending
+
+
+def fit_job(X: np.ndarray, y: np.ndarray, features, classes: np.ndarray | None = None) -> FitJob:
+    """The job of fitting a tree on X[:, features] vs integer labels y.
+
+    With classes given (sorted distinct labels), y already holds each
+    row's index into it and is not encoded again.
     """
-    n = xs.shape[1]
-    lo = max(min_leaf, 1) - 1  # cuts lo .. n - lo - 2 leave min_leaf points on each side
-    hi = n - lo - 1
-    if hi <= lo:
-        return None
-    invalid = ~(xs[:, lo + 1 : hi + 1] > xs[:, lo:hi])  # the value does not strictly increase (or is NaN)
-    cum = table.take(order, axis=1)  # (C, F, n) one-hot columns, summed in place into integer class counts
-    cum.cumsum(axis=2, out=cum)
-    left = cum[:, :, lo:hi]  # (C, F, cuts): the class counts left of each cut
-    left_n = sizes[lo + 1 : hi + 1]
-    right_n = left_n[::-1]  # the cut grid is symmetric: cut i leaves n - i - 1 points on the right
-    share = left / left_n
-    share *= share  # the same floats ** 2 gives
-    gini_l = _class_sum(share)
-    np.subtract(1.0, gini_l, out=gini_l)
-    # the right counts are the node's (its last cumsum column) less the left ones; the
-    # arithmetic runs in place, as reusing warm buffers takes several percent off a fit
-    np.divide(cum[:, :1, -1:] - left, right_n, out=share)
-    share *= share
-    gini_r = _class_sum(share)
-    np.subtract(1.0, gini_r, out=gini_r)
-    gain = left_n * gini_l  # parent_gini - (left_n * gini_l + right_n * gini_r) / n
-    gain += right_n * gini_r
-    gain /= n
-    np.subtract(parent_gini, gain, out=gain)
-    gain[invalid] = -np.inf
-    col, cut = divmod(int(gain.argmax()), hi - lo)  # the first maximum: lowest column, then lowest cut
-    if invalid[col, cut]:
-        return None  # no cut is valid
-    return (
-        float(gain[col, cut]),
-        col,
-        cut + lo,
-        left[:, col, cut].tolist(),
-        float(gini_l[col, cut]),
-        float(gini_r[col, cut]),
-    )
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit a tree on zero points")
+    features = sorted(int(f) for f in features)
+    if not features:
+        raise ValueError("feature subset must be non-empty")
+    if classes is None:
+        classes, y = np.unique(y, return_inverse=True)
+    return FitJob(X, y, features, np.asarray(classes).tolist())
 
 
 def tree_fit(
@@ -222,89 +216,274 @@ def tree_fit(
     min_leaf: int = 2,
     classes: np.ndarray | None = None,
 ) -> tuple[DecisionTree, int]:
-    """Fit a Gini decision tree on X[:, features] vs integer labels y.
+    """Fit a Gini decision tree on X[:, features] vs integer labels y: a group of one.
 
-    With classes given (sorted distinct labels), y already holds each
-    row's index into it and is not encoded again. Returns (tree, agree),
-    where agree is the number of training rows whose label is their
-    leaf's majority label: the rows the tree predicts correctly, summed
-    as the leaves are made.
+    Returns (tree, agree), where agree is the number of training rows
+    whose label is their leaf's majority label: the rows the tree
+    predicts correctly, summed as the leaves are made.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit a tree on zero points")
-    features = sorted(int(f) for f in features)
-    if not features:
-        raise ValueError("feature subset must be non-empty")
-    cols = X[:, features].T
-    if classes is None:
-        classes, y_codes = np.unique(y, return_inverse=True)
-    else:
-        y_codes = y
-    labels = np.asarray(classes).tolist()
-    n_rows = X.shape[0]
-    table = np.eye(len(labels), dtype=np.int32)[:, y_codes]  # (C, N): column i is the one-hot of y[i]
-    sizes = np.arange(n_rows + 1.0)
+    return fit_trees([fit_job(X, y, features, classes)], max_depth, min_leaf)[0]
+
+
+def fit_trees(jobs, max_depth: int | None = 12, min_leaf: int = 2) -> list[tuple[DecisionTree, int]]:
+    """(tree, agree) of each job, in order, the trees of a group grown together.
+
+    A group is a run of consecutive jobs whose padded (column, row) grid
+    stays within GROUP_CELLS, or one larger job. Jobs with fewer than 8
+    classes share a group's class table, padded with empty classes; a job
+    with 8 or more shares it only with jobs of as many classes, because
+    `_class_sum` adds 8 or more terms in another order, where a padded
+    zero would move the rounding.
+    """
+    jobs = list(jobs)
+    out: list = [None] * len(jobs)
+    run: list[int] = []
+
+    def fit_run() -> None:
+        by_classes: dict[int, list[int]] = {}
+        for i in run:
+            n_classes = len(jobs[i].labels)
+            by_classes.setdefault(n_classes if n_classes >= 8 else 0, []).append(i)
+        for members in by_classes.values():
+            for i, fitted in zip(members, _fit_group([jobs[i] for i in members], max_depth, min_leaf)):
+                out[i] = fitted
+        run.clear()
+
+    width = rows = 0
+    for i, job in enumerate(jobs):
+        n_cols, n_rows = len(job.features), job.codes.size
+        if run and max(width, n_cols) * (rows + n_rows) > GROUP_CELLS:
+            fit_run()
+            width = rows = 0
+        run.append(i)
+        width, rows = max(width, n_cols), rows + n_rows
+    if run:
+        fit_run()
+    return out
+
+
+def _stops(counts: np.ndarray, size: np.ndarray, depth: int, depth_cap: float, min_leaf: int) -> np.ndarray:
+    """Which nodes stop: pure, at the depth cap, or too small to split."""
+    return (counts.max(axis=1) == size) | (depth >= depth_cap) | (size < 2 * min_leaf)
+
+
+def _root_columns(jobs: list[FitJob], width: int, first_row: np.ndarray, goes_on: np.ndarray):
+    """The group's (F, rows) column values, and the (F, R) order of the roots that go on.
+
+    A job with fewer columns is padded with constant columns, which never
+    hold a valid cut. Each root's columns are stable-argsorted, in group
+    row ids.
+    """
+    vals = np.zeros((width, first_row[-1] + jobs[-1].codes.size))
+    for job, start in zip(jobs, first_row.tolist()):
+        vals[: len(job.features), start : start + job.codes.size] = job.X[:, job.features].T
+    roots = np.flatnonzero(goes_on).tolist()
+    order = np.empty((width, sum(jobs[j].codes.size for j in roots)), dtype=np.int32)
+    end = 0
+    for j in roots:
+        start, end = end, end + jobs[j].codes.size
+        rows = slice(first_row[j], first_row[j] + jobs[j].codes.size)
+        order[:, start:end] = vals[:, rows].argsort(axis=1, kind="stable") + first_row[j]
+    return vals, order
+
+
+def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list[tuple[DecisionTree, int]]:
+    """Grow the jobs' trees level by level, searching every tree's nodes of a depth together.
+
+    A depth's nodes are arrays: job, class counts, size and Gini, and
+    whether the node goes on to be searched. The rows of the nodes that go
+    on are consecutive segments of an (F, R) array of group row ids,
+    `order`, each column in ascending value order of `vals`. The
+    children of a depth's splits are the next depth's nodes, every left
+    child first, then every right child, so a split's children sit at the
+    same offset in the two halves. A child that stops is a leaf made from
+    its counts, and its rows are dropped rather than partitioned. The
+    pre-order arrays are assembled from the depths at the end.
+    """
     depth_cap = math.inf if max_depth is None else max_depth
-    n_cols = len(features)
-    nodes: list[list] = []  # [feature, threshold, label, right] in pre-order
-    is_left = np.empty(n_rows, dtype=bool)  # reused by every split: each row's side of it
-    agree = 0
+    n_jobs = len(jobs)
+    width = max(len(job.features) for job in jobs)
+    n_classes = max(len(job.labels) for job in jobs)
+    n_rows = np.array([job.codes.size for job in jobs])
+    first_row = np.cumsum(n_rows) - n_rows
+    codes = np.concatenate([job.codes for job in jobs])
+    table = np.eye(n_classes, dtype=np.int32)[:, codes]  # (C, rows): column i is the one-hot of row i's class
+    feature_of = np.full((n_jobs, width), -1)
+    label_of = np.zeros((n_jobs, n_classes), dtype=np.int64)
+    for j, job in enumerate(jobs):
+        feature_of[j, : len(job.features)] = job.features
+        label_of[j, : len(job.labels)] = job.labels
+    is_left = np.empty(codes.size, dtype=bool)  # reused by every depth: each row's side of its node's split
 
-    def stops(counts: list[int], n_here: int, depth: int) -> bool:
-        return max(counts) == n_here or depth >= depth_cap or n_here < 2 * min_leaf  # pure, at the cap, too small
+    job = np.arange(n_jobs)
+    counts = np.bincount(np.repeat(job, n_rows) * n_classes + codes, minlength=n_jobs * n_classes)
+    counts = counts.reshape(n_jobs, n_classes)
+    size = n_rows
+    gini = 1.0 - ((counts / size[:, None]) ** 2).sum(axis=1)  # every other node inherits its Gini
+    goes_on = ~_stops(counts, size, 0, depth_cap, min_leaf)
+    vals, order = _root_columns(jobs, width, first_row, goes_on)
+    levels = []  # per depth: job, split mask, feature, threshold, label
+    agree = np.zeros(n_jobs)
+    depth = 0
+    while job.size:
+        split = np.zeros(job.size, dtype=bool)
+        feature = np.full(job.size, -1)
+        threshold = np.zeros(job.size)
+        searched = np.flatnonzero(goes_on)
+        parent = searched[:0]
+        child_counts, child_size, child_gini = counts[:0], size[:0], gini[:0]
+        if searched.size:
+            sizes = size[searched]
+            starts = np.cumsum(sizes) - sizes
+            node_of = np.repeat(np.arange(searched.size), sizes)  # each position's node
+            best, col, at, right, gini_l, gini_r = _search_level(
+                order, vals, table, starts, sizes, counts[searched], gini[searched], node_of, min_leaf
+            )
+            splits = best >= -1e-12  # zero-gain splits allowed, rounding noise too; no valid cut is -inf
+            parent = searched[splits]
+            split[parent] = True
+            c, p = col[splits], at[splits]
+            below, above = vals[c, order[c, p]], vals[c, order[c, p + 1]]
+            with np.errstate(over="ignore"):
+                mid = (below + above) / 2.0
+            # the midpoint, unless it rounded onto the upper value or overflowed
+            threshold[parent] = np.where((below <= mid) & (mid < above), mid, below)
+            feature[parent] = feature_of[job[parent], c]
+            left_size = p - starts[splits] + 1
+            right = right[splits]
+            child_counts = np.concatenate((counts[parent] - right, right))
+            child_size = np.concatenate((left_size, size[parent] - left_size))
+            child_gini = np.concatenate((gini_l[splits], gini_r[splits]))
+        leaf = ~split
+        agree += np.bincount(job[leaf], weights=counts[leaf].max(axis=1), minlength=n_jobs)
+        label = np.where(split, -1, label_of[job, counts.argmax(axis=1)])  # first maximum: ties to the smaller label
+        levels.append((job, split, feature, threshold, label))
 
-    def leaf(counts: list[int]) -> None:
-        nonlocal agree
-        top = max(counts)
-        nodes.append([-1, 0.0, labels[counts.index(top)], -1])  # the first maximum: ties to the smaller label
-        agree += top
+        child_goes_on = ~_stops(child_counts, child_size, depth + 1, depth_cap, min_leaf)
+        if child_goes_on.any():
+            # A row goes left exactly when its position in the split column is at or before the
+            # cut; boolean indexing keeps each column's order, so every child's segment stays sorted.
+            position = np.arange(node_of.size)
+            is_left[order[col[node_of], position]] = position <= at[node_of]
+            go_left = is_left.take(order)
+            go_right = ~go_left
+            keep = np.zeros((2, searched.size), dtype=bool)
+            keep[:, splits] = child_goes_on.reshape(2, -1)
+            go_left &= keep[0, node_of]
+            go_right &= keep[1, node_of]
+            order = np.concatenate((order[go_left].reshape(width, -1), order[go_right].reshape(width, -1)), axis=1)
+        job = np.concatenate((job[parent], job[parent]))
+        counts, size, gini, goes_on = child_counts, child_size, child_gini, child_goes_on
+        depth += 1
+    return _assemble(levels, agree)
 
-    def build(order: np.ndarray, xs: np.ndarray, counts: list[int], gini: float, depth: int) -> None:
-        # A node that does not stop. order and xs are (F, n): each column's
-        # rows and values in ascending value order; counts is per class,
-        # gini is the node's.
-        n_here = order.shape[1]
-        best = _best_split(order, xs, table, sizes, min_leaf, gini)
-        if best is None or best[0] < -1e-12:  # zero-gain splits allowed, rounding noise too
-            leaf(counts)
-            return
-        _, col, cut, left_counts, gini_left, gini_right = best
-        below, above = xs[col, cut : cut + 2].tolist()
-        threshold = (below + above) / 2.0
-        if not below <= threshold < above:  # the midpoint rounded onto the upper value, or overflowed
-            threshold = below
-        node = [features[col], threshold, -1, -1]
-        nodes.append(node)
-        right_counts = [c - c_left for c, c_left in zip(counts, left_counts)]
-        # A child that stops becomes a leaf straight from its counts: its rows are never partitioned out.
-        left_stops = stops(left_counts, cut + 1, depth + 1)
-        right_stops = stops(right_counts, n_here - cut - 1, depth + 1)
-        if not (left_stops and right_stops):
-            # A row goes left exactly when its position in column col is <= cut;
-            # boolean indexing keeps each column's order, so both children stay sorted.
-            is_left[order[col]] = np.arange(n_here) <= cut
-            go = is_left.take(order)
-        if left_stops:
-            leaf(left_counts)
-        else:
-            build(order[go].reshape(n_cols, -1), xs[go].reshape(n_cols, -1), left_counts, gini_left, depth + 1)
-        node[3] = len(nodes)
-        if right_stops:
-            leaf(right_counts)
-        else:
-            go = ~go
-            build(order[go].reshape(n_cols, -1), xs[go].reshape(n_cols, -1), right_counts, gini_right, depth + 1)
 
-    counts = np.bincount(y_codes, minlength=len(labels)).tolist()
-    if stops(counts, n_rows, 0):
-        leaf(counts)
-    else:
-        order = cols.argsort(axis=1, kind="stable")
-        gini = 1.0 - float(((np.array(counts) / n_rows) ** 2).sum())  # every other node inherits its Gini
-        build(order, np.take_along_axis(cols, order, axis=1), counts, gini, 0)
-    return DecisionTree(*zip(*nodes)), agree
+def _search_level(order, vals, table, starts, sizes, counts, gini, node_of, min_leaf):
+    """The best cut of each node of a depth: (gain, column, position, right counts, left Gini, right Gini).
+
+    Nodes are searched in blocks of consecutive nodes, a block spanning
+    about SEARCH_CELLS cells of the (C, F, positions) class table; a node
+    with no valid cut has gain -inf. Positions are level positions: the
+    cut lies between position p and p + 1 of the chosen column.
+    """
+    cells = starts * (table.shape[0] * order.shape[0])  # class-table cells before each node
+    bounds = [0, *(np.flatnonzero(np.diff(cells // SEARCH_CELLS)) + 1).tolist(), starts.size]
+    parts = []
+    for k0, k1 in zip(bounds[:-1], bounds[1:]):
+        a, b = int(starts[k0]), int(starts[k1 - 1] + sizes[k1 - 1])
+        best, col, at, *rest = _search_block(
+            order[:, a:b], vals, table, starts[k0:k1] - a, sizes[k0:k1], counts[k0:k1], gini[k0:k1],
+            node_of[a:b] - k0, min_leaf,
+        )
+        parts.append((best, col, at + a, *rest))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _search_block(order, vals, table, starts, sizes, counts, gini, node_of, min_leaf):
+    """The best cut of each node of a block whose rows are consecutive column segments.
+
+    Cut i of a node lies between its sorted positions i and i+1. It is
+    valid where the value strictly increases and both sides keep min_leaf
+    rows. The block's (C, F, P) class counts are `table` taken by `order`
+    and summed in place along the positions; each node's counts restart
+    at its first row by subtracting the counts of the nodes before it.
+    Node size, left and right sizes and parent Gini are per-position
+    arrays, so each cut's Gini formula is the row-major one, its class
+    terms summed by `_class_sum`. Invalid cuts score -inf. A node's best
+    is the first maximum in feature-major order: each column's maximum
+    over the node (`maximum.reduceat`), the first column at the node's
+    maximum, then the first position in that column, which is the (lower
+    feature, lower threshold) tie order.
+    """
+    n_pos = order.shape[1]
+    lo = max(min_leaf, 1) - 1  # cuts lo .. n - lo - 2 leave min_leaf rows on each side
+    pos = np.arange(n_pos) - starts[node_of]  # each position's place in its node
+    n = sizes[node_of]
+    cum = table.take(order, axis=1)  # (C, F, P) one-hot columns, summed in place into integer class counts
+    cum.cumsum(axis=2, out=cum)
+    cum -= (np.cumsum(counts, axis=0) - counts).T.astype(np.int32)[:, node_of][:, None, :]
+    left_n = pos + 1.0
+    right_n = n - left_n
+    right_n[right_n == 0] = 1.0  # a node's last position, never a valid cut: no division by zero
+    share = cum / left_n
+    share *= share  # the same floats ** 2 gives
+    gini_l = _class_sum(share)
+    np.subtract(1.0, gini_l, out=gini_l)
+    # the counts right of each cut are the node's less the left ones; the arithmetic
+    # runs in place, as reusing warm buffers takes several percent off a fit
+    np.subtract(counts.T.astype(np.int32)[:, node_of][:, None, :], cum, out=cum)
+    np.divide(cum, right_n, out=share)
+    share *= share
+    gini_r = _class_sum(share)
+    del share  # the largest temporary: free it before the (F, P) grids that follow
+    np.subtract(1.0, gini_r, out=gini_r)
+    gain = left_n * gini_l  # parent Gini - (left_n * gini_l + right_n * gini_r) / n
+    gain += right_n * gini_r
+    gain /= n
+    np.subtract(gini[node_of], gain, out=gain)
+    xs = np.take_along_axis(vals, order, axis=1)
+    gain[:, :-1][~(xs[:, 1:] > xs[:, :-1])] = -np.inf  # the value does not strictly increase past the cut
+    gain[:, (pos < lo) | (pos > n - lo - 2)] = -np.inf  # a side would keep fewer than min_leaf rows
+    col_best = np.maximum.reduceat(gain, starts, axis=1)  # (F, nodes)
+    best = col_best.max(axis=0)
+    col = (col_best == best).argmax(axis=0)
+    hit = np.flatnonzero(gain[col[node_of], np.arange(n_pos)] == best[node_of])
+    at = hit[np.searchsorted(hit, starts)]
+    return best, col, at, cum[:, col, at].T, gini_l[col, at], gini_r[col, at]
+
+
+def _assemble(levels, agree: np.ndarray) -> list[tuple[DecisionTree, int]]:
+    """Each job's (tree, agree), its pre-order arrays filled from the depths' node arrays.
+
+    Subtree sizes are summed from the deepest depth up; then each node's
+    pre-order index is handed down: a split's left child follows it, and
+    its right child follows the left child's subtree.
+    """
+    subtree = [np.ones(0, dtype=np.int64)] * len(levels)
+    for d in range(len(levels) - 1, -1, -1):
+        split = levels[d][1]
+        subtree[d] = np.ones(split.size, dtype=np.int64)
+        if split.any():
+            below = subtree[d + 1].reshape(2, -1)
+            subtree[d][split] += below[0] + below[1]
+    tree_size = subtree[0]
+    tree_start = np.cumsum(tree_size) - tree_size
+    feature = np.empty(int(tree_size.sum()), dtype=np.int64)
+    threshold = np.empty(feature.size)
+    label = np.empty(feature.size, dtype=np.int64)
+    right = np.full(feature.size, -1)
+    at = tree_start
+    for d, (job, split, level_feature, level_threshold, level_label) in enumerate(levels):
+        feature[at], threshold[at], label[at] = level_feature, level_threshold, level_label
+        if split.any():
+            first = at[split] + 1
+            second = first + subtree[d + 1][: first.size]
+            right[at[split]] = second - tree_start[job[split]]  # a tree's node ids start at its root
+            at = np.concatenate((first, second))
+    return [
+        (DecisionTree(feature[a:b], threshold[a:b], label[a:b], right[a:b]), int(agree[j]))
+        for j, (a, b) in enumerate(zip(tree_start.tolist(), (tree_start + tree_size).tolist()))
+    ]
 
 
 # -- text format ------------------------------------------------------------

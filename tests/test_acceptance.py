@@ -25,7 +25,7 @@ from aggrex.aggregate import (
 from aggrex.blackbox import train_bagged_forest
 from aggrex.cli import cmd_report, cmd_sweep, load_config, main, run_dir_for
 from aggrex.data import FeatureSchema, standardize, synth_multiclass
-from aggrex.explainer import train_local_explainer
+from aggrex.explainer import label_ball, train_local_explainer
 from aggrex.infofilter import PartitionLeaves, cond_mutual_info, select_informative_features
 from aggrex.sampler import derive_seed, sample_ball
 
@@ -223,8 +223,8 @@ def test_criterion_07_filtered_explainers_not_more_complex():
     for trial in range(50):
         center = data.X[(trial * 11) % data.n]
         seed = derive_seed(777, trial)
-        filt = train_local_explainer(box, center, 3.0, 1000, schema=data.schema, seed=seed, filtered=True)
-        raw = train_local_explainer(box, center, 3.0, 1000, schema=data.schema, seed=seed, filtered=False)
+        ball = label_ball(box, center, 3.0, 1000, data.schema, seed)
+        filt, raw = train_local_explainer([ball], data.schema, (True, False))
         if filt.train_fidelity >= 0.9 and raw.train_fidelity >= 0.9:
             matched += 1
             if filt.leaf_count <= raw.leaf_count:

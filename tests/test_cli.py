@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,29 @@ class TestConfig:
         assert main(["sweep", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and match in err and "must be an integer" in err
+        assert not list(tmp_path.rglob("run-*"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("nan")], ids=["nan-text", "inf-text", "minus-inf-text", "nan"])
+    def test_non_finite_eps_mi_exits_2_before_any_run_dir(self, tmp_path, capsys, value):
+        # a NaN threshold never stops forward selection
+        path = write_config(tmp_path, small_config(tmp_path / "runs", filter={"eps_mi": value}))
+        assert main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "filter.eps_mi must be finite" in err
+        assert not list(tmp_path.rglob("run-*"))
+
+    def test_non_finite_eps_mi_flag_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(tmp_path / "runs"))
+        assert main(["explain", "--config", str(path), "--eps-mi", "nan"]) == 2
+        assert "filter.eps_mi must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_rows_to_standardize_exits_2_before_any_run_dir(self, tmp_path, capsys, n):
+        synth = {"n": n, "m_cont": 2, "m_bin": 2, "classes": 3, "relevant": [0, 2]}
+        path = write_config(tmp_path, small_config(tmp_path / "runs", dataset={"synth": synth}))
+        assert main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"dataset.standardize needs at least 2 rows, the dataset has {n}" in err
         assert not list(tmp_path.rglob("run-*"))
 
     def test_numeric_text_runs_as_its_number(self, tmp_path):
@@ -470,6 +494,34 @@ class TestCorruptInputs:
         assert main(["aggregate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "explainers.json" in err and "trailing" in err
+
+
+class TestExplainMemory:
+    # The explain stage's traced peak on the benchmark's protocol-sized config was 2.3 MB
+    # before explainer trees were grown a group at a time; grouping may hold half as much again.
+    PEAK_CAP_MB = 3.45
+
+    def test_explain_stage_peak_is_capped(self, tmp_path):
+        cfg = load_config(
+            None,
+            {
+                "seed": 2026,
+                "output_dir": str(tmp_path),
+                "dataset": {"synth": {"n": 60, "m_cont": 4, "m_bin": 2, "classes": 5, "relevant": [0, 1, 4]}},
+                "blackbox": {"n_trees": 25},
+                "sampler": {"N": 600, "radii": [1.2]},
+                "filter": {"variant": "filtered"},
+            },
+        )
+        cmd_train(cfg)
+        cmd_explain(cfg)  # once untraced, so first-call caches do not count
+        tracemalloc.start()
+        try:
+            cmd_explain(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 <= self.PEAK_CAP_MB
 
 
 class TestMainEntry:

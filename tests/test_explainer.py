@@ -46,15 +46,21 @@ SCHEMA = FeatureSchema.mixed(2, 3)
 CENTER = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
 
 
+def explain(box, center, r, N, schema, seed, filtered=True, **options):
+    """The explainer of one freshly labelled ball: a group of one."""
+    ball = label_ball(box, center, r, N, schema, seed)
+    return train_local_explainer([ball], schema, (filtered,), **options)[0]
+
+
 class TestTrainLocalExplainer:
     def test_constant_blackbox_single_leaf(self):
-        ex = train_local_explainer(ConstantBox(), CENTER, 2.0, 300, schema=SCHEMA, seed=1)
+        ex = explain(ConstantBox(), CENTER, 2.0, 300, schema=SCHEMA, seed=1)
         assert ex.leaf_count == 1
         assert ex.train_fidelity == 1.0
         assert ex.selected_features == ()  # filter finds nothing, fallback leaf
 
     def test_indicator_blackbox_two_leaves(self):
-        ex = train_local_explainer(
+        ex = explain(
             FeatureIndicatorBox(3), CENTER, 2.0, 500, schema=SCHEMA, seed=2, filtered=True
         )
         assert 3 in ex.selected_features
@@ -69,10 +75,10 @@ class TestTrainLocalExplainer:
         trials = 5
         for t in range(trials):
             box = FeatureIndicatorBox(4)
-            filt = train_local_explainer(
+            filt = explain(
                 box, CENTER, 2.0, 400, schema=SCHEMA, seed=50 + t, filtered=True
             )
-            raw = train_local_explainer(
+            raw = explain(
                 box, CENTER, 2.0, 400, schema=SCHEMA, seed=50 + t, filtered=False
             )
             assert filt.train_fidelity >= 0.9 and raw.train_fidelity >= 0.9
@@ -83,13 +89,13 @@ class TestTrainLocalExplainer:
     def test_filtered_tree_stays_inside_selection(self):
         d = synth_multiclass(seed=3, n=200, m_cont=2, m_bin=3, classes=3, relevant=(0, 2))
         box = train_bagged_forest(d, n_trees=5, seed=1)
-        ex = train_local_explainer(box, d.X[0], 1.5, 300, schema=d.schema, seed=9, filtered=True)
+        ex = explain(box, d.X[0], 1.5, 300, schema=d.schema, seed=9, filtered=True)
         assert ex.tree.features_used <= set(ex.selected_features)
 
     def test_deterministic(self):
         box = FeatureIndicatorBox(3)
-        a = train_local_explainer(box, CENTER, 2.0, 300, schema=SCHEMA, seed=4)
-        b = train_local_explainer(box, CENTER, 2.0, 300, schema=SCHEMA, seed=4)
+        a = explain(box, CENTER, 2.0, 300, schema=SCHEMA, seed=4)
+        b = explain(box, CENTER, 2.0, 300, schema=SCHEMA, seed=4)
         assert tree_to_lines(a.tree) == tree_to_lines(b.tree)
         assert a.train_fidelity == b.train_fidelity
         assert a.selected_features == b.selected_features
@@ -105,7 +111,7 @@ class TestTrainLocalExplainer:
         # max_features=0 selects nothing: the single-leaf fallback
         filtered, max_features = variant
         box = RandomLabelBox(seed, n_labels)
-        ex = train_local_explainer(
+        ex = explain(
             box, CENTER, 1.5, N, schema=SCHEMA, seed=seed, filtered=filtered, max_features=max_features
         )
         points = sample_ball(CENTER, 1.5, N, SCHEMA, seed).points
@@ -115,7 +121,7 @@ class TestTrainLocalExplainer:
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            train_local_explainer(ConstantBox(), CENTER, 1.0, 1, schema=SCHEMA, seed=0)
+            explain(ConstantBox(), CENTER, 1.0, 1, schema=SCHEMA, seed=0)
 
 
 def separately_trained(box, center, r, N, seed, filtered):
@@ -143,16 +149,37 @@ class TestSharedBall:
         boxes = {"random": RandomLabelBox(seed, n_labels), "indicator": FeatureIndicatorBox(3), "constant": ConstantBox()}
         box = boxes[kind]
         ball = label_ball(box, CENTER, r, N, SCHEMA, seed)
-        for filtered in (True, False):
-            ex = train_local_explainer(box, CENTER, r, N, schema=SCHEMA, seed=seed, filtered=filtered, ball=ball)
+        for filtered, ex in zip((True, False), train_local_explainer([ball], SCHEMA, (True, False))):
             got = ex.selected_features, tree_to_lines(ex.tree), ex.train_fidelity
             assert got == separately_trained(box, CENTER, r, N, seed, filtered)
+
+
+def summary(ex):
+    return ex.selected_features, tree_to_lines(ex.tree), ex.train_fidelity, ex.radius, ex.filtered
+
+
+class TestExplainerGroups:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(2, 120)), min_size=1, max_size=5),
+        st.sampled_from([None, 0, 2]),
+    )
+    def test_a_group_gives_each_balls_own_explainers(self, specs, max_features):
+        # max_features=0 gives every filtered explainer the single-leaf fallback, which fits no tree
+        balls = [
+            label_ball(RandomLabelBox(seed, n_labels), CENTER, 1.5, N, SCHEMA, seed, center_index=i)
+            for i, (seed, n_labels, N) in enumerate(specs)
+        ]
+        group = train_local_explainer(balls, SCHEMA, (True, False), max_features=max_features)
+        alone = [ex for ball in balls for ex in train_local_explainer([ball], SCHEMA, (True, False), max_features=max_features)]
+        assert [summary(ex) for ex in group] == [summary(ex) for ex in alone]
+        assert [(ex.center_index, ex.filtered) for ex in group] == [(i, f) for i in range(len(specs)) for f in (True, False)]
 
 
 class TestLocalFidelity:
     def test_perfect_agreement(self):
         box = ConstantBox()
-        ex = train_local_explainer(box, CENTER, 1.0, 100, schema=SCHEMA, seed=0)
+        ex = explain(box, CENTER, 1.0, 100, schema=SCHEMA, seed=0)
         points = np.tile(CENTER, (10, 1))
         assert local_fidelity(ex, box, points) == 1.0
 
@@ -161,7 +188,7 @@ class TestLocalFidelity:
         pairs = [((0.0, 0.0), 0), ((1.0, 0.0), 0), ((2.0, 0.0), 0), ((3.0, 0.0), 1)]
         box = table_oracle(pairs)
         schema = FeatureSchema.mixed(2, 0)
-        ex = train_local_explainer(
+        ex = explain(
             ConstantBox(), np.zeros(2), 1.0, 50, schema=schema, seed=1
         )
         points = np.array([p for p, _ in pairs])
@@ -174,7 +201,7 @@ class TestLocalFidelity:
             [rng.uniform(-1, 1, 30), rng.uniform(-1, 1, 30), rng.integers(0, 2, 30).astype(float)]
         )
         box = table_oracle([(tuple(points[i]), int(rng.integers(0, 2))) for i in range(30)], schema=schema)
-        ex = train_local_explainer(box, points[0], 1.0, 200, schema=schema, seed=3)
+        ex = explain(box, points[0], 1.0, 200, schema=schema, seed=3)
         got = local_fidelity(ex, box, points)
         manual = sum(
             1 for i in range(30) if ex.predict(points[i]) == box.predict(points[i])
@@ -182,6 +209,6 @@ class TestLocalFidelity:
         assert got == manual
 
     def test_empty_points_rejected(self):
-        ex = train_local_explainer(ConstantBox(), CENTER, 1.0, 50, schema=SCHEMA, seed=0)
+        ex = explain(ConstantBox(), CENTER, 1.0, 50, schema=SCHEMA, seed=0)
         with pytest.raises(ValueError):
             local_fidelity(ex, ConstantBox(), np.empty((0, 5)))

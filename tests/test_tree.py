@@ -1,15 +1,19 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aggrex import tree as tree_module
 from aggrex.blackbox import CompiledForest
 from aggrex.tree import (
     DecisionTree,
-    _best_split,
     _class_sum,
+    _search_level,
+    fit_job,
+    fit_trees,
     route,
     stack_trees,
     tree_fit,
@@ -244,6 +248,24 @@ def recounted_gini(counts, n):
     return 1.0 - float(((np.array(counts) / n) ** 2).sum())
 
 
+def node_split(order, xs, table, min_leaf, parent_gini):
+    """One node's best cut through the level search: (gain, column, cut, left counts, left Gini, right Gini) or None.
+
+    order and xs are the node's (F, n) presorted columns, its rows 0 .. n-1.
+    """
+    n = order.shape[1]
+    vals = np.empty_like(xs)
+    np.put_along_axis(vals, order, xs, axis=1)  # each column's values by row
+    counts = table.sum(axis=1)[None, :]
+    one = np.array([0]), np.array([n])
+    best, col, at, right, gini_l, gini_r = _search_level(
+        order, vals, table, *one, counts, np.array([parent_gini]), np.zeros(n, dtype=np.int64), min_leaf
+    )
+    if best[0] == -np.inf:
+        return None
+    return float(best[0]), int(col[0]), int(at[0]), (counts[0] - right[0]).tolist(), float(gini_l[0]), float(gini_r[0])
+
+
 class TestInheritedGini:
     """A child's Gini comes from its parent's chosen cut, bit for bit what a recount gives.
 
@@ -261,7 +283,7 @@ class TestInheritedGini:
         xs = np.take_along_axis(cols, order, axis=1)
         table = np.eye(n_classes, dtype=np.int32)[:, y]
         gini = recounted_gini(np.bincount(y, minlength=n_classes), n)
-        best = _best_split(order, xs, table, np.arange(n + 1.0), min_leaf, gini)
+        best = node_split(order, xs, table, min_leaf, gini)
         assume(best is not None)
         _, _, cut, left_counts, gini_left, gini_right = best
         right_counts = (np.bincount(y, minlength=n_classes) - left_counts).tolist()
@@ -315,7 +337,7 @@ class TestClassMajorSplitSearch:
         order, xs, y, n_classes, min_leaf = problem
         n = y.size
         gini = recounted_gini(np.bincount(y, minlength=n_classes), n)
-        got = _best_split(order, xs, np.eye(n_classes, dtype=np.int32)[:, y], np.arange(n + 1.0), min_leaf, gini)
+        got = node_split(order, xs, np.eye(n_classes, dtype=np.int32)[:, y], min_leaf, gini)
         want = row_major_best_split(order, xs, np.eye(n_classes, dtype=np.int32)[y], min_leaf, gini)
         assert got == want
 
@@ -329,6 +351,231 @@ class TestClassMajorSplitSearch:
             want = rows.sum(axis=-1)
             got = _class_sum(np.ascontiguousarray(np.moveaxis(rows, -1, 0)))
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestLevelSearch:
+    """Many nodes searched as one level: each node's result is its own search's, whatever the blocks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(split_problems(), min_size=1, max_size=6), st.sampled_from([1, 40, 1 << 15]), st.integers(1, 4))
+    def test_each_node_gets_its_own_best_cut(self, problems, search_cells, min_leaf):
+        # nodes share the level's column count and class table, as a level's nodes do
+        width = max(order.shape[0] for order, *_ in problems)
+        n_classes = max(c for *_, c, _ in problems)
+        orders, values, labels, starts, counts, ginis, want = [], [], [], [], [], [], []
+        first = 0
+        for order, xs, y, _, _ in problems:
+            n = y.size
+            pad = width - order.shape[0]  # constant columns, as a narrower job is padded
+            order = np.vstack([order, np.tile(np.arange(n), (pad, 1))])
+            xs = np.vstack([xs, np.zeros((pad, n))])
+            table = np.eye(n_classes, dtype=np.int32)[:, y]
+            node_counts = np.bincount(y, minlength=n_classes)
+            gini = recounted_gini(node_counts, n)
+            want.append(node_split(order, xs, table, min_leaf, gini))
+            vals = np.empty_like(xs)
+            np.put_along_axis(vals, order, xs, axis=1)
+            orders.append(order + first)
+            values.append(vals)
+            labels.append(y)
+            starts.append(first)
+            counts.append(node_counts)
+            ginis.append(gini)
+            first += n
+        sizes = np.array([y.size for y in labels])
+        order, vals = np.hstack(orders), np.hstack(values)
+        table = np.eye(n_classes, dtype=np.int32)[:, np.concatenate(labels)]
+        with mock.patch.object(tree_module, "SEARCH_CELLS", search_cells):
+            got = _search_level(
+                order, vals, table, np.array(starts), sizes, np.array(counts), np.array(ginis),
+                np.repeat(np.arange(sizes.size), sizes), min_leaf,
+            )
+        for k, expected in enumerate(want):
+            best, col, at, right, gini_l, gini_r = (part[k] for part in got)
+            if expected is None:
+                assert best == -np.inf
+            else:
+                left = (counts[k] - right).tolist()
+                assert (float(best), int(col), int(at) - starts[k], left, float(gini_l), float(gini_r)) == expected
+
+
+# -- the grouped fit against a copy of the recursive fit it replaced --------------
+
+def recursive_best_split(order, xs, table, sizes, min_leaf, parent_gini):
+    """Best (gain, column, cut, left counts, left Gini, right Gini) of one node, or None: the per-node search."""
+    n = xs.shape[1]
+    lo = max(min_leaf, 1) - 1
+    hi = n - lo - 1
+    if hi <= lo:
+        return None
+    invalid = ~(xs[:, lo + 1 : hi + 1] > xs[:, lo:hi])
+    cum = table.take(order, axis=1)
+    cum.cumsum(axis=2, out=cum)
+    left = cum[:, :, lo:hi]
+    left_n = sizes[lo + 1 : hi + 1]
+    right_n = left_n[::-1]
+    share = left / left_n
+    share *= share
+    gini_l = _class_sum(share)
+    np.subtract(1.0, gini_l, out=gini_l)
+    np.divide(cum[:, :1, -1:] - left, right_n, out=share)
+    share *= share
+    gini_r = _class_sum(share)
+    np.subtract(1.0, gini_r, out=gini_r)
+    gain = left_n * gini_l
+    gain += right_n * gini_r
+    gain /= n
+    np.subtract(parent_gini, gain, out=gain)
+    gain[invalid] = -np.inf
+    col, cut = divmod(int(gain.argmax()), hi - lo)
+    if invalid[col, cut]:
+        return None
+    return float(gain[col, cut]), col, cut + lo, left[:, col, cut].tolist(), float(gini_l[col, cut]), float(gini_r[col, cut])
+
+
+def recursive_tree_fit(X, y, features, max_depth, min_leaf):
+    """The one-tree recursive fit that the grouped fit replaced: (pre-order records, agree)."""
+    X = np.asarray(X, dtype=float)
+    features = sorted(int(f) for f in features)
+    cols = X[:, features].T
+    classes, y_codes = np.unique(y, return_inverse=True)
+    labels = classes.tolist()
+    n_rows = X.shape[0]
+    table = np.eye(len(labels), dtype=np.int32)[:, y_codes]
+    sizes = np.arange(n_rows + 1.0)
+    depth_cap = float("inf") if max_depth is None else max_depth
+    nodes = []
+    is_left = np.empty(n_rows, dtype=bool)
+    agree = 0
+
+    def stops(counts, n_here, depth):
+        return max(counts) == n_here or depth >= depth_cap or n_here < 2 * min_leaf
+
+    def leaf(counts):
+        nonlocal agree
+        top = max(counts)
+        nodes.append([-1, 0.0, labels[counts.index(top)], -1])
+        agree += top
+
+    def build(order, xs, counts, gini, depth):
+        n_here = order.shape[1]
+        best = recursive_best_split(order, xs, table, sizes, min_leaf, gini)
+        if best is None or best[0] < -1e-12:
+            leaf(counts)
+            return
+        _, col, cut, left_counts, gini_left, gini_right = best
+        below, above = xs[col, cut : cut + 2].tolist()
+        threshold = (below + above) / 2.0
+        if not below <= threshold < above:
+            threshold = below
+        node = [features[col], threshold, -1, -1]
+        nodes.append(node)
+        right_counts = [c - c_left for c, c_left in zip(counts, left_counts)]
+        left_stops = stops(left_counts, cut + 1, depth + 1)
+        right_stops = stops(right_counts, n_here - cut - 1, depth + 1)
+        if not (left_stops and right_stops):
+            is_left[order[col]] = np.arange(n_here) <= cut
+            go = is_left.take(order)
+        if left_stops:
+            leaf(left_counts)
+        else:
+            build(order[go].reshape(len(features), -1), xs[go].reshape(len(features), -1), left_counts, gini_left, depth + 1)
+        node[3] = len(nodes)
+        if right_stops:
+            leaf(right_counts)
+        else:
+            go = ~go
+            build(order[go].reshape(len(features), -1), xs[go].reshape(len(features), -1), right_counts, gini_right, depth + 1)
+
+    counts = np.bincount(y_codes, minlength=len(labels)).tolist()
+    if stops(counts, n_rows, 0):
+        leaf(counts)
+    else:
+        order = cols.argsort(axis=1, kind="stable")
+        gini = 1.0 - float(((np.array(counts) / n_rows) ** 2).sum())
+        build(order, np.take_along_axis(cols, order, axis=1), counts, gini, 0)
+    return tree_to_lines(DecisionTree(*zip(*nodes))), agree
+
+
+@st.composite
+def fit_groups(draw):
+    """1-6 fit problems of mixed size, width and class count (1-17), some resampled with duplicates."""
+    problems = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 60))
+        m = draw(st.integers(1, 5))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        X = np.column_stack(tie_rich_columns(draw, rng, n, m))
+        y = rng.integers(0, draw(st.integers(1, 17)), size=n) * 3 - 2
+        if draw(st.booleans()):  # a bootstrap resample: repeated rows
+            idx = rng.integers(0, n, size=n)
+            X, y = X[idx], y[idx]
+        problems.append((X, y, sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))))
+    return problems, draw(st.sampled_from([None, 0, 1, 2, 3, 12])), draw(st.sampled_from([1, 2, 3]))
+
+
+def fitted_records(problems, max_depth, min_leaf):
+    return [(tree_to_lines(t), agree) for t, agree in fit_trees([fit_job(*p) for p in problems], max_depth, min_leaf)]
+
+
+class TestGroupedFit:
+    """A group's trees are each the recursive fit's tree, whatever the group, its order and its blocks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fit_groups(), st.randoms(use_true_random=False), st.sampled_from([1, 60, 1 << 15]))
+    def test_matches_recursive_fit_in_any_group(self, group, random, search_cells):
+        problems, max_depth, min_leaf = group
+        want = [recursive_tree_fit(X, y, f, max_depth, min_leaf) for X, y, f in problems]
+        with mock.patch.object(tree_module, "SEARCH_CELLS", search_cells):
+            assert fitted_records(problems, max_depth, min_leaf) == want
+            shuffled = list(range(len(problems)))
+            random.shuffle(shuffled)
+            got = fitted_records([problems[i] for i in shuffled], max_depth, min_leaf)
+            assert [got[shuffled.index(i)] for i in range(len(problems))] == want
+            alone = [fitted_records([p], max_depth, min_leaf)[0] for p in problems]
+            assert alone == want
+        for record in fitted_records(problems, max_depth, min_leaf):
+            assert type(record[1]) is int
+
+    @pytest.mark.parametrize("max_depth", [0, 1, None])
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_named_cases(self, max_depth, min_leaf):
+        rng = np.random.default_rng(5)
+        n = 40
+        binary = rng.integers(0, 2, size=(n, 2)).astype(float)
+        mixed = np.column_stack([rng.normal(size=n), binary, rng.integers(0, 4, size=n) * 0.5])
+        idx = rng.integers(0, n, size=n)
+        problems = [
+            (mixed, np.full(n, 4), [0, 1, 2, 3]),  # a pure root
+            (mixed[idx], rng.integers(0, 3, size=n)[idx], [0, 1, 2, 3]),  # bootstrap duplicates
+            (binary, (binary[:, 0] + 2 * binary[:, 1]).astype(int), [0, 1]),  # binary columns only
+            (mixed, rng.integers(0, 5, size=n), [0, 3]),  # 5 classes, padded next to 9
+            (mixed, rng.integers(0, 9, size=n), [1, 2, 3]),  # 9 classes: grouped apart
+            (mixed[:, :1], rng.integers(0, 12, size=n), [0]),  # 12 classes: grouped apart
+        ]
+        want = [recursive_tree_fit(X, y, f, max_depth, min_leaf) for X, y, f in problems]
+        assert fitted_records(problems, max_depth, min_leaf) == want
+        assert [fitted_records([p], max_depth, min_leaf)[0] for p in problems] == want
+
+    def test_a_near_tie_keeps_its_class_order(self):
+        # Two cuts whose gains differ only in the last bit, where the order the 6 class terms are
+        # added in decides the winner. Padded to 9 classes, as in a group with a 9-class job, the
+        # terms would be added pairwise and the other cut would win at node 10.
+        digits = ("1102120011122221022000121", "2111201022211020110002110", "3412024422430052035104440")
+        col0, col1, y = (np.array([int(c) for c in text]) for text in digits)
+        six = (np.column_stack([col0, col1]).astype(float), y, [0, 1])
+        nine = (np.arange(10.0)[:, None], np.arange(10) % 9, [0])
+        want = recursive_tree_fit(*six, None, 1)
+        assert want[0][10] == "node 10 split 1 1.5"
+        assert fitted_records([six, nine], None, 1) == [want, recursive_tree_fit(*nine, None, 1)]
+
+    def test_groups_split_at_the_cell_budget(self):
+        rng = np.random.default_rng(8)
+        problems = [(rng.normal(size=(30, 3)), rng.integers(0, 3, size=30), [0, 1, 2]) for _ in range(5)]
+        want = [recursive_tree_fit(X, y, f, 12, 2) for X, y, f in problems]
+        for budget in (1, 90, 180, 1 << 15):  # one tree per group, one, two, and all five
+            with mock.patch.object(tree_module, "GROUP_CELLS", budget):
+                assert fitted_records(problems, 12, 2) == want
 
 
 class TestStoppingChildren:
