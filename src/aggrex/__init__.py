@@ -29,7 +29,14 @@ from .data import (
     synth_multiclass,
     write_dataset,
 )
-from .explainer import LabelledBall, LocalExplainer, label_ball, local_fidelity, train_local_explainer
+from .explainer import (
+    LabelledBall,
+    LocalExplainer,
+    explainer_groups,
+    label_ball,
+    local_fidelity,
+    train_local_explainer,
+)
 from .infofilter import (
     BinAssignment,
     PartitionLeaves,
@@ -43,6 +50,16 @@ from .infofilter import (
     selection_trace,
 )
 from .sampler import SampleSet, derive_seed, mixed_distance, sample_ball, within_ball
-from .tree import DecisionTree, FitJob, fit_job, fit_trees, tree_fit, tree_from_lines, tree_to_lines, tree_to_rules
+from .tree import (
+    DecisionTree,
+    FitJob,
+    fit_job,
+    fit_trees,
+    runs,
+    tree_fit,
+    tree_from_lines,
+    tree_to_lines,
+    tree_to_rules,
+)
 
 __version__ = "0.1.0"

@@ -173,8 +173,9 @@ def train_bagged_forest(d: Dataset, n_trees: int = 50, seed: int = 0) -> BlackBo
     if n_trees < 1:
         raise ValueError("need at least one tree")
     rng = np.random.default_rng(seed)
-    resamples = [rng.integers(0, d.n, size=d.n) for _ in range(n_trees)]
-    jobs = [fit_job(d.X[idx], d.y[idx], range(d.m)) for idx in resamples]
+    # drawn as fit_trees asks for them, so only the resamples of the run being fitted are held
+    resamples = (rng.integers(0, d.n, size=d.n) for _ in range(n_trees))
+    jobs = (fit_job(d.X[idx], d.y[idx], range(d.m)) for idx in resamples)
     trees = [tree for tree, _ in fit_trees(jobs, max_depth=FOREST_MAX_DEPTH, min_leaf=FOREST_MIN_LEAF)]
     return BlackBoxModel(kind="bagged_forest", label_set=d.label_set, trees=trees, schema=d.schema)
 

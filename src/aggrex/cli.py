@@ -25,9 +25,9 @@ from pathlib import Path
 from . import aggregate as agg
 from . import blackbox as bb
 from .data import Dataset, FeatureSchema, load_dataset, standardize, synth_multiclass, write_dataset
-from .explainer import LocalExplainer, label_ball, train_local_explainer
+from .explainer import LocalExplainer, explainer_groups, label_ball, train_local_explainer
 from .sampler import derive_seed
-from .tree import GROUP_CELLS, tree_from_lines, tree_to_lines, tree_to_rules
+from .tree import tree_from_lines, tree_to_lines, tree_to_rules
 
 SEED_ENV_VAR = "AGGREX_SEED"
 
@@ -191,10 +191,31 @@ def run_dir_for(cfg: dict) -> Path:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    _stream_atomic(path, (text,))
+
+
+def _stream_atomic(path: Path, pieces) -> None:
+    """Write an iterable of text pieces to path atomically, one piece at a time: the text is never held whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        for piece in pieces:
+            fh.write(piece)
     os.replace(tmp, path)
+
+
+def _json_pieces(obj):
+    """canonical_json(obj), as the encoder's pieces."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    yield "\n"
+
+
+def _joined(texts, sep: str):
+    """sep.join(texts), as pieces."""
+    for k, text in enumerate(texts):
+        if k:
+            yield sep
+        yield text
 
 
 def _sha256(path: Path) -> str:
@@ -294,21 +315,18 @@ def cmd_explain(cfg: dict) -> Path:
     max_depth = cfg["explainer"]["max_depth"]
     n_samples = int(cfg["sampler"]["N"])
     variants = _variants(cfg)
+    seed = int(cfg["seed"])
     centers = [(slot, radius, i) for slot, radius in enumerate(cfg["sampler"]["radii"]) for i in range(data.n)]
-    # balls whose trees grow together: their (column, row) grid fills about GROUP_CELLS
-    per_group = max(1, GROUP_CELLS // (n_samples * data.m * len(variants)))
+    balls = (
+        label_ball(model, data.X[i], float(radius), n_samples, data.schema, derive_seed(seed, i, slot), i)
+        for slot, radius, i in centers
+    )
+    specs = (center for center in centers for _ in variants)  # each explainer's center, in record order
     records = []
     rules = []
-    for first in range(0, len(centers), per_group):
-        group = centers[first : first + per_group]
-        balls = [
-            label_ball(
-                model, data.X[i], float(radius), n_samples, data.schema, derive_seed(int(cfg["seed"]), i, slot), i
-            )
-            for slot, radius, i in group
-        ]
+    for group in explainer_groups(balls, data.schema, variants):
         explainers = train_local_explainer(
-            balls,
+            group,
             data.schema,
             variants,
             max_bins=int(cfg["filter"]["max_bins"]),
@@ -316,7 +334,9 @@ def cmd_explain(cfg: dict) -> Path:
             min_leaf=int(cfg["explainer"]["min_leaf"]),
             eps_mi=float(cfg["filter"]["eps_mi"]),
         )
-        for (slot, radius, i), ex in zip((c for c in group for _ in variants), explainers):
+        del group  # labelling the next group's balls need not hold this one's
+        for ex in explainers:
+            slot, radius, i = next(specs)
             records.append(
                 {
                     "center_index": i,
@@ -331,8 +351,8 @@ def cmd_explain(cfg: dict) -> Path:
             )
             head = f"center {i} radius {radius} {'filtered' if ex.filtered else 'unfiltered'}"
             rules.append(f"# {head}\n" + tree_to_rules(ex.tree, data.schema.names))
-    _write_atomic(rd / "explainers.json", canonical_json({"explainers": records}))
-    _write_atomic(rd / "explainers_rules.txt", "\n".join(rules))
+    _stream_atomic(rd / "explainers.json", _json_pieces({"explainers": records}))
+    _stream_atomic(rd / "explainers_rules.txt", _joined(rules, "\n"))
     update_manifest(cfg, "explain", ["explainers.json", "explainers_rules.txt"])
     return rd / "explainers.json"
 

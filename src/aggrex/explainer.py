@@ -12,8 +12,9 @@ A ball is sampled, labelled and its labels encoded once (`label_ball`);
 the filtered and the unfiltered surrogate of one (center, radius, seed)
 train on that same `LabelledBall`, which is exactly what each would draw
 on its own from the same seed. Explainers are trained a group of balls at
-a time, so that the trees of the whole group grow together, level by
-level (`tree.fit_trees`); a tree's bytes do not depend on its group.
+a time (`explainer_groups`), so that the trees of the whole group grow
+together, level by level (`tree.fit_trees`); a tree's bytes do not
+depend on its group.
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ import numpy as np
 from .data import FeatureSchema
 from .infofilter import EPS_MI, MIN_CELL, select_informative_features
 from .sampler import SampleSet, sample_ball
-from .tree import DecisionTree, fit_job
-from .tree import fit_trees as tree_fit  # the name perfbench's tracer times as the tree.fit layer
+from .tree import DecisionTree, fit_job, runs
+
+# Temporary alias: perfbench's tracer times `explainer.tree_fit` as its tree.fit layer. It goes
+# when the tracer wraps `fit_trees` by its own name (ROADMAP item 5).
+from .tree import fit_trees as tree_fit
 
 DEFAULT_MAX_DEPTH = 12
 DEFAULT_MIN_LEAF = 2
@@ -75,6 +79,16 @@ def label_ball(
     labels = blackbox.predict_batch(samples.points)
     classes, codes = np.unique(np.asarray(labels, dtype=int), return_inverse=True)
     return LabelledBall(np.asarray(center, dtype=float), float(r), int(center_index), samples, classes, codes)
+
+
+def explainer_groups(balls, schema: FeatureSchema, variants=(True,)):
+    """Runs of labelled balls whose explainers `train_local_explainer` grows together.
+
+    A ball counts as one fit per variant on every feature: a bound, since
+    filtering only narrows a fit, so `fit_trees` keeps each run whole.
+    Balls are drawn one at a time (see `tree.runs`).
+    """
+    return runs(balls, lambda ball: (schema.count, ball.codes.size * len(variants)))
 
 
 def train_local_explainer(

@@ -11,47 +11,52 @@ Trees are grown a group at a time, level by level, as SLIQ and SPRINT
 (Mehta et al. 1996; Shafer et al. 1996) grow one tree breadth-first: the
 nodes at one depth of every tree in the group are searched together, so
 the number of numpy calls grows with the depth and not with the node
-count. `tree_fit` is a group of one. `fit_trees` cuts a list of jobs into
-groups of at most GROUP_CELLS (column, row) cells; a tree's bytes do not
-depend on its group.
+count. `tree_fit` is a group of one. `fit_trees` draws its jobs one at a
+time and cuts them into runs of at most GROUP_CELLS (column, row) cells
+(`runs`, the rule the explainer groups its balls by too); a tree's bytes
+do not depend on its group.
 
 A group sorts once: each root's columns are stable-argsorted, and a depth
 holds one (F, R) `order` array, the rows of every node that goes on, node
-after node, each column in ascending value order (values are read from
-the group's (F, rows) `vals`). A job with fewer columns than the group's
-widest is padded with constant columns, which never hold a valid cut. A
-split partitions `order` with one boolean mask per side (a row goes left
-exactly when its position in the chosen column is at or before the cut);
-boolean indexing keeps order, so each child's segments arrive sorted and
-nothing sorts again. A child that stops (pure, smaller than 2 * min_leaf,
-or at the depth cap, all known from the chosen cut's counts) becomes a
-leaf and its rows are dropped, never partitioned.
+after node, each column in ascending value order. Values are compared by
+their int32 ranks within the job's column (`ranks`), which increase
+exactly where the values do; the thresholds are read from the jobs' own
+values at the end. A job with fewer columns than the group's widest is
+padded with constant columns, which never hold a valid cut. A split
+partitions `order` a column at a time (a row goes left exactly when its
+position in the chosen column is at or before the cut); `compress` keeps
+order, so each child's segments arrive sorted and nothing sorts again. A
+child that stops (pure, smaller than 2 * min_leaf, or at the depth cap,
+all known from the chosen cut's counts) becomes a leaf and its rows are
+dropped, never partitioned.
 
 The split search is class-major and covers a block of consecutive nodes,
 about SEARCH_CELLS cells of the (C, F, positions) class table at a time,
 with one `take`, one `cumsum` and one Gini pass per block. A group makes
-one (C, rows) int32 one-hot table; the block takes its columns by `order`
-and sums them in place into integer class counts, each node's counts
-restarting at its first row, exact when cast to float in the Gini
-formula. Node size, left and right sizes and parent Gini are per-position
-arrays, so every cut's float formula is the per-node one, and the class
-terms are summed by `_class_sum` in the order numpy sums a row, so each
-Gini is bit for bit the row-major one. A cut where the value does not
-strictly increase, or that leaves fewer than min_leaf rows on a side,
-scores -inf. A node's winner is its first maximum in feature-major order
-(`maximum.reduceat` per column, the first column at the node's maximum,
-then the first position there), which is the (lower feature, lower
-threshold) tie order. Groups pad the class table with empty classes only
-while the padded count stays below 8, since `_class_sum` adds 8 or more
-terms in another order; jobs with 8 or more classes share a group only
-with jobs of as many. The chosen cut's left counts become the left
-child's counts, and the parent's counts minus them the right child's, so
-no node counts its labels again; likewise each child takes its Gini from
-the chosen cut (the same float a recount gives, as the sums run over the
-same C terms in the same order), and only the roots compute their own.
-The fit also sums each leaf's majority count: the number of training rows
-the tree predicts correctly. The pre-order arrays are assembled from the
-depths at the end.
+one (C, rows) one-hot table, int16 while every tree has fewer than 2^15
+rows, else int32; the block takes its columns by `order` and sums them
+in place into integer class counts, each node's counts restarting at its
+first row (a block's running sums may wrap in int16, but a node's
+counts, the difference of two of them, are exact), exact when cast to
+float in the Gini formula. Node size, left and right sizes and parent
+Gini are per-position arrays, so every cut's float formula is the
+per-node one, and the class terms are summed by `_class_sum` in the
+order numpy sums a row, so each Gini is bit for bit the row-major one. A
+cut where the value does not strictly increase, or that leaves fewer
+than min_leaf rows on a side, scores -inf. A node's winner is its first
+maximum in feature-major order (`maximum.reduceat` per column, the first
+column at the node's maximum, then the first position there), which is
+the (lower feature, lower threshold) tie order. Groups pad the class
+table with empty classes only while the padded count stays below 8,
+since `_class_sum` adds 8 or more terms in another order; jobs with 8 or
+more classes share a group only with jobs of as many. The chosen cut's
+left counts become the left child's counts, and the parent's counts
+minus them the right child's, so no node counts its labels again; each
+depth's Gini comes from those counts in one row-major pass (the same
+float the search gave the cut, as the sums run over the same C terms in
+the same order). The fit also sums each leaf's majority count: the
+number of training rows the tree predicts correctly. The pre-order
+arrays are assembled from the depths at the end.
 
 A threshold is the midpoint between the values either side of the cut,
 unless the midpoint rounds onto the upper value (neighbouring floats) or
@@ -80,9 +85,9 @@ from typing import NamedTuple
 import numpy as np
 
 # (column, row) cells of the trees one level-wise fit grows together, which bounds its arrays
-GROUP_CELLS = 1 << 15
+GROUP_CELLS = 3 << 13
 # (class, column, row) cells of the class table one split search spans
-SEARCH_CELLS = 1 << 15
+SEARCH_CELLS = 1 << 14
 
 _DTYPES = {"feature": np.int64, "threshold": np.float64, "label": np.int64, "right": np.int64}
 
@@ -225,41 +230,55 @@ def tree_fit(
     return fit_trees([fit_job(X, y, features, classes)], max_depth, min_leaf)[0]
 
 
-def fit_trees(jobs, max_depth: int | None = 12, min_leaf: int = 2) -> list[tuple[DecisionTree, int]]:
-    """(tree, agree) of each job, in order, the trees of a group grown together.
+def runs(items, grid):
+    """Consecutive runs of items whose trees grow together: the rule `fit_trees` groups its jobs by.
 
-    A group is a run of consecutive jobs whose padded (column, row) grid
-    stays within GROUP_CELLS, or one larger job. Jobs with fewer than 8
-    classes share a group's class table, padded with empty classes; a job
-    with 8 or more shares it only with jobs of as many classes, because
-    `_class_sum` adds 8 or more terms in another order, where a padded
-    zero would move the rounding.
+    `grid(item)` is the item's (columns, rows); a run's grid is its widest
+    item's columns by its summed rows, and a run grows while that stays
+    within GROUP_CELLS (an item larger than that is a run of its own).
+    Items are drawn one at a time, so a run and the item after it are all
+    that is held.
     """
-    jobs = list(jobs)
-    out: list = [None] * len(jobs)
-    run: list[int] = []
-
-    def fit_run() -> None:
-        by_classes: dict[int, list[int]] = {}
-        for i in run:
-            n_classes = len(jobs[i].labels)
-            by_classes.setdefault(n_classes if n_classes >= 8 else 0, []).append(i)
-        for members in by_classes.values():
-            for i, fitted in zip(members, _fit_group([jobs[i] for i in members], max_depth, min_leaf)):
-                out[i] = fitted
-        run.clear()
-
+    run: list = []
     width = rows = 0
-    for i, job in enumerate(jobs):
-        n_cols, n_rows = len(job.features), job.codes.size
+    for item in items:
+        n_cols, n_rows = grid(item)
         if run and max(width, n_cols) * (rows + n_rows) > GROUP_CELLS:
-            fit_run()
-            width = rows = 0
-        run.append(i)
+            yield run
+            run, width, rows = [], 0, 0
+        run.append(item)
         width, rows = max(width, n_cols), rows + n_rows
     if run:
-        fit_run()
+        yield run
+
+
+def fit_trees(jobs, max_depth: int | None = 12, min_leaf: int = 2) -> list[tuple[DecisionTree, int]]:
+    """(tree, agree) of each job, in order, the trees of a run (see `runs`) grown together.
+
+    Jobs are drawn as the runs need them, so an iterator of jobs is never
+    held whole. Jobs with fewer than 8 classes share a run's class table,
+    padded with empty classes; a job with 8 or more shares it only with
+    jobs of as many classes, because `_class_sum` adds 8 or more terms in
+    another order, where a padded zero would move the rounding.
+    """
+    out: list = []
+    for run in runs(jobs, lambda job: (len(job.features), job.codes.size)):
+        by_classes: dict[int, list[int]] = {}
+        for i, job in enumerate(run):
+            n_classes = len(job.labels)
+            by_classes.setdefault(n_classes if n_classes >= 8 else 0, []).append(i)
+        fitted: list = [None] * len(run)
+        for members in by_classes.values():
+            for i, result in zip(members, _fit_group([run[i] for i in members], max_depth, min_leaf)):
+                fitted[i] = result
+        out += fitted
+        del run  # drawing the next run's jobs need not hold this one's
     return out
+
+
+def _gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Each node's Gini impurity from its (nodes, C) class counts."""
+    return 1.0 - ((counts / size[:, None]) ** 2).sum(axis=1)
 
 
 def _stops(counts: np.ndarray, size: np.ndarray, depth: int, depth_cap: float, min_leaf: int) -> np.ndarray:
@@ -268,23 +287,52 @@ def _stops(counts: np.ndarray, size: np.ndarray, depth: int, depth_cap: float, m
 
 
 def _root_columns(jobs: list[FitJob], width: int, first_row: np.ndarray, goes_on: np.ndarray):
-    """The group's (F, rows) column values, and the (F, R) order of the roots that go on.
+    """The (F, rows) value ranks of the roots that go on, and their (F, R) order.
 
-    A job with fewer columns is padded with constant columns, which never
-    hold a valid cut. Each root's columns are stable-argsorted, in group
-    row ids.
+    A row's rank in a column counts the distinct smaller values in its
+    job's column, so ranks increase exactly where values do, at half the
+    bytes of float values. A job with fewer columns is padded with
+    constant columns (rank 0), which never hold a valid cut. Each root's
+    columns are stable-argsorted, in group row ids.
     """
-    vals = np.zeros((width, first_row[-1] + jobs[-1].codes.size))
-    for job, start in zip(jobs, first_row.tolist()):
-        vals[: len(job.features), start : start + job.codes.size] = job.X[:, job.features].T
+    ranks = np.zeros((width, first_row[-1] + jobs[-1].codes.size), dtype=np.int32)
     roots = np.flatnonzero(goes_on).tolist()
     order = np.empty((width, sum(jobs[j].codes.size for j in roots)), dtype=np.int32)
     end = 0
     for j in roots:
-        start, end = end, end + jobs[j].codes.size
-        rows = slice(first_row[j], first_row[j] + jobs[j].codes.size)
-        order[:, start:end] = vals[:, rows].argsort(axis=1, kind="stable") + first_row[j]
-    return vals, order
+        job = jobs[j]
+        n_cols, start, end = len(job.features), end, end + job.codes.size
+        cols = job.X[:, job.features].T
+        by_value = cols.argsort(axis=1, kind="stable")
+        ordered = np.take_along_axis(cols, by_value, axis=1)
+        rank = np.zeros(by_value.shape, dtype=np.int32)
+        np.cumsum(ordered[:, 1:] > ordered[:, :-1], axis=1, out=rank[:, 1:])
+        np.put_along_axis(ranks[:n_cols, first_row[j] : first_row[j] + job.codes.size], by_value, rank, axis=1)
+        order[:n_cols, start:end] = by_value + first_row[j]
+        order[n_cols:, start:end] = np.arange(first_row[j], first_row[j] + job.codes.size)
+    return ranks, order
+
+
+def _thresholds(jobs: list[FitJob], first_row: np.ndarray, levels, cuts) -> list[np.ndarray]:
+    """Each depth's node thresholds, from the group rows either side of each split's cut.
+
+    A threshold is the midpoint of the two values, unless it rounds onto
+    the upper one or overflows; then it is the lower value. Leaves get 0.
+    """
+    split = np.concatenate([level_split for _, level_split, _, _ in levels])
+    job = np.concatenate([level_job[level_split] for level_job, level_split, _, _ in levels])
+    feature = np.concatenate([level_feature[level_split] for _, level_split, level_feature, _ in levels])
+    below_rows, above_rows = (np.concatenate(rows) for rows in zip(*cuts))
+    below, above = np.empty(job.size), np.empty(job.size)
+    for j, fit in enumerate(jobs):  # read from each job's own values, not a copy of them all
+        at = np.flatnonzero(job == j)
+        below[at] = fit.X[below_rows[at] - first_row[j], feature[at]]
+        above[at] = fit.X[above_rows[at] - first_row[j], feature[at]]
+    with np.errstate(over="ignore"):
+        mid = (below + above) / 2.0
+    threshold = np.zeros(split.size)
+    threshold[split] = np.where((below <= mid) & (mid < above), mid, below)
+    return np.split(threshold, np.cumsum([level_split.size for _, level_split, _, _ in levels])[:-1])
 
 
 def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list[tuple[DecisionTree, int]]:
@@ -293,12 +341,13 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
     A depth's nodes are arrays: job, class counts, size and Gini, and
     whether the node goes on to be searched. The rows of the nodes that go
     on are consecutive segments of an (F, R) array of group row ids,
-    `order`, each column in ascending value order of `vals`. The
+    `order`, each column in ascending value order (`ranks`). The
     children of a depth's splits are the next depth's nodes, every left
     child first, then every right child, so a split's children sit at the
     same offset in the two halves. A child that stops is a leaf made from
     its counts, and its rows are dropped rather than partitioned. The
-    pre-order arrays are assembled from the depths at the end.
+    thresholds are read from the jobs' values, and the pre-order arrays
+    assembled from the depths, at the end.
     """
     depth_cap = math.inf if max_depth is None else max_depth
     n_jobs = len(jobs)
@@ -307,79 +356,86 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
     n_rows = np.array([job.codes.size for job in jobs])
     first_row = np.cumsum(n_rows) - n_rows
     codes = np.concatenate([job.codes for job in jobs])
-    table = np.eye(n_classes, dtype=np.int32)[:, codes]  # (C, rows): column i is the one-hot of row i's class
-    feature_of = np.full((n_jobs, width), -1)
-    label_of = np.zeros((n_jobs, n_classes), dtype=np.int64)
-    for j, job in enumerate(jobs):
-        feature_of[j, : len(job.features)] = job.features
-        label_of[j, : len(job.labels)] = job.labels
-    is_left = np.empty(codes.size, dtype=bool)  # reused by every depth: each row's side of its node's split
-
+    # (C, rows): column i is the one-hot of row i's class. Class counts are summed in this dtype, int16
+    # while every tree has fewer than 2^15 rows: a search block's running sums may wrap, but a node's
+    # counts are the difference of two of them, exact modulo 2^16 and below 2^15.
+    table = np.eye(n_classes, dtype=np.int16 if n_rows.max() < 1 << 15 else np.int32)[:, codes]
     job = np.arange(n_jobs)
     counts = np.bincount(np.repeat(job, n_rows) * n_classes + codes, minlength=n_jobs * n_classes)
     counts = counts.reshape(n_jobs, n_classes)
+    del codes
+    feature_of = np.full((n_jobs, width), -1)
+    label_of = np.zeros((n_jobs, n_classes), dtype=np.int64)
+    for j, fit in enumerate(jobs):
+        feature_of[j, : len(fit.features)] = fit.features
+        label_of[j, : len(fit.labels)] = fit.labels
+    is_left = np.empty(table.shape[1], dtype=bool)  # reused by every depth: each row's side of its node's split
+
     size = n_rows
-    gini = 1.0 - ((counts / size[:, None]) ** 2).sum(axis=1)  # every other node inherits its Gini
+    gini = _gini(counts, size)
     goes_on = ~_stops(counts, size, 0, depth_cap, min_leaf)
-    vals, order = _root_columns(jobs, width, first_row, goes_on)
-    levels = []  # per depth: job, split mask, feature, threshold, label
+    ranks, order = _root_columns(jobs, width, first_row, goes_on)
+    levels = []  # per depth: job, split mask, feature, label
+    cuts = []  # per depth: the group rows either side of each split's cut
     agree = np.zeros(n_jobs)
     depth = 0
     while job.size:
         split = np.zeros(job.size, dtype=bool)
         feature = np.full(job.size, -1)
-        threshold = np.zeros(job.size)
         searched = np.flatnonzero(goes_on)
         parent = searched[:0]
-        child_counts, child_size, child_gini = counts[:0], size[:0], gini[:0]
+        if not searched.size:
+            cuts.append((parent, parent))
+        child_counts, child_size = counts[:0], size[:0]
         if searched.size:
             sizes = size[searched]
             starts = np.cumsum(sizes) - sizes
             node_of = np.repeat(np.arange(searched.size), sizes)  # each position's node
-            best, col, at, right, gini_l, gini_r = _search_level(
-                order, vals, table, starts, sizes, counts[searched], gini[searched], node_of, min_leaf
+            best, col, at, right = _search_level(
+                order, ranks, table, starts, sizes, counts[searched], gini[searched], node_of, min_leaf
             )
             splits = best >= -1e-12  # zero-gain splits allowed, rounding noise too; no valid cut is -inf
             parent = searched[splits]
             split[parent] = True
             c, p = col[splits], at[splits]
-            below, above = vals[c, order[c, p]], vals[c, order[c, p + 1]]
-            with np.errstate(over="ignore"):
-                mid = (below + above) / 2.0
-            # the midpoint, unless it rounded onto the upper value or overflowed
-            threshold[parent] = np.where((below <= mid) & (mid < above), mid, below)
+            cuts.append((order[c, p], order[c, p + 1]))
             feature[parent] = feature_of[job[parent], c]
             left_size = p - starts[splits] + 1
             right = right[splits]
             child_counts = np.concatenate((counts[parent] - right, right))
             child_size = np.concatenate((left_size, size[parent] - left_size))
-            child_gini = np.concatenate((gini_l[splits], gini_r[splits]))
         leaf = ~split
         agree += np.bincount(job[leaf], weights=counts[leaf].max(axis=1), minlength=n_jobs)
         label = np.where(split, -1, label_of[job, counts.argmax(axis=1)])  # first maximum: ties to the smaller label
-        levels.append((job, split, feature, threshold, label))
+        levels.append((job, split, feature, label))
 
         child_goes_on = ~_stops(child_counts, child_size, depth + 1, depth_cap, min_leaf)
         if child_goes_on.any():
             # A row goes left exactly when its position in the split column is at or before the
-            # cut; boolean indexing keeps each column's order, so every child's segment stays sorted.
+            # cut; `compress` keeps each column's order, so every child's segment stays sorted.
+            # A column at a time, into the next depth's array: the temporaries span one column.
             position = np.arange(node_of.size)
             is_left[order[col[node_of], position]] = position <= at[node_of]
-            go_left = is_left.take(order)
-            go_right = ~go_left
             keep = np.zeros((2, searched.size), dtype=bool)
             keep[:, splits] = child_goes_on.reshape(2, -1)
-            go_left &= keep[0, node_of]
-            go_right &= keep[1, node_of]
-            order = np.concatenate((order[go_left].reshape(width, -1), order[go_right].reshape(width, -1)), axis=1)
+            keep_left, keep_right = keep[0, node_of], keep[1, node_of]
+            n_left = int(child_size[: parent.size][child_goes_on[: parent.size]].sum())
+            children = np.empty((width, int(child_size[child_goes_on].sum())), dtype=order.dtype)
+            side = np.empty(node_of.size, dtype=bool)
+            for f in range(width):
+                np.take(is_left, order[f], out=side, mode="clip")
+                np.compress(side & keep_left, order[f], out=children[f, :n_left])
+                np.logical_not(side, out=side)
+                np.compress(side & keep_right, order[f], out=children[f, n_left:])
+            order = children
         job = np.concatenate((job[parent], job[parent]))
-        counts, size, gini, goes_on = child_counts, child_size, child_gini, child_goes_on
+        counts, size, gini, goes_on = child_counts, child_size, _gini(child_counts, child_size), child_goes_on
         depth += 1
-    return _assemble(levels, agree)
+    return _assemble(levels, _thresholds(jobs, first_row, levels, cuts), agree)
 
 
-def _search_level(order, vals, table, starts, sizes, counts, gini, node_of, min_leaf):
-    """The best cut of each node of a depth: (gain, column, position, right counts, left Gini, right Gini).
+def _search_level(order, ranks, table, starts, sizes, counts, gini, node_of, min_leaf):
+    """The best cut of each node of a depth: (gain, column, position, right counts).
 
     Nodes are searched in blocks of consecutive nodes, a block spanning
     about SEARCH_CELLS cells of the (C, F, positions) class table; a node
@@ -392,14 +448,14 @@ def _search_level(order, vals, table, starts, sizes, counts, gini, node_of, min_
     for k0, k1 in zip(bounds[:-1], bounds[1:]):
         a, b = int(starts[k0]), int(starts[k1 - 1] + sizes[k1 - 1])
         best, col, at, *rest = _search_block(
-            order[:, a:b], vals, table, starts[k0:k1] - a, sizes[k0:k1], counts[k0:k1], gini[k0:k1],
+            order[:, a:b], ranks, table, starts[k0:k1] - a, sizes[k0:k1], counts[k0:k1], gini[k0:k1],
             node_of[a:b] - k0, min_leaf,
         )
         parts.append((best, col, at + a, *rest))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _search_block(order, vals, table, starts, sizes, counts, gini, node_of, min_leaf):
+def _search_block(order, ranks, table, starts, sizes, counts, gini, node_of, min_leaf):
     """The best cut of each node of a block whose rows are consecutive column segments.
 
     Cut i of a node lies between its sorted positions i and i+1. It is
@@ -420,8 +476,8 @@ def _search_block(order, vals, table, starts, sizes, counts, gini, node_of, min_
     pos = np.arange(n_pos) - starts[node_of]  # each position's place in its node
     n = sizes[node_of]
     cum = table.take(order, axis=1)  # (C, F, P) one-hot columns, summed in place into integer class counts
-    cum.cumsum(axis=2, out=cum)
-    cum -= (np.cumsum(counts, axis=0) - counts).T.astype(np.int32)[:, node_of][:, None, :]
+    cum.cumsum(axis=2, dtype=cum.dtype, out=cum)
+    cum -= (np.cumsum(counts, axis=0) - counts).T.astype(cum.dtype)[:, node_of][:, None, :]
     left_n = pos + 1.0
     right_n = n - left_n
     right_n[right_n == 0] = 1.0  # a node's last position, never a valid cut: no division by zero
@@ -431,17 +487,20 @@ def _search_block(order, vals, table, starts, sizes, counts, gini, node_of, min_
     np.subtract(1.0, gini_l, out=gini_l)
     # the counts right of each cut are the node's less the left ones; the arithmetic
     # runs in place, as reusing warm buffers takes several percent off a fit
-    np.subtract(counts.T.astype(np.int32)[:, node_of][:, None, :], cum, out=cum)
+    np.subtract(counts.T.astype(cum.dtype)[:, node_of][:, None, :], cum, out=cum)
     np.divide(cum, right_n, out=share)
     share *= share
     gini_r = _class_sum(share)
     del share  # the largest temporary: free it before the (F, P) grids that follow
     np.subtract(1.0, gini_r, out=gini_r)
-    gain = left_n * gini_l  # parent Gini - (left_n * gini_l + right_n * gini_r) / n
-    gain += right_n * gini_r
+    gain = gini_l  # parent Gini - (left_n * gini_l + right_n * gini_r) / n, in place
+    gain *= left_n
+    gini_r *= right_n
+    gain += gini_r
+    del gini_r
     gain /= n
     np.subtract(gini[node_of], gain, out=gain)
-    xs = np.take_along_axis(vals, order, axis=1)
+    xs = np.take_along_axis(ranks, order, axis=1)
     gain[:, :-1][~(xs[:, 1:] > xs[:, :-1])] = -np.inf  # the value does not strictly increase past the cut
     gain[:, (pos < lo) | (pos > n - lo - 2)] = -np.inf  # a side would keep fewer than min_leaf rows
     col_best = np.maximum.reduceat(gain, starts, axis=1)  # (F, nodes)
@@ -449,10 +508,10 @@ def _search_block(order, vals, table, starts, sizes, counts, gini, node_of, min_
     col = (col_best == best).argmax(axis=0)
     hit = np.flatnonzero(gain[col[node_of], np.arange(n_pos)] == best[node_of])
     at = hit[np.searchsorted(hit, starts)]
-    return best, col, at, cum[:, col, at].T, gini_l[col, at], gini_r[col, at]
+    return best, col, at, cum[:, col, at].T
 
 
-def _assemble(levels, agree: np.ndarray) -> list[tuple[DecisionTree, int]]:
+def _assemble(levels, thresholds, agree: np.ndarray) -> list[tuple[DecisionTree, int]]:
     """Each job's (tree, agree), its pre-order arrays filled from the depths' node arrays.
 
     Subtree sizes are summed from the deepest depth up; then each node's
@@ -473,7 +532,7 @@ def _assemble(levels, agree: np.ndarray) -> list[tuple[DecisionTree, int]]:
     label = np.empty(feature.size, dtype=np.int64)
     right = np.full(feature.size, -1)
     at = tree_start
-    for d, (job, split, level_feature, level_threshold, level_label) in enumerate(levels):
+    for d, ((job, split, level_feature, level_label), level_threshold) in enumerate(zip(levels, thresholds)):
         feature[at], threshold[at], label[at] = level_feature, level_threshold, level_label
         if split.any():
             first = at[split] + 1
@@ -538,19 +597,17 @@ def tree_to_rules(tree: DecisionTree, feature_names=None) -> str:
     """Human-readable nested if/else rendering."""
     out: list[str] = []
     feature, threshold, label, right = (a.tolist() for a in (tree.feature, tree.threshold, tree.label, tree.right))
-
-    def name(f: int) -> str:
-        return feature_names[f] if feature_names is not None else f"x{f}"
-
-    def walk(node: int, indent: int) -> None:
+    stack = [(0, 0)]  # (node, indent) still to render, next on top; node None is a split's "else:"
+    while stack:
+        node, indent = stack.pop()
         pad = "  " * indent
-        if feature[node] < 0:
+        if node is None:
+            out.append(f"{pad}else:")
+        elif feature[node] < 0:
             out.append(f"{pad}predict {label[node]}")
-            return
-        out.append(f"{pad}if {name(feature[node])} <= {threshold[node]:.6g}:")
-        walk(node + 1, indent + 1)
-        out.append(f"{pad}else:")
-        walk(right[node], indent + 1)
-
-    walk(0, 0)
+        else:
+            f = feature[node]
+            name = feature_names[f] if feature_names is not None else f"x{f}"
+            out.append(f"{pad}if {name} <= {threshold[node]:.6g}:")
+            stack += [(right[node], indent + 1), (None, indent), (node + 1, indent + 1)]
     return "\n".join(out) + "\n"

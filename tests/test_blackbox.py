@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,23 @@ class TestForestVote:
 
 
 class TestForest:
+    def test_memory_does_not_grow_with_the_tree_count(self):
+        # Each tree's bootstrap copy (6000 x 5 floats, 240 kB) exceeds the group budget, so every tree is
+        # fitted alone; the copies are drawn as the fit asks for them, not all held at once.
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(6000, 5))
+        d = Dataset(X, (X[:, 0] > 0).astype(int), FeatureSchema.mixed(5, 0))
+
+        def peak(n_trees):
+            tracemalloc.start()
+            try:
+                train_bagged_forest(d, n_trees=n_trees, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) < peak(2) + X.nbytes / 2
+
     def test_single_class_constant_model(self):
         schema = FeatureSchema.mixed(2, 0)
         d = Dataset(np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.array([7, 7, 7]), schema)

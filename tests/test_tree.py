@@ -11,10 +11,12 @@ from aggrex.blackbox import CompiledForest
 from aggrex.tree import (
     DecisionTree,
     _class_sum,
+    _gini,
     _search_level,
     fit_job,
     fit_trees,
     route,
+    runs,
     stack_trees,
     tree_fit,
     tree_from_lines,
@@ -258,16 +260,18 @@ def node_split(order, xs, table, min_leaf, parent_gini):
     np.put_along_axis(vals, order, xs, axis=1)  # each column's values by row
     counts = table.sum(axis=1)[None, :]
     one = np.array([0]), np.array([n])
-    best, col, at, right, gini_l, gini_r = _search_level(
+    best, col, at, right = _search_level(
         order, vals, table, *one, counts, np.array([parent_gini]), np.zeros(n, dtype=np.int64), min_leaf
     )
     if best[0] == -np.inf:
         return None
-    return float(best[0]), int(col[0]), int(at[0]), (counts[0] - right[0]).tolist(), float(gini_l[0]), float(gini_r[0])
+    left = counts[0] - right[0]
+    gini_l, gini_r = _gini(np.stack([left, right[0]]), np.array([at[0] + 1, n - at[0] - 1]))  # as the fit's children
+    return float(best[0]), int(col[0]), int(at[0]), left.tolist(), float(gini_l), float(gini_r)
 
 
 class TestInheritedGini:
-    """A child's Gini comes from its parent's chosen cut, bit for bit what a recount gives.
+    """A child's Gini, taken from the chosen cut's counts, is bit for bit what a recount gives.
 
     numpy sums 8 or more terms pairwise, so C = 8 and 9 run a second
     summation order.
@@ -391,12 +395,12 @@ class TestLevelSearch:
                 np.repeat(np.arange(sizes.size), sizes), min_leaf,
             )
         for k, expected in enumerate(want):
-            best, col, at, right, gini_l, gini_r = (part[k] for part in got)
+            best, col, at, right = (part[k] for part in got)
             if expected is None:
                 assert best == -np.inf
             else:
                 left = (counts[k] - right).tolist()
-                assert (float(best), int(col), int(at) - starts[k], left, float(gini_l), float(gini_r)) == expected
+                assert (float(best), int(col), int(at) - starts[k], left) == expected[:4]
 
 
 # -- the grouped fit against a copy of the recursive fit it replaced --------------
@@ -569,6 +573,19 @@ class TestGroupedFit:
         assert want[0][10] == "node 10 split 1 1.5"
         assert fitted_records([six, nine], None, 1) == [want, recursive_tree_fit(*nine, None, 1)]
 
+    def test_runs_draw_their_items_lazily(self):
+        drawn = []
+
+        def items():
+            for i in range(5):
+                drawn.append(i)
+                yield i
+
+        with mock.patch.object(tree_module, "GROUP_CELLS", 20):
+            grouped = runs(items(), lambda item: (2, 5))  # 10 cells each: two to a run
+            assert next(grouped) == [0, 1] and drawn == [0, 1, 2]
+            assert list(grouped) == [[2, 3], [4]]
+
     def test_groups_split_at_the_cell_budget(self):
         rng = np.random.default_rng(8)
         problems = [(rng.normal(size=(30, 3)), rng.integers(0, 3, size=30), [0, 1, 2]) for _ in range(5)]
@@ -576,6 +593,24 @@ class TestGroupedFit:
         for budget in (1, 90, 180, 1 << 15):  # one tree per group, one, two, and all five
             with mock.patch.object(tree_module, "GROUP_CELLS", budget):
                 assert fitted_records(problems, 12, 2) == want
+
+
+class TestCountDtype:
+    """Class counts are summed in int16 while every tree has fewer than 2^15 rows, else in int32."""
+
+    def test_a_block_past_the_int16_range(self):
+        # three 12000-row trees searched as one block: its running sums pass 2^15 and wrap
+        rng = np.random.default_rng(9)
+        problems = [(rng.normal(size=(12000, 1)), rng.integers(0, 2, size=12000), [0]) for _ in range(3)]
+        want = [recursive_tree_fit(X, y, f, 1, 2) for X, y, f in problems]
+        with mock.patch.object(tree_module, "GROUP_CELLS", 1 << 20), mock.patch.object(tree_module, "SEARCH_CELLS", 1 << 20):
+            assert fitted_records(problems, 1, 2) == want
+
+    def test_a_tree_past_the_int16_range(self):
+        # one class holds about 36000 rows: more than int16 counts
+        rng = np.random.default_rng(10)
+        X, y = rng.normal(size=(40000, 1)), (rng.random(40000) < 0.1).astype(int)
+        assert fitted_records([(X, y, [0])], 1, 2) == [recursive_tree_fit(X, y, [0], 1, 2)]
 
 
 class TestStoppingChildren:
