@@ -182,7 +182,13 @@ def validate_config(cfg: dict) -> None:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return "".join(_json_pieces(obj))
+
+
+def _json_pieces(obj):
+    """The canonical JSON text of obj (2-space indent, sorted keys, final newline), as the encoder's pieces."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    yield "\n"
 
 
 def run_dir_for(cfg: dict) -> Path:
@@ -202,12 +208,6 @@ def _stream_atomic(path: Path, pieces) -> None:
         for piece in pieces:
             fh.write(piece)
     os.replace(tmp, path)
-
-
-def _json_pieces(obj):
-    """canonical_json(obj), as the encoder's pieces."""
-    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-    yield "\n"
 
 
 def _joined(texts, sep: str):
