@@ -51,7 +51,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -59,10 +58,6 @@ from .data import Dataset
 
 PHI_DENOM = 10**6
 METRIC_DESCRIPTOR = "max(Linf over continuous, L1 over binary)"
-
-
-class BruteForceRefused(ValueError):
-    """Instance exceeds the brute-force enumeration limits."""
 
 
 def _phi_to_rational(phi: float) -> tuple[int, int]:
@@ -204,9 +199,10 @@ def _undominated(claimable: np.ndarray, sure: np.ndarray) -> tuple[int, ...]:
 def build_pool(dataset: Dataset, explainers, blackbox) -> CandidatePool:
     """One candidate per dataset point, in dataset order.
 
-    within[i][j] tests the mixed-metric ball of radius radii[i] around
-    point i (sampler.within_ball, for all pairs at once); agree[i][j]
-    compares explainer i and the black box at point j.
+    within[i][j] tests whether point j lies in the mixed-metric ball of
+    radius radii[i] around point i, the ball `sampler.sample_ball` draws
+    from, for all pairs at once; agree[i][j] compares explainer i and the
+    black box at point j.
     """
     n = dataset.n
     if len(explainers) != n:
@@ -560,61 +556,6 @@ def solve_greedy(pool: CandidatePool, budget: int, fidelity_floor: float) -> Agg
     return _finish_solution(selected, z, obj, "feasible", pool, evals, t0)
 
 
-def brute_force(pool: CandidatePool, budget: int, fidelity_floor: float) -> AggregateSolution:
-    """Exhaustive oracle: every selection of size <= budget, every admissible claim set.
-
-    On top of always claiming agreeing in-ball points (which never hurts a
-    fidelity row and never lowers the objective), it enumerates all subsets
-    of disagreeing (candidate, point) pairs and checks each fidelity row by
-    direct integer evaluation. Refuses instances with n > 12 or more than
-    20 disagreeing in-ball pairs.
-    """
-    t0 = time.perf_counter()
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if pool.n > 12:
-        raise BruteForceRefused(f"n = {pool.n} exceeds the brute-force limit of 12")
-    total_pairs = pool.disagree_pair_count()
-    if total_pairs > 20:
-        raise BruteForceRefused(f"{total_pairs} disagreeing in-ball pairs exceed the limit of 20")
-    phi_num, phi_den = _phi_to_rational(fidelity_floor)
-    n = pool.n
-    ball = pool.ball_masks()
-    agree = pool.agree_masks()
-
-    best_obj = -1
-    best_selected: tuple[int, ...] = ()
-    best_z: dict[int, int] = {}
-    checked = 0
-    for k in range(min(budget, n) + 1):
-        for sel in combinations(range(n), k):
-            base = {i: ball[i] & agree[i] for i in sel}
-            base_covered = 0
-            for i in sel:
-                base_covered |= base[i]
-            slack = {i: base[i].bit_count() * (phi_den - phi_num) for i in sel}
-            pairs = [(i, j) for i in sel for j in _iter_bits(ball[i] & ~agree[i])]
-            for mask in range(1 << len(pairs)):
-                checked += 1
-                cost: dict[int, int] = {}
-                extra = 0
-                for t, (i, j) in enumerate(pairs):
-                    if (mask >> t) & 1:
-                        cost[i] = cost.get(i, 0) + phi_num
-                        extra |= 1 << j
-                if any(cost.get(i, 0) > slack[i] for i in sel):
-                    continue
-                obj = (base_covered | extra).bit_count()
-                if obj > best_obj:
-                    best_obj = obj
-                    best_selected = sel
-                    best_z = dict(base)
-                    for t, (i, j) in enumerate(pairs):
-                        if (mask >> t) & 1:
-                            best_z[i] |= 1 << j
-    return _finish_solution(best_selected, best_z, best_obj, "optimal", pool, checked, t0)
-
-
 def verify_solution(
     pool: CandidatePool,
     budget: int,
@@ -717,38 +658,3 @@ def export_lp(model: IPModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def parse_lp(path) -> dict:
-    """Structural re-parse of an exported LP: variable and constraint counts."""
-    section = None
-    constraint_lines = 0
-    binary_vars: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("\\"):
-                continue
-            lowered = line.lower()
-            if lowered == "maximize" or lowered == "minimize":
-                section = "objective"
-                continue
-            if lowered == "subject to":
-                section = "constraints"
-                continue
-            if lowered == "bounds":
-                section = "bounds"
-                continue
-            if lowered == "binary":
-                section = "binary"
-                continue
-            if lowered == "end":
-                break
-            if section == "constraints" and ":" in line:
-                constraint_lines += 1
-            elif section == "binary":
-                binary_vars.extend(line.split())
-    return {
-        "n_constraints": constraint_lines,
-        "n_variables": len(binary_vars),
-        "binary_variables": binary_vars,
-    }

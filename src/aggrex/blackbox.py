@@ -1,10 +1,8 @@
-"""Black-box classifiers whose predictions the explainers must match.
+"""The black box the explainers must match: a bagged forest of Gini trees.
 
-Two kinds: a bagged forest of Gini trees (the working black box) and an
-exact lookup table with nearest-neighbor fallback (a test oracle). Both
-predict deterministically; forest votes break ties toward the smaller
-label. Forests serialize to a versioned text file so pipeline stages can
-run separately:
+It predicts deterministically; votes break ties toward the smaller label.
+A forest serializes to a versioned text file so pipeline stages can run
+separately:
 
     aggrex-model v1 bagged_forest <n_trees>
     node 0 split 3 0.52
@@ -29,7 +27,6 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset, FeatureSchema
-from .sampler import mixed_distance
 from .tree import DecisionTree, fit_job, fit_trees, stack_trees, tree_from_lines, tree_to_lines
 
 FOREST_MAX_DEPTH = 12
@@ -37,66 +34,41 @@ FOREST_MIN_LEAF = 2
 
 MODEL_MAGIC = "aggrex-model"
 MODEL_VERSION = "v1"
+MODEL_KIND = "bagged_forest"
 
 
 @dataclass
 class BlackBoxModel:
-    """Deterministic classifier: bagged_forest or table_oracle."""
+    """Bagged forest: each row's label is its trees' majority vote."""
 
-    kind: str
     label_set: tuple[int, ...]
-    trees: list[DecisionTree] | None = None
-    table_points: np.ndarray | None = None
-    table_labels: np.ndarray | None = None
+    trees: list[DecisionTree]
     schema: FeatureSchema | None = None
 
     def predict(self, x) -> int:
-        x = np.asarray(x, dtype=float)
-        self._check_dim(x.shape[-1])
-        if self.kind == "bagged_forest":
-            return int(self.predict_batch(x[None, :])[0])
-        return self._table_lookup(x)
+        return int(self.predict_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         self._check_dim(X.shape[1])
-        if self.kind == "bagged_forest":
-            forest = self._forest
-            n_rows, n_labels = X.shape[0], len(self.label_set)
-            codes = forest.leaf_code[forest.tree_base + forest.exit_ranks(X)]  # (rows, trees) label_set indices
-            votes = np.bincount((codes + np.arange(n_rows)[:, None] * n_labels).ravel(), minlength=n_rows * n_labels)
-            # argmax takes the first maximum; label_set is sorted, so vote
-            # ties resolve toward the smaller label.
-            return np.array(self.label_set, dtype=int)[np.argmax(votes.reshape(-1, n_labels), axis=1)]
-        return np.array([self._table_lookup(X[i]) for i in range(X.shape[0])], dtype=int)
+        forest = self._forest
+        n_rows, n_labels = X.shape[0], len(self.label_set)
+        codes = forest.leaf_code[forest.tree_base + forest.exit_ranks(X)]  # (rows, trees) label_set indices
+        votes = np.bincount((codes + np.arange(n_rows)[:, None] * n_labels).ravel(), minlength=n_rows * n_labels)
+        # argmax takes the first maximum; label_set is sorted, so vote
+        # ties resolve toward the smaller label.
+        return np.array(self.label_set, dtype=int)[np.argmax(votes.reshape(-1, n_labels), axis=1)]
 
     def _check_dim(self, m: int) -> None:
         if self.schema is not None:
             if m != self.schema.count:
                 raise ValueError(f"point has {m} features, schema expects {self.schema.count}")
-        elif self.kind == "bagged_forest":
-            if m < self._forest.width:
-                raise ValueError(f"point has {m} features, model references feature {self._forest.width - 1}")
-        elif self.table_points is not None and m != self.table_points.shape[1]:
-            raise ValueError(f"point has {m} features, table stores {self.table_points.shape[1]}")
+        elif m < self._forest.width:
+            raise ValueError(f"point has {m} features, model references feature {self._forest.width - 1}")
 
     @cached_property
     def _forest(self) -> CompiledForest:
         return CompiledForest(self.trees, self.label_set)
-
-    def _table_lookup(self, x: np.ndarray) -> int:
-        exact = np.nonzero(np.all(self.table_points == x, axis=1))[0]
-        if exact.size:
-            return int(self.table_labels[exact[0]])
-        if self.schema is not None:
-            dists = np.array(
-                [mixed_distance(x, self.table_points[i], self.schema) for i in range(self.table_points.shape[0])]
-            )
-        else:
-            dists = np.max(np.abs(self.table_points - x[None, :]), axis=1)
-        # argmin takes the first minimum: equidistant ties go to the
-        # lower-index stored point.
-        return int(self.table_labels[int(np.argmin(dists))])
 
 
 class CompiledForest:
@@ -177,49 +149,11 @@ def train_bagged_forest(d: Dataset, n_trees: int = 50, seed: int = 0) -> BlackBo
     resamples = (rng.integers(0, d.n, size=d.n) for _ in range(n_trees))
     jobs = (fit_job(d.X[idx], d.y[idx], range(d.m)) for idx in resamples)
     trees = [tree for tree, _ in fit_trees(jobs, max_depth=FOREST_MAX_DEPTH, min_leaf=FOREST_MIN_LEAF)]
-    return BlackBoxModel(kind="bagged_forest", label_set=d.label_set, trees=trees, schema=d.schema)
-
-
-def table_oracle(pairs, schema: FeatureSchema | None = None) -> BlackBoxModel:
-    """Exact point->label lookup; unseen points resolve to the nearest stored point.
-
-    Distinct stored points are required; duplicate points with conflicting
-    labels raise. The nearest-neighbor metric is the pool's mixed metric
-    when a schema is given, else plain Linf.
-    """
-    points = np.array([np.asarray(p, dtype=float) for p, _ in pairs])
-    labels = np.array([int(lab) for _, lab in pairs], dtype=int)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("need at least one (point, label) pair")
-    seen: dict[tuple, int] = {}
-    keep = []
-    for i in range(points.shape[0]):
-        key = tuple(points[i].tolist())
-        if key in seen:
-            if seen[key] != labels[i]:
-                raise ValueError(f"duplicate point {key} with conflicting labels")
-            continue
-        seen[key] = int(labels[i])
-        keep.append(i)
-    points = points[keep]
-    labels = labels[keep]
-    return BlackBoxModel(
-        kind="table_oracle",
-        label_set=tuple(sorted(set(int(v) for v in labels))),
-        table_points=points,
-        table_labels=labels,
-        schema=schema,
-    )
-
-
-def predict(model: BlackBoxModel, x) -> int:
-    return model.predict(x)
+    return BlackBoxModel(label_set=d.label_set, trees=trees, schema=d.schema)
 
 
 def save_model(model: BlackBoxModel, path) -> None:
-    if model.kind != "bagged_forest":
-        raise ValueError("only bagged_forest models serialize to the model file format")
-    lines = [f"{MODEL_MAGIC} {MODEL_VERSION} {model.kind} {len(model.trees)}"]
+    lines = [f"{MODEL_MAGIC} {MODEL_VERSION} {MODEL_KIND} {len(model.trees)}"]
     for tree in model.trees:
         lines.extend(tree_to_lines(tree))
     with open(path, "w", encoding="utf-8") as fh:
@@ -237,7 +171,7 @@ def load_model(path) -> BlackBoxModel:
     if header[1] != MODEL_VERSION:
         raise ValueError(f"unsupported model version {header[1]!r}")
     kind, n_trees = header[2], int(header[3])
-    if kind != "bagged_forest":
+    if kind != MODEL_KIND:
         raise ValueError(f"unsupported model kind {kind!r}")
     if n_trees < 1:
         raise ValueError(f"model declares {n_trees} trees, need at least one")
@@ -247,4 +181,4 @@ def load_model(path) -> BlackBoxModel:
     if rest:
         raise ValueError(f"{rest} trailing records after {n_trees} trees")
     leaves = np.concatenate([t.label[t.feature < 0] for t in trees])
-    return BlackBoxModel(kind="bagged_forest", label_set=tuple(np.unique(leaves).tolist()), trees=trees)
+    return BlackBoxModel(label_set=tuple(np.unique(leaves).tolist()), trees=trees)

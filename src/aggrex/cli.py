@@ -104,16 +104,24 @@ def _unknown_keys(cfg: dict, defaults: dict, prefix: str = "") -> list[str]:
 def _as(kind, value, name: str):
     """kind(value), or a ConfigError naming the config key.
 
-    An integer key rejects a fractional number rather than truncate it, so
+    An integer key rejects a fractional number rather than truncate it, and
+    a numeric key rejects a JSON boolean rather than read it as 0 or 1, so
     that a config runs only as the values it states.
     """
     try:
+        if isinstance(value, bool):
+            raise ValueError
         out = kind(value)
         if kind is int and isinstance(value, float) and out != value:
             raise ValueError
         return out
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+
+
+def _check_bool(value, name: str, nullable: bool = False) -> None:
+    if not (isinstance(value, bool) or (nullable and value is None)):
+        raise ConfigError(f"{name} must be {'true, false or null' if nullable else 'true or false'}, got {value!r}")
 
 
 def _as_list(kind, value, name: str) -> list:
@@ -153,6 +161,9 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("every sampler radius must be finite and nonnegative")
     if a["radius"] is not None:
         _as(float, a["radius"], "aggregate.radius")
+    _check_bool(a["use_filtered"], "aggregate.use_filtered", nullable=True)
+    _check_bool(a["export_lp"], "aggregate.export_lp")
+    _check_bool(cfg["dataset"]["standardize"], "dataset.standardize")
     radius, filtered = _aggregated_slice(cfg)
     if radius not in radii:
         raise ConfigError(f"aggregate.radius {radius} is not one of sampler.radii")
@@ -172,11 +183,14 @@ def validate_config(cfg: dict) -> None:
     ds = cfg["dataset"]
     if ds["path"] is None and ds.get("synth") is None:
         raise ConfigError("dataset needs either a path or a synth block")
+    if ds["path"] is not None and not isinstance(ds["path"], str):
+        raise ConfigError(f"dataset.path must be a file path, got {ds['path']!r}")
     if ds["path"] is not None and ds.get("schema") is None:
         raise ConfigError("path datasets need dataset.schema = {m_cont, m_bin}")
     block = "schema" if ds["path"] is not None else "synth"
     for key in ("m_cont", "m_bin") if ds["path"] is not None else ("n", "m_cont", "m_bin", "classes"):
-        _as(int, ds[block].get(key), f"dataset.{block}.{key}")
+        if _as(int, ds[block].get(key), f"dataset.{block}.{key}") < 0:
+            raise ConfigError(f"dataset.{block}.{key} must be nonnegative")
     if ds["path"] is None:
         _as_list(int, ds["synth"].get("relevant"), "dataset.synth.relevant")
 
@@ -247,8 +261,10 @@ def prepare_dataset(cfg: dict) -> Dataset:
     ds = cfg["dataset"]
     if ds["path"] is not None:
         sch = ds["schema"]
-        schema = FeatureSchema.mixed(int(sch["m_cont"]), int(sch["m_bin"]))
-        data = load_dataset(ds["path"], schema)
+        try:
+            data = load_dataset(ds["path"], FeatureSchema.mixed(int(sch["m_cont"]), int(sch["m_bin"])))
+        except (ValueError, OSError) as exc:  # ParseError, SchemaViolation and undecodable bytes are ValueErrors
+            raise ConfigError(f"dataset.path {ds['path']}: {exc}")
     else:
         sy = ds["synth"]
         try:

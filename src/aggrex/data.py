@@ -187,16 +187,6 @@ def standardize(d: Dataset) -> Dataset:
     return Dataset(X, d.y, d.schema, scaler=scaler, warnings_=tuple(notes))
 
 
-def inverse_scale(d: Dataset) -> Dataset:
-    """Undo standardize using the recorded scaler."""
-    if d.scaler is None:
-        return d
-    X = d.X.copy()
-    for j, (shift, scale) in d.scaler.items():
-        X[:, j] = X[:, j] * scale + shift
-    return Dataset(X, d.y, d.schema, scaler=None, warnings_=d.warnings_)
-
-
 def _region_code(x: np.ndarray, schema: FeatureSchema, relevant: tuple[int, ...]) -> int:
     """Deterministic cell index of x under the fixed partition of the relevant features.
 
@@ -249,13 +239,3 @@ def synth_multiclass(
         dtype=int,
     )
     return Dataset(X, y, schema)
-
-
-def synth_label_fn(schema: FeatureSchema, relevant: tuple[int, ...], classes: int):
-    """The labeling rule used by synth_multiclass, as a callable on raw points."""
-    relevant = tuple(sorted(int(j) for j in relevant))
-
-    def label(x: np.ndarray) -> int:
-        return _region_code(np.asarray(x, dtype=float), schema, relevant) % classes
-
-    return label

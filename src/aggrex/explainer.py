@@ -151,11 +151,3 @@ def train_local_explainer(
             )
         )
     return out
-
-
-def local_fidelity(explainer: LocalExplainer, blackbox, points: np.ndarray) -> float:
-    """Fraction of points where the surrogate matches the black box."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("points must be a non-empty matrix")
-    return float(np.mean(explainer.predict_batch(points) == blackbox.predict_batch(points)))

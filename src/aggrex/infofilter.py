@@ -230,19 +230,6 @@ def _cmi_scores(
     return np.cumsum(per_leaf, axis=1)[:, -1]
 
 
-def cond_mutual_info(
-    feature: int,
-    labels: np.ndarray,
-    leaves: PartitionLeaves,
-    bins: BinAssignment,
-) -> float:
-    """Plug-in conditional MI (nats) between a feature's bins and the labels, given the leaves."""
-    if feature < 0 or feature >= bins.n_features:
-        raise IndexError(f"feature {feature} out of range for {bins.n_features} features")
-    y_codes, n_labels = _encode_labels(labels)
-    return float(_cmi_scores([feature], y_codes, n_labels, leaves, bins)[0])
-
-
 def bin_partition(
     bins: BinAssignment,
     leaves: PartitionLeaves,
@@ -355,28 +342,3 @@ def select_informative_features(
     that fits several models on one labelled sample encodes it once).
     """
     return _forward_selection(samples, labels, schema, max_bins, eps_mi, min_cell, max_features, n_labels).selected
-
-
-def selection_trace(
-    samples: SampleSet,
-    labels: np.ndarray,
-    schema: FeatureSchema,
-    max_bins: int = 3,
-    eps_mi: float = EPS_MI,
-    min_cell: int = MIN_CELL,
-    max_features: int | None = None,
-) -> dict:
-    """JSON-ready debug dump: per-round candidate scores, pick, and leaf counts."""
-    state = _forward_selection(samples, labels, schema, max_bins, eps_mi, min_cell, max_features)
-    return {
-        "selected": list(state.selected),
-        "rounds": [
-            {
-                "scores": {str(f): rec.scores[f] for f in sorted(rec.scores)},
-                "selected": rec.selected,
-                "best_score": rec.best_score,
-                "leaf_count": rec.leaf_count,
-            }
-            for rec in state.trace
-        ],
-    }

@@ -6,14 +6,13 @@ the radius-r neighborhood of c iff
 
     max_{continuous j} |x_j - c_j| <= r   and   sum_{binary j} |x_j - c_j| <= floor(r)
 
-i.e. both parts are bounded by r independently. mixed_distance returns
-max(Linf part, Hamming part); because the Hamming part is an integer,
-`mixed_distance(x, c) <= r` tests exactly that product ball for any r,
+i.e. both parts are bounded by r independently; since the Hamming part is
+an integer, that is max(Linf part, Hamming part) <= r for any r.
+`aggregate.build_pool` tests this ball for every pair of dataset points,
 and sampling keeps every draw inside it. Continuous coordinates are drawn
-per-coordinate
-uniform on [c_j - r, c_j + r] (the Linf ball factorizes). Binary
-coordinates flip a uniformly random k-subset, with k itself uniform on
-{0, ..., min(floor(r), #binary)}.
+per-coordinate uniform on [c_j - r, c_j + r] (the Linf ball factorizes).
+Binary coordinates flip a uniformly random k-subset, with k itself uniform
+on {0, ..., min(floor(r), #binary)}.
 """
 
 from __future__ import annotations
@@ -40,33 +39,6 @@ class SampleSet:
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-
-def mixed_distance(x: np.ndarray, c: np.ndarray, schema: FeatureSchema) -> float:
-    """max of the continuous Linf distance and the binary Hamming distance."""
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = 0.0
-    ci = schema.continuous_idx
-    bi = schema.binary_idx
-    if ci.size:
-        d = float(np.max(np.abs(x[ci] - c[ci])))
-    if bi.size:
-        d = max(d, float(np.sum(x[bi] != c[bi])))
-    return d
-
-
-def within_ball(x: np.ndarray, c: np.ndarray, r: float, schema: FeatureSchema) -> bool:
-    """Product-ball membership: continuous Linf <= r and binary flips <= floor(r)."""
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
-    ci = schema.continuous_idx
-    bi = schema.binary_idx
-    if ci.size and float(np.max(np.abs(x[ci] - c[ci]))) > r:
-        return False
-    if bi.size and int(np.sum(x[bi] != c[bi])) > math.floor(r):
-        return False
-    return True
 
 
 def sample_ball(

@@ -11,10 +11,10 @@ Trees are grown a group at a time, level by level, as SLIQ and SPRINT
 (Mehta et al. 1996; Shafer et al. 1996) grow one tree breadth-first: the
 nodes at one depth of every tree in the group are searched together, so
 the number of numpy calls grows with the depth and not with the node
-count. `tree_fit` is a group of one. `fit_trees` draws its jobs one at a
-time and cuts them into runs of at most GROUP_CELLS (column, row) cells
-(`runs`, the rule the explainer groups its balls by too); a tree's bytes
-do not depend on its group.
+count. `fit_trees` draws its jobs one at a time and cuts them into runs of
+at most GROUP_CELLS (column, row) cells (`runs`, the rule the explainer
+groups its balls by too); a tree's bytes do not depend on its group, so
+one tree is fitted as a group of one.
 
 A group sorts once: each root's columns are stable-argsorted, and a depth
 holds one (F, R) `order` array, the rows of every node that goes on, node
@@ -211,23 +211,6 @@ def fit_job(X: np.ndarray, y: np.ndarray, features, classes: np.ndarray | None =
     if classes is None:
         classes, y = np.unique(y, return_inverse=True)
     return FitJob(X, y, features, np.asarray(classes).tolist())
-
-
-def tree_fit(
-    X: np.ndarray,
-    y: np.ndarray,
-    features,
-    max_depth: int | None = 12,
-    min_leaf: int = 2,
-    classes: np.ndarray | None = None,
-) -> tuple[DecisionTree, int]:
-    """Fit a Gini decision tree on X[:, features] vs integer labels y: a group of one.
-
-    Returns (tree, agree), where agree is the number of training rows
-    whose label is their leaf's majority label: the rows the tree
-    predicts correctly, summed as the leaves are made.
-    """
-    return fit_trees([fit_job(X, y, features, classes)], max_depth, min_leaf)[0]
 
 
 def runs(items, grid):

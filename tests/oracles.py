@@ -1,0 +1,174 @@
+"""Reference implementations the tests check the package against.
+
+None of these runs in the pipeline. Each restates one step of it directly
+and slowly (an exhaustive solver, a lookup-table black box, the ball test
+one pair at a time, ...), reusing the package's private helpers for the
+parts it does not restate.
+"""
+
+from __future__ import annotations
+
+import time
+from functools import reduce
+from itertools import combinations
+from operator import or_
+
+import numpy as np
+
+from aggrex.aggregate import _finish_solution, _iter_bits, _phi_to_rational
+from aggrex.data import Dataset, FeatureSchema, _region_code
+from aggrex.infofilter import EPS_MI, MIN_CELL, _cmi_scores, _encode_labels, _forward_selection
+from aggrex.tree import fit_job, fit_trees
+
+
+def mixed_distance(x, c, schema: FeatureSchema):
+    """max of the continuous Linf distance and the binary Hamming distance; rows of x or c broadcast.
+
+    `mixed_distance(x, c, schema) <= r` is the sampler's ball test
+    (continuous Linf <= r and binary flips <= floor(r)), since the Hamming
+    part is an integer.
+    """
+    x, c = np.asarray(x, dtype=float), np.asarray(c, dtype=float)
+    ci, bi = schema.continuous_idx, schema.binary_idx
+    linf = np.max(np.abs(x[..., ci] - c[..., ci]), axis=-1, initial=0.0)
+    return np.maximum(linf, np.sum(x[..., bi] != c[..., bi], axis=-1))
+
+
+class TableOracle:
+    """Black box by exact lookup; an unseen point takes the label of the nearest stored point.
+
+    The pipeline calls only `predict_batch` on a black box. Duplicate
+    points with conflicting labels raise. The nearest-neighbor metric is
+    the mixed metric when a schema is given, else plain Linf; equidistant
+    ties go to the earlier stored point.
+    """
+
+    def __init__(self, pairs, schema: FeatureSchema | None = None) -> None:
+        table: dict[tuple, int] = {}
+        for point, label in pairs:
+            key = tuple(np.asarray(point, dtype=float).tolist())
+            if table.setdefault(key, int(label)) != int(label):
+                raise ValueError(f"duplicate point {key} with conflicting labels")
+        if not table:
+            raise ValueError("need at least one (point, label) pair")
+        self.points, self.labels = np.array(list(table), dtype=float), np.array(list(table.values()))
+        self.label_set = tuple(sorted(set(table.values())))
+        self.schema = schema
+
+    def predict(self, x) -> int:
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.points.shape[1:]:
+            raise ValueError(f"point has shape {x.shape}, table stores {self.points.shape[1]} features")
+        exact = np.flatnonzero(np.all(self.points == x, axis=1))
+        if exact.size:
+            return int(self.labels[exact[0]])
+        if self.schema is not None:
+            dists = mixed_distance(self.points, x, self.schema)
+        else:
+            dists = np.max(np.abs(self.points - x), axis=1)
+        return int(self.labels[np.argmin(dists)])
+
+    def predict_batch(self, X) -> np.ndarray:
+        return np.array([self.predict(x) for x in np.asarray(X, dtype=float)], dtype=int)
+
+
+def inverse_scale(d: Dataset) -> Dataset:
+    """Undo standardize using the recorded scaler."""
+    if d.scaler is None:
+        return d
+    X = d.X.copy()
+    for j, (shift, scale) in d.scaler.items():
+        X[:, j] = X[:, j] * scale + shift
+    return Dataset(X, d.y, d.schema, scaler=None, warnings_=d.warnings_)
+
+
+def synth_label_fn(schema: FeatureSchema, relevant, classes: int):
+    """The labelling rule of synth_multiclass, as a callable on raw points."""
+    relevant = tuple(sorted(int(j) for j in relevant))
+    return lambda x: _region_code(np.asarray(x, dtype=float), schema, relevant) % classes
+
+
+def tree_fit(X, y, features, max_depth: int | None = 12, min_leaf: int = 2, classes=None):
+    """(tree, agree) of one Gini tree on X[:, features] vs integer labels y: `fit_trees` on a group of one."""
+    return fit_trees([fit_job(X, y, features, classes)], max_depth, min_leaf)[0]
+
+
+def cond_mutual_info(feature: int, labels, leaves, bins) -> float:
+    """Plug-in conditional MI (nats) between one feature's bins and the labels, given the leaves."""
+    if feature < 0 or feature >= bins.n_features:
+        raise IndexError(f"feature {feature} out of range for {bins.n_features} features")
+    y_codes, n_labels = _encode_labels(labels)
+    return float(_cmi_scores([feature], y_codes, n_labels, leaves, bins)[0])
+
+
+def selection_trace(samples, labels, schema, max_bins=3, eps_mi=EPS_MI, min_cell=MIN_CELL, max_features=None) -> dict:
+    """JSON-ready dump of the filter's forward selection: each round's candidate scores, pick and leaf count."""
+    state = _forward_selection(samples, labels, schema, max_bins, eps_mi, min_cell, max_features)
+    rounds = [{**vars(rec), "scores": {str(f): score for f, score in sorted(rec.scores.items())}} for rec in state.trace]
+    return {"selected": list(state.selected), "rounds": rounds}
+
+
+def local_fidelity(explainer, blackbox, points) -> float:
+    """Fraction of points where the surrogate matches the black box."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise ValueError("points must be a non-empty matrix")
+    return float(np.mean(explainer.predict_batch(points) == blackbox.predict_batch(points)))
+
+
+class BruteForceRefused(ValueError):
+    """Instance exceeds the brute-force enumeration limits."""
+
+
+def brute_force(pool, budget: int, fidelity_floor: float):
+    """Exhaustive solver: every selection of size <= budget, every admissible claim set.
+
+    Agreeing in-ball points are always claimed (that never hurts a
+    fidelity row nor lowers the objective); every subset of the selection's
+    disagreeing in-ball (candidate, point) pairs is tried on top, and each
+    fidelity row is checked in integers. Refuses instances with n > 12 or
+    more than 20 disagreeing in-ball pairs.
+    """
+    t0 = time.perf_counter()
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if pool.n > 12:
+        raise BruteForceRefused(f"n = {pool.n} exceeds the brute-force limit of 12")
+    if pool.disagree_pair_count() > 20:
+        raise BruteForceRefused(f"{pool.disagree_pair_count()} disagreeing in-ball pairs exceed the limit of 20")
+    phi_num, phi_den = _phi_to_rational(fidelity_floor)
+    ball, agree = pool.ball_masks(), pool.agree_masks()
+    best, checked = (-1, (), {}), 0
+    for k in range(min(budget, pool.n) + 1):
+        for sel in combinations(range(pool.n), k):
+            base = {i: ball[i] & agree[i] for i in sel}
+            slack = {i: base[i].bit_count() * (phi_den - phi_num) for i in sel}
+            pairs = [(i, j) for i in sel for j in _iter_bits(ball[i] & ~agree[i])]
+            for mask in range(1 << len(pairs)):
+                checked += 1
+                chosen = [pair for t, pair in enumerate(pairs) if mask >> t & 1]
+                if any(sum(c == i for c, _ in chosen) * phi_num > slack[i] for i in sel):
+                    continue
+                z = dict(base)
+                for i, j in chosen:
+                    z[i] |= 1 << j
+                covered = reduce(or_, z.values(), 0).bit_count()
+                if covered > best[0]:
+                    best = (covered, sel, z)
+    return _finish_solution(best[1], best[2], best[0], "optimal", pool, checked, t0)
+
+
+def parse_lp(path) -> dict:
+    """Structural re-parse of an exported LP: variable and constraint counts."""
+    section, n_constraints, binary = None, 0, []
+    with open(path, encoding="utf-8") as fh:
+        for line in map(str.strip, fh):
+            if not line or line.startswith("\\"):
+                continue
+            if line.lower() in ("maximize", "minimize", "subject to", "bounds", "binary", "end"):
+                section = line.lower()
+            elif section == "subject to" and ":" in line:
+                n_constraints += 1
+            elif section == "binary":
+                binary.extend(line.split())
+    return {"n_constraints": n_constraints, "n_variables": len(binary), "binary_variables": binary}

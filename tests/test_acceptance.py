@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 
 from aggrex.aggregate import (
-    brute_force,
     build_ip,
     export_lp,
-    parse_lp,
     solve_exact,
     solve_greedy,
     verify_solution,
@@ -26,10 +24,11 @@ from aggrex.blackbox import train_bagged_forest
 from aggrex.cli import cmd_report, cmd_sweep, load_config, main, run_dir_for
 from aggrex.data import FeatureSchema, standardize, synth_multiclass
 from aggrex.explainer import label_ball, train_local_explainer
-from aggrex.infofilter import PartitionLeaves, cond_mutual_info, select_informative_features
+from aggrex.infofilter import PartitionLeaves, select_informative_features
 from aggrex.sampler import derive_seed, sample_ball
 
 from conftest import random_pool
+from oracles import brute_force, cond_mutual_info, parse_lp
 from test_aggregate import pool_from_sets
 from test_infofilter import mi_oracle, random_bins, random_leaves
 

@@ -16,26 +16,22 @@ from aggrex.aggregate import (
     PHI_DENOM,
     AggregateSolution,
     _claims_for_selection,
-    BruteForceRefused,
     CandidatePool,
-    brute_force,
     build_ip,
     build_pool,
     coverage,
     export_lp,
     fidelity,
-    parse_lp,
     solve_exact,
     solve_greedy,
     verify_solution,
 )
-from aggrex.blackbox import table_oracle
 from aggrex.data import Dataset, FeatureSchema
 from aggrex.explainer import LocalExplainer
-from aggrex.sampler import within_ball
 from aggrex.tree import DecisionTree
 
 from conftest import geometric_pool, random_pool
+from oracles import BruteForceRefused, TableOracle, brute_force, mixed_distance, parse_lp
 
 
 def pool_from_sets(balls, agree_sets=None, n=None):
@@ -103,14 +99,14 @@ class TestBuildPool:
 
     def test_zero_radius_identity(self):
         d = self.line_dataset()
-        f = table_oracle([(tuple(d.X[i]), int(d.y[i])) for i in range(d.n)], schema=d.schema)
+        f = TableOracle([(tuple(d.X[i]), int(d.y[i])) for i in range(d.n)], schema=d.schema)
         exps = [constant_explainer(i, d.X[i], 0.0, int(d.y[i])) for i in range(d.n)]
         pool = build_pool(d, exps, f)
         assert np.array_equal(pool.within, np.eye(d.n, dtype=bool))
 
     def test_perfect_explainers_agree_everywhere(self):
         d = self.line_dataset()
-        f = table_oracle([(tuple(d.X[i]), 1) for i in range(d.n)], schema=d.schema)
+        f = TableOracle([(tuple(d.X[i]), 1) for i in range(d.n)], schema=d.schema)
         exps = [constant_explainer(i, d.X[i], 1.0, 1) for i in range(d.n)]
         pool = build_pool(d, exps, f)
         assert np.all(pool.agree)
@@ -118,7 +114,7 @@ class TestBuildPool:
     def test_line_instance_hand_distances(self):
         # points at 0,1,2,3,4 with r = 1.5: within iff |i - j| <= 1
         d = self.line_dataset()
-        f = table_oracle([(tuple(d.X[i]), int(d.y[i])) for i in range(d.n)], schema=d.schema)
+        f = TableOracle([(tuple(d.X[i]), int(d.y[i])) for i in range(d.n)], schema=d.schema)
         exps = [constant_explainer(i, d.X[i], 1.5, int(d.y[i])) for i in range(d.n)]
         pool = build_pool(d, exps, f)
         expected = np.array(
@@ -128,7 +124,7 @@ class TestBuildPool:
 
     def test_wrong_center_index_rejected(self):
         d = self.line_dataset()
-        f = table_oracle([(tuple(d.X[i]), 0) for i in range(d.n)], schema=d.schema)
+        f = TableOracle([(tuple(d.X[i]), 0) for i in range(d.n)], schema=d.schema)
         exps = [constant_explainer(0, d.X[0], 1.0, 0) for _ in range(d.n)]
         with pytest.raises(ValueError):
             build_pool(d, exps, f)
@@ -898,7 +894,7 @@ class TestFrozenPool:
         yield random_pool(1)
         yield pool_from_sets([{0, 1}, {1}])
         d = TestBuildPool().line_dataset()
-        f = table_oracle([(tuple(d.X[i]), int(d.y[i])) for i in range(d.n)], schema=d.schema)
+        f = TableOracle([(tuple(d.X[i]), int(d.y[i])) for i in range(d.n)], schema=d.schema)
         yield build_pool(d, [constant_explainer(i, d.X[i], 1.0, 0) for i in range(d.n)], f)
 
     def test_arrays_are_read_only(self):
@@ -952,7 +948,7 @@ class TestBroadcastBallTest:
         exps = [constant_explainer(i, d.X[i], radii[i], 0) for i in range(d.n)]
         f = SimpleNamespace(predict_batch=lambda X: np.zeros(len(X), dtype=int))
         pool = build_pool(d, exps, f)
-        want = np.array([[within_ball(d.X[j], d.X[i], radii[i], d.schema) for j in range(d.n)] for i in range(d.n)])
+        want = np.array([[mixed_distance(d.X[j], d.X[i], d.schema) <= radii[i] for j in range(d.n)] for i in range(d.n)])
         assert np.array_equal(pool.within, want)
         assert np.all(pool.agree)
 

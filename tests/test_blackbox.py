@@ -9,11 +9,12 @@ from aggrex.blackbox import (
     BlackBoxModel,
     load_model,
     save_model,
-    table_oracle,
     train_bagged_forest,
 )
 from aggrex.data import Dataset, FeatureSchema, synth_multiclass
-from aggrex.tree import DecisionTree, route, tree_fit
+from aggrex.tree import DecisionTree, route
+
+from oracles import TableOracle, tree_fit
 
 
 def constant_tree(label):
@@ -54,7 +55,7 @@ def forests(draw):
             y = rng.choice(label_pool, size=n)
             trees.append(tree_fit(X, y, range(m), max_depth=draw(st.sampled_from([1, 3, 12])), min_leaf=1)[0])
     X = rng.integers(-2, 11, size=(int(rng.integers(1, 30)), m)) * 0.25  # quarter steps hit every midpoint cut
-    return BlackBoxModel(kind="bagged_forest", label_set=tuple(label_pool), trees=trees), X
+    return BlackBoxModel(label_set=tuple(label_pool), trees=trees), X
 
 
 THRESHOLDS = (-1.5, -0.5, -0.0, 0.0, 0.25, 1.0, 2.5)  # -0.0 and 0.0 are one value to `<=`
@@ -112,7 +113,7 @@ def compiled_forests(draw):
         on_cut[:, f] = THRESHOLDS
         X = np.vstack([X, on_cut])
     X = X[: draw(st.sampled_from([0, 1, None]))]
-    return BlackBoxModel(kind="bagged_forest", label_set=tuple(label_pool), trees=trees), X
+    return BlackBoxModel(label_set=tuple(label_pool), trees=trees), X
 
 
 class TestForestVote:
@@ -133,7 +134,7 @@ class TestForestVote:
 
     def test_split_and_leaf_trees_tie(self):
         split, _ = tree_fit(np.array([[0.0], [1.0]]), np.array([2, 5]), [0], min_leaf=1)
-        model = BlackBoxModel(kind="bagged_forest", label_set=(2, 5), trees=[constant_tree(5), split])
+        model = BlackBoxModel(label_set=(2, 5), trees=[constant_tree(5), split])
         # row 0: 5 vs 2 ties to 2; row 1: 5 and 5
         assert model.predict_batch(np.array([[0.0], [1.0]])).tolist() == [2, 5]
 
@@ -181,7 +182,6 @@ class TestForest:
 
     def test_majority_vote(self):
         f = BlackBoxModel(
-            kind="bagged_forest",
             label_set=(2, 3),
             trees=[constant_tree(2), constant_tree(2), constant_tree(3)],
         )
@@ -189,7 +189,6 @@ class TestForest:
 
     def test_vote_tie_smaller_label(self):
         f = BlackBoxModel(
-            kind="bagged_forest",
             label_set=(1, 3),
             trees=[constant_tree(1), constant_tree(1), constant_tree(3), constant_tree(3)],
         )
@@ -229,27 +228,27 @@ class TestForest:
 
 class TestTableOracle:
     def test_stored_lookup(self):
-        f = table_oracle([((0.0, 0.0), 1), ((1.0, 1.0), 2)])
+        f = TableOracle([((0.0, 0.0), 1), ((1.0, 1.0), 2)])
         assert f.predict([0.0, 0.0]) == 1
         assert f.predict([1.0, 1.0]) == 2
 
     def test_equidistant_tie_lower_index(self):
-        f = table_oracle([((0.0,), 1), ((2.0,), 2)])
+        f = TableOracle([((0.0,), 1), ((2.0,), 2)])
         assert f.predict([1.0]) == 1
 
     def test_exhaustive_binary_cube_exact(self):
         pairs = [((float(a), float(b)), a ^ b) for a in (0, 1) for b in (0, 1)]
-        f = table_oracle(pairs, schema=FeatureSchema.mixed(0, 2))
+        f = TableOracle(pairs, schema=FeatureSchema.mixed(0, 2))
         for (point, label) in pairs:
             assert f.predict(list(point)) == label
 
     def test_conflicting_duplicates_rejected(self):
         with pytest.raises(ValueError, match="conflicting"):
-            table_oracle([((0.0,), 1), ((0.0,), 2)])
+            TableOracle([((0.0,), 1), ((0.0,), 2)])
 
     def test_consistent_duplicates_deduped(self):
-        f = table_oracle([((0.0,), 1), ((0.0,), 1), ((1.0,), 0)])
-        assert f.table_points.shape[0] == 2
+        f = TableOracle([((0.0,), 1), ((0.0,), 1), ((1.0,), 0)])
+        assert f.points.shape[0] == 2
 
 
 class TestModelFile:
@@ -260,7 +259,6 @@ class TestModelFile:
         save_model(f, path)
         first = path.read_bytes()
         g = load_model(path)
-        assert g.kind == "bagged_forest"
         assert g.label_set == f.label_set
         assert np.array_equal(f.predict_batch(d.X), g.predict_batch(d.X))
         save_model(g, tmp_path / "model2.txt")
@@ -279,11 +277,6 @@ class TestModelFile:
         path.write_text("something-else v1 bagged_forest 3\n")
         with pytest.raises(ValueError, match="header"):
             load_model(path)
-
-    def test_table_oracle_not_serializable(self, tmp_path):
-        f = table_oracle([((0.0,), 1)])
-        with pytest.raises(ValueError):
-            save_model(f, tmp_path / "x.txt")
 
     def test_truncated_model_rejected(self, tmp_path):
         d = synth_multiclass(seed=4, n=40, m_cont=2, m_bin=0, classes=2, relevant=(0,))

@@ -94,8 +94,12 @@ class TestConfig:
             ({"aggregate": {"inner_limit": 20}}, [], "aggregate.inner_limit"),
             ({"explainer": {"min_leaf": 0}}, [], "explainer.min_leaf"),
             ({"explainer": {"max_depth": -1}}, [], "explainer.max_depth"),
+            # -1 continuous columns would run as none
+            ({"dataset": {"path": "x.csv", "synth": None, "schema": {"m_cont": -1, "m_bin": 2}}}, [],
+             "dataset.schema.m_cont must be nonnegative"),
         ],
-        ids=["radius-not-sampled", "variant-not-trained", "unknown-key", "min-leaf-zero", "negative-max-depth"],
+        ids=["radius-not-sampled", "variant-not-trained", "unknown-key", "min-leaf-zero", "negative-max-depth",
+             "negative-schema-width"],
     )
     def test_bad_config_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, flags, match):
         out_dir = tmp_path / "runs"
@@ -121,9 +125,18 @@ class TestConfig:
             ({"dataset": {"synth": {"n": 16, "m_cont": 2, "m_bin": 2, "classes": 3, "relevant": [9]}}},
              "relevant indices out of range"),
             ({"sampler": {"radii": [float("nan")]}}, "radius"),
+            # a JSON boolean is not read as 0 or 1, nor a string or number as a boolean
+            ({"aggregate": {"budgets": [True]}}, "aggregate.budgets must be an integer, got True"),
+            ({"blackbox": {"n_trees": True}}, "blackbox.n_trees must be an integer, got True"),
+            ({"sampler": {"radii": [False]}}, "sampler.radii must be a number, got False"),
+            ({"dataset": {"standardize": "no"}}, "dataset.standardize must be true or false, got 'no'"),
+            ({"aggregate": {"export_lp": "yes"}}, "aggregate.export_lp must be true or false, got 'yes'"),
+            ({"aggregate": {"use_filtered": 1}}, "aggregate.use_filtered must be true, false or null, got 1"),
+            ({"dataset": {"path": 1, "synth": None, "schema": {"m_cont": 2, "m_bin": 2}}}, "dataset.path must be a file path"),
         ],
         ids=["N-text", "n-trees-null", "max-bins-list", "budget-text", "budgets-scalar", "floor-object",
-             "radius-text", "N-infinite", "relevant-text", "relevant-out-of-range", "radius-nan"],
+             "radius-text", "N-infinite", "relevant-text", "relevant-out-of-range", "radius-nan", "budget-true",
+             "n-trees-true", "radius-false", "standardize-text", "export-lp-text", "use-filtered-number", "path-number"],
     )
     def test_non_numeric_value_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, match):
         out_dir = tmp_path / "runs"
@@ -193,7 +206,6 @@ class TestTrainStage:
         model_path = cmd_train(cfg)
         assert model_path.exists()
         model = load_model(model_path)
-        assert model.kind == "bagged_forest"
         from aggrex.cli import prepare_dataset
 
         data = prepare_dataset(cfg)
@@ -374,6 +386,27 @@ class TestCsvDatasetPath:
         assert sweep_path.exists()
         rows = sweep_path.read_text().strip().splitlines()[1:]
         assert len(rows) == 3 * 2 * 2
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("a,b,c,label\n0.5,abc,1.0,0\n", "row 1: could not convert string to float"),
+            (None, "No such file or directory"),
+            ("a,b,label\n0.5,1.0,0\n", "file has 2 feature columns, schema expects 3"),
+            ("a,b,c,label\n\xff,1.0,1.0,0\n", "can't decode byte 0xff"),
+        ],
+        ids=["bad-cell", "missing-file", "too-few-columns", "not-utf8"],
+    )
+    def test_bad_dataset_file_exits_2_before_any_run_dir(self, tmp_path, capsys, text, match):
+        csv_path = tmp_path / "points.csv"
+        if text is not None:
+            csv_path.write_text(text, encoding="latin-1")
+        dataset = {"path": str(csv_path), "synth": None, "schema": {"m_cont": 3, "m_bin": 0}}
+        path = write_config(tmp_path, small_config(tmp_path / "runs", dataset=dataset))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "dataset.path" in err and match in err
+        assert not list(tmp_path.rglob("run-*"))
 
     def test_path_without_schema_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="schema"):

@@ -6,13 +6,13 @@ from aggrex.data import (
     FeatureSchema,
     ParseError,
     SchemaViolation,
-    inverse_scale,
     load_dataset,
     standardize,
-    synth_label_fn,
     synth_multiclass,
     write_dataset,
 )
+
+from oracles import inverse_scale, synth_label_fn
 
 SCHEMA_2C1B = FeatureSchema(("a", "b", "flag"), ("continuous", "continuous", "binary"))
 

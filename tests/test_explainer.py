@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggrex.blackbox import table_oracle, train_bagged_forest
+from aggrex.blackbox import train_bagged_forest
 from aggrex.data import FeatureSchema, synth_multiclass
-from aggrex.explainer import label_ball, local_fidelity, train_local_explainer
+from aggrex.explainer import label_ball, train_local_explainer
 from aggrex.infofilter import select_informative_features
 from aggrex.sampler import sample_ball
-from aggrex.tree import tree_fit, tree_to_lines
+from aggrex.tree import tree_to_lines
+
+from oracles import TableOracle, local_fidelity, tree_fit
 
 
 class ConstantBox:
@@ -186,7 +188,7 @@ class TestLocalFidelity:
     def test_three_of_four(self):
         # oracle disagrees with a constant surrogate on exactly 1 of 4 points
         pairs = [((0.0, 0.0), 0), ((1.0, 0.0), 0), ((2.0, 0.0), 0), ((3.0, 0.0), 1)]
-        box = table_oracle(pairs)
+        box = TableOracle(pairs)
         schema = FeatureSchema.mixed(2, 0)
         ex = explain(
             ConstantBox(), np.zeros(2), 1.0, 50, schema=schema, seed=1
@@ -200,7 +202,7 @@ class TestLocalFidelity:
         points = np.column_stack(
             [rng.uniform(-1, 1, 30), rng.uniform(-1, 1, 30), rng.integers(0, 2, 30).astype(float)]
         )
-        box = table_oracle([(tuple(points[i]), int(rng.integers(0, 2))) for i in range(30)], schema=schema)
+        box = TableOracle([(tuple(points[i]), int(rng.integers(0, 2))) for i in range(30)], schema=schema)
         ex = explain(box, points[0], 1.0, 200, schema=schema, seed=3)
         got = local_fidelity(ex, box, points)
         manual = sum(

@@ -14,13 +14,13 @@ from aggrex.infofilter import (
     SelectionState,
     bin_partition,
     build_histograms,
-    cond_mutual_info,
     forward_select,
     select_feature,
     select_informative_features,
-    selection_trace,
 )
 from aggrex.sampler import sample_ball
+
+from oracles import cond_mutual_info, selection_trace
 
 
 def mi_oracle(feature, labels, leaves, bins):

@@ -1,0 +1,48 @@
+"""Checks on the package as a whole: its README example runs, and src/ holds only what the package uses."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "aggrex"
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out.strip()
+
+
+def referenced(node) -> set[str]:
+    """Every name node uses: bare names, attribute names and the names it imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_top_level_definition_is_used_by_the_package():
+    # A function or class that only __init__ re-exports, or only the tests
+    # call, belongs in the tests (tests/oracles.py holds the reference
+    # implementations).
+    statements = [
+        (path.name, stmt)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    uses = [(stmt, referenced(stmt)) for _, stmt in statements]
+    unused = [
+        f"{module}:{stmt.name}"
+        for module, stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not any(stmt.name in names for other, names in uses if other is not stmt)
+    ]
+    assert not unused, f"used by no module of the package but __init__: {', '.join(unused)}"

