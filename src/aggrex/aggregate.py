@@ -361,27 +361,34 @@ def _claims_for_selection(
     for _, mask in spendable:
         open_mask |= mask
     held: dict[int, list[int]] = {i: [] for i, _ in spendable}
-
-    def place(j: int, seen: set[int]) -> bool:
-        eligible = [i for i, mask in spendable if (mask >> j) & 1]
-        for i in eligible:
-            if len(held[i]) < room[i]:
-                held[i].append(j)
-                return True
-        for i in eligible:
-            if i not in seen:
-                seen.add(i)
-                for t, other in enumerate(held[i]):
-                    if place(other, seen):
-                        held[i][t] = j
-                        return True
-        return False
-
-    placed = sum(place(j, set()) for j in _iter_bits(open_mask & ~covered))
+    placed = sum(_place(j, set(), spendable, held, room) for j in _iter_bits(open_mask & ~covered))
     for i, js in held.items():
         for j in js:
             z[i] |= 1 << j
     return z, covered.bit_count() + placed
+
+
+def _place(j: int, seen: set[int], spendable, held: dict[int, list[int]], room: dict[int, int]) -> bool:
+    """Claim disagreeing point j for a candidate in `spendable` that has room, or augment a path to one.
+
+    The first eligible candidate with room takes it; failing that, an
+    eligible candidate not yet `seen` on this path hands one of its held
+    points on, recursively, and takes j in its place. A module-level
+    function rather than a closure, so a solve leaves no reference cycle.
+    """
+    eligible = [i for i, mask in spendable if (mask >> j) & 1]
+    for i in eligible:
+        if len(held[i]) < room[i]:
+            held[i].append(j)
+            return True
+    for i in eligible:
+        if i not in seen:
+            seen.add(i)
+            for t, other in enumerate(held[i]):
+                if _place(other, seen, spendable, held, room):
+                    held[i][t] = j
+                    return True
+    return False
 
 
 def _finish_solution(selected, z_masks, obj, status, pool, nodes, t0) -> AggregateSolution:

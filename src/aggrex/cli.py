@@ -530,10 +530,20 @@ def cmd_sweep(cfg: dict) -> Path:
 # -- argument parsing ---------------------------------------------------------
 
 def _parse_budgets(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",") if v]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ConfigError(f"--budgets must be a comma list or lo..hi range of integers, got {text!r}") from None
+
+
+def _parse_numbers(flag: str, text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -579,7 +589,7 @@ def overrides_from_args(args: argparse.Namespace) -> dict:
     put(["blackbox", "n_trees"], args.n_trees)
     put(["sampler", "N"], args.samples)
     if args.radii is not None:
-        put(["sampler", "radii"], [float(v) for v in args.radii.split(",") if v])
+        put(["sampler", "radii"], _parse_numbers("--radii", args.radii))
     put(["filter", "max_bins"], args.max_bins)
     put(["filter", "eps_mi"], args.eps_mi)
     put(["filter", "variant"], args.variant)
@@ -588,7 +598,7 @@ def overrides_from_args(args: argparse.Namespace) -> dict:
     if args.budgets is not None:
         put(["aggregate", "budgets"], _parse_budgets(args.budgets))
     if args.floors is not None:
-        put(["aggregate", "floors"], [float(v) for v in args.floors.split(",") if v])
+        put(["aggregate", "floors"], _parse_numbers("--floors", args.floors))
     put(["aggregate", "solver"], args.solver)
     put(["aggregate", "radius"], args.agg_radius)
     put(["aggregate", "export_lp"], args.export_lp)

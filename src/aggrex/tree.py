@@ -16,19 +16,31 @@ at most GROUP_CELLS (column, row) cells (`runs`, the rule the explainer
 groups its balls by too); a tree's bytes do not depend on its group, so
 one tree is fitted as a group of one.
 
-A group sorts once: each root's columns are stable-argsorted, and a depth
-holds one (F, R) `order` array, the rows of every node that goes on, node
-after node, each column in ascending value order. Values are compared by
-their int32 ranks within the job's column (`ranks`), which increase
-exactly where the values do; the thresholds are read from the jobs' own
-values at the end. A job with fewer columns than the group's widest is
-padded with constant columns, which never hold a valid cut. A split
+A root's columns fall in two sections, by the number of distinct values
+each has within its job. A many-valued column (three or more) has a cut
+between each pair of neighbouring values and goes in the cut grid below.
+A two-valued column (exactly two, as every binary feature, neither of them
+NaN or +inf) has one cut, at its smaller value, and is held as one int8
+bit per row, 1 for the larger value; the search scores it from one class
+count per node, outside the grid. A constant column holds no cut and is dropped. Each section maps its
+(job, slot) to the job's column, and a job with fewer columns of a section
+than the group's widest is padded in it (with constant columns in the
+grid, zero bits in the other), which never hold a valid cut.
+
+A group sorts once: each root's many-valued columns are stable-argsorted,
+and a depth holds one (F, R) `order` array, the rows of every node that
+goes on, node after node, each column in ascending value order (a job
+with none keeps one constant column, as `order` also says which rows are
+a node's). Values are compared by their int32 ranks within the job's
+column (`ranks`), which increase exactly where the values do; the
+thresholds are read from the jobs' own values at the end. A split
 partitions `order` a column at a time (a row goes left exactly when its
-position in the chosen column is at or before the cut); `compress` keeps
-order, so each child's segments arrive sorted and nothing sorts again. A
-child that stops (pure, smaller than 2 * min_leaf, or at the depth cap,
-all known from the chosen cut's counts) becomes a leaf and its rows are
-dropped, never partitioned.
+position in the chosen column is at or before the cut, or, on a
+two-valued column, when its bit is 0); `compress` keeps order, so each
+child's segments arrive sorted and nothing sorts again. A child that
+stops (pure, smaller than 2 * min_leaf, or at the depth cap, all known
+from the chosen cut's counts) becomes a leaf and its rows are dropped,
+never partitioned.
 
 The split search is class-major and covers a block of consecutive nodes,
 about SEARCH_CELLS cells of the (C, F, positions) class table at a time,
@@ -43,13 +55,19 @@ Gini are per-position arrays, so every cut's float formula is the
 per-node one, and the class terms are summed by `_class_sum` in the
 order numpy sums a row, so each Gini is bit for bit the row-major one. A
 cut where the value does not strictly increase, or that leaves fewer
-than min_leaf rows on a side, scores -inf. A node's winner is its first
-maximum in feature-major order (`maximum.reduceat` per column, the first
-column at the node's maximum, then the first position there), which is
-the (lower feature, lower threshold) tie order. Groups pad the class
-table with empty classes only while the padded count stays below 8,
-since `_class_sum` adds 8 or more terms in another order; jobs with 8 or
-more classes share a group only with jobs of as many. The chosen cut's
+than min_leaf rows on a side, scores -inf. A node's grid winner is its
+first maximum in feature-major order (`maximum.reduceat` per column, the
+first column at the node's maximum, then the first position there), which
+is the (lower feature, lower threshold) tie order. The two-valued cuts
+come from one weighted `bincount` over (class, slot, node) of the
+depth's rows, the rows on each cut's upper side, and their Gini and gain
+follow the grid's float expressions in the grid's order, so every cut
+scores bit for bit what it would in the grid. The node's split is the
+better of the two sections' winners, an exact tie going to the lower job
+column, which keeps the tie order. Groups pad the class table with empty
+classes only while the padded count stays below 8, since `_class_sum`
+adds 8 or more terms in another order; jobs with 8 or more classes share
+a group only with jobs of as many. The chosen cut's
 left counts become the left child's counts, and the parent's counts
 minus them the right child's, so no node counts its labels again; each
 depth's Gini comes from those counts in one row-major pass (the same
@@ -270,30 +288,64 @@ def _stops(counts: np.ndarray, size: np.ndarray, depth: int, depth_cap: float, m
 
 
 def _root_columns(jobs: list[FitJob], width: int, first_row: np.ndarray, goes_on: np.ndarray):
-    """The (F, rows) value ranks of the roots that go on, and their (F, R) order.
+    """The two sections of the roots that go on: (ranks, order, many_of, bits, two_of, two_rows).
 
-    A row's rank in a column counts the distinct smaller values in its
-    job's column, so ranks increase exactly where values do, at half the
-    bytes of float values. A job with fewer columns is padded with
-    constant columns (rank 0), which never hold a valid cut. Each root's
-    columns are stable-argsorted, in group row ids.
+    Each root's columns are classed by its job's own values. Many-valued
+    columns give the (F, rows) int32 `ranks`, where a row's rank counts
+    the distinct smaller values in its job's column, so ranks increase
+    exactly where values do, and the (F, R) `order` of each root's
+    stable-argsorted columns, in group row ids; F is at least 1, as
+    `order` also holds each node's rows. Two-valued columns give the
+    (F2, rows) int8 `bits`. `many_of` and `two_of` map (job, slot) to the
+    job's column (-1 at a pad); `two_rows` holds, for each two-valued
+    (job, slot), the first group row of its smaller value and of its
+    larger one, from which its threshold is read. The arrays are allocated
+    at the group's full width, since a section's width is known only once
+    every root is classed, and returned cut to the sections' widths.
     """
-    ranks = np.zeros((width, first_row[-1] + jobs[-1].codes.size), dtype=np.int32)
     roots = np.flatnonzero(goes_on).tolist()
+    n_rows = first_row[-1] + jobs[-1].codes.size
+    ranks = np.zeros((width, n_rows), dtype=np.int32)
     order = np.empty((width, sum(jobs[j].codes.size for j in roots)), dtype=np.int32)
-    end = 0
+    bits = np.zeros((width, n_rows), dtype=np.int8)
+    many_of = np.full((len(jobs), width), -1)
+    two_of = np.full((len(jobs), width), -1)
+    two_rows = np.zeros((2, len(jobs), width), dtype=np.int64)
+    n_many, n_two, end = 1, 0, 0
     for j in roots:
         job = jobs[j]
-        n_cols, start, end = len(job.features), end, end + job.codes.size
-        cols = job.X[:, job.features].T
+        n = job.codes.size
+        rows = slice(first_row[j], first_row[j] + n)
+        start, end = end, end + n
+        cols = job.X.T[job.features]  # (m, N), C-contiguous
+        lo, hi = cols.min(axis=1, keepdims=True), cols.max(axis=1, keepdims=True)  # NaN where a NaN is held
+        # Two values: none strictly between the extremes. A column holding a NaN or +inf stays in the grid, whose
+        # thresholds come from each node's own rows; the job's rows could give another one (NaN, or -0.0 for 0.0).
+        two = (lo < hi) & (hi < np.inf) & ~((cols > lo) & (cols < hi)).any(axis=1, keepdims=True)
+        many = ~(two | (lo == hi))
+        two, many = two[:, 0].nonzero()[0], many[:, 0].nonzero()[0]
+        n_many, n_two = max(n_many, many.size), max(n_two, two.size)
+        many_of[j, : many.size], two_of[j, : two.size] = many, two
+        upper = cols[two] > lo[two]
+        bits[: two.size, rows] = upper
+        two_rows[:, j, : two.size] = upper.argmin(axis=1), upper.argmax(axis=1)
+        cols = cols[many]
         by_value = cols.argsort(axis=1, kind="stable")
-        ordered = np.take_along_axis(cols, by_value, axis=1)
+        flat = by_value + np.arange(0, by_value.size, n)[:, None]
+        ordered = cols.ravel().take(flat)
+        del cols  # each root's values are freed as soon as they are ranked
         rank = np.zeros(by_value.shape, dtype=np.int32)
         np.cumsum(ordered[:, 1:] > ordered[:, :-1], axis=1, out=rank[:, 1:])
-        np.put_along_axis(ranks[:n_cols, first_row[j] : first_row[j] + job.codes.size], by_value, rank, axis=1)
-        order[:n_cols, start:end] = by_value + first_row[j]
-        order[n_cols:, start:end] = np.arange(first_row[j], first_row[j] + job.codes.size)
-    return ranks, order
+        del ordered
+        by_row = np.empty_like(rank)
+        by_row.put(flat, rank)
+        ranks[: many.size, rows] = by_row
+        order[: many.size, start:end] = by_value
+        order[many.size :, start:end] = np.arange(n)
+        del by_value, flat, rank, by_row
+    order += np.repeat(first_row[roots], [jobs[j].codes.size for j in roots]).astype(np.int32)  # job rows to group rows
+    two_rows += first_row[:, None]
+    return ranks[:n_many], order[:n_many], many_of[:, :n_many], bits[:n_two], two_of[:, :n_two], two_rows[:, :, :n_two]
 
 
 def _thresholds(jobs: list[FitJob], first_row: np.ndarray, levels, cuts) -> list[np.ndarray]:
@@ -324,13 +376,16 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
     A depth's nodes are arrays: job, class counts, size and Gini, and
     whether the node goes on to be searched. The rows of the nodes that go
     on are consecutive segments of an (F, R) array of group row ids,
-    `order`, each column in ascending value order (`ranks`). The
-    children of a depth's splits are the next depth's nodes, every left
-    child first, then every right child, so a split's children sit at the
-    same offset in the two halves. A child that stops is a leaf made from
-    its counts, and its rows are dropped rather than partitioned. The
-    thresholds are read from the jobs' values, and the pre-order arrays
-    assembled from the depths, at the end.
+    `order`, each many-valued column in ascending value order (`ranks`);
+    the two-valued columns are a row's `bits`. Each node's split is the
+    better of the cut grid's best (`_search_level`) and the two-valued
+    best (`_search_two_valued`). The children of a depth's splits are the
+    next depth's nodes, every left child first, then every right child,
+    so a split's children sit at the same offset in the two halves. A
+    child that stops is a leaf made from its counts, and its rows are
+    dropped rather than partitioned. The thresholds are read from the
+    jobs' values, and the pre-order arrays assembled from the depths, at
+    the end.
     """
     depth_cap = math.inf if max_depth is None else max_depth
     n_jobs = len(jobs)
@@ -346,7 +401,6 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
     job = np.arange(n_jobs)
     counts = np.bincount(np.repeat(job, n_rows) * n_classes + codes, minlength=n_jobs * n_classes)
     counts = counts.reshape(n_jobs, n_classes)
-    del codes
     feature_of = np.full((n_jobs, width), -1)
     label_of = np.zeros((n_jobs, n_classes), dtype=np.int64)
     for j, fit in enumerate(jobs):
@@ -357,7 +411,7 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
     size = n_rows
     gini = _gini(counts, size)
     goes_on = ~_stops(counts, size, 0, depth_cap, min_leaf)
-    ranks, order = _root_columns(jobs, width, first_row, goes_on)
+    ranks, order, many_of, bits, two_of, two_rows = _root_columns(jobs, width, first_row, goes_on)
     levels = []  # per depth: job, split mask, feature, label
     cuts = []  # per depth: the group rows either side of each split's cut
     agree = np.zeros(n_jobs)
@@ -374,17 +428,30 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
             sizes = size[searched]
             starts = np.cumsum(sizes) - sizes
             node_of = np.repeat(np.arange(searched.size), sizes)  # each position's node
+            node_job, node_counts, node_gini = job[searched], counts[searched], gini[searched]
             best, col, at, right = _search_level(
-                order, ranks, table, starts, sizes, counts[searched], gini[searched], node_of, min_leaf
+                order, ranks, table, starts, sizes, node_counts, node_gini, node_of, min_leaf
             )
+            column = many_of[node_job, col]
+            best2, slot, right2 = _search_two_valued(
+                bits, codes, order[0], node_of, node_counts, sizes, node_gini, min_leaf
+            )
+            column2 = two_of[node_job, slot] if bits.shape[0] else column  # no two-valued slot: best2 is -inf
+            # the larger gain wins; an exact tie goes to the lower job column (a two-valued column has one cut)
+            two_won = (best2 > best) | ((best2 == best) & (column2 < column))
+            best = np.where(two_won, best2, best)
             splits = best >= -1e-12  # zero-gain splits allowed, rounding noise too; no valid cut is -inf
+            two_won &= splits
             parent = searched[splits]
             split[parent] = True
             c, p = col[splits], at[splits]
-            cuts.append((order[c, p], order[c, p + 1]))
-            feature[parent] = feature_of[job[parent], c]
-            left_size = p - starts[splits] + 1
-            right = right[splits]
+            below, above = order[c, p], order[c, p + 1]
+            won = two_won[splits]
+            below[won], above[won] = two_rows[:, job[parent[won]], slot[two_won]]
+            cuts.append((below, above))
+            feature[parent] = feature_of[job[parent], np.where(two_won, column2, column)[splits]]
+            right = np.where(two_won[:, None], right2, right)[splits]
+            left_size = sizes[splits] - right.sum(axis=1)
             child_counts = np.concatenate((counts[parent] - right, right))
             child_size = np.concatenate((left_size, size[parent] - left_size))
         leaf = ~split
@@ -399,13 +466,17 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
             # A column at a time, into the next depth's array: the temporaries span one column.
             position = np.arange(node_of.size)
             is_left[order[col[node_of], position]] = position <= at[node_of]
+            # a two-valued cut sends the rows of the smaller value left
+            by_bit = np.flatnonzero(two_won[node_of])
+            rows = order[0, by_bit]
+            is_left[rows] = bits[slot[node_of[by_bit]], rows] == 0
             keep = np.zeros((2, searched.size), dtype=bool)
             keep[:, splits] = child_goes_on.reshape(2, -1)
             keep_left, keep_right = keep[0, node_of], keep[1, node_of]
             n_left = int(child_size[: parent.size][child_goes_on[: parent.size]].sum())
-            children = np.empty((width, int(child_size[child_goes_on].sum())), dtype=order.dtype)
+            children = np.empty((order.shape[0], int(child_size[child_goes_on].sum())), dtype=order.dtype)
             side = np.empty(node_of.size, dtype=bool)
-            for f in range(width):
+            for f in range(order.shape[0]):
                 np.take(is_left, order[f], out=side, mode="clip")
                 np.compress(side & keep_left, order[f], out=children[f, :n_left])
                 np.logical_not(side, out=side)
@@ -492,6 +563,46 @@ def _search_block(order, ranks, table, starts, sizes, counts, gini, node_of, min
     hit = np.flatnonzero(gain[col[node_of], np.arange(n_pos)] == best[node_of])
     at = hit[np.searchsorted(hit, starts)]
     return best, col, at, cum[:, col, at].T
+
+
+def _search_two_valued(bits, codes, rows, node_of, counts, sizes, gini, min_leaf):
+    """The best two-valued cut of each node of a depth: (gain, slot, right counts).
+
+    `rows` are the depth's searched rows, node after node, and `bits` a
+    row's side of each two-valued slot's only cut. One weighted count over
+    (class, slot, node) of the rows on the upper side gives every cut's
+    right counts; the left ones are the node's less those. Both sides are
+    scored in one (C, side, slot, node) array by `_search_block`'s float
+    expressions in its order, so a cut's gain is bit for bit the one the
+    cut grid would give it. A side with fewer than min_leaf rows (or none)
+    scores -inf, as does every node when there is no two-valued slot; a
+    node's best is its first maximum, the lowest slot.
+    """
+    n_slots, (n_nodes, n_classes) = bits.shape[0], counts.shape
+    if not n_slots:
+        return np.full(n_nodes, -np.inf), np.zeros(n_nodes, dtype=np.int64), counts
+    cells = n_slots * n_nodes
+    key = np.arange(0, cells, n_nodes)[:, None] + (codes[rows] * cells + node_of)  # (slots, positions)
+    upper = np.bincount(key.ravel(), bits.take(rows, axis=1).ravel(), n_classes * cells)
+    del key
+    upper = upper.reshape(n_classes, 1, n_slots, n_nodes)
+    sides = np.concatenate((counts.T[:, None, None, :] - upper, upper), axis=1)  # each cut's left and right counts
+    side_n = sides.sum(axis=0)  # exact: integer counts
+    invalid = side_n.min(axis=0) < max(min_leaf, 1)
+    np.maximum(side_n, 1.0, out=side_n)  # a side with no rows is never valid: no division by zero
+    sides /= side_n
+    sides *= sides
+    side_gini = _class_sum(sides)
+    del sides
+    np.subtract(1.0, side_gini, out=side_gini)
+    side_gini *= side_n
+    gain = side_gini[0] + side_gini[1]  # parent Gini - (left_n * gini_l + right_n * gini_r) / n
+    gain /= sizes
+    np.subtract(gini, gain, out=gain)
+    gain[invalid] = -np.inf
+    slot = gain.argmax(axis=0)
+    node = np.arange(n_nodes)
+    return gain[slot, node], slot, upper[:, 0, slot, node].T.astype(np.int64)
 
 
 def _assemble(levels, thresholds, agree: np.ndarray) -> list[tuple[DecisionTree, int]]:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -448,7 +449,8 @@ class TestInnerClaimLimit:
         agree_sets[6] = {0, 1, 2, 3, 4, 5, 6}
         return pool_from_sets(balls, agree_sets)
 
-    def test_more_than_twenty_pairs_stays_optimal(self):
+    @staticmethod
+    def augmenting_pool():
         # 23 disagreeing in-ball pairs, one unit of slack per candidate at
         # floor 0.5. Point 3 fits candidates 0 and 1, point 4 only 0: first
         # fit gives 3 to candidate 0 and strands 4, so reaching 6 needs an
@@ -460,7 +462,10 @@ class TestInnerClaimLimit:
             for j in extra:
                 within[i, j] = True
                 agree[i, j] = False
-        pool = CandidatePool(radii=np.ones(n), within=within, agree=agree)
+        return CandidatePool(radii=np.ones(n), within=within, agree=agree)
+
+    def test_more_than_twenty_pairs_stays_optimal(self):
+        pool = self.augmenting_pool()
         assert pool.disagree_pair_count() == 23
         sol = solve_exact(pool, 3, 0.5)
         assert sol.ip_coverage == 6
@@ -468,6 +473,21 @@ class TestInnerClaimLimit:
         assert sol.selected == (0, 1, 2)
         assert verify_solution(pool, 3, 0.5, sol) == []
         assert solve_greedy(pool, 3, 0.5).ip_coverage == 6
+
+    def test_augmenting_paths_leave_no_reference_cycle(self):
+        # the pool above needs an augmenting path; a recursive closure would leave a cycle per solve
+        pool = self.augmenting_pool()
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert solve_exact(pool, 3, 0.5).ip_coverage == 6
+            gc.collect()
+            leaked = [f for f in gc.garbage if callable(f) and getattr(f, "__module__", "") == "aggrex.aggregate"]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert leaked == []
 
     def test_within_pair_limit_keeps_certificate(self):
         pool = self.decoy_pool_with_disagreement()

@@ -87,6 +87,23 @@ class TestConfig:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (["--radii", "abc"], "--radii"),
+            (["--floors", "x"], "--floors"),
+            (["--budgets", "a"], "--budgets"),
+            (["--budgets", "1..b"], "--budgets"),
+        ],
+        ids=["radii", "floors", "budgets-list", "budgets-range"],
+    )
+    def test_non_numeric_list_flag_exits_2_before_any_run_dir(self, tmp_path, capsys, flags, match):
+        path = write_config(tmp_path, small_config(tmp_path / "runs"))
+        assert main(["train", "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+        assert not list(tmp_path.rglob("run-*"))
+
+    @pytest.mark.parametrize(
         "extra, flags, match",
         [
             ({}, ["--radii", "1.0", "--agg-radius", "2.0"], "aggregate.radius"),

@@ -596,6 +596,76 @@ class TestGroupedFit:
                 assert fitted_records(problems, 12, 2) == want
 
 
+class TestTwoValuedColumns:
+    """Two-valued columns, scored outside the cut grid, give the recursive fit's trees."""
+
+    def fits(self, problems, max_depth=None, min_leaf=1):
+        want = [recursive_tree_fit(X, y, f, max_depth, min_leaf) for X, y, f in problems]
+        assert fitted_records(problems, max_depth, min_leaf) == want
+        assert [fitted_records([p], max_depth, min_leaf)[0] for p in problems] == want
+        return [lines for lines, _ in want]
+
+    @pytest.mark.parametrize("binary_first", [True, False])
+    def test_exact_tie_with_a_many_valued_column_goes_to_the_lower_column(self, binary_first):
+        # both columns split the rows 0,0 | 1,1: the same counts, so the same gain to the last bit
+        binary, many = np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 1.0, 2.0, 3.0])
+        X = np.column_stack([binary, many] if binary_first else [many, binary])
+        [lines] = self.fits([(X, np.array([0, 0, 1, 1]), [0, 1])])
+        assert lines[0] == ("node 0 split 0 0.5" if binary_first else "node 0 split 0 1.5")
+
+    def test_a_continuous_column_with_two_values(self):
+        rng = np.random.default_rng(21)
+        col = rng.choice([-1.7, 2.3], size=30)
+        X = np.column_stack([rng.normal(size=30), col])
+        y = (col > 0).astype(int) ^ (rng.random(30) < 0.2)
+        [lines] = self.fits([(X, y, [1])], max_depth=3)
+        assert lines[0] == f"node 0 split 1 {(-1.7 + 2.3) / 2.0!r}"
+
+    @pytest.mark.parametrize("max_depth", [1, None])
+    def test_a_job_of_two_valued_columns_only(self, max_depth):
+        rng = np.random.default_rng(22)
+        X = rng.integers(0, 2, size=(50, 3)) * np.array([1.0, 0.5, -3.0])
+        y = (X[:, 0] > 0).astype(int) + 2 * (X[:, 2] < 0)
+        self.fits([(X, y, [0, 1, 2])], max_depth=max_depth)
+
+    def test_a_group_of_jobs_with_no_and_with_only_two_valued_columns(self):
+        rng = np.random.default_rng(23)
+        many = rng.normal(size=(40, 3))
+        binary = rng.integers(0, 2, size=(40, 4)).astype(float)
+        problems = [
+            (many, rng.integers(0, 3, size=40), [0, 1, 2]),
+            (binary, rng.integers(0, 3, size=40), [0, 1, 2, 3]),
+            (np.column_stack([binary[:, :1], many[:, :1]]), rng.integers(0, 2, size=40), [0, 1]),
+            (binary, rng.integers(0, 4, size=40), [1]),
+        ]
+        self.fits(problems, min_leaf=2)
+
+    def test_a_binary_cut_that_leaves_too_few_rows_on_one_side(self):
+        # the binary column separates the classes exactly, but its upper side holds one row
+        binary = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        X = np.column_stack([binary, [3.0, 1.0, 4.0, 1.5, 5.0, 9.0]])
+        y = np.array([0, 0, 0, 0, 0, 1])
+        [lines] = self.fits([(X, y, [0, 1])], min_leaf=2)
+        assert not lines[0].startswith("node 0 split 0 ")
+        [lines] = self.fits([(X, y, [0, 1])], min_leaf=1)
+        assert lines[0] == "node 0 split 0 0.5"
+
+    def test_signed_zeros_below_infinity_keep_the_nodes_own_threshold(self):
+        # the midpoint with +inf overflows, so the threshold is the value below the cut: the node's last
+        # zero in row order, here -0.0, which a row of the job's smaller value would not always give
+        X = np.array([[0.0], [-0.0], [np.inf], [np.inf], [0.0], [-0.0]])
+        [lines] = self.fits([(X, np.array([0, 0, 1, 1, 0, 0]), [0])])
+        assert lines[0] == "node 0 split 0 -0.0"
+
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    def test_nine_classes(self, min_leaf):
+        rng = np.random.default_rng(24)
+        X = np.column_stack([rng.integers(0, 2, size=(90, 3)), rng.normal(size=90), rng.integers(0, 3, size=90)])
+        y = (rng.integers(0, 9, size=90) + 3 * X[:, 0].astype(int)) % 9
+        assert np.unique(y).size == 9
+        self.fits([(X, y, [0, 1, 2, 3, 4]), (X, y, [0, 2, 4])], min_leaf=min_leaf)
+
+
 class TestCountDtype:
     """Class counts are summed in int16 while every tree has fewer than 2^15 rows, else in int32."""
 
