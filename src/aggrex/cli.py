@@ -159,6 +159,9 @@ def validate_config(cfg: dict) -> None:
     radii = _as_list(float, cfg["sampler"]["radii"], "sampler.radii")
     if any(not (math.isfinite(r) and r >= 0) for r in radii):
         raise ConfigError("every sampler radius must be finite and nonnegative")
+    too_wide = [r for r in radii if not math.isfinite(r + r)]  # the ball's width c + r - (c - r) at c = 0
+    if too_wide:
+        raise ConfigError(f"sampler.radii: radius {too_wide[0]!r} gives a ball wider than the largest float")
     if a["radius"] is not None:
         _as(float, a["radius"], "aggregate.radius")
     _check_bool(a["use_filtered"], "aggregate.use_filtered", nullable=True)

@@ -1,10 +1,10 @@
 """Tabular datasets with an explicit continuous/binary feature schema.
 
 Ingestion is CSV-only (header row, a "label" column of integers). Binary
-columns must hold {0,1} exactly; missing values are rejected rather than
-imputed. Continuous columns can be standardized to zero mean / unit
-standard deviation, with the per-column (shift, scale) recorded so the
-mapping is invertible.
+columns must hold {0,1} exactly; missing and non-finite values are
+rejected rather than imputed. Continuous columns can be standardized to
+zero mean / unit standard deviation, with the per-column (shift, scale)
+recorded so the mapping is invertible.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
     """Read a header CSV with one "label" column into a Dataset.
 
     Rows are kept in file order; no imputation. Raises ParseError with the
-    offending 1-based data-row index on malformed rows, SchemaViolation on
+    offending 1-based data-row index on malformed rows and on a NaN or
+    infinite feature value (naming its column too), SchemaViolation on
     binary-column values outside {0,1}.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -149,7 +150,12 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
                 raise ParseError(f"row {ridx}: label {lab!r} is not an integer") from None
     if not rows:
         raise ParseError("no data rows")
-    return Dataset(np.array(rows, dtype=float), np.array(labels, dtype=int), schema)
+    X = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        r, c = bad[0].tolist()
+        raise ParseError(f"row {r + 1}: column {header[feat_pos[c]]!r} holds {float(X[r, c])!r}, not a finite number")
+    return Dataset(X, np.array(labels, dtype=int), schema)
 
 
 def write_dataset(d: Dataset, path) -> None:

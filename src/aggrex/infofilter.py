@@ -14,11 +14,16 @@ contribute nothing but still divide). Each term group is a scaled KL
 divergence, so the estimate is nonnegative up to float rounding.
 
 All candidates of a round are scored together: one bincount over packed
-(feature, leaf, bin, label) codes yields every per-leaf contingency table,
-with every feature padded to the widest feature's bin count (padded bins
-are empty and add nothing). Terms are summed in sequence, cell by cell
-within a leaf and then leaf by leaf. A single-feature estimate goes through
-the same scorer, so it equals that feature's score in a round bit for bit.
+((bin, label), (feature, leaf)) codes yields every per-leaf contingency
+table as one cell-major (W, C, F * L) table, every feature padded to the
+widest feature's bin count W (padded bins are empty and add nothing). A
+(feature, leaf) pair is a column, so its bin and label totals are sums
+over the outer axes, and each cell's ratio is a broadcast along the long
+(feature, leaf) axis; only the nonzero cells take a logarithm, since an
+empty cell's term is an exact zero. Terms are summed in sequence, cell by
+cell within a leaf (W * C - 1 in-place adds of whole rows, in (bin, label)
+order) and then leaf by leaf. A single-feature estimate goes through the
+same scorer, so it equals that feature's score in a round bit for bit.
 
 Forward selection greedily appends the highest-scoring feature (argmax's
 first maximum, so ties go to the lowest feature index), re-splits
@@ -194,15 +199,15 @@ def _cmi_scores(
 ) -> np.ndarray:
     """Plug-in conditional MI of each listed feature given the leaves, from blocked bincounts.
 
-    Every (feature, leaf, bin, label) count comes from a bincount over
-    packed codes, one per block of features of at most COUNT_BLOCK codes;
-    all features share the bin width max(n_bins).
-    Terms are added strictly in sequence (cumsum), first over a leaf's
-    (bin, label) cells, then leaf by leaf. Empty and padded cells add
-    exact zeros, so a score depends neither on the padding nor on which
-    other features are scored with it, and features with the same
-    nonzero leaf terms in the same order tie exactly, leaving the tie to
-    the lowest index.
+    Every (bin, label, feature, leaf) count comes from a bincount over
+    packed codes, one per block of features of at most COUNT_BLOCK codes,
+    into a cell-major (W, C, F * L) table: all features share the bin
+    width W = max(n_bins), and each (feature, leaf) pair is one column.
+    Terms are added strictly in sequence, first over a leaf's (bin, label)
+    cells, then leaf by leaf. Empty and padded cells add exact zeros, so a
+    score depends neither on the padding nor on which other features are
+    scored with it, and features with the same nonzero leaf terms in the
+    same order tie exactly, leaving the tie to the lowest index.
     """
     n_feat = len(features)
     if n_feat == 0 or leaves.empty:
@@ -211,23 +216,33 @@ def _cmi_scores(
     width = max(bins.n_bins)
     members, leaf_of, sizes = leaves.members, leaves.leaf_of, leaves.sizes
     member_labels = y_codes[members]
-    cells = n_leaves * width * n_labels
-    joint = np.empty((n_feat, cells))
+    n_cols = n_feat * n_leaves
+    joint = np.empty((width, n_labels, n_cols), dtype=np.int64)
     step = max(1, COUNT_BLOCK // members.size)
     for start in range(0, n_feat, step):
         block = features[start : start + step]
-        b = bins.by_feature.take(block, axis=0).take(members, axis=1).astype(np.int64)  # (block, members)
-        slot = np.arange(len(block), dtype=np.int64)[:, None] * n_leaves + leaf_of
-        codes = (slot * width + b) * n_labels + member_labels
-        joint[start : start + len(block)] = np.bincount(codes.ravel(), minlength=len(block) * cells).reshape(-1, cells)
-    joint = joint.reshape(n_feat, n_leaves, width, n_labels)
-    row = joint.sum(axis=3, keepdims=True)
-    col = joint.sum(axis=2, keepdims=True)
-    nz = joint > 0
-    ratio = np.divide(joint * sizes[:, None, None], row * col, out=np.ones_like(joint), where=nz)
-    terms = (joint * np.log(ratio)).reshape(n_feat, n_leaves, -1)
-    per_leaf = np.cumsum(terms, axis=2)[:, :, -1] / bins.n_samples
-    return np.cumsum(per_leaf, axis=1)[:, -1]
+        block_cols = len(block) * n_leaves
+        # (block, members) codes ((bin * C + label) * block_cols + feature * L + leaf), built in place
+        codes = bins.by_feature.take(block, axis=0).take(members, axis=1).astype(np.int64)
+        codes *= n_labels * block_cols
+        codes += np.arange(0, block_cols, n_leaves, dtype=np.int64)[:, None] + (member_labels * block_cols + leaf_of)
+        counts = np.bincount(codes.ravel(), minlength=width * n_labels * block_cols)
+        joint[:, :, start * n_leaves : start * n_leaves + block_cols] = counts.reshape(width, n_labels, block_cols)
+    # row and column totals are sums of integers, exact in any order
+    row = joint.sum(axis=1)  # (W, F * L): each (bin, feature, leaf)'s count
+    col = joint.sum(axis=0)  # (C, F * L): each (label, feature, leaf)'s count
+    # ln(p(bin, label) / (p(bin) p(label))) from integer products, exact as floats (below 2^53)
+    cell = np.flatnonzero(joint)  # an empty cell's term is an exact zero, so only the others are scored
+    count = joint.ravel()[cell]
+    num = (joint * np.tile(sizes, n_feat)).ravel()[cell]
+    den = (row[:, None, :] * col).ravel()[cell]
+    terms = np.zeros((width * n_labels, n_cols))
+    terms.ravel()[cell] = count * np.log(num / den)
+    per_leaf = terms[0].copy()
+    for cell_terms in terms[1:]:  # in (bin, label) order, as a cumsum over a leaf's cells adds them
+        per_leaf += cell_terms
+    per_leaf /= bins.n_samples
+    return np.cumsum(per_leaf.reshape(n_feat, n_leaves), axis=1)[:, -1]
 
 
 def bin_partition(

@@ -22,17 +22,23 @@ between each pair of neighbouring values and goes in the cut grid below.
 A two-valued column (exactly two, as every binary feature, neither of them
 NaN or +inf) has one cut, at its smaller value, and is held as one int8
 bit per row, 1 for the larger value; the search scores it from one class
-count per node, outside the grid. A constant column holds no cut and is dropped. Each section maps its
-(job, slot) to the job's column, and a job with fewer columns of a section
-than the group's widest is padded in it (with constant columns in the
-grid, zero bits in the other), which never hold a valid cut.
+count per node, outside the grid. A constant column holds no cut and is
+dropped. Each section maps its (job, slot) to the job's column, and a job
+with fewer columns of a section than the group's widest is padded in it
+(in the grid with its rows in row order, whose best cut the search sets
+to -inf node by node; in the other with zero bits, which never hold a
+valid cut).
 
 A group sorts once: each root's many-valued columns are stable-argsorted,
 and a depth holds one (F, R) `order` array, the rows of every node that
 goes on, node after node, each column in ascending value order (a job
 with none keeps one constant column, as `order` also says which rows are
-a node's). Values are compared by their int32 ranks within the job's
-column (`ranks`), which increase exactly where the values do; the
+a node's). Where some grid column of the group holds a tie (or a NaN,
+which is never greater than its neighbour), values are compared by their
+int32 ranks within the job's column (`ranks`), which increase exactly
+where the values do; a group with no tie keeps no ranks, since every
+neighbouring pair of its sorted values increases (explain roots are
+continuous samples and never tie; bootstrap forest roots do). The
 thresholds are read from the jobs' own values at the end. A split
 partitions `order` a column at a time (a row goes left exactly when its
 position in the chosen column is at or before the cut, or, on a
@@ -46,19 +52,22 @@ The split search is class-major and covers a block of consecutive nodes,
 about SEARCH_CELLS cells of the (C, F, positions) class table at a time,
 with one `take`, one `cumsum` and one Gini pass per block. A group makes
 one (C, rows) one-hot table, int16 while every tree has fewer than 2^15
-rows, else int32; the block takes its columns by `order` and sums them
-in place into integer class counts, each node's counts restarting at its
-first row (a block's running sums may wrap in int16, but a node's
-counts, the difference of two of them, are exact), exact when cast to
-float in the Gini formula. Node size, left and right sizes and parent
-Gini are per-position arrays, so every cut's float formula is the
-per-node one, and the class terms are summed by `_class_sum` in the
-order numpy sums a row, so each Gini is bit for bit the row-major one. A
-cut where the value does not strictly increase, or that leaves fewer
-than min_leaf rows on a side, scores -inf. A node's grid winner is its
-first maximum in feature-major order (`maximum.reduceat` per column, the
-first column at the node's maximum, then the first position there), which
-is the (lower feature, lower threshold) tie order. The two-valued cuts
+rows, else int32; the block takes its columns by `order`, subtracts each
+node's predecessor's counts at its first position (one scatter over
+(class, column, node)) and sums them in place, so each node's counts
+restart at its first row and every running sum is one node's integer
+class count, below 2^15, exact when cast to float in the Gini formula.
+Node size, left and right sizes and parent Gini are per-position arrays,
+so every cut's float formula is the per-node one, and the class terms
+are summed by `_class_sum` in the order numpy sums a row, so each Gini
+is bit for bit the row-major one. A cut where the value does not
+strictly increase (checked only where the group keeps ranks), or that
+leaves fewer than min_leaf rows on a side, scores -inf, as does a node's
+best in a padding slot, set after the per-column maxima. A node's grid
+winner is its first maximum in feature-major order (`maximum.reduceat`
+per column, the first column at the node's maximum, then the first
+position there), which is the (lower feature, lower threshold) tie
+order. The two-valued cuts
 come from one weighted `bincount` over (class, slot, node) of the
 depth's rows, the rows on each cut's upper side, and their Gini and gain
 follow the grid's float expressions in the grid's order, so every cut
@@ -291,17 +300,18 @@ def _root_columns(jobs: list[FitJob], width: int, first_row: np.ndarray, goes_on
     """The two sections of the roots that go on: (ranks, order, many_of, bits, two_of, two_rows).
 
     Each root's columns are classed by its job's own values. Many-valued
-    columns give the (F, rows) int32 `ranks`, where a row's rank counts
-    the distinct smaller values in its job's column, so ranks increase
-    exactly where values do, and the (F, R) `order` of each root's
-    stable-argsorted columns, in group row ids; F is at least 1, as
-    `order` also holds each node's rows. Two-valued columns give the
-    (F2, rows) int8 `bits`. `many_of` and `two_of` map (job, slot) to the
-    job's column (-1 at a pad); `two_rows` holds, for each two-valued
-    (job, slot), the first group row of its smaller value and of its
-    larger one, from which its threshold is read. The arrays are allocated
-    at the group's full width, since a section's width is known only once
-    every root is classed, and returned cut to the sections' widths.
+    columns give the (F, rows) int32 `ranks`, where a row's rank counts the
+    distinct smaller values in its job's column, so ranks increase exactly
+    where values do (None when no column ties, as then every neighbouring
+    pair of sorted values increases), and the (F, R) `order` of each root's
+    stable-argsorted columns, in group row ids; F is at least 1, as `order`
+    also holds each node's rows. Two-valued columns give the (F2, rows) int8
+    `bits`. `many_of` and `two_of` map (job, slot) to the job's column (-1
+    at a pad); `two_rows` holds, for each two-valued (job, slot), the first
+    group row of its smaller value and of its larger one, from which its
+    threshold is read. The arrays are allocated at the group's full width,
+    since a section's width is known only once every root is classed, and
+    returned cut to the sections' widths.
     """
     roots = np.flatnonzero(goes_on).tolist()
     n_rows = first_row[-1] + jobs[-1].codes.size
@@ -311,7 +321,7 @@ def _root_columns(jobs: list[FitJob], width: int, first_row: np.ndarray, goes_on
     many_of = np.full((len(jobs), width), -1)
     two_of = np.full((len(jobs), width), -1)
     two_rows = np.zeros((2, len(jobs), width), dtype=np.int64)
-    n_many, n_two, end = 1, 0, 0
+    n_many, n_two, end, tied = 1, 0, 0, False
     for j in roots:
         job = jobs[j]
         n = job.codes.size
@@ -337,6 +347,7 @@ def _root_columns(jobs: list[FitJob], width: int, first_row: np.ndarray, goes_on
         rank = np.zeros(by_value.shape, dtype=np.int32)
         np.cumsum(ordered[:, 1:] > ordered[:, :-1], axis=1, out=rank[:, 1:])
         del ordered
+        tied = tied or bool((rank[:, -1] < n - 1).any())  # a tie, or a NaN (never greater than its neighbour)
         by_row = np.empty_like(rank)
         by_row.put(flat, rank)
         ranks[: many.size, rows] = by_row
@@ -345,7 +356,8 @@ def _root_columns(jobs: list[FitJob], width: int, first_row: np.ndarray, goes_on
         del by_value, flat, rank, by_row
     order += np.repeat(first_row[roots], [jobs[j].codes.size for j in roots]).astype(np.int32)  # job rows to group rows
     two_rows += first_row[:, None]
-    return ranks[:n_many], order[:n_many], many_of[:, :n_many], bits[:n_two], two_of[:, :n_two], two_rows[:, :, :n_two]
+    ranks = ranks[:n_many] if tied else None
+    return ranks, order[:n_many], many_of[:, :n_many], bits[:n_two], two_of[:, :n_two], two_rows[:, :, :n_two]
 
 
 def _thresholds(jobs: list[FitJob], first_row: np.ndarray, levels, cuts) -> list[np.ndarray]:
@@ -376,16 +388,16 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
     A depth's nodes are arrays: job, class counts, size and Gini, and
     whether the node goes on to be searched. The rows of the nodes that go
     on are consecutive segments of an (F, R) array of group row ids,
-    `order`, each many-valued column in ascending value order (`ranks`);
-    the two-valued columns are a row's `bits`. Each node's split is the
-    better of the cut grid's best (`_search_level`) and the two-valued
-    best (`_search_two_valued`). The children of a depth's splits are the
-    next depth's nodes, every left child first, then every right child,
-    so a split's children sit at the same offset in the two halves. A
-    child that stops is a leaf made from its counts, and its rows are
-    dropped rather than partitioned. The thresholds are read from the
-    jobs' values, and the pre-order arrays assembled from the depths, at
-    the end.
+    `order`, each many-valued column in ascending value order (compared by
+    `ranks` where the group ties); the two-valued columns are a row's
+    `bits`. Each node's split is the better of the cut grid's best
+    (`_search_level`) and the two-valued best (`_search_two_valued`). The
+    children of a depth's splits are the next depth's nodes, every left
+    child first, then every right child, so a split's children sit at the
+    same offset in the two halves. A child that stops is a leaf made from
+    its counts, and its rows are dropped rather than partitioned. The
+    thresholds are read from the jobs' values, and the pre-order arrays
+    assembled from the depths, at the end.
     """
     depth_cap = math.inf if max_depth is None else max_depth
     n_jobs = len(jobs)
@@ -395,8 +407,8 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
     first_row = np.cumsum(n_rows) - n_rows
     codes = np.concatenate([job.codes for job in jobs])
     # (C, rows): column i is the one-hot of row i's class. Class counts are summed in this dtype, int16
-    # while every tree has fewer than 2^15 rows: a search block's running sums may wrap, but a node's
-    # counts are the difference of two of them, exact modulo 2^16 and below 2^15.
+    # while every tree has fewer than 2^15 rows: a search block's running sums restart at each node's
+    # first row, so each is one node's count, below 2^15.
     table = np.eye(n_classes, dtype=np.int16 if n_rows.max() < 1 << 15 else np.int32)[:, codes]
     job = np.arange(n_jobs)
     counts = np.bincount(np.repeat(job, n_rows) * n_classes + codes, minlength=n_jobs * n_classes)
@@ -430,7 +442,7 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
             node_of = np.repeat(np.arange(searched.size), sizes)  # each position's node
             node_job, node_counts, node_gini = job[searched], counts[searched], gini[searched]
             best, col, at, right = _search_level(
-                order, ranks, table, starts, sizes, node_counts, node_gini, node_of, min_leaf
+                order, ranks, many_of[node_job].T < 0, table, starts, sizes, node_counts, node_gini, min_leaf
             )
             column = many_of[node_job, col]
             best2, slot, right2 = _search_two_valued(
@@ -444,9 +456,12 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
             two_won &= splits
             parent = searched[splits]
             split[parent] = True
-            c, p = col[splits], at[splits]
-            below, above = order[c, p], order[c, p + 1]
+            # a node whose grid best is -inf may have any `at`, so the grid's rows are read only where it won
             won = two_won[splits]
+            below, above = np.empty((2, parent.size), dtype=np.int64)
+            grid = np.flatnonzero(splits & ~two_won)
+            c, p = col[grid], at[grid]
+            below[~won], above[~won] = order[c, p], order[c, p + 1]
             below[won], above[won] = two_rows[:, job[parent[won]], slot[two_won]]
             cuts.append((below, above))
             feature[parent] = feature_of[job[parent], np.where(two_won, column2, column)[splits]]
@@ -488,13 +503,15 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
     return _assemble(levels, _thresholds(jobs, first_row, levels, cuts), agree)
 
 
-def _search_level(order, ranks, table, starts, sizes, counts, gini, node_of, min_leaf):
+def _search_level(order, ranks, pad, table, starts, sizes, counts, gini, min_leaf):
     """The best cut of each node of a depth: (gain, column, position, right counts).
 
     Nodes are searched in blocks of consecutive nodes, a block spanning
     about SEARCH_CELLS cells of the (C, F, positions) class table; a node
     with no valid cut has gain -inf. Positions are level positions: the
-    cut lies between position p and p + 1 of the chosen column.
+    cut lies between position p and p + 1 of the chosen column. `ranks`
+    is None where no column holds a tie; `pad` marks the (slot, node)
+    pairs that are a job's padding, never a valid cut.
     """
     cells = starts * (table.shape[0] * order.shape[0])  # class-table cells before each node
     bounds = [0, *(np.flatnonzero(np.diff(cells // SEARCH_CELLS)) + 1).tolist(), starts.size]
@@ -502,36 +519,39 @@ def _search_level(order, ranks, table, starts, sizes, counts, gini, node_of, min
     for k0, k1 in zip(bounds[:-1], bounds[1:]):
         a, b = int(starts[k0]), int(starts[k1 - 1] + sizes[k1 - 1])
         best, col, at, *rest = _search_block(
-            order[:, a:b], ranks, table, starts[k0:k1] - a, sizes[k0:k1], counts[k0:k1], gini[k0:k1],
-            node_of[a:b] - k0, min_leaf,
+            order[:, a:b], ranks, pad[:, k0:k1], table, starts[k0:k1] - a, sizes[k0:k1], counts[k0:k1], gini[k0:k1],
+            min_leaf,
         )
         parts.append((best, col, at + a, *rest))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _search_block(order, ranks, table, starts, sizes, counts, gini, node_of, min_leaf):
+def _search_block(order, ranks, pad, table, starts, sizes, counts, gini, min_leaf):
     """The best cut of each node of a block whose rows are consecutive column segments.
 
     Cut i of a node lies between its sorted positions i and i+1. It is
     valid where the value strictly increases and both sides keep min_leaf
-    rows. The block's (C, F, P) class counts are `table` taken by `order`
+    rows; without `ranks` (no column of the group holds a tie) every value
+    does. The block's (C, F, P) class counts are `table` taken by `order`
     and summed in place along the positions; each node's counts restart
-    at its first row by subtracting the counts of the nodes before it.
-    Node size, left and right sizes and parent Gini are per-position
-    arrays, so each cut's Gini formula is the row-major one, its class
-    terms summed by `_class_sum`. Invalid cuts score -inf. A node's best
-    is the first maximum in feature-major order: each column's maximum
-    over the node (`maximum.reduceat`), the first column at the node's
-    maximum, then the first position in that column, which is the (lower
-    feature, lower threshold) tie order.
+    at its first row, where the previous node's counts are subtracted
+    before the sum. Node size, left and right sizes and parent Gini are
+    per-position arrays, so each cut's Gini formula is the row-major one,
+    its class terms summed by `_class_sum`. Invalid cuts score -inf, and
+    so does a node's best in a padding slot. A node's best is the first
+    maximum in feature-major order: each column's maximum over the node
+    (`maximum.reduceat`), the first column at the node's maximum, then the
+    first position in that column, which is the (lower feature, lower
+    threshold) tie order.
     """
     n_pos = order.shape[1]
     lo = max(min_leaf, 1) - 1  # cuts lo .. n - lo - 2 leave min_leaf rows on each side
-    pos = np.arange(n_pos) - starts[node_of]  # each position's place in its node
-    n = sizes[node_of]
+    # per-position copies of per-node values are repeats, not gathers: a node's positions are consecutive
+    pos = np.arange(n_pos) - np.repeat(starts, sizes)  # each position's place in its node
+    n = np.repeat(sizes, sizes)
     cum = table.take(order, axis=1)  # (C, F, P) one-hot columns, summed in place into integer class counts
+    cum[:, :, starts[1:]] -= counts[:-1].T.astype(cum.dtype)[:, None, :]
     cum.cumsum(axis=2, dtype=cum.dtype, out=cum)
-    cum -= (np.cumsum(counts, axis=0) - counts).T.astype(cum.dtype)[:, node_of][:, None, :]
     left_n = pos + 1.0
     right_n = n - left_n
     right_n[right_n == 0] = 1.0  # a node's last position, never a valid cut: no division by zero
@@ -541,7 +561,7 @@ def _search_block(order, ranks, table, starts, sizes, counts, gini, node_of, min
     np.subtract(1.0, gini_l, out=gini_l)
     # the counts right of each cut are the node's less the left ones; the arithmetic
     # runs in place, as reusing warm buffers takes several percent off a fit
-    np.subtract(counts.T.astype(cum.dtype)[:, node_of][:, None, :], cum, out=cum)
+    np.subtract(np.repeat(counts.T.astype(cum.dtype), sizes, axis=1)[:, None, :], cum, out=cum)
     np.divide(cum, right_n, out=share)
     share *= share
     gini_r = _class_sum(share)
@@ -553,14 +573,16 @@ def _search_block(order, ranks, table, starts, sizes, counts, gini, node_of, min
     gain += gini_r
     del gini_r
     gain /= n
-    np.subtract(gini[node_of], gain, out=gain)
-    xs = np.take_along_axis(ranks, order, axis=1)
-    gain[:, :-1][~(xs[:, 1:] > xs[:, :-1])] = -np.inf  # the value does not strictly increase past the cut
+    np.subtract(np.repeat(gini, sizes), gain, out=gain)
+    if ranks is not None:
+        xs = np.take_along_axis(ranks, order, axis=1)
+        gain[:, :-1][~(xs[:, 1:] > xs[:, :-1])] = -np.inf  # the value does not strictly increase past the cut
     gain[:, (pos < lo) | (pos > n - lo - 2)] = -np.inf  # a side would keep fewer than min_leaf rows
     col_best = np.maximum.reduceat(gain, starts, axis=1)  # (F, nodes)
+    col_best[pad] = -np.inf
     best = col_best.max(axis=0)
     col = (col_best == best).argmax(axis=0)
-    hit = np.flatnonzero(gain[col[node_of], np.arange(n_pos)] == best[node_of])
+    hit = np.flatnonzero(gain[np.repeat(col, sizes), np.arange(n_pos)] == np.repeat(best, sizes))
     at = hit[np.searchsorted(hit, starts)]
     return best, col, at, cum[:, col, at].T
 

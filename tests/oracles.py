@@ -101,6 +101,29 @@ def cond_mutual_info(feature: int, labels, leaves, bins) -> float:
     return float(_cmi_scores([feature], y_codes, n_labels, leaves, bins)[0])
 
 
+def dense_cmi_scores(features, y_codes, n_labels: int, leaves, bins) -> np.ndarray:
+    """`_cmi_scores` as a dense (feature, leaf, bin, label) table: the formula the cell-major scorer replaced.
+
+    The counts come from one bincount; each leaf's terms are summed in
+    (bin, label) order by a cumsum, then the leaves in order.
+    """
+    n_feat = len(features)
+    if n_feat == 0 or leaves.empty:
+        return np.zeros(n_feat)
+    n_leaves, width = len(leaves), max(bins.n_bins)
+    b = bins.by_feature.take(features, axis=0).take(leaves.members, axis=1).astype(np.int64)
+    slot = np.arange(n_feat, dtype=np.int64)[:, None] * n_leaves + leaves.leaf_of
+    codes = (slot * width + b) * n_labels + y_codes[leaves.members]
+    joint = np.bincount(codes.ravel(), minlength=n_feat * n_leaves * width * n_labels).astype(float)
+    joint = joint.reshape(n_feat, n_leaves, width, n_labels)
+    row = joint.sum(axis=3, keepdims=True)
+    col = joint.sum(axis=2, keepdims=True)
+    ratio = np.divide(joint * leaves.sizes[:, None, None], row * col, out=np.ones_like(joint), where=joint > 0)
+    terms = (joint * np.log(ratio)).reshape(n_feat, n_leaves, -1)
+    per_leaf = np.cumsum(terms, axis=2)[:, :, -1] / bins.n_samples
+    return np.cumsum(per_leaf, axis=1)[:, -1]
+
+
 def selection_trace(samples, labels, schema, max_bins=3, eps_mi=EPS_MI, min_cell=MIN_CELL, max_features=None) -> dict:
     """JSON-ready dump of the filter's forward selection: each round's candidate scores, pick and leaf count."""
     state = _forward_selection(samples, labels, schema, max_bins, eps_mi, min_cell, max_features)

@@ -107,6 +107,7 @@ class TestConfig:
         "extra, flags, match",
         [
             ({}, ["--radii", "1.0", "--agg-radius", "2.0"], "aggregate.radius"),
+            ({}, ["--radii", "1.5,1e308"], "sampler.radii: radius 1e+308"),  # its ball's width overflows
             ({"aggregate": {"use_filtered": True}, "filter": {"variant": "unfiltered"}}, [], "use_filtered"),
             ({"aggregate": {"inner_limit": 20}}, [], "aggregate.inner_limit"),
             ({"explainer": {"min_leaf": 0}}, [], "explainer.min_leaf"),
@@ -115,8 +116,8 @@ class TestConfig:
             ({"dataset": {"path": "x.csv", "synth": None, "schema": {"m_cont": -1, "m_bin": 2}}}, [],
              "dataset.schema.m_cont must be nonnegative"),
         ],
-        ids=["radius-not-sampled", "variant-not-trained", "unknown-key", "min-leaf-zero", "negative-max-depth",
-             "negative-schema-width"],
+        ids=["radius-not-sampled", "radius-too-wide", "variant-not-trained", "unknown-key", "min-leaf-zero",
+             "negative-max-depth", "negative-schema-width"],
     )
     def test_bad_config_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, flags, match):
         out_dir = tmp_path / "runs"
@@ -411,8 +412,10 @@ class TestCsvDatasetPath:
             (None, "No such file or directory"),
             ("a,b,label\n0.5,1.0,0\n", "file has 2 feature columns, schema expects 3"),
             ("a,b,c,label\n\xff,1.0,1.0,0\n", "can't decode byte 0xff"),
+            ("a,b,c,label\n0.5,1.0,1.0,0\n0.5,nan,1.0,1\n", "row 2: column 'b' holds nan, not a finite number"),
+            ("a,b,c,label\n0.5,1.0,-inf,0\n", "row 1: column 'c' holds -inf, not a finite number"),
         ],
-        ids=["bad-cell", "missing-file", "too-few-columns", "not-utf8"],
+        ids=["bad-cell", "missing-file", "too-few-columns", "not-utf8", "nan-cell", "inf-cell"],
     )
     def test_bad_dataset_file_exits_2_before_any_run_dir(self, tmp_path, capsys, text, match):
         csv_path = tmp_path / "points.csv"

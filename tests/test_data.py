@@ -61,6 +61,19 @@ class TestLoad:
         with pytest.raises(ParseError, match="row 1"):
             load_dataset(path, SCHEMA_2C1B)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("a,b,flag,label\n1.0,2.0,0,1\n1.0,nan,0,1\n", "row 2: column 'b' holds nan"),
+            ("a,b,flag,label\n1.0,2.0,0,1\n1.0,2.0,0,1\n-inf,2.0,0,1\n", "row 3: column 'a' holds -inf"),
+            ("a,label,b,flag\n1.0,1,2.0,inf\n", "row 1: column 'flag' holds inf"),  # after the label column
+        ],
+        ids=["nan", "minus-inf", "inf-in-a-binary-column"],
+    )
+    def test_non_finite_value_reports_row_and_column(self, tmp_path, text, match):
+        with pytest.raises(ParseError, match=match):
+            load_dataset(write(tmp_path, text), SCHEMA_2C1B)
+
     def test_column_count_mismatch(self, tmp_path):
         path = write(tmp_path, "a,b,label\n1.0,2.0,1\n")
         with pytest.raises(ParseError):

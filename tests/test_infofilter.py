@@ -20,7 +20,7 @@ from aggrex.infofilter import (
 )
 from aggrex.sampler import sample_ball
 
-from oracles import cond_mutual_info, selection_trace
+from oracles import cond_mutual_info, dense_cmi_scores, selection_trace
 
 
 def mi_oracle(feature, labels, leaves, bins):
@@ -374,6 +374,23 @@ class TestBatchedScores:
             want = round_scores(bins, labels, m)
             monkeypatch.setattr(infofilter, "COUNT_BLOCK", block)
             assert round_scores(bins, labels, m) == want
+
+    @pytest.mark.parametrize("block", [1 << 16, 50], ids=["one-block", "a-block-per-feature"])
+    def test_cell_major_scores_equal_the_dense_formula(self, monkeypatch, block):
+        monkeypatch.setattr(infofilter, "COUNT_BLOCK", block)
+        rng = np.random.default_rng(608)
+        for _ in range(80):
+            n = int(rng.integers(4, 150))
+            m = int(rng.integers(1, 9))
+            bins = random_bins(rng, n, m, max_bins=int(rng.integers(1, 5)))  # one-bin features too
+            n_labels = int(rng.integers(1, 13))  # C >= 8 too
+            labels = rng.integers(0, n_labels, size=n)
+            leaves = random_leaves(rng, n)
+            for f in rng.permutation(m)[: int(rng.integers(0, 3))]:
+                leaves = bin_partition(bins, leaves, int(f), min_cell=1)
+            features = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
+            got = infofilter._cmi_scores(features, labels, n_labels, leaves, bins)
+            assert got.tobytes() == dense_cmi_scores(features, labels, n_labels, leaves, bins).tobytes()
 
 
 def round_scores(bins, labels, m):

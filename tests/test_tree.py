@@ -251,18 +251,20 @@ def recounted_gini(counts, n):
     return 1.0 - float(((np.array(counts) / n) ** 2).sum())
 
 
-def node_split(order, xs, table, min_leaf, parent_gini):
+def node_split(order, xs, table, min_leaf, parent_gini, ranked=True):
     """One node's best cut through the level search: (gain, column, cut, left counts, left Gini, right Gini) or None.
 
     order and xs are the node's (F, n) presorted columns, its rows 0 .. n-1.
+    Unranked, the search checks no ties, as for a group whose columns hold none.
     """
     n = order.shape[1]
     vals = np.empty_like(xs)
     np.put_along_axis(vals, order, xs, axis=1)  # each column's values by row
     counts = table.sum(axis=1)[None, :]
     one = np.array([0]), np.array([n])
+    no_pad = np.zeros((order.shape[0], 1), dtype=bool)
     best, col, at, right = _search_level(
-        order, vals, table, *one, counts, np.array([parent_gini]), np.zeros(n, dtype=np.int64), min_leaf
+        order, vals if ranked else None, no_pad, table, *one, counts, np.array([parent_gini]), min_leaf
     )
     if best[0] == -np.inf:
         return None
@@ -346,6 +348,19 @@ class TestClassMajorSplitSearch:
         want = row_major_best_split(order, xs, np.eye(n_classes, dtype=np.int32)[y], min_leaf, gini)
         assert got == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 80), st.integers(1, 4), st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_tie_free_columns_match_row_major_search_unranked(self, n, n_cols, n_classes, min_leaf, seed):
+        rng = np.random.default_rng(seed)
+        cols = np.array([rng.permutation(n) * rng.choice([0.5, -3.0]) for _ in range(n_cols)])  # distinct values
+        y = rng.integers(0, n_classes, size=n)
+        order = cols.argsort(axis=1, kind="stable")
+        xs = np.take_along_axis(cols, order, axis=1)
+        gini = recounted_gini(np.bincount(y, minlength=n_classes), n)
+        got = node_split(order, xs, np.eye(n_classes, dtype=np.int32)[:, y], min_leaf, gini, ranked=False)
+        want = row_major_best_split(order, xs, np.eye(n_classes, dtype=np.int32)[y], min_leaf, gini)
+        assert got == want
+
     @pytest.mark.parametrize("n_terms", [*range(1, 141), 200, 256, 257, 517])
     def test_class_sum_is_numpy_row_sum(self, n_terms):
         # numpy sums a contiguous last axis pairwise; a numpy that sums in another order fails here
@@ -362,22 +377,28 @@ class TestLevelSearch:
     """Many nodes searched as one level: each node's result is its own search's, whatever the blocks."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(split_problems(), min_size=1, max_size=6), st.sampled_from([1, 40, 1 << 15]), st.integers(1, 4))
-    def test_each_node_gets_its_own_best_cut(self, problems, search_cells, min_leaf):
+    @given(
+        st.lists(split_problems(), min_size=1, max_size=6), st.sampled_from([1, 40, 1 << 15]), st.integers(1, 4),
+        st.booleans(),
+    )
+    def test_each_node_gets_its_own_best_cut(self, problems, search_cells, min_leaf, tie_free):
         # nodes share the level's column count and class table, as a level's nodes do
+        if tie_free:  # each column's values made distinct, as in a group whose columns hold no tie
+            problems = [(order, np.arange(float(xs.shape[1])), *rest) for order, xs, *rest in problems]
         width = max(order.shape[0] for order, *_ in problems)
         n_classes = max(c for *_, c, _ in problems)
-        orders, values, labels, starts, counts, ginis, want = [], [], [], [], [], [], []
+        orders, values, pads, labels, starts, counts, ginis, want = [], [], [], [], [], [], [], []
         first = 0
         for order, xs, y, _, _ in problems:
             n = y.size
-            pad = width - order.shape[0]  # constant columns, as a narrower job is padded
-            order = np.vstack([order, np.tile(np.arange(n), (pad, 1))])
-            xs = np.vstack([xs, np.zeros((pad, n))])
-            table = np.eye(n_classes, dtype=np.int32)[:, y]
+            xs = np.broadcast_to(xs, order.shape)
             node_counts = np.bincount(y, minlength=n_classes)
             gini = recounted_gini(node_counts, n)
-            want.append(node_split(order, xs, table, min_leaf, gini))
+            want.append(node_split(order, xs, np.eye(n_classes, dtype=np.int32)[:, y], min_leaf, gini))
+            pad = width - order.shape[0]  # rows in row order, as a narrower job is padded
+            pads.append(np.arange(width) >= order.shape[0])
+            order = np.vstack([order, np.tile(np.arange(n), (pad, 1))])
+            xs = np.vstack([xs, np.zeros((pad, n))])
             vals = np.empty_like(xs)
             np.put_along_axis(vals, order, xs, axis=1)
             orders.append(order + first)
@@ -392,8 +413,8 @@ class TestLevelSearch:
         table = np.eye(n_classes, dtype=np.int32)[:, np.concatenate(labels)]
         with mock.patch.object(tree_module, "SEARCH_CELLS", search_cells):
             got = _search_level(
-                order, vals, table, np.array(starts), sizes, np.array(counts), np.array(ginis),
-                np.repeat(np.arange(sizes.size), sizes), min_leaf,
+                order, None if tie_free else vals, np.array(pads).T, table, np.array(starts), sizes, np.array(counts),
+                np.array(ginis), min_leaf,
             )
         for k, expected in enumerate(want):
             best, col, at, right = (part[k] for part in got)
@@ -666,11 +687,83 @@ class TestTwoValuedColumns:
         self.fits([(X, y, [0, 1, 2, 3, 4]), (X, y, [0, 2, 4])], min_leaf=min_leaf)
 
 
+def ranks_kept(problems, max_depth=None, min_leaf=1):
+    """Whether each group's search checks ties: the `ranks` that `_root_columns` hands it are not None."""
+    kept = []
+
+    def spy(*args):
+        out = root_columns(*args)
+        kept.append(out[0] is not None)
+        return out
+
+    root_columns = tree_module._root_columns
+    with mock.patch.object(tree_module, "_root_columns", spy):
+        fitted_records(problems, max_depth, min_leaf)
+    return kept
+
+
+class TestTieFreeGroups:
+    """A group whose grid columns hold no tie skips the rank check and masks its padding per node."""
+
+    fits = TestTwoValuedColumns.fits
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_a_tie_free_group(self, min_leaf):
+        rng = np.random.default_rng(31)
+        problems = [
+            (rng.normal(size=(50, 3)), rng.integers(0, 3, size=50), [0, 1, 2]),
+            (rng.uniform(-3, 3, size=(30, 2)), rng.integers(0, 5, size=30), [1]),
+            (rng.normal(size=(40, 4)), rng.integers(0, 2, size=40), [0, 2, 3]),
+        ]
+        assert ranks_kept(problems, None, min_leaf) == [False]
+        self.fits(problems, min_leaf=min_leaf)
+
+    @pytest.mark.parametrize("tie", [0.25, np.nan], ids=["repeated-value", "nan"])
+    def test_a_group_where_one_job_ties(self, tie):
+        rng = np.random.default_rng(32)
+        tied = rng.normal(size=(40, 2))
+        tied[[3, 17, 29], 1] = tie
+        problems = [
+            (rng.normal(size=(40, 2)), rng.integers(0, 3, size=40), [0, 1]),
+            (tied, rng.integers(0, 3, size=40), [0, 1]),
+            (rng.normal(size=(40, 2)), rng.integers(0, 3, size=40), [0, 1]),
+        ]
+        assert ranks_kept(problems) == [True]
+        assert ranks_kept(problems[:1]) == [False]
+        self.fits(problems)
+
+    @pytest.mark.parametrize("max_depth, min_leaf", [(None, 1), (2, 1), (None, 2)])
+    def test_jobs_with_fewer_many_valued_columns_than_the_widest(self, max_depth, min_leaf):
+        rng = np.random.default_rng(33)
+        fine = rng.normal(size=(40, 3))
+        binary = rng.integers(0, 2, size=(40, 3)).astype(float)
+        problems = [
+            (fine, rng.integers(0, 3, size=40), [0, 1, 2]),  # three grid columns: the group's widest
+            (np.column_stack([binary[:, :2], fine[:, :1]]), rng.integers(0, 3, size=40), [0, 1, 2]),  # one
+            (np.column_stack([np.full(40, 2.5), fine[:, 1]]), rng.integers(0, 2, size=40), [0, 1]),  # one
+            (binary, rng.integers(0, 4, size=40), [0, 1, 2]),  # none: every grid slot a pad
+        ]
+        assert ranks_kept(problems, max_depth, min_leaf) == [False]
+        self.fits(problems, max_depth, min_leaf)
+
+    def test_the_last_node_splits_on_a_two_valued_column_with_no_grid_cut(self):
+        # The level's last node belongs to a job with no many-valued column: its grid best is -inf and
+        # its position can be the level's last, past which the grid has no row to read.
+        rng = np.random.default_rng(34)
+        binary = rng.integers(0, 2, size=(30, 2)).astype(float)
+        problems = [
+            (rng.normal(size=(30, 2)), rng.integers(0, 3, size=30), [0, 1]),
+            (binary, (binary[:, 0] + 2 * binary[:, 1]).astype(int), [0, 1]),
+        ]
+        assert ranks_kept(problems) == [False]
+        self.fits(problems)
+
+
 class TestCountDtype:
     """Class counts are summed in int16 while every tree has fewer than 2^15 rows, else in int32."""
 
     def test_a_block_past_the_int16_range(self):
-        # three 12000-row trees searched as one block: its running sums pass 2^15 and wrap
+        # three 12000-row trees searched as one block: it spans more rows than int16 counts, each node fewer
         rng = np.random.default_rng(9)
         problems = [(rng.normal(size=(12000, 1)), rng.integers(0, 2, size=12000), [0]) for _ in range(3)]
         want = [recursive_tree_fit(X, y, f, 1, 2) for X, y, f in problems]
