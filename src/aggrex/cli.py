@@ -20,7 +20,10 @@ import math
 import os
 import sys
 import time
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from . import aggregate as agg
 from . import blackbox as bb
@@ -199,13 +202,8 @@ def validate_config(cfg: dict) -> None:
 
 
 def canonical_json(obj) -> str:
-    return "".join(_json_pieces(obj))
-
-
-def _json_pieces(obj):
-    """The canonical JSON text of obj (2-space indent, sorted keys, final newline), as the encoder's pieces."""
-    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-    yield "\n"
+    """The canonical JSON text of obj: 2-space indent, sorted keys, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def run_dir_for(cfg: dict) -> Path:
@@ -213,26 +211,45 @@ def run_dir_for(cfg: dict) -> Path:
     return Path(cfg["output_dir"]) / f"run-{stamp}"
 
 
+@contextmanager
+def _atomic_files(*paths: Path):
+    """Text handles on a `.tmp` file beside each path, renamed onto the paths in order when the block ends.
+
+    If the block raises, every `.tmp` file is removed instead, so each path
+    keeps its earlier bytes or gets all of the new ones.
+    """
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+    with ExitStack() as stack:
+        try:
+            for path in paths:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            yield [stack.enter_context(open(tmp, "w", encoding="utf-8")) for tmp in tmps]
+        except BaseException:
+            stack.close()
+            for tmp in tmps:
+                tmp.unlink(missing_ok=True)
+            raise
+    for tmp, path in zip(tmps, paths):
+        os.replace(tmp, path)
+
+
 def _write_atomic(path: Path, text: str) -> None:
-    _stream_atomic(path, (text,))
+    with _atomic_files(path) as (fh,):
+        fh.write(text)
 
 
-def _stream_atomic(path: Path, pieces) -> None:
-    """Write an iterable of text pieces to path atomically, one piece at a time: the text is never held whole."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for piece in pieces:
-            fh.write(piece)
-    os.replace(tmp, path)
+def _write_bundle(fh, records) -> None:
+    """Write canonical_json({"explainers": records}) to fh a record at a time, as records are drawn.
 
-
-def _joined(texts, sep: str):
-    """sep.join(texts), as pieces."""
-    for k, text in enumerate(texts):
-        if k:
-            yield sep
-        yield text
+    Each record's own canonical text is indented by four more spaces, which
+    shifts only its line starts: no JSON string holds a raw newline.
+    """
+    fh.write('{\n  "explainers": [')
+    empty = True
+    for rec in records:
+        fh.write(("\n    " if empty else ",\n    ") + canonical_json(rec)[:-1].replace("\n", "\n    "))
+        empty = False
+    fh.write("]\n}\n" if empty else "\n  ]\n}\n")
 
 
 def _sha256(path: Path) -> str:
@@ -285,6 +302,15 @@ def prepare_dataset(cfg: dict) -> Dataset:
         if data.n < 2:
             raise ConfigError(f"dataset.standardize needs at least 2 rows, the dataset has {data.n}")
         data = standardize(data)
+    cont = data.X[:, data.schema.continuous_idx]
+    for radius in _as_list(float, cfg["sampler"]["radii"], "sampler.radii"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            wide = ~np.isfinite((cont + radius) - (cont - radius))  # each ball's width, as `sample_ball` draws it
+        if wide.any():
+            row = int(np.flatnonzero(wide.any(axis=1))[0])
+            raise ConfigError(
+                f"sampler.radii: radius {radius!r} gives a ball wider than the largest float around center {row}"
+            )
     return data
 
 
@@ -341,23 +367,27 @@ def cmd_explain(cfg: dict) -> Path:
         for slot, radius, i in centers
     )
     specs = (center for center in centers for _ in variants)  # each explainer's center, in record order
-    records = []
-    rules = []
-    for group in explainer_groups(balls, data.schema, variants):
-        explainers = train_local_explainer(
-            group,
-            data.schema,
-            variants,
-            max_bins=int(cfg["filter"]["max_bins"]),
-            max_depth=None if max_depth is None else int(max_depth),
-            min_leaf=int(cfg["explainer"]["min_leaf"]),
-            eps_mi=float(cfg["filter"]["eps_mi"]),
-        )
-        del group  # labelling the next group's balls need not hold this one's
-        for ex in explainers:
-            slot, radius, i = next(specs)
-            records.append(
-                {
+
+    def records(rules):
+        """Each explainer's bundle record, a group trained at a time; its rules block goes to rules first."""
+        sep = ""
+        for group in explainer_groups(balls, data.schema, variants):
+            explainers = train_local_explainer(
+                group,
+                data.schema,
+                variants,
+                max_bins=int(cfg["filter"]["max_bins"]),
+                max_depth=None if max_depth is None else int(max_depth),
+                min_leaf=int(cfg["explainer"]["min_leaf"]),
+                eps_mi=float(cfg["filter"]["eps_mi"]),
+            )
+            del group  # labelling the next group's balls need not hold this one's
+            for ex in explainers:
+                slot, radius, i = next(specs)
+                head = f"center {i} radius {radius} {'filtered' if ex.filtered else 'unfiltered'}"
+                rules.write(f"{sep}# {head}\n{tree_to_rules(ex.tree, data.schema.names)}")
+                sep = "\n"
+                yield {
                     "center_index": i,
                     "radius": float(radius),
                     "radius_slot": slot,
@@ -367,11 +397,11 @@ def cmd_explain(cfg: dict) -> Path:
                     "train_fidelity": ex.train_fidelity,
                     "tree": tree_to_lines(ex.tree),
                 }
-            )
-            head = f"center {i} radius {radius} {'filtered' if ex.filtered else 'unfiltered'}"
-            rules.append(f"# {head}\n" + tree_to_rules(ex.tree, data.schema.names))
-    _stream_atomic(rd / "explainers.json", _json_pieces({"explainers": records}))
-    _stream_atomic(rd / "explainers_rules.txt", _joined(rules, "\n"))
+            del explainers, ex  # written out: the next group's fit need not hold them either
+
+    # Each group's records are written out before the next group is labelled: the stage holds no finished explainer.
+    with _atomic_files(rd / "explainers.json", rd / "explainers_rules.txt") as (bundle, rules):
+        _write_bundle(bundle, records(rules))
     update_manifest(cfg, "explain", ["explainers.json", "explainers_rules.txt"])
     return rd / "explainers.json"
 

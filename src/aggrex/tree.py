@@ -111,8 +111,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-# (column, row) cells of the trees one level-wise fit grows together, which bounds its arrays
-GROUP_CELLS = 3 << 13
+# (column, row) cells of the trees one level-wise fit grows together, which bounds its arrays. A
+# larger group pays each level's numpy calls fewer times; on the protocol benchmark's explain stage,
+# whose records are written out a group at a time, 3 << 14 reads a 1.7 MB traced peak and 1 << 16
+# reads 2.01 MB, past the 2.0 MB that tests/test_cli.py allows.
+GROUP_CELLS = 3 << 14
 # (class, column, row) cells of the class table one split search spans
 SEARCH_CELLS = 1 << 14
 

@@ -141,8 +141,9 @@ class TestForestVote:
 
 class TestForest:
     def test_memory_does_not_grow_with_the_tree_count(self):
-        # Each tree's bootstrap copy (6000 x 5 floats, 240 kB) exceeds the group budget, so every tree is
-        # fitted alone; the copies are drawn as the fit asks for them, not all held at once.
+        # Each tree's bootstrap copy is 6000 x 5 floats (240 kB): one tree's 30 000 cells fit the group
+        # budget, two do not, so every tree is fitted alone; the copies are drawn as the fit asks
+        # for them, not all held at once.
         rng = np.random.default_rng(3)
         X = rng.normal(size=(6000, 5))
         d = Dataset(X, (X[:, 0] > 0).astype(int), FeatureSchema.mixed(5, 0))

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import tracemalloc
@@ -5,9 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aggrex import cli as cli_module
+from aggrex import tree as tree_module
 from aggrex.blackbox import load_model
 from aggrex.cli import (
     ConfigError,
+    _write_bundle,
+    canonical_json,
     cmd_aggregate,
     cmd_explain,
     cmd_report,
@@ -17,6 +22,9 @@ from aggrex.cli import (
     main,
     run_dir_for,
 )
+from aggrex.explainer import train_local_explainer
+from aggrex.tree import DecisionTree, tree_to_lines
+from oracles import tree_fit
 
 
 def small_config(output_dir, **extra):
@@ -283,6 +291,53 @@ class TestExplainStage:
         sizes = sorted(len(rec["selected_features"]) for rec in bundle["explainers"])
         assert sizes[len(sizes) // 2] <= 5
 
+    def test_failed_stage_leaves_the_earlier_outputs(self, tmp_path, monkeypatch):
+        cfg = load_config(None, small_config(tmp_path, filter={"variant": "both"}))
+        cmd_train(cfg)
+        cmd_explain(cfg)
+        rd = run_dir_for(cfg)
+        before = {name: (rd / name).read_bytes() for name in ("explainers.json", "explainers_rules.txt")}
+        calls = []
+
+        def fails_on_the_second_group(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("fit failed")
+            return train_local_explainer(*args, **kwargs)
+
+        # groups of four balls, each 4 features by 200 samples by 2 variants
+        monkeypatch.setattr(tree_module, "GROUP_CELLS", 4 * 4 * 200 * 2)
+        monkeypatch.setattr(cli_module, "train_local_explainer", fails_on_the_second_group)
+        with pytest.raises(RuntimeError, match="fit failed"):
+            cmd_explain(cfg)
+        assert len(calls) == 2
+        assert not list(rd.glob("*.tmp"))
+        assert {name: (rd / name).read_bytes() for name in before} == before
+
+
+class TestBundleWriter:
+    @staticmethod
+    def record(center, tree, features):
+        return {
+            "center_index": center,
+            "radius": 1.5,
+            "radius_slot": 0,
+            "filtered": bool(features),
+            "selected_features": list(features),
+            "leaf_count": tree.leaf_count,
+            "train_fidelity": 5 / 6,
+            "tree": tree_to_lines(tree),
+        }
+
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    def test_streamed_frame_is_the_canonical_text(self, count):
+        split, _ = tree_fit(np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]]), np.array([0, 1, 1]), [0, 1], min_leaf=1)
+        trees = [DecisionTree.leaf(3), split]  # a single-leaf tree, then one that splits
+        records = [self.record(k, trees[k % 2], [] if k % 2 == 0 else [0, 1]) for k in range(count)]
+        out = io.StringIO()
+        _write_bundle(out, iter(records))
+        assert out.getvalue() == canonical_json({"explainers": records})
+
 
 class TestAggregateStage:
     def run_pipeline(self, tmp_path, **extra):
@@ -428,6 +483,19 @@ class TestCsvDatasetPath:
         assert "config error" in err and "dataset.path" in err and match in err
         assert not list(tmp_path.rglob("run-*"))
 
+    def test_ball_overflowing_at_a_center_exits_2_before_any_run_dir(self, tmp_path, capsys):
+        # a finite value near the float maximum: its ball's width (c + r) - (c - r) overflows, which
+        # the radius alone (a ball at 0) does not show
+        rows = [f"{1.7e308 if i == 3 else i * 0.5},{i * 0.1},{i % 2},{i % 3}" for i in range(30)]
+        csv_path = tmp_path / "points.csv"
+        csv_path.write_text("a,b,c,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        dataset = {"path": str(csv_path), "synth": None, "standardize": False, "schema": {"m_cont": 2, "m_bin": 1}}
+        path = write_config(tmp_path, small_config(tmp_path / "runs", dataset=dataset, sampler={"radii": [1e307]}))
+        assert main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "sampler.radii: radius 1e+307" in err and "around center 3" in err
+        assert not list(tmp_path.rglob("run-*"))
+
     def test_path_without_schema_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="schema"):
             load_config(
@@ -551,17 +619,21 @@ class TestCorruptInputs:
 
 class TestExplainMemory:
     # The explain stage's traced peak on the benchmark's protocol-sized config was 2.3 MB before
-    # explainer trees were grown a group at a time, and is 1.81 MB with groups; the cap leaves 10%.
+    # explainer trees were grown a group at a time, and 1.72 MB with groups of 3 << 13 cells while the
+    # stage held every finished record until it ended. Records now go to disk a group at a time, and
+    # groups of 3 << 14 cells read 1.69 MB; the cap leaves 15%.
     PEAK_CAP_MB = 2.0
 
-    def test_explain_stage_peak_is_capped(self, tmp_path):
+    @staticmethod
+    def explain_peak(tmp_path, n, n_trees=25):
+        """The traced peak of the explain stage, in bytes, at the protocol shape with n centers."""
         cfg = load_config(
             None,
             {
                 "seed": 2026,
                 "output_dir": str(tmp_path),
-                "dataset": {"synth": {"n": 60, "m_cont": 4, "m_bin": 2, "classes": 5, "relevant": [0, 1, 4]}},
-                "blackbox": {"n_trees": 25},
+                "dataset": {"synth": {"n": n, "m_cont": 4, "m_bin": 2, "classes": 5, "relevant": [0, 1, 4]}},
+                "blackbox": {"n_trees": n_trees},
                 "sampler": {"N": 600, "radii": [1.2]},
                 "filter": {"variant": "filtered"},
             },
@@ -571,10 +643,21 @@ class TestExplainMemory:
         tracemalloc.start()
         try:
             cmd_explain(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 1e6 <= self.PEAK_CAP_MB
+
+    def test_explain_stage_peak_is_capped(self, tmp_path):
+        assert self.explain_peak(tmp_path, 60) / 1e6 <= self.PEAK_CAP_MB
+
+    def test_explain_stage_peak_does_not_grow_with_the_center_count(self, tmp_path):
+        # Both runs are of full groups (6 features by 600 samples a ball), two and four of them. A small
+        # forest keeps the model's own growth with the data (its compiled tables, +0.07 MB from 52 to 104
+        # centers at 25 trees) out of the difference. Holding every finished record until the stage ended
+        # read +0.40 MB here; streaming them reads +0.03 MB.
+        per_group = tree_module.GROUP_CELLS // (6 * 600)
+        small, large = (self.explain_peak(tmp_path, k * per_group, n_trees=5) for k in (2, 4))
+        assert large <= small + 0.1e6
 
 
 class TestMainEntry:
