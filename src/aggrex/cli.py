@@ -371,7 +371,7 @@ def cmd_explain(cfg: dict) -> Path:
     def records(rules):
         """Each explainer's bundle record, a group trained at a time; its rules block goes to rules first."""
         sep = ""
-        for group in explainer_groups(balls, data.schema, variants):
+        for group in explainer_groups(balls, data.schema):
             explainers = train_local_explainer(
                 group,
                 data.schema,
@@ -425,7 +425,7 @@ def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
     radius, want_filtered = _aggregated_slice(cfg)
     picked: dict[int, LocalExplainer] = {}
     try:
-        for rec in json.loads(bundle_path.read_text(encoding="utf-8"))["explainers"]:
+        for k, rec in enumerate(json.loads(bundle_path.read_text(encoding="utf-8"))["explainers"]):
             if rec["radius"] != radius or rec["filtered"] != want_filtered:
                 continue
             tree, consumed = tree_from_lines(rec["tree"])
@@ -435,6 +435,8 @@ def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
             if widest >= data.m:
                 raise ValueError(f"a tree splits on feature {widest}, but the dataset has {data.m} features")
             i = int(rec["center_index"])
+            if not 0 <= i < data.n:  # a negative index would pick a row from the end
+                raise ValueError(f"record {k} has center_index {i}, but the dataset has points 0..{data.n - 1}")
             picked[i] = LocalExplainer(
                 center_index=i,
                 center=data.X[i],

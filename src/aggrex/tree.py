@@ -217,16 +217,23 @@ def _class_sum(terms: np.ndarray) -> np.ndarray:
 
 
 class FitJob(NamedTuple):
-    """One tree to fit on X[:, features] vs each row's index into labels."""
+    """One tree to fit on X[:, features] vs each row's index into labels.
+
+    `depth` is the depth the tree's root sits at: a job that regrows the
+    subtree below one node of a larger tree starts there, so the depth cap
+    still counts from that tree's root. Labels may hold classes no row
+    has.
+    """
 
     X: np.ndarray  # (N, m) float64
     codes: np.ndarray  # (N,)
     features: list[int]  # ascending
     labels: list[int]  # the distinct labels, ascending
+    depth: int = 0
 
 
-def fit_job(X: np.ndarray, y: np.ndarray, features, classes: np.ndarray | None = None) -> FitJob:
-    """The job of fitting a tree on X[:, features] vs integer labels y.
+def fit_job(X: np.ndarray, y: np.ndarray, features, classes: np.ndarray | None = None, depth: int = 0) -> FitJob:
+    """The job of fitting a tree on X[:, features] vs integer labels y, its root at `depth`.
 
     With classes given (sorted distinct labels), y already holds each
     row's index into it and is not encoded again.
@@ -240,7 +247,7 @@ def fit_job(X: np.ndarray, y: np.ndarray, features, classes: np.ndarray | None =
         raise ValueError("feature subset must be non-empty")
     if classes is None:
         classes, y = np.unique(y, return_inverse=True)
-    return FitJob(X, y, features, np.asarray(classes).tolist())
+    return FitJob(X, y, features, np.asarray(classes).tolist(), int(depth))
 
 
 def runs(items, grid):
@@ -294,7 +301,7 @@ def _gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
     return 1.0 - ((counts / size[:, None]) ** 2).sum(axis=1)
 
 
-def _stops(counts: np.ndarray, size: np.ndarray, depth: int, depth_cap: float, min_leaf: int) -> np.ndarray:
+def _stops(counts: np.ndarray, size: np.ndarray, depth: np.ndarray, depth_cap: float, min_leaf: int) -> np.ndarray:
     """Which nodes stop: pure, at the depth cap, or too small to split."""
     return (counts.max(axis=1) == size) | (depth >= depth_cap) | (size < 2 * min_leaf)
 
@@ -398,7 +405,8 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
     children of a depth's splits are the next depth's nodes, every left
     child first, then every right child, so a split's children sit at the
     same offset in the two halves. A child that stops is a leaf made from
-    its counts, and its rows are dropped rather than partitioned. The
+    its counts, and its rows are dropped rather than partitioned; the depth
+    cap counts from each job's root `depth`. The
     thresholds are read from the jobs' values, and the pre-order arrays
     assembled from the depths, at the end.
     """
@@ -423,9 +431,10 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
         label_of[j, : len(fit.labels)] = fit.labels
     is_left = np.empty(table.shape[1], dtype=bool)  # reused by every depth: each row's side of its node's split
 
+    root_depth = np.array([fit.depth for fit in jobs])
     size = n_rows
     gini = _gini(counts, size)
-    goes_on = ~_stops(counts, size, 0, depth_cap, min_leaf)
+    goes_on = ~_stops(counts, size, root_depth, depth_cap, min_leaf)
     ranks, order, many_of, bits, two_of, two_rows = _root_columns(jobs, width, first_row, goes_on)
     levels = []  # per depth: job, split mask, feature, label
     cuts = []  # per depth: the group rows either side of each split's cut
@@ -477,7 +486,8 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
         label = np.where(split, -1, label_of[job, counts.argmax(axis=1)])  # first maximum: ties to the smaller label
         levels.append((job, split, feature, label))
 
-        child_goes_on = ~_stops(child_counts, child_size, depth + 1, depth_cap, min_leaf)
+        child_job = np.concatenate((job[parent], job[parent]))
+        child_goes_on = ~_stops(child_counts, child_size, root_depth[child_job] + depth + 1, depth_cap, min_leaf)
         if child_goes_on.any():
             # A row goes left exactly when its position in the split column is at or before the
             # cut; `compress` keeps each column's order, so every child's segment stays sorted.
@@ -500,7 +510,7 @@ def _fit_group(jobs: list[FitJob], max_depth: int | None, min_leaf: int) -> list
                 np.logical_not(side, out=side)
                 np.compress(side & keep_right, order[f], out=children[f, n_left:])
             order = children
-        job = np.concatenate((job[parent], job[parent]))
+        job = child_job
         counts, size, gini, goes_on = child_counts, child_size, _gini(child_counts, child_size), child_goes_on
         depth += 1
     return _assemble(levels, _thresholds(jobs, first_row, levels, cuts), agree)
@@ -693,6 +703,8 @@ def tree_from_lines(lines) -> tuple[DecisionTree, int]:
         if int(parts[1]) != pos:
             raise ValueError(f"record id {parts[1]} at pre-order position {pos}: {record!r}")
         if parts[2] == "leaf":
+            if len(parts) != 4:
+                raise ValueError(f"bad leaf record: {record!r}")
             nodes.append([-1, 0.0, int(parts[3]), -1])
             if not open_splits:
                 return DecisionTree(*zip(*nodes)), pos + 1

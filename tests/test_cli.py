@@ -267,6 +267,28 @@ class TestExplainStage:
             by_center.setdefault(rec["center_index"], []).append(rec["filtered"])
         assert all(sorted(v) == [False, True] for v in by_center.values())
 
+    def test_filtered_trees_split_only_on_their_selected_features(self, tmp_path):
+        # the tiny benchmark workload's shape, both variants: each filtered tree is grown from its twin
+        cfg = load_config(
+            None,
+            small_config(
+                tmp_path,
+                seed=99,
+                dataset={"synth": {"n": 20, "m_cont": 3, "m_bin": 2, "classes": 3, "relevant": [0, 3]}},
+                blackbox={"n_trees": 8},
+                sampler={"N": 300, "radii": [1.5]},
+                filter={"variant": "both"},
+            ),
+        )
+        cmd_train(cfg)
+        records = json.loads(cmd_explain(cfg).read_text())["explainers"]
+        filtered = [rec for rec in records if rec["filtered"]]
+        assert len(filtered) == 20
+        for rec in filtered:
+            split_on = {int(line.split()[3]) for line in rec["tree"] if " split " in line}
+            assert split_on <= set(rec["selected_features"])
+        assert any(len(rec["selected_features"]) < 5 and len(rec["tree"]) > 1 for rec in filtered)
+
     def test_bundle_fields(self, tmp_path):
         cfg = load_config(None, small_config(tmp_path))
         cmd_train(cfg)
@@ -603,6 +625,20 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert "config error" in err and "explainers.json" in err and "feature 9" in err
 
+    @pytest.mark.parametrize("center_index", [-1, 16])
+    def test_bundle_center_index_outside_the_dataset_exits_2(self, tmp_path, capsys, center_index):
+        # -1 once picked the dataset's last row and left center 0 without an explainer (KeyError, exit 1)
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
+        bundle = json.loads(bundle_path.read_text())
+        bundle["explainers"][0]["center_index"] = center_index  # the dataset has points 0..15
+        bundle_path.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["aggregate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "explainers.json" in err and f"center_index {center_index}" in err
+
     def test_trailing_bundle_record_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config(tmp_path))
         assert main(["sweep", "--config", str(path)]) == 0
@@ -625,7 +661,7 @@ class TestExplainMemory:
     PEAK_CAP_MB = 2.0
 
     @staticmethod
-    def explain_peak(tmp_path, n, n_trees=25):
+    def explain_peak(tmp_path, n, n_trees=25, variant="filtered"):
         """The traced peak of the explain stage, in bytes, at the protocol shape with n centers."""
         cfg = load_config(
             None,
@@ -635,7 +671,7 @@ class TestExplainMemory:
                 "dataset": {"synth": {"n": n, "m_cont": 4, "m_bin": 2, "classes": 5, "relevant": [0, 1, 4]}},
                 "blackbox": {"n_trees": n_trees},
                 "sampler": {"N": 600, "radii": [1.2]},
-                "filter": {"variant": "filtered"},
+                "filter": {"variant": variant},
             },
         )
         cmd_train(cfg)
@@ -649,6 +685,12 @@ class TestExplainMemory:
 
     def test_explain_stage_peak_is_capped(self, tmp_path):
         assert self.explain_peak(tmp_path, 60) / 1e6 <= self.PEAK_CAP_MB
+
+    def test_explain_stage_peak_with_both_variants_is_capped(self, tmp_path):
+        # A group holds as many balls with both variants as with one: its unfiltered trees fill the same
+        # cells, and the grafts onto them are smaller. This reads 1.70 MB (1.40 MB when both variants
+        # counted against the cells, so that groups held half as many balls).
+        assert self.explain_peak(tmp_path, 60, variant="both") / 1e6 <= self.PEAK_CAP_MB
 
     def test_explain_stage_peak_does_not_grow_with_the_center_count(self, tmp_path):
         # Both runs are of full groups (6 features by 600 samples a ball), two and four of them. A small

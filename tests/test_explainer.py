@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from aggrex.blackbox import train_bagged_forest
 from aggrex.data import FeatureSchema, synth_multiclass
-from aggrex.explainer import label_ball, train_local_explainer
+from aggrex.explainer import _dropped_splits, _fit, _grown_from_twins, label_ball, train_local_explainer
 from aggrex.infofilter import select_informative_features
 from aggrex.sampler import sample_ball
 from aggrex.tree import tree_to_lines
@@ -176,6 +176,84 @@ class TestExplainerGroups:
         alone = [ex for ball in balls for ex in train_local_explainer([ball], SCHEMA, (True, False), max_features=max_features)]
         assert [summary(ex) for ex in group] == [summary(ex) for ex in alone]
         assert [(ex.center_index, ex.filtered) for ex in group] == [(i, f) for i in range(len(specs)) for f in (True, False)]
+
+
+EVERY = tuple(range(SCHEMA.count))
+
+
+def fit_bytes(fit):
+    tree, agree = fit
+    return [getattr(tree, name).tobytes() for name in ("feature", "threshold", "label", "right")], agree
+
+
+def random_ball(seed, n_labels, N=150):
+    return label_ball(RandomLabelBox(seed, n_labels), CENTER, 1.5, N, SCHEMA, seed)
+
+
+class TestGrownFromTwins:
+    """A filtered tree grown from its unfiltered twin is the direct filtered fit, bit for bit, agree count too."""
+
+    @staticmethod
+    def grown(balls, selected, max_depth, min_leaf):
+        """The twins and the grown trees, after checking the grown ones against direct fits."""
+        twins = _fit(balls, [EVERY] * len(balls), max_depth, min_leaf)
+        grown = _grown_from_twins(balls, selected, twins, max_depth, min_leaf)
+        direct = _fit(balls, selected, max_depth, min_leaf)
+        assert [fit_bytes(fit) for fit in grown] == [fit_bytes(fit) for fit in direct]
+        return twins, grown
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 200), st.sets(st.integers(0, 4))),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([None, 0, 1, 2, 3, 12]),
+        st.sampled_from([1, 2, 3]),
+    )
+    def test_any_selection_in_any_group(self, specs, max_depth, min_leaf):
+        balls = [random_ball(seed, n_labels, N) for seed, n_labels, N, _ in specs]
+        self.grown(balls, [tuple(sorted(features)) for *_, features in specs], max_depth, min_leaf)
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("n_labels", [3, 9])
+    def test_named_cases(self, min_leaf, n_labels):
+        cases = {}  # name: (ball, selected, max_depth)
+
+        def first_depth(ball, max_depth, depth):
+            """The selection that drops one feature whose first split on some path is at `depth`, if any."""
+            twin = _fit([ball], [EVERY], max_depth, min_leaf)[0][0]
+            for f in EVERY:
+                selected = tuple(g for g in EVERY if g != f)
+                if any(d == depth for *_, d in _dropped_splits(twin, selected)):
+                    return selected
+            return None
+
+        for seed in range(40):
+            ball = random_ball(seed, n_labels)
+            twin = _fit([ball], [EVERY], 12, min_leaf)[0][0]
+            used = tuple(sorted(twin.features_used))
+            if len(used) < len(EVERY):
+                cases.setdefault("twin reused", (ball, used, 12))
+            cases.setdefault("root refit", (ball, tuple(f for f in EVERY if f != twin.feature[0]), 12))
+            if twin.features_used & {2, 3, 4}:
+                cases.setdefault("binary features dropped", (ball, (0, 1), 12))
+            cases.setdefault("empty selection", (ball, (), 12))
+            for name, max_depth, depth in (("graft at max_depth - 1", 3, 2), ("no depth cap", None, 4)):
+                selected = first_depth(ball, max_depth, depth)
+                if name not in cases and selected is not None:
+                    cases[name] = (ball, selected, max_depth)
+        assert len(cases) == 6, sorted(cases)
+        for name, (ball, selected, max_depth) in cases.items():
+            [(twin, _)], [(tree, _)] = self.grown([ball], [selected], max_depth, min_leaf)
+            dropped = _dropped_splits(twin, selected) if selected else []
+            assert (tree is twin) == (name == "twin reused") == (selected != () and not dropped)
+            if name == "root refit":
+                assert dropped == [(0, twin.feature.size, 0)]
+        # every case's grafts in one group, at their common depth cap
+        balls, selected = zip(*[(ball, selected) for ball, selected, max_depth in cases.values() if max_depth == 12])
+        self.grown(list(balls), list(selected), 12, min_leaf)
 
 
 class TestLocalFidelity:

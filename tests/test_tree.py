@@ -959,3 +959,33 @@ class TestParserRejects:
     def test_truncated_stream(self):
         with pytest.raises(ValueError, match="truncated"):
             tree_from_lines(["node 0 split 0 0.5", "node 1 leaf 0"])
+
+    def test_extra_tokens_on_a_leaf_record(self):
+        with pytest.raises(ValueError, match="bad leaf record"):
+            tree_from_lines(["node 0 leaf 2 junk"])
+
+    def test_extra_tokens_on_a_split_record(self):
+        with pytest.raises(ValueError, match="bad split record"):
+            tree_from_lines(["node 0 split 0 0.5 junk", "node 1 leaf 0", "node 2 leaf 1"])
+
+
+class TestRootDepth:
+    """A job whose root sits at depth d grows what a job at depth 0 grows under a cap d lower."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fit_groups(), st.lists(st.integers(0, 4), min_size=6, max_size=6))
+    def test_a_job_at_depth_d_is_the_job_at_depth_0_with_the_cap_d_lower(self, group, depths):
+        problems, max_depth, min_leaf = group
+        for cap in (max_depth, None if max_depth is None else max_depth + 4):
+            at_depth = [fit_job(*p, depth=d) for p, d in zip(problems, depths)]
+            got = [(tree_to_lines(t), agree) for t, agree in fit_trees(at_depth, cap, min_leaf)]
+            want = [
+                fitted_records([p], None if cap is None else max(cap - d, 0), min_leaf)[0]
+                for p, d in zip(problems, depths)
+            ]
+            assert got == want
+
+    def test_a_root_at_the_cap_is_a_leaf(self):
+        X = np.arange(8.0)[:, None]
+        tree, agree = fit_trees([fit_job(X, np.arange(8) % 2, [0], depth=3)], 3, 1)[0]
+        assert tree_to_lines(tree) == ["node 0 leaf 0"] and agree == 4
