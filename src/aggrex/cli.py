@@ -22,6 +22,7 @@ import sys
 import time
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,54 +35,157 @@ from .tree import tree_from_lines, tree_to_lines, tree_to_rules
 
 SEED_ENV_VAR = "AGGREX_SEED"
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "dataset": {
-        "path": None,
-        "standardize": True,
-        "synth": {"n": 60, "m_cont": 4, "m_bin": 2, "classes": 5, "relevant": [0, 1, 4]},
-        "schema": None,  # for path datasets: {"m_cont": int, "m_bin": int}
-    },
-    "blackbox": {"n_trees": 50},
-    "sampler": {"N": 10000, "radii": [3.0, 7.0, 11.0, 15.0]},
-    "filter": {"max_bins": 3, "eps_mi": 1e-9, "variant": "both"},
-    "explainer": {"max_depth": 12, "min_leaf": 2},
-    "aggregate": {
-        "budgets": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
-        "floors": [0.5, 0.7, 0.9],
-        "solver": "both",
-        "radius": None,  # default: first sampler radius
-        "use_filtered": None,  # default: filtered when the variant produced any
-        "export_lp": False,
-    },
-    "output_dir": "runs",
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+class Key(NamedTuple):
+    """One config key: its dotted path, its default, its flag, and the values it takes.
+
+    `kind` is int, float, bool, str (a file path), dict (a JSON object whose
+    own keys `validate_config` checks) or a tuple of the words allowed. A
+    number must be finite and lie in [lo, hi], where those are given. With
+    `each`, the key holds a non-empty list of such values, each called
+    `each` in messages.
+    """
+
+    path: str
+    default: object
+    flag: str | None
+    kind: object
+    lo: float | None = None
+    hi: float | None = None
+    null: bool = False
+    each: str | None = None
+
+    def check(self, value):
+        """value as this key's kind, or a ConfigError naming the key.
+
+        Numeric text and integral floats become the numbers they state. An
+        integer key rejects a fractional number rather than truncate it,
+        and a numeric key rejects a JSON boolean rather than read it as 0 or
+        1, so that a config runs only as the values it states.
+        """
+        if value is None and self.null:
+            return None
+        if self.each is None:
+            return self._one(value, self.path)
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{self.path} must be a non-empty list, got {value!r}")
+        return [self._one(v, f"every {self.each} in {self.path}") for v in value]
+
+    def _one(self, value, name: str):
+        kind = self.kind
+        if kind is int or kind is float:
+            try:
+                if isinstance(value, bool):
+                    raise ValueError
+                out = kind(value)
+                if kind is int and isinstance(value, float) and out != value:
+                    raise ValueError
+            except (TypeError, ValueError, OverflowError):
+                raise self._wrong_kind(value) from None
+            if kind is float and not math.isfinite(out):
+                raise ConfigError(f"{name} must be finite, got {out!r}")
+            if (self.lo is not None and out < self.lo) or (self.hi is not None and out > self.hi):
+                if self.hi is not None:
+                    rule = f"in [{self.lo}, {self.hi}]"
+                else:
+                    rule = "nonnegative" if self.lo == 0 else f"at least {self.lo}"
+                raise ConfigError(f"{name} must be {rule}, got {out!r}")
+            return out
+        if not (value in kind if isinstance(kind, tuple) else isinstance(value, kind)):
+            raise self._wrong_kind(value)
+        return value
+
+    def _wrong_kind(self, value) -> ConfigError:
+        nouns = {int: ("an integer",), float: ("a number",), bool: ("true", "false"), str: ("a file path",),
+                 dict: ("a JSON object",)}
+        *rest, last = (self.kind if isinstance(self.kind, tuple) else nouns[self.kind]) + ("null",) * self.null
+        return ConfigError(f"{self.path} must be {', '.join(rest) + ' or ' if rest else ''}{last}, got {value!r}")
+
+
+# Every config key, once. DEFAULT_CONFIG, the checks of load_config, the
+# command-line flags and their overrides are all read from this table.
+KEYS = {
+    key.path: key
+    for key in (
+        Key("seed", 0, "--seed", int, lo=0),
+        Key("dataset.path", None, "--dataset-path", str, null=True),
+        Key("dataset.standardize", True, "--standardize", bool),
+        Key("dataset.synth", {"n": 60, "m_cont": 4, "m_bin": 2, "classes": 5, "relevant": [0, 1, 4]}, None, dict,
+            null=True),
+        Key("dataset.schema", None, None, dict, null=True),  # for path datasets: {"m_cont": int, "m_bin": int}
+        Key("blackbox.n_trees", 50, "--n-trees", int, lo=1),
+        Key("sampler.N", 10000, "--samples", int, lo=2),
+        Key("sampler.radii", [3.0, 7.0, 11.0, 15.0], "--radii", float, lo=0, each="radius"),
+        Key("filter.max_bins", 3, "--max-bins", int, lo=2),
+        Key("filter.eps_mi", 1e-9, "--eps-mi", float),
+        Key("filter.variant", "both", "--variant", ("filtered", "unfiltered", "both")),
+        Key("explainer.max_depth", 12, "--max-depth", int, lo=0, null=True),
+        Key("explainer.min_leaf", 2, "--min-leaf", int, lo=1),
+        Key("aggregate.budgets", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10], "--budgets", int, lo=0, each="budget"),
+        Key("aggregate.floors", [0.5, 0.7, 0.9], "--floors", float, lo=0, hi=1, each="fidelity floor"),
+        Key("aggregate.solver", "both", "--solver", ("exact", "greedy", "both")),
+        Key("aggregate.radius", None, "--agg-radius", float, null=True),  # default: first sampler radius
+        Key("aggregate.use_filtered", None, None, bool, null=True),  # default: filtered when the variant produced any
+        Key("aggregate.export_lp", False, "--export-lp", bool),
+        Key("output_dir", "runs", "--output-dir", str),
+    )
+}
+
+
+def _slot(cfg: dict, path: str) -> tuple[dict, str]:
+    """(the dict holding a dotted path's value, the value's name there), making missing sections."""
+    *sections, name = path.split(".")
+    for section in sections:
+        cfg = cfg.setdefault(section, {})
+    return cfg, name
+
+
+def _nested(pairs) -> dict:
+    """(dotted path, value) pairs as nested dicts."""
+    out: dict = {}
+    for path, value in pairs:
+        node, name = _slot(out, path)
+        node[name] = value
+    return out
+
+
+DEFAULT_CONFIG = _nested((path, key.default) for path, key in KEYS.items())
+
+
+def _deep_merge(base: dict, override, prefix: str = "") -> dict:
+    """base with override's values in its place, section by section; override may hold only base's keys.
+
+    Where base holds a section, override must hold a JSON object; a key
+    whose value is an object (dataset.synth) may be replaced whole.
+    """
+    if not isinstance(override, dict):
+        raise ConfigError(f"{prefix[:-1] or 'the config'} must be a JSON object, got {override!r}")
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        path = prefix + key
+        if key not in out:
+            raise ConfigError(f"unknown config key {path}")
+        if isinstance(out.get(key), dict) and (isinstance(value, dict) or path not in KEYS):
+            out[key] = _deep_merge(out[key], value, path + ".")
         else:
             out[key] = copy.deepcopy(value)
     return out
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
+    """DEFAULT_CONFIG merged with the file at path, then with overrides, checked, each value of its key's kind."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
-                cfg = _deep_merge(cfg, json.load(fh))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:  # missing or unreadable, undecodable bytes, or not JSON
+            raise ConfigError(f"config file {path}: {exc}") from None
+        cfg = _deep_merge(cfg, loaded)
     cfg = _deep_merge(cfg, overrides)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
@@ -93,83 +197,19 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def _unknown_keys(cfg: dict, defaults: dict, prefix: str = "") -> list[str]:
-    out = []
-    for key, value in cfg.items():
-        name = prefix + key
-        if key not in defaults:
-            out.append(name)
-        elif isinstance(value, dict) and isinstance(defaults[key], dict):
-            out.extend(_unknown_keys(value, defaults[key], name + "."))
-    return out
-
-
-def _as(kind, value, name: str):
-    """kind(value), or a ConfigError naming the config key.
-
-    An integer key rejects a fractional number rather than truncate it, and
-    a numeric key rejects a JSON boolean rather than read it as 0 or 1, so
-    that a config runs only as the values it states.
-    """
-    try:
-        if isinstance(value, bool):
-            raise ValueError
-        out = kind(value)
-        if kind is int and isinstance(value, float) and out != value:
-            raise ValueError
-        return out
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
-
-
-def _check_bool(value, name: str, nullable: bool = False) -> None:
-    if not (isinstance(value, bool) or (nullable and value is None)):
-        raise ConfigError(f"{name} must be {'true, false or null' if nullable else 'true or false'}, got {value!r}")
-
-
-def _as_list(kind, value, name: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return [_as(kind, v, name) for v in value]
-
-
 def validate_config(cfg: dict) -> None:
-    unknown = _unknown_keys(cfg, DEFAULT_CONFIG)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    _as(int, cfg["seed"], "seed")
-    a = cfg["aggregate"]
-    if not a["budgets"]:
-        raise ConfigError("aggregate.budgets must be non-empty")
-    if any(k < 0 for k in _as_list(int, a["budgets"], "aggregate.budgets")):
-        raise ConfigError("budgets must be nonnegative")
-    if not a["floors"]:
-        raise ConfigError("aggregate.floors must be non-empty")
-    if any(not (0.0 <= p <= 1.0) for p in _as_list(float, a["floors"], "aggregate.floors")):
-        raise ConfigError("every fidelity floor must lie in [0, 1]")
-    if a["solver"] not in ("exact", "greedy", "both"):
-        raise ConfigError(f"unknown solver {a['solver']!r}")
-    if _as(int, cfg["blackbox"]["n_trees"], "blackbox.n_trees") < 1:
-        raise ConfigError("blackbox.n_trees must be at least 1")
-    if _as(int, cfg["filter"]["max_bins"], "filter.max_bins") < 2:
-        raise ConfigError("filter.max_bins must be at least 2")
-    if not math.isfinite(_as(float, cfg["filter"]["eps_mi"], "filter.eps_mi")):
-        raise ConfigError(f"filter.eps_mi must be finite, got {cfg['filter']['eps_mi']!r}")
-    if cfg["filter"]["variant"] not in ("filtered", "unfiltered", "both"):
-        raise ConfigError(f"unknown filter variant {cfg['filter']['variant']!r}")
-    if not cfg["sampler"]["radii"]:
-        raise ConfigError("sampler.radii must be non-empty")
-    radii = _as_list(float, cfg["sampler"]["radii"], "sampler.radii")
-    if any(not (math.isfinite(r) and r >= 0) for r in radii):
-        raise ConfigError("every sampler radius must be finite and nonnegative")
+    """Check cfg and convert each value to its key's kind, in place.
+
+    Each key's own rule is its row in KEYS. The rules that span keys, and
+    those of the dataset block in use, follow here as plain code.
+    """
+    for path, key in KEYS.items():
+        node, name = _slot(cfg, path)
+        node[name] = key.check(node[name])
+    radii = cfg["sampler"]["radii"]
     too_wide = [r for r in radii if not math.isfinite(r + r)]  # the ball's width c + r - (c - r) at c = 0
     if too_wide:
         raise ConfigError(f"sampler.radii: radius {too_wide[0]!r} gives a ball wider than the largest float")
-    if a["radius"] is not None:
-        _as(float, a["radius"], "aggregate.radius")
-    _check_bool(a["use_filtered"], "aggregate.use_filtered", nullable=True)
-    _check_bool(a["export_lp"], "aggregate.export_lp")
-    _check_bool(cfg["dataset"]["standardize"], "dataset.standardize")
     radius, filtered = _aggregated_slice(cfg)
     if radius not in radii:
         raise ConfigError(f"aggregate.radius {radius} is not one of sampler.radii")
@@ -179,26 +219,17 @@ def validate_config(cfg: dict) -> None:
             f"aggregate.use_filtered wants {kind} explainers, which filter.variant "
             f"{cfg['filter']['variant']!r} does not train"
         )
-    if _as(int, cfg["sampler"]["N"], "sampler.N") < 2:
-        raise ConfigError("sampler.N must be at least 2")
-    if _as(int, cfg["explainer"]["min_leaf"], "explainer.min_leaf") < 1:
-        raise ConfigError("explainer.min_leaf must be at least 1")
-    max_depth = cfg["explainer"]["max_depth"]
-    if max_depth is not None and _as(int, max_depth, "explainer.max_depth") < 0:
-        raise ConfigError("explainer.max_depth must be nonnegative or null")
     ds = cfg["dataset"]
-    if ds["path"] is None and ds.get("synth") is None:
+    if ds["path"] is None and ds["synth"] is None:
         raise ConfigError("dataset needs either a path or a synth block")
-    if ds["path"] is not None and not isinstance(ds["path"], str):
-        raise ConfigError(f"dataset.path must be a file path, got {ds['path']!r}")
-    if ds["path"] is not None and ds.get("schema") is None:
+    if ds["path"] is not None and ds["schema"] is None:
         raise ConfigError("path datasets need dataset.schema = {m_cont, m_bin}")
     block = "schema" if ds["path"] is not None else "synth"
-    for key in ("m_cont", "m_bin") if ds["path"] is not None else ("n", "m_cont", "m_bin", "classes"):
-        if _as(int, ds[block].get(key), f"dataset.{block}.{key}") < 0:
-            raise ConfigError(f"dataset.{block}.{key} must be nonnegative")
-    if ds["path"] is None:
-        _as_list(int, ds["synth"].get("relevant"), "dataset.synth.relevant")
+    sub = ds[block]
+    for name in ("m_cont", "m_bin") if block == "schema" else ("n", "m_cont", "m_bin", "classes"):
+        sub[name] = Key(f"dataset.{block}.{name}", None, None, int, lo=0).check(sub.get(name))
+    if block == "synth":
+        sub["relevant"] = Key("dataset.synth.relevant", None, None, int, each="index").check(sub.get("relevant"))
 
 
 def canonical_json(obj) -> str:
@@ -262,7 +293,7 @@ def update_manifest(cfg: dict, stage: str, outputs: list[str], unhashed: list[st
     manifest = {
         "run_id": rd.name,
         "seed": cfg["seed"],
-        "standardized": bool(cfg["dataset"]["standardize"]),
+        "standardized": cfg["dataset"]["standardize"],
         "config": cfg,
         "stages": {},
         "hashes": {},
@@ -282,20 +313,12 @@ def prepare_dataset(cfg: dict) -> Dataset:
     if ds["path"] is not None:
         sch = ds["schema"]
         try:
-            data = load_dataset(ds["path"], FeatureSchema.mixed(int(sch["m_cont"]), int(sch["m_bin"])))
+            data = load_dataset(ds["path"], FeatureSchema.mixed(sch["m_cont"], sch["m_bin"]))
         except (ValueError, OSError) as exc:  # ParseError, SchemaViolation and undecodable bytes are ValueErrors
             raise ConfigError(f"dataset.path {ds['path']}: {exc}")
     else:
-        sy = ds["synth"]
         try:
-            data = synth_multiclass(
-                seed=int(cfg["seed"]),
-                n=int(sy["n"]),
-                m_cont=int(sy["m_cont"]),
-                m_bin=int(sy["m_bin"]),
-                classes=int(sy["classes"]),
-                relevant=tuple(sy["relevant"]),
-            )
+            data = synth_multiclass(seed=cfg["seed"], **ds["synth"])  # n, m_cont, m_bin, classes, relevant
         except ValueError as exc:
             raise ConfigError(f"dataset.synth: {exc}")
     if ds["standardize"]:
@@ -303,7 +326,7 @@ def prepare_dataset(cfg: dict) -> Dataset:
             raise ConfigError(f"dataset.standardize needs at least 2 rows, the dataset has {data.n}")
         data = standardize(data)
     cont = data.X[:, data.schema.continuous_idx]
-    for radius in _as_list(float, cfg["sampler"]["radii"], "sampler.radii"):
+    for radius in cfg["sampler"]["radii"]:
         with np.errstate(over="ignore", invalid="ignore"):
             wide = ~np.isfinite((cont + radius) - (cont - radius))  # each ball's width, as `sample_ball` draws it
         if wide.any():
@@ -322,7 +345,7 @@ def cmd_train(cfg: dict) -> Path:
     rd.mkdir(parents=True, exist_ok=True)
     write_dataset(data, rd / "dataset_used.csv.tmp")
     os.replace(rd / "dataset_used.csv.tmp", rd / "dataset_used.csv")
-    model = bb.train_bagged_forest(data, n_trees=int(cfg["blackbox"]["n_trees"]), seed=int(cfg["seed"]))
+    model = bb.train_bagged_forest(data, n_trees=cfg["blackbox"]["n_trees"], seed=cfg["seed"])
     bb.save_model(model, rd / "model.txt.tmp")
     os.replace(rd / "model.txt.tmp", rd / "model.txt")
     _write_atomic(rd / "config.json", canonical_json(cfg))
@@ -357,13 +380,10 @@ def cmd_explain(cfg: dict) -> Path:
     rd = run_dir_for(cfg)
     data = prepare_dataset(cfg)
     model = _load_model(rd, data)
-    max_depth = cfg["explainer"]["max_depth"]
-    n_samples = int(cfg["sampler"]["N"])
     variants = _variants(cfg)
-    seed = int(cfg["seed"])
     centers = [(slot, radius, i) for slot, radius in enumerate(cfg["sampler"]["radii"]) for i in range(data.n)]
     balls = (
-        label_ball(model, data.X[i], float(radius), n_samples, data.schema, derive_seed(seed, i, slot), i)
+        label_ball(model, data.X[i], radius, cfg["sampler"]["N"], data.schema, derive_seed(cfg["seed"], i, slot), i)
         for slot, radius, i in centers
     )
     specs = (center for center in centers for _ in variants)  # each explainer's center, in record order
@@ -376,10 +396,10 @@ def cmd_explain(cfg: dict) -> Path:
                 group,
                 data.schema,
                 variants,
-                max_bins=int(cfg["filter"]["max_bins"]),
-                max_depth=None if max_depth is None else int(max_depth),
-                min_leaf=int(cfg["explainer"]["min_leaf"]),
-                eps_mi=float(cfg["filter"]["eps_mi"]),
+                max_bins=cfg["filter"]["max_bins"],
+                max_depth=cfg["explainer"]["max_depth"],
+                min_leaf=cfg["explainer"]["min_leaf"],
+                eps_mi=cfg["filter"]["eps_mi"],
             )
             del group  # labelling the next group's balls need not hold this one's
             for ex in explainers:
@@ -389,7 +409,7 @@ def cmd_explain(cfg: dict) -> Path:
                 sep = "\n"
                 yield {
                     "center_index": i,
-                    "radius": float(radius),
+                    "radius": radius,
                     "radius_slot": slot,
                     "filtered": ex.filtered,
                     "selected_features": list(ex.selected_features),
@@ -408,13 +428,9 @@ def cmd_explain(cfg: dict) -> Path:
 
 def _aggregated_slice(cfg: dict) -> tuple[float, bool]:
     """(radius, filtered) of the explainers the aggregate stage reads."""
-    radius = cfg["aggregate"]["radius"]
-    if radius is None:
-        radius = cfg["sampler"]["radii"][0]
-    want = cfg["aggregate"]["use_filtered"]
-    if want is None:
-        return float(radius), cfg["filter"]["variant"] != "unfiltered"
-    return float(radius), bool(want)
+    a = cfg["aggregate"]
+    radius = cfg["sampler"]["radii"][0] if a["radius"] is None else a["radius"]
+    return radius, cfg["filter"]["variant"] != "unfiltered" if a["use_filtered"] is None else a["use_filtered"]
 
 
 def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
@@ -482,24 +498,24 @@ def cmd_aggregate(cfg: dict) -> Path:
     for floor in acfg["floors"]:
         for budget in acfg["budgets"]:
             if acfg["export_lp"]:
-                lp_name = f"solutions/model_K{budget}_phi{_fmt(float(floor))}.lp"
-                agg.export_lp(agg.build_ip(pool, int(budget), float(floor)), rd / lp_name)
+                lp_name = f"solutions/model_K{budget}_phi{_fmt(floor)}.lp"
+                agg.export_lp(agg.build_ip(pool, budget, floor), rd / lp_name)
                 outputs.append(lp_name)
             for solver in solvers:
                 solve = agg.solve_exact if solver == "exact" else agg.solve_greedy
-                sol = solve(pool, int(budget), float(floor))
-                violations = agg.verify_solution(pool, int(budget), float(floor), sol)
+                sol = solve(pool, budget, floor)
+                violations = agg.verify_solution(pool, budget, floor, sol)
                 if violations:
                     raise RuntimeError(
                         f"solver {solver} produced an invalid solution at K={budget}, phi={floor}: {violations}"
                     )
-                name = f"solutions/sol_K{budget}_phi{_fmt(float(floor))}_{solver}.json"
+                name = f"solutions/sol_K{budget}_phi{_fmt(floor)}_{solver}.json"
                 _write_atomic(rd / name, canonical_json(sol.to_dict()))
                 unhashed.append(name)
                 sweep_rows.append(
                     [
                         budget,
-                        _fmt(float(floor)),
+                        _fmt(floor),
                         solver,
                         sol.ip_coverage,
                         sol.ball_coverage,
@@ -509,7 +525,7 @@ def cmd_aggregate(cfg: dict) -> Path:
                         sol.nodes_explored,
                     ]
                 )
-                timing_rows.append([budget, _fmt(float(floor)), solver, _fmt(sol.wall_time_ms)])
+                timing_rows.append([budget, _fmt(floor), solver, _fmt(sol.wall_time_ms)])
     header = "K,phi,solver,ip_coverage,ball_coverage,min_fidelity,ball_min_fidelity,status,nodes_explored"
     _write_atomic(
         rd / "sweep.csv",
@@ -564,101 +580,54 @@ def cmd_sweep(cfg: dict) -> Path:
 
 # -- argument parsing ---------------------------------------------------------
 
-def _parse_budgets(text: str) -> list[int]:
+COMMANDS = {"train": cmd_train, "explain": cmd_explain, "aggregate": cmd_aggregate, "sweep": cmd_sweep,
+            "report": cmd_report}
+
+
+def _parse_list(key: Key, text: str) -> list:
+    """A list flag's values: comma-separated, or for integers also a lo..hi range."""
     try:
-        if ".." in text:
+        if key.kind is int and ".." in text:
             lo, hi = text.split("..", 1)
             return list(range(int(lo), int(hi) + 1))
-        return [int(v) for v in text.split(",") if v]
+        return [key.kind(v) for v in text.split(",") if v]
     except ValueError:
-        raise ConfigError(f"--budgets must be a comma list or lo..hi range of integers, got {text!r}") from None
+        raise ConfigError(f"{key.flag} must be {_list_syntax(key)}, got {text!r}") from None
 
 
-def _parse_numbers(flag: str, text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v]
-    except ValueError:
-        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+def _list_syntax(key: Key) -> str:
+    return "a comma list or lo..hi range of integers" if key.kind is int else "comma-separated numbers"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The flags of KEYS, each with its key's path as dest; a key true by default also gets --no-<flag>."""
     p = argparse.ArgumentParser(prog="aggrex", description=__doc__)
-    p.add_argument("command", choices=["train", "explain", "aggregate", "sweep", "report"])
+    p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output-dir")
-    p.add_argument("--dataset-path")
-    p.add_argument("--standardize", dest="standardize", action="store_true", default=None)
-    p.add_argument("--no-standardize", dest="standardize", action="store_false")
-    p.add_argument("--n-trees", type=int)
-    p.add_argument("--samples", type=int, help="sampler.N")
-    p.add_argument("--radii", help="comma-separated sampling radii")
-    p.add_argument("--max-bins", type=int)
-    p.add_argument("--eps-mi", type=float)
-    p.add_argument("--variant", choices=["filtered", "unfiltered", "both"])
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--min-leaf", type=int)
-    p.add_argument("--budgets", help="comma list or lo..hi range of K values")
-    p.add_argument("--floors", help="comma-separated fidelity floors")
-    p.add_argument("--solver", choices=["exact", "greedy", "both"])
-    p.add_argument("--agg-radius", type=float, help="radius whose explainers feed aggregation")
-    p.add_argument("--export-lp", action="store_true", default=None)
+    for path, key in KEYS.items():
+        if key.flag is None:
+            continue
+        if key.kind is bool:
+            p.add_argument(key.flag, dest=path, action="store_true", default=None, help=path)
+            if key.default:
+                p.add_argument("--no-" + key.flag[2:], dest=path, action="store_false")
+        else:
+            words = key.kind if isinstance(key.kind, tuple) else None
+            p.add_argument(key.flag, dest=path, choices=words, help=_list_syntax(key) if key.each else None)
     return p
 
 
 def overrides_from_args(args: argparse.Namespace) -> dict:
-    out: dict = {}
-
-    def put(path: list[str], value) -> None:
-        if value is None:
-            return
-        node = out
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = value
-
-    put(["seed"], args.seed)
-    put(["output_dir"], args.output_dir)
-    put(["dataset", "path"], args.dataset_path)
-    put(["dataset", "standardize"], args.standardize)
-    put(["blackbox", "n_trees"], args.n_trees)
-    put(["sampler", "N"], args.samples)
-    if args.radii is not None:
-        put(["sampler", "radii"], _parse_numbers("--radii", args.radii))
-    put(["filter", "max_bins"], args.max_bins)
-    put(["filter", "eps_mi"], args.eps_mi)
-    put(["filter", "variant"], args.variant)
-    put(["explainer", "max_depth"], args.max_depth)
-    put(["explainer", "min_leaf"], args.min_leaf)
-    if args.budgets is not None:
-        put(["aggregate", "budgets"], _parse_budgets(args.budgets))
-    if args.floors is not None:
-        put(["aggregate", "floors"], _parse_numbers("--floors", args.floors))
-    put(["aggregate", "solver"], args.solver)
-    put(["aggregate", "radius"], args.agg_radius)
-    put(["aggregate", "export_lp"], args.export_lp)
-    return out
+    """The config keys the flags set, as text except for lists; load_config converts them."""
+    given = [(path, value) for path, value in vars(args).items() if path in KEYS and value is not None]
+    return _nested((path, _parse_list(KEYS[path], value) if KEYS[path].each else value) for path, value in given)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config, overrides_from_args(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     t0 = time.perf_counter()
     try:
-        if args.command == "train":
-            out = cmd_train(cfg)
-        elif args.command == "explain":
-            out = cmd_explain(cfg)
-        elif args.command == "aggregate":
-            out = cmd_aggregate(cfg)
-        elif args.command == "sweep":
-            out = cmd_sweep(cfg)
-        else:
-            out = cmd_report(cfg)
+        out = COMMANDS[args.command](load_config(args.config, overrides_from_args(args)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -5,13 +6,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aggrex import cli as cli_module
 from aggrex import tree as tree_module
 from aggrex.blackbox import load_model
 from aggrex.cli import (
+    DEFAULT_CONFIG,
+    KEYS,
     ConfigError,
     _write_bundle,
+    build_parser,
     canonical_json,
     cmd_aggregate,
     cmd_explain,
@@ -22,6 +28,7 @@ from aggrex.cli import (
     main,
     run_dir_for,
 )
+from aggrex.data import synth_multiclass, write_dataset
 from aggrex.explainer import train_local_explainer
 from aggrex.tree import DecisionTree, tree_to_lines
 from oracles import tree_fit
@@ -49,6 +56,31 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+def wrong_values(key, element=False) -> list:
+    """Values that key's row in the table rules out: another kind, outside its bounds, null where it is not allowed."""
+    values = [float("nan"), float("inf"), float("-inf")]
+    values += [v for v, kind in ((True, bool), ("x", str), ({"x": 1}, dict), (10**400, int)) if key.kind is not kind]
+    if element or not key.null:
+        values.append(None)
+    if key.kind is int:
+        values.append(0.5)
+    if key.lo is not None:
+        values.append(key.lo - (1 if key.kind is int else 0.5))
+    if key.hi is not None:
+        values.append(key.hi + 0.5)
+    if element:
+        return values
+    if key.each is None:
+        return values + [[1]]  # a list where one value is wanted
+    return values + [1, [], *([v] for v in wrong_values(key, element=True))]
+
+
+def path_dataset(tmp_path):
+    csv_path = tmp_path / "points.csv"
+    write_dataset(synth_multiclass(seed=5, n=14, m_cont=2, m_bin=2, classes=3, relevant=(0, 2)), csv_path)
+    return {"path": str(csv_path), "synth": None, "schema": {"m_cont": 2, "m_bin": 2}}
 
 
 class TestConfig:
@@ -214,16 +246,85 @@ class TestConfig:
 
     def test_numeric_text_runs_as_its_number(self, tmp_path):
         # values given as numeric text or as integral floats are converted
-        # where they are used, max_depth included, and give the same run as
+        # once by `load_config`, max_depth included, and give the same run as
         # the numbers
         text = small_config(tmp_path / "text", sampler={"N": "200"}, explainer={"max_depth": "4", "min_leaf": 2.0})
         plain = small_config(tmp_path / "plain", explainer={"max_depth": 4})
-        outputs = []
+        outputs, loaded = [], []
         for name, cfg in (("text", text), ("plain", plain)):
             path = write_config(tmp_path, cfg, f"{name}.json")
             assert main(["sweep", "--config", str(path)]) == 0
-            outputs.append((run_dir_for(load_config(str(path), {})) / "explainers.json").read_bytes())
+            run_cfg = load_config(str(path), {})
+            outputs.append((run_dir_for(run_cfg) / "explainers.json").read_bytes())
+            loaded.append({**run_cfg, "output_dir": ""})
         assert outputs[0] == outputs[1]
+        assert loaded[0] == loaded[1]
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda out: [1], "the config must be a JSON object, got [1]"),
+            (lambda out: small_config(out, dataset=5), "dataset must be a JSON object, got 5"),
+            (lambda out: small_config(out, aggregate=None), "aggregate must be a JSON object, got None"),
+            (lambda out: small_config(out, dataset={"synth": 5}), "dataset.synth must be a JSON object or null, got 5"),
+            (lambda out: small_config(out, dataset={"path": "x.csv", "synth": None, "schema": 5}),
+             "dataset.schema must be a JSON object or null, got 5"),
+            (lambda out: {**small_config(out), "output_dir": None}, "output_dir must be a file path, got None"),
+            (lambda out: {**small_config(out), "output_dir": 5}, "output_dir must be a file path, got 5"),
+        ],
+        ids=["top-level-list", "dataset-number", "aggregate-null", "synth-number", "schema-number", "output-dir-null",
+             "output-dir-number"],
+    )
+    def test_non_object_section_or_path_exits_2_before_any_run_dir(self, tmp_path, capsys, monkeypatch, make, match):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, make(tmp_path / "runs"))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+        assert not list(tmp_path.rglob("run-*"))
+
+    @pytest.mark.parametrize("source", ["config", "env"])
+    @pytest.mark.parametrize("dataset", ["synth", "path"])
+    def test_negative_seed_exits_2_before_any_run_dir(self, tmp_path, capsys, monkeypatch, source, dataset):
+        # SeedSequence rejects it, after a path dataset's run directory is made
+        extra = {"dataset": path_dataset(tmp_path)} if dataset == "path" else {}
+        if source == "config":
+            extra["seed"] = -1
+        else:
+            monkeypatch.setenv("AGGREX_SEED", "-5")
+        path = write_config(tmp_path, small_config(tmp_path / "runs", **extra))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed must be nonnegative" in err
+        assert not list(tmp_path.rglob("run-*"))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_wrong_value_for_any_key_exits_2_before_any_run_dir(self, tmp_path, capsys, data):
+        key = data.draw(st.sampled_from(list(KEYS.values())), label="key")
+        value = data.draw(st.sampled_from(wrong_values(key)), label="value")
+        cfg = small_config(tmp_path / "runs")
+        *sections, name = key.path.split(".")
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("run-*"))
+
+    def test_default_config_and_flags_are_pinned(self):
+        # the run-<hash> stamp hashes the effective config, so a drift in the
+        # table's defaults would rename every run directory
+        digest = hashlib.sha256(canonical_json(DEFAULT_CONFIG).encode()).hexdigest()
+        assert digest == "6dd9134ef18ab17577f75d1506f910cff65c68d43db1bbc472487461340faed2"
+        options = {option for action in build_parser()._actions for option in action.option_strings}
+        assert options - {"-h", "--help"} == {
+            "--config", "--seed", "--output-dir", "--dataset-path", "--standardize", "--no-standardize", "--n-trees",
+            "--samples", "--radii", "--max-bins", "--eps-mi", "--variant", "--max-depth", "--min-leaf", "--budgets",
+            "--floors", "--solver", "--agg-radius", "--export-lp",
+        }
 
 
 class TestTrainStage:
@@ -459,22 +560,7 @@ class TestReportStage:
 
 class TestCsvDatasetPath:
     def test_pipeline_from_csv_file(self, tmp_path):
-        from aggrex.data import synth_multiclass, write_dataset
-
-        raw = synth_multiclass(seed=5, n=14, m_cont=2, m_bin=2, classes=3, relevant=(0, 2))
-        csv_path = tmp_path / "points.csv"
-        write_dataset(raw, csv_path)
-        cfg = load_config(
-            None,
-            small_config(
-                tmp_path,
-                dataset={
-                    "path": str(csv_path),
-                    "synth": None,
-                    "schema": {"m_cont": 2, "m_bin": 2},
-                },
-            ),
-        )
+        cfg = load_config(None, small_config(tmp_path, dataset=path_dataset(tmp_path)))
         cmd_train(cfg)
         cmd_explain(cfg)
         sweep_path = cmd_aggregate(cfg)
