@@ -33,12 +33,15 @@ A sweep solves one pool for many (K, phi) cells, so the pool does the
 per-pool work once: CandidatePool is frozen over read-only arrays, builds
 its row bitmasks on first use, and keeps one record per floor. The record
 holds the claimable sets and claim caps, the undominated candidates (found
-by the first exact solve at that floor), and the greedy path, which every
-greedy solve and every exact warm start at that floor extends only as far
-as its budget needs. Greedy evaluates a
-candidate only when its claimable set could beat the best gain of the
-scan, and its nodes_explored counts the evaluations made. Results, node
-counts included, are those of a solve on a fresh pool.
+by the first exact solve at that floor), the greedy path, which every
+greedy solve extends only as far as its budget needs, and one exact result
+per budget. An exact solve for a budget not yet solved runs one search
+for it and every smaller unsolved budget, warm-started by the greedy
+path, so a sweep that asks for its largest budget first searches once per
+floor. Greedy evaluates a candidate only when its claimable set could
+beat the best gain of the scan, and its nodes_explored counts the
+evaluations made. Results, node counts included, are those of a solve on
+a fresh pool.
 
 Fidelity-floor arithmetic is exact: phi is quantized to a rational with
 denominator 10^6 and every feasibility check runs on integers, so e.g.
@@ -81,14 +84,17 @@ class _Floor:
     in-ball points, plus disagreeing ones when its fidelity row has any
     slack; claimable_matrix holds the same sets as rows, and sure the
     agreeing in-ball ones), caps[i] the most claims its row allows, and
-    undominated the candidates solve_exact branches on, computed by the
-    first exact solve at this floor (greedy never reads it).
+    undominated the candidates the exact search branches on, computed by
+    the first exact solve at this floor (greedy never reads it).
 
     steps and stall_evals are greedy's run, extended on demand:
     steps[k] = (selection, z masks, objective, evaluations after k scans),
     and greedy with budget K is steps[K], the first K steps of any longer
     run. stall_evals is set once a scan finds no positive gain: the run
     ends there, and every larger budget reports that scan's evaluations too.
+
+    exact[K] = (selection, z masks, objective, nodes explored) is the exact
+    solve with budget K, kept once a search (_extend_exact) has solved it.
     """
 
     claimable: tuple[int, ...]
@@ -97,6 +103,7 @@ class _Floor:
     sure: np.ndarray
     steps: list = field(default_factory=lambda: [((), {}, 0, 0)])
     stall_evals: int | None = None
+    exact: dict = field(default_factory=dict)
 
     @cached_property
     def undominated(self) -> tuple[int, ...]:
@@ -296,12 +303,11 @@ class AggregateSolution:
 
 def coverage(sol: AggregateSolution, pool: CandidatePool) -> int:
     """Points inside at least one selected candidate's full ball (union count)."""
-    if not sol.selected:
-        return 0
-    mask = np.zeros(pool.n, dtype=bool)
+    ball = pool.ball_masks()
+    covered = 0
     for i in sol.selected:
-        mask |= pool.within[i]
-    return int(np.sum(mask))
+        covered |= ball[i]
+    return covered.bit_count()
 
 
 def fidelity(sol: AggregateSolution, pool: CandidatePool) -> float:
@@ -312,13 +318,13 @@ def fidelity(sol: AggregateSolution, pool: CandidatePool) -> float:
     """
     if not sol.selected:
         raise ValueError("fidelity undefined for empty aggregate")
+    ball = pool.ball_masks()
+    agree = pool.agree_masks()
     worst = 1.0
     for i in sol.selected:
-        ball = pool.within[i]
-        size = int(np.sum(ball))
-        if size == 0:
-            continue
-        worst = min(worst, float(np.sum(pool.agree[i] & ball)) / size)
+        size = ball[i].bit_count()
+        if size:
+            worst = min(worst, (ball[i] & agree[i]).bit_count() / size)
     return worst
 
 
@@ -407,17 +413,43 @@ def _finish_solution(selected, z_masks, obj, status, pool, nodes, t0) -> Aggrega
     sol.ball_coverage = coverage(sol, pool)
     if sol.selected:
         sol.ball_min_fidelity = fidelity(sol, pool)
+        agree = pool.agree_masks()
         worst = 1.0
         for i in sol.selected:
-            js = sol.z_assignment.get(i, ())
-            if js:
-                worst = min(worst, sum(1 for j in js if pool.agree[i, j]) / len(js))
+            claims = z_masks.get(i, 0)
+            if claims:
+                worst = min(worst, (claims & agree[i]).bit_count() / claims.bit_count())
         sol.claimed_min_fidelity = worst
     return sol
 
 
 def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> AggregateSolution:
     """Provably optimal solution by branch-and-bound on the selection variables.
+
+    The pool keeps one result per budget at each floor. A budget not solved
+    yet is solved by _extend_exact, in one depth-first search together with
+    every smaller unsolved budget and warm-started by the floor's greedy
+    path, so a sweep that asks for its largest budget first searches once
+    per floor. Each budget's selection, claims and node count are those of
+    a search for that budget alone on a fresh pool. Every leaf solves its
+    inner claim problem exactly (a b-matching), so the status is always
+    "optimal".
+    """
+    t0 = time.perf_counter()
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    phi_num, phi_den = _phi_to_rational(fidelity_floor)
+    if budget == 0:
+        return _finish_solution((), {}, 0, "optimal", pool, 1, t0)
+    floor = pool._floor(phi_num)
+    if budget not in floor.exact:
+        _extend_exact(pool, floor, budget, phi_num, phi_den)
+    selected, z, obj, nodes = floor.exact[budget]
+    return _finish_solution(selected, z, obj, "optimal", pool, nodes, t0)
+
+
+def _extend_exact(pool: CandidatePool, floor: _Floor, budget: int, phi_num: int, phi_den: int) -> None:
+    """Solve every budget from 1 to budget missing from floor.exact, in one depth-first search.
 
     Depth-first binary branching over the floor's undominated candidates
     (no optimum needs a dominated one, see _undominated). Each node branches
@@ -426,61 +458,63 @@ def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> Aggr
     parent's gains less that entry, so only a 1-branch recomputes them.
     A candidate's capped gain is the smaller of its claim cap and the part
     of its claimable set not yet covered by the fixed-in candidates'. The
-    node bound is that covered count plus the cheaper of (sum of the q
-    largest gains, size of the claimable points the remaining candidates
-    still reach). Everything over-counts the true claims, so pruning is
-    safe. A leaf whose covered count does not beat the incumbent is not
-    solved; every other leaf solves its inner claim problem exactly (a
-    b-matching), so the status is always "optimal". Warm-started with the
-    greedy solution (solve_greedy, which reuses the pool's greedy path for
-    this floor).
+    node bound for budget K is that covered count plus the cheaper of (sum
+    of the K - count largest gains, size of the claimable points the
+    remaining candidates still reach). Everything over-counts the true
+    claims, so pruning is safe. A node is a leaf for K when it holds K
+    candidates or none remain; a leaf whose covered count does not beat
+    K's incumbent is not solved.
+
+    None of this shape depends on the budget, so the searches for all
+    budgets walk one tree. Each frame carries the budgets still open at
+    its node: a node counts toward the nodes explored of each of them, and
+    a budget closes where the node is its leaf or its own bound, against
+    its own incumbent, prunes it. An incumbent starts as greedy's step for
+    its budget and changes only at its own leaves, met in the order a
+    search for that budget alone meets them, so each budget sees exactly
+    the nodes, bounds and leaves that search would.
     """
-    t0 = time.perf_counter()
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    phi_num, phi_den = _phi_to_rational(fidelity_floor)
-    if budget == 0:
-        return _finish_solution((), {}, 0, "optimal", pool, 1, t0)
+    todo = tuple(k for k in range(1, budget + 1) if k not in floor.exact)
+    _extend_greedy(pool, floor, budget, phi_num, phi_den)
     ball = pool.ball_masks()
     agree = pool.agree_masks()
-    floor = pool._floor(phi_num)
-    claim, cap = floor.claimable, floor.caps
-
-    warm = solve_greedy(pool, budget, fidelity_floor)
-    best_obj = warm.ip_coverage
-    best_selected = warm.selected
-    best_z = {i: 0 for i in warm.selected}
-    for i, js in warm.z_assignment.items():
-        best_z[i] = sum(1 << j for j in js)
+    claim, cap, steps = floor.claimable, floor.caps, floor.steps
+    # per budget k: incumbent (selection, z masks), its objective, nodes explored
+    found, best_obj, nodes = {}, [0] * (budget + 1), [0] * (budget + 1)
+    for k in todo:
+        selected, z, best_obj[k], _ = steps[min(k, len(steps) - 1)]
+        found[k] = selected, z
+        nodes[k] = 1  # the root; a node's children are counted when it pushes them
 
     # a remaining candidate i with capped gain g is held as the key i - n*g,
     # so an ascending sort puts the largest gain first, ties to the lowest
     # index, and key // n == -g, key % n == i
     n = pool.n
-    nodes = 0
     # frames: (union of fixed claimables, selected count, selection as a
     #          parent-linked chain, sorted keys of the remaining candidates,
-    #          whether their gains are stale)
-    stack = [(0, 0, None, sorted(i - n * cap[i] for i in floor.undominated), False)]
+    #          whether their gains are stale, open budgets ascending)
+    stack = [(0, 0, None, sorted(i - n * cap[i] for i in floor.undominated), False, todo)]
     while stack:
-        covered, count, chain, keys, stale = stack.pop()
-        nodes += 1
+        covered, count, chain, keys, stale, budgets = stack.pop()
         base = covered.bit_count()
-        if count == budget or not keys:
-            if base <= best_obj:
+        if not keys or budgets[0] == count:
+            # a leaf for every open budget when no candidate remains, else for budget == count
+            leaves, budgets = (budgets, ()) if not keys else (budgets[:1], budgets[1:])
+            leaves = [k for k in leaves if base > best_obj[k]]
+            if leaves:
+                selected = []
+                node = chain
+                while node is not None:
+                    selected.append(node[0])
+                    node = node[1]
+                selected = tuple(sorted(selected))
+                z, obj = _claims_for_selection(selected, ball, agree, phi_num, phi_den)
+                for k in leaves:
+                    if obj > best_obj[k]:
+                        best_obj[k] = obj
+                        found[k] = selected, z
+            if not budgets:
                 continue
-            selected = []
-            node = chain
-            while node is not None:
-                selected.append(node[0])
-                node = node[1]
-            selected = tuple(sorted(selected))
-            z, obj = _claims_for_selection(selected, ball, agree, phi_num, phi_den)
-            if obj > best_obj:
-                best_obj = obj
-                best_selected = selected
-                best_z = z
-            continue
         if stale:
             uncovered = ~covered
             fresh = []
@@ -490,20 +524,35 @@ def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> Aggr
                 fresh.append(i - n * (g if g < cap[i] else cap[i]))
             fresh.sort()
             keys = fresh
-        if base - sum(key // n for key in keys[: budget - count]) <= best_obj:
+        # budgets ascend, so each one's gain sum extends the last one's
+        kept = []
+        bound = base
+        q = 0
+        for k in budgets:
+            for key in keys[q : k - count]:
+                bound -= key // n
+            q = k - count
+            if bound > best_obj[k]:
+                kept.append(k)
+        if not kept:
             continue
         reach = 0
         for key in keys:
             reach |= claim[key % n]
-        if base + (reach & ~covered).bit_count() <= best_obj:
+        bound = base + (reach & ~covered).bit_count()
+        budgets = tuple(k for k in kept if bound > best_obj[k])
+        if not budgets:
             continue
+        for k in budgets:
+            nodes[k] += 2
         pick = keys[0] % n
         rest = keys[1:]
         # LIFO: push the 0-branch first so the 1-branch is explored first
-        stack.append((covered, count, chain, rest, False))
-        stack.append((covered | claim[pick], count + 1, (pick, chain), rest, True))
+        stack.append((covered, count, chain, rest, False, budgets))
+        stack.append((covered | claim[pick], count + 1, (pick, chain), rest, True, budgets))
 
-    return _finish_solution(best_selected, best_z, best_obj, "optimal", pool, nodes, t0)
+    for k in todo:
+        floor.exact[k] = (*found[k], best_obj[k], nodes[k])
 
 
 def _extend_greedy(pool: CandidatePool, floor: _Floor, budget: int, phi_num: int, phi_den: int) -> None:
@@ -577,17 +626,23 @@ def verify_solution(
         violations.append("selected contains duplicates")
     if len(selected) > budget:
         violations.append(f"budget violated: {len(selected)} > {budget}")
+    for i in sorted(selected):
+        if not (0 <= i < pool.n):
+            violations.append(f"selected candidate {i} out of range")
     for i in sol.z_assignment:
         if i not in selected:
             violations.append(f"z for unselected candidate {i} (z <= w violated)")
     covered: set[int] = set()
     for i, js in sol.z_assignment.items():
+        in_range = 0 <= i < pool.n
+        if not in_range:
+            violations.append(f"claiming candidate {i} out of range")
         if len(set(js)) != len(js):
             violations.append(f"candidate {i} claims a point twice")
         for j in js:
             if not (0 <= j < pool.n):
                 violations.append(f"claimed point {j} out of range")
-            elif not pool.within[i, j]:
+            elif in_range and not pool.within[i, j]:
                 violations.append(f"radius row violated: point {j} outside ball of candidate {i}")
         covered.update(js)
     if len(covered) != sol.ip_coverage:

@@ -224,6 +224,10 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("dataset needs either a path or a synth block")
     if ds["path"] is not None and ds["schema"] is None:
         raise ConfigError("path datasets need dataset.schema = {m_cont, m_bin}")
+    if ds["schema"] is not None:
+        unknown = [name for name in ds["schema"] if name not in ("m_cont", "m_bin")]
+        if unknown:
+            raise ConfigError(f"unknown config key dataset.schema.{unknown[0]}")
     block = "schema" if ds["path"] is not None else "synth"
     sub = ds[block]
     for name in ("m_cont", "m_bin") if block == "schema" else ("n", "m_cont", "m_bin", "classes"):
@@ -495,8 +499,12 @@ def cmd_aggregate(cfg: dict) -> Path:
     timing_rows = []
     outputs = ["sweep.csv"]
     unhashed = ["timings.csv"]
+    budgets = acfg["budgets"]
     for floor in acfg["floors"]:
-        for budget in acfg["budgets"]:
+        cells = {}
+        # largest budget first: its exact search solves every smaller budget at this floor too
+        for pos in sorted(range(len(budgets)), key=lambda p: -budgets[p]):
+            budget = budgets[pos]
             if acfg["export_lp"]:
                 lp_name = f"solutions/model_K{budget}_phi{_fmt(floor)}.lp"
                 agg.export_lp(agg.build_ip(pool, budget, floor), rd / lp_name)
@@ -512,7 +520,7 @@ def cmd_aggregate(cfg: dict) -> Path:
                 name = f"solutions/sol_K{budget}_phi{_fmt(floor)}_{solver}.json"
                 _write_atomic(rd / name, canonical_json(sol.to_dict()))
                 unhashed.append(name)
-                sweep_rows.append(
+                cells[pos, solver] = (
                     [
                         budget,
                         _fmt(floor),
@@ -523,9 +531,14 @@ def cmd_aggregate(cfg: dict) -> Path:
                         _fmt(sol.ball_min_fidelity),
                         sol.status,
                         sol.nodes_explored,
-                    ]
+                    ],
+                    [budget, _fmt(floor), solver, _fmt(sol.wall_time_ms)],
                 )
-                timing_rows.append([budget, _fmt(floor), solver, _fmt(sol.wall_time_ms)])
+        for pos in range(len(budgets)):  # rows in config order
+            for solver in solvers:
+                sweep_row, timing_row = cells[pos, solver]
+                sweep_rows.append(sweep_row)
+                timing_rows.append(timing_row)
     header = "K,phi,solver,ip_coverage,ball_coverage,min_fidelity,ball_min_fidelity,status,nodes_explored"
     _write_atomic(
         rd / "sweep.csv",

@@ -396,6 +396,21 @@ class TestVerifier:
         sol = AggregateSolution((0,), {0: (0, 1)}, 3, 2, 1.0, 1.0, "optimal")
         assert any("coverage" in v for v in verify_solution(pool, 1, 0.0, sol))
 
+    @pytest.mark.parametrize(
+        "selected, z, words",
+        [
+            # numpy would read -1 as the last row, where the claim lies in the ball
+            ((-1,), {-1: (2,)}, ["selected candidate -1 out of range", "claiming candidate -1 out of range"]),
+            ((7,), {}, ["selected candidate 7 out of range"]),
+        ],
+        ids=["negative", "past-the-end"],
+    )
+    def test_detects_candidate_index_out_of_range(self, selected, z, words):
+        pool = pool_from_sets([{0}, {1}, {2}])
+        sol = AggregateSolution(selected, z, sum(map(len, z.values())), 1, 1.0, 1.0, "optimal")
+        violations = verify_solution(pool, 1, 0.5, sol)
+        assert all(word in violations for word in words), violations
+
     def test_clean_solution_passes(self):
         pool = random_pool(9)
         sol = solve_exact(pool, 2, 0.7)
@@ -843,6 +858,21 @@ class TestBoundedSearch:
             assert evals <= want_evals
         assert sol.selected == want[-1][0]
         assert sol.nodes_explored <= (want[budget][3] if budget < len(want) else want_stall)
+
+    @settings(max_examples=40, deadline=None)
+    @given(search_pools, st.integers(1, 7))
+    def test_largest_budget_first_matches_fresh_pools(self, pool, top):
+        # the largest budget's search solves every smaller budget at its
+        # floor; each result, node count included, is that of a fresh pool
+        # solved for that budget alone
+        def fresh(k, floor):
+            return solution_bytes(solve_exact(CandidatePool(radii=pool.radii, within=pool.within, agree=pool.agree), k, floor))
+
+        want = {floor: [fresh(k, floor) for k in range(top, 0, -1)] for floor in FLOORS}
+        with mock.patch.object(aggregate, "_extend_exact", wraps=aggregate._extend_exact) as search:
+            for calls, floor in enumerate(FLOORS, start=1):
+                assert [solution_bytes(solve_exact(pool, k, floor)) for k in range(top, 0, -1)] == want[floor]
+                assert search.call_count == calls
 
     @settings(max_examples=40, deadline=None)
     @given(search_pools, st.integers(1, 6))

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -155,9 +156,12 @@ class TestConfig:
             # -1 continuous columns would run as none
             ({"dataset": {"path": "x.csv", "synth": None, "schema": {"m_cont": -1, "m_bin": 2}}}, [],
              "dataset.schema.m_cont must be nonnegative"),
+            # the schema block replaces its null default whole, so its keys are checked on their own
+            ({"dataset": {"path": "x.csv", "synth": None, "schema": {"m_cont": 2, "m_bin": 2, "m_cat": 1}}}, [],
+             "unknown config key dataset.schema.m_cat"),
         ],
         ids=["radius-not-sampled", "radius-too-wide", "variant-not-trained", "unknown-key", "min-leaf-zero",
-             "negative-max-depth", "negative-schema-width"],
+             "negative-max-depth", "negative-schema-width", "unknown-schema-key"],
     )
     def test_bad_config_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, flags, match):
         out_dir = tmp_path / "runs"
@@ -523,6 +527,22 @@ class TestAggregateStage:
         cfg, _ = self.run_pipeline(tmp_path, aggregate={"budgets": [2], "floors": [0.7], "solver": "exact", "export_lp": True})
         rd = run_dir_for(cfg)
         assert list((rd / "solutions").glob("model_*.lp"))
+
+    def test_one_exact_search_per_floor(self, tmp_path):
+        # budgets out of order: the largest is asked first at each floor, and
+        # its search serves the others; the rows stay in config order
+        from aggrex import aggregate
+
+        aggregate_cfg = {"budgets": [2, 3, 1], "floors": [0.5, 0.9], "solver": "both"}
+        with mock.patch.object(aggregate, "_extend_exact", wraps=aggregate._extend_exact) as search:
+            cfg, sweep_path = self.run_pipeline(tmp_path, aggregate=aggregate_cfg)
+        assert [call.args[2] for call in search.call_args_list] == [3, 3]
+        rows = self.read_rows(sweep_path)
+        assert [(r["phi"], r["K"], r["solver"]) for r in rows] == [
+            (phi, k, solver) for phi in ("0.5", "0.9") for k in ("2", "3", "1") for solver in ("exact", "greedy")
+        ]
+        timings = (run_dir_for(cfg) / "timings.csv").read_text().splitlines()[1:]
+        assert [line.rsplit(",", 1)[0] for line in timings] == [f"{r['K']},{r['phi']},{r['solver']}" for r in rows]
 
     def test_unfiltered_variant_aggregates_unfiltered(self, tmp_path):
         cfg, sweep_path = self.run_pipeline(tmp_path, filter={"variant": "unfiltered"})
