@@ -36,8 +36,8 @@ holds the claimable sets and claim caps, the undominated candidates (found
 by the first exact solve at that floor), the greedy path, which every
 greedy solve extends only as far as its budget needs, and one exact result
 per budget. An exact solve for a budget not yet solved runs one search
-for it and every smaller unsolved budget, warm-started by the greedy
-path, so a sweep that asks for its largest budget first searches once per
+for it and for the other budgets its caller names, warm-started by the
+greedy path, so a sweep that names all its budgets searches once per
 floor. Greedy evaluates a candidate only when its claimable set could
 beat the best gain of the scan, and its nodes_explored counts the
 evaluations made. Results, node counts included, are those of a solve on
@@ -94,7 +94,8 @@ class _Floor:
     ends there, and every larger budget reports that scan's evaluations too.
 
     exact[K] = (selection, z masks, objective, nodes explored) is the exact
-    solve with budget K, kept once a search (_extend_exact) has solved it.
+    solve with budget K (at most n; a larger budget is solved as n), kept
+    once a search (_extend_exact) has solved it.
     """
 
     claimable: tuple[int, ...]
@@ -423,33 +424,37 @@ def _finish_solution(selected, z_masks, obj, status, pool, nodes, t0) -> Aggrega
     return sol
 
 
-def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float) -> AggregateSolution:
+def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float, *, also=()) -> AggregateSolution:
     """Provably optimal solution by branch-and-bound on the selection variables.
 
     The pool keeps one result per budget at each floor. A budget not solved
-    yet is solved by _extend_exact, in one depth-first search together with
-    every smaller unsolved budget and warm-started by the floor's greedy
-    path, so a sweep that asks for its largest budget first searches once
-    per floor. Each budget's selection, claims and node count are those of
-    a search for that budget alone on a fresh pool. Every leaf solves its
-    inner claim problem exactly (a b-matching), so the status is always
-    "optimal".
+    yet is solved by _extend_exact, warm-started by the floor's greedy path,
+    in one depth-first search together with every budget in `also` not
+    solved yet at this floor; a sweep names all its budgets there, so it
+    searches once per floor and its other calls return the kept results.
+    Each budget's selection, claims and node count are those of a search
+    for that budget alone on a fresh pool. A budget of n or more leaves
+    every candidate free, so it is solved and kept as budget n. Every leaf
+    solves its inner claim problem exactly (a b-matching), so the status is
+    always "optimal".
     """
     t0 = time.perf_counter()
-    if budget < 0:
+    if budget < 0 or any(k < 0 for k in also):
         raise ValueError("budget must be nonnegative")
     phi_num, phi_den = _phi_to_rational(fidelity_floor)
     if budget == 0:
         return _finish_solution((), {}, 0, "optimal", pool, 1, t0)
     floor = pool._floor(phi_num)
-    if budget not in floor.exact:
-        _extend_exact(pool, floor, budget, phi_num, phi_den)
-    selected, z, obj, nodes = floor.exact[budget]
+    key = min(budget, pool.n)
+    if key not in floor.exact:
+        todo = {min(k, pool.n) for k in (budget, *also) if k > 0} - floor.exact.keys()
+        _extend_exact(pool, floor, tuple(sorted(todo)), phi_num, phi_den)
+    selected, z, obj, nodes = floor.exact[key]
     return _finish_solution(selected, z, obj, "optimal", pool, nodes, t0)
 
 
-def _extend_exact(pool: CandidatePool, floor: _Floor, budget: int, phi_num: int, phi_den: int) -> None:
-    """Solve every budget from 1 to budget missing from floor.exact, in one depth-first search.
+def _extend_exact(pool: CandidatePool, floor: _Floor, todo: tuple[int, ...], phi_num: int, phi_den: int) -> None:
+    """Solve the budgets in todo (ascending, none above n) in one depth-first search.
 
     Depth-first binary branching over the floor's undominated candidates
     (no optimum needs a dominated one, see _undominated). Each node branches
@@ -474,7 +479,7 @@ def _extend_exact(pool: CandidatePool, floor: _Floor, budget: int, phi_num: int,
     search for that budget alone meets them, so each budget sees exactly
     the nodes, bounds and leaves that search would.
     """
-    todo = tuple(k for k in range(1, budget + 1) if k not in floor.exact)
+    budget = todo[-1]
     _extend_greedy(pool, floor, budget, phi_num, phi_den)
     ball = pool.ball_masks()
     agree = pool.agree_masks()

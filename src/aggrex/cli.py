@@ -499,19 +499,18 @@ def cmd_aggregate(cfg: dict) -> Path:
     timing_rows = []
     outputs = ["sweep.csv"]
     unhashed = ["timings.csv"]
-    budgets = acfg["budgets"]
     for floor in acfg["floors"]:
-        cells = {}
-        # largest budget first: its exact search solves every smaller budget at this floor too
-        for pos in sorted(range(len(budgets)), key=lambda p: -budgets[p]):
-            budget = budgets[pos]
+        for budget in acfg["budgets"]:
             if acfg["export_lp"]:
                 lp_name = f"solutions/model_K{budget}_phi{_fmt(floor)}.lp"
                 agg.export_lp(agg.build_ip(pool, budget, floor), rd / lp_name)
                 outputs.append(lp_name)
             for solver in solvers:
-                solve = agg.solve_exact if solver == "exact" else agg.solve_greedy
-                sol = solve(pool, budget, floor)
+                if solver == "exact":
+                    # the floor's first exact call searches once for all the sweep's budgets
+                    sol = agg.solve_exact(pool, budget, floor, also=acfg["budgets"])
+                else:
+                    sol = agg.solve_greedy(pool, budget, floor)
                 violations = agg.verify_solution(pool, budget, floor, sol)
                 if violations:
                     raise RuntimeError(
@@ -520,7 +519,7 @@ def cmd_aggregate(cfg: dict) -> Path:
                 name = f"solutions/sol_K{budget}_phi{_fmt(floor)}_{solver}.json"
                 _write_atomic(rd / name, canonical_json(sol.to_dict()))
                 unhashed.append(name)
-                cells[pos, solver] = (
+                sweep_rows.append(
                     [
                         budget,
                         _fmt(floor),
@@ -531,14 +530,9 @@ def cmd_aggregate(cfg: dict) -> Path:
                         _fmt(sol.ball_min_fidelity),
                         sol.status,
                         sol.nodes_explored,
-                    ],
-                    [budget, _fmt(floor), solver, _fmt(sol.wall_time_ms)],
+                    ]
                 )
-        for pos in range(len(budgets)):  # rows in config order
-            for solver in solvers:
-                sweep_row, timing_row = cells[pos, solver]
-                sweep_rows.append(sweep_row)
-                timing_rows.append(timing_row)
+                timing_rows.append([budget, _fmt(floor), solver, _fmt(sol.wall_time_ms)])
     header = "K,phi,solver,ip_coverage,ball_coverage,min_fidelity,ball_min_fidelity,status,nodes_explored"
     _write_atomic(
         rd / "sweep.csv",

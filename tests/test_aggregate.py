@@ -680,6 +680,15 @@ class TestExactAtSweepSize:
         got = [(sol.nodes_explored, sol.selected) for sol in (solve_exact(pool, k, 0.9) for k in range(1, 8))]
         assert got == want
 
+    def test_one_search_for_the_pinned_sweep_matches_lone_searches(self):
+        # asked largest first with the sweep named, one search solves all
+        # seven budgets; each equals the lone search test_node_counts_pinned pins
+        ascending = geometric_pool(17)
+        want = [solution_bytes(solve_exact(ascending, k, 0.9)) for k in range(1, 8)]
+        pool = geometric_pool(17)
+        got = [solution_bytes(solve_exact(pool, k, 0.9, also=range(1, 8))) for k in range(7, 0, -1)]
+        assert got[::-1] == want
+
 
 class TestGreedyPathCache:
     BUDGETS = range(0, 9)
@@ -861,18 +870,33 @@ class TestBoundedSearch:
 
     @settings(max_examples=40, deadline=None)
     @given(search_pools, st.integers(1, 7))
-    def test_largest_budget_first_matches_fresh_pools(self, pool, top):
-        # the largest budget's search solves every smaller budget at its
-        # floor; each result, node count included, is that of a fresh pool
-        # solved for that budget alone
-        def fresh(k, floor):
-            return solution_bytes(solve_exact(CandidatePool(radii=pool.radii, within=pool.within, agree=pool.agree), k, floor))
+    def test_one_search_for_a_sweep_matches_lone_searches(self, pool, top):
+        # the largest budget's call names the others, and its one search at
+        # each floor solves them all; each result, node count included, is
+        # that of a search for that budget alone on a fresh pool
+        def lone(k, floor):
+            with mock.patch.object(aggregate, "_extend_exact", wraps=aggregate._extend_exact) as search:
+                sol = solve_exact(CandidatePool(radii=pool.radii, within=pool.within, agree=pool.agree), k, floor)
+            assert [call.args[2] for call in search.call_args_list] == [(min(k, pool.n),)]
+            return solution_bytes(sol)
 
-        want = {floor: [fresh(k, floor) for k in range(top, 0, -1)] for floor in FLOORS}
+        sweep = range(top, 0, -1)
+        want = {floor: [lone(k, floor) for k in sweep] for floor in FLOORS}
         with mock.patch.object(aggregate, "_extend_exact", wraps=aggregate._extend_exact) as search:
             for calls, floor in enumerate(FLOORS, start=1):
-                assert [solution_bytes(solve_exact(pool, k, floor)) for k in range(top, 0, -1)] == want[floor]
+                assert [solution_bytes(solve_exact(pool, k, floor, also=sweep)) for k in sweep] == want[floor]
                 assert search.call_count == calls
+
+    @pytest.mark.parametrize("floor", [0.0, 0.7, 0.9])
+    def test_budget_past_n_is_solved_as_n(self, floor):
+        # no budget of n or more can bind, so it costs one search at K = n
+        make = lambda: random_pool(4, n_max=8)  # noqa: E731
+        pool = make()
+        want = solution_bytes(solve_exact(make(), pool.n, floor))
+        with mock.patch.object(aggregate, "_extend_exact", wraps=aggregate._extend_exact) as search:
+            assert solution_bytes(solve_exact(pool, 10**12, floor, also=(10**15, pool.n + 1))) == want
+            assert solution_bytes(solve_exact(pool, pool.n + 1, floor)) == want
+        assert [call.args[2] for call in search.call_args_list] == [(pool.n,)]
 
     @settings(max_examples=40, deadline=None)
     @given(search_pools, st.integers(1, 6))
