@@ -28,11 +28,9 @@ from .explainer import LabelledBall, LocalExplainer, explainer_groups, label_bal
 from .infofilter import (
     BinAssignment,
     PartitionLeaves,
-    SelectionState,
     bin_partition,
     build_histograms,
     forward_select,
-    select_feature,
     select_informative_features,
 )
 from .sampler import SampleSet, derive_seed, sample_ball

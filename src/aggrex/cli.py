@@ -118,9 +118,10 @@ KEYS = {
             null=True),
         Key("dataset.schema", None, None, dict, null=True),  # for path datasets: {"m_cont": int, "m_bin": int}
         Key("blackbox.n_trees", 50, "--n-trees", int, lo=1),
-        Key("sampler.N", 10000, "--samples", int, lo=2),
+        # the tree fit holds sample row ids, and the filter bin indices, as int32
+        Key("sampler.N", 10000, "--samples", int, lo=2, hi=2**31 - 1),
         Key("sampler.radii", [3.0, 7.0, 11.0, 15.0], "--radii", float, lo=0, each="radius"),
-        Key("filter.max_bins", 3, "--max-bins", int, lo=2),
+        Key("filter.max_bins", 3, "--max-bins", int, lo=2, hi=2**31 - 1),
         Key("filter.eps_mi", 1e-9, "--eps-mi", float),
         Key("filter.variant", "both", "--variant", ("filtered", "unfiltered", "both")),
         Key("explainer.max_depth", 12, "--max-depth", int, lo=0, null=True),

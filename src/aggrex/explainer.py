@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureSchema
-from .infofilter import EPS_MI, MIN_CELL, select_informative_features
+from .infofilter import EPS_MI, select_informative_features
 from .sampler import SampleSet, sample_ball
 from .tree import DecisionTree, fit_job, route, runs
 
@@ -118,8 +118,6 @@ def train_local_explainer(
     max_depth: int | None = DEFAULT_MAX_DEPTH,
     min_leaf: int = DEFAULT_MIN_LEAF,
     eps_mi: float = EPS_MI,
-    min_cell: int = MIN_CELL,
-    max_features: int | None = None,
 ) -> list[LocalExplainer]:
     """Filter, fit: the explainers of a group of labelled balls. Deterministic given the balls.
 
@@ -136,16 +134,7 @@ def train_local_explainer(
     features = {False: [tuple(range(schema.count))] * len(balls)}  # variant: each ball's features
     if True in variants:
         features[True] = [
-            select_informative_features(
-                ball.samples,
-                ball.codes,
-                schema,
-                max_bins=max_bins,
-                eps_mi=eps_mi,
-                min_cell=min_cell,
-                max_features=max_features,
-                n_labels=ball.classes.size,
-            )
+            select_informative_features(ball.samples, ball.codes, ball.classes.size, schema, max_bins, eps_mi)
             for ball in balls
         ]
     fits = {}  # variant: each ball's (tree, agree)

@@ -25,18 +25,21 @@ cell within a leaf (W * C - 1 in-place adds of whole rows, in (bin, label)
 order) and then leaf by leaf. A single-feature estimate goes through the
 same scorer, so it equals that feature's score in a round bit for bit.
 
-Forward selection greedily appends the highest-scoring feature (argmax's
-first maximum, so ties go to the lowest feature index), re-splits
-every leaf by that feature's bins, and stops when no remaining feature
-scores above a small positive threshold (a plug-in estimate is almost
-never exactly zero in floating point) or when every leaf has been dropped.
-Cells smaller than 2 samples are dropped at each split: singletons carry
-zero empirical information and would otherwise keep the recursion alive.
-
-The labels are encoded once per selection, not per round, and the
-partition is held flat (member indices grouped by leaf, plus leaf sizes),
-so a re-split is one stable argsort by (leaf, bin), one bincount of the
-cell sizes and one keep-mask over the sorted members.
+Forward selection (`forward_select`) is one loop over the unselected
+features and the partition, which starts as one leaf of every sample and
+is held flat (member indices grouped by leaf, plus leaf sizes). Each
+round scores the unselected features, appends the highest-scoring one
+(argmax's first maximum, so ties go to the lowest feature index) and
+re-splits every leaf by that feature's bins: one stable argsort by (leaf,
+bin), one bincount of the cell sizes and one keep-mask over the sorted
+members. Cells smaller than 2 samples are dropped at each split:
+singletons carry zero empirical information and would otherwise keep the
+recursion alive. Selection stops when no remaining feature scores above a
+small positive threshold (a plug-in estimate is almost never exactly zero
+in floating point), or when no feature or no leaf is left. Each round
+leaves a `RoundRecord`: every candidate's score, the pick (None in a round
+that stopped on the threshold), the best score and the leaf count after
+the split. The labels come in as codes 0..C-1, encoded once by the caller.
 """
 
 from __future__ import annotations
@@ -59,25 +62,16 @@ COUNT_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class BinAssignment:
-    """Per-feature histogram edges plus the N x m array of bin indices.
+    """Each feature's bin count, and the m x N array of every sample's bin index by feature.
 
     Equivalent to the dense (bin, feature, sample) 0/1 membership tensor:
-    membership[b, f, x] == 1 iff assignment[x, f] == b. The index array
-    carries the same information in 1/B of the space.
+    membership[b, f, x] == 1 iff by_feature[f, x] == b. The index array
+    carries the same information in 1/B of the space, each feature's bins
+    contiguous, so that gathering members reads rows.
     """
 
-    edges: tuple[np.ndarray, ...]
     n_bins: tuple[int, ...]
-    assignment: np.ndarray
-
-    @cached_property
-    def by_feature(self) -> np.ndarray:
-        """The m x N assignment, each feature's bins contiguous, so that gathering members reads rows.
-
-        `build_histograms` stores it this way and hands out `assignment` as
-        its transpose, so here no copy is made.
-        """
-        return np.ascontiguousarray(self.assignment.T)
+    by_feature: np.ndarray
 
     @property
     def n_features(self) -> int:
@@ -85,7 +79,7 @@ class BinAssignment:
 
     @property
     def n_samples(self) -> int:
-        return self.assignment.shape[0]
+        return self.by_feature.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,28 +117,16 @@ class PartitionLeaves:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One forward-selection round: candidate scores and the outcome."""
+    """One forward-selection round: each candidate's score, the pick and its score, and the leaf count after it.
+
+    `selected` is None in the round that stopped selection, when the best
+    score did not clear eps_mi; that round's leaves are left as they were.
+    """
 
     scores: dict[int, float]
     selected: int | None
     best_score: float
     leaf_count: int
-
-
-@dataclass(frozen=True)
-class SelectionState:
-    selected: tuple[int, ...]
-    unselected: tuple[int, ...]
-    leaves: PartitionLeaves
-    trace: tuple[RoundRecord, ...] = ()
-
-    @staticmethod
-    def fresh(n_features: int, n_samples: int) -> "SelectionState":
-        return SelectionState(
-            selected=(),
-            unselected=tuple(range(n_features)),
-            leaves=PartitionLeaves.whole(n_samples),
-        )
 
 
 def build_histograms(samples: SampleSet, schema: FeatureSchema, max_bins: int = 3) -> BinAssignment:
@@ -157,37 +139,25 @@ def build_histograms(samples: SampleSet, schema: FeatureSchema, max_bins: int = 
     points = samples.points
     if points.shape[0] == 0:
         raise ValueError("empty sample set")
-    edges: list[np.ndarray] = []
     n_bins: list[int] = []
     columns = np.ascontiguousarray(points.T)  # one strided pass, so each feature below reads a contiguous row
     by_feature = np.empty(columns.shape, dtype=np.int32)  # feature-major too: each row is one feature's bins
     for f in range(schema.count):
         col = columns[f]
         if schema.kinds[f] == BINARY:
-            edges.append(np.array([0.0, 0.5, 1.0]))
             n_bins.append(2)
             by_feature[f] = col.astype(np.int32)
             continue
         lo, hi = float(col.min()), float(col.max())
         if hi == lo:
-            edges.append(np.array([lo, hi]))
             n_bins.append(1)
             by_feature[f] = 0
             continue
-        edges.append(np.linspace(lo, hi, max_bins + 1))
         n_bins.append(max_bins)
         idx = ((col - lo) / (hi - lo) * max_bins).astype(np.int32)
         by_feature[f] = np.clip(idx, 0, max_bins - 1)
     by_feature.setflags(write=False)
-    return BinAssignment(edges=tuple(edges), n_bins=tuple(n_bins), assignment=by_feature.T)
-
-
-def _encode_labels(labels: np.ndarray, n_labels: int | None = None) -> tuple[np.ndarray, int]:
-    """The labels as codes 0..C-1, and C; labels already encoded (n_labels given) pass through."""
-    if n_labels is not None:
-        return np.asarray(labels), n_labels
-    classes, codes = np.unique(np.asarray(labels, dtype=int), return_inverse=True)
-    return codes, classes.size
+    return BinAssignment(tuple(n_bins), by_feature)
 
 
 def _cmi_scores(
@@ -266,94 +236,44 @@ def bin_partition(
     return PartitionLeaves(members[np.repeat(keep, counts)], counts[keep])
 
 
-def select_feature(
-    state: SelectionState,
-    bins: BinAssignment,
-    labels: np.ndarray,
-    eps_mi: float = EPS_MI,
-    min_cell: int = MIN_CELL,
-    n_labels: int | None = None,
-) -> SelectionState:
-    """One forward-selection round.
-
-    Scores every unselected feature; if the best score clears eps_mi, moves
-    the argmax (ties to the lowest index) into the selected list and
-    re-partitions the leaves, else empties the unselected set as the
-    termination signal, leaving selection and leaves untouched. With
-    n_labels given, labels are already codes 0..n_labels-1.
-    """
-    if not state.unselected:
-        raise ValueError("no unselected features left")
-    y_codes, n_labels = _encode_labels(labels, n_labels)
-    values = _cmi_scores(state.unselected, y_codes, n_labels, state.leaves, bins)
-    scores = {f: float(v) for f, v in zip(state.unselected, values)}
-    pick = int(np.argmax(values))  # first maximum: ties keep the lowest feature index
-    best_f, best = state.unselected[pick], float(values[pick])
-    if best <= eps_mi:
-        record = RoundRecord(scores=scores, selected=None, best_score=best, leaf_count=len(state.leaves))
-        return SelectionState(
-            selected=state.selected,
-            unselected=(),
-            leaves=state.leaves,
-            trace=state.trace + (record,),
-        )
-    leaves = bin_partition(bins, state.leaves, best_f, min_cell=min_cell)
-    record = RoundRecord(scores=scores, selected=best_f, best_score=best, leaf_count=len(leaves))
-    return SelectionState(
-        selected=state.selected + (best_f,),
-        unselected=tuple(f for f in state.unselected if f != best_f),
-        leaves=leaves,
-        trace=state.trace + (record,),
-    )
-
-
 def forward_select(
-    state: SelectionState,
-    bins: BinAssignment,
-    labels: np.ndarray,
-    eps_mi: float = EPS_MI,
-    min_cell: int = MIN_CELL,
-    max_features: int | None = None,
-    n_labels: int | None = None,
-) -> SelectionState:
-    """Run selection rounds until no features remain, leaves empty, or the cap is hit.
+    bins: BinAssignment, codes: np.ndarray, n_labels: int, eps_mi: float = EPS_MI
+) -> tuple[tuple[int, ...], list[RoundRecord]]:
+    """Forward selection by conditional MI: the selected features, and one record per round.
 
-    The labels are encoded once, here, not once per round.
+    `codes` are the labels as 0..n_labels-1. A round scores every
+    unselected feature given the leaves; if the best score clears eps_mi,
+    the argmax (ties to the lowest index) is selected and every leaf split
+    by its bins. Selection stops at the first round whose best score does
+    not (its record selects None), or when no feature or no leaf is left.
     """
-    y_codes, n_labels = _encode_labels(labels, n_labels)
-    while state.unselected and not state.leaves.empty:
-        if max_features is not None and len(state.selected) >= max_features:
+    selected, rounds = [], []
+    unselected = list(range(bins.n_features))
+    leaves = PartitionLeaves.whole(bins.n_samples)
+    while unselected and not leaves.empty:
+        values = _cmi_scores(unselected, codes, n_labels, leaves, bins)
+        scores = dict(zip(unselected, values.tolist()))
+        pick = int(np.argmax(values))  # first maximum: ties keep the lowest feature index
+        best = float(values[pick])
+        if best <= eps_mi:
+            rounds.append(RoundRecord(scores, None, best, len(leaves)))
             break
-        state = select_feature(state, bins, y_codes, eps_mi=eps_mi, min_cell=min_cell, n_labels=n_labels)
-    return state
-
-
-def _forward_selection(
-    samples, labels, schema, max_bins, eps_mi, min_cell, max_features, n_labels=None
-) -> SelectionState:
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape[0] != samples.count:
-        raise ValueError("labels and samples must align")
-    bins = build_histograms(samples, schema, max_bins=max_bins)
-    state = SelectionState.fresh(schema.count, samples.count)
-    return forward_select(
-        state, bins, labels, eps_mi=eps_mi, min_cell=min_cell, max_features=max_features, n_labels=n_labels
-    )
+        feature = unselected.pop(pick)
+        selected.append(feature)
+        leaves = bin_partition(bins, leaves, feature)
+        rounds.append(RoundRecord(scores, feature, best, len(leaves)))
+    return tuple(selected), rounds
 
 
 def select_informative_features(
     samples: SampleSet,
-    labels: np.ndarray,
+    codes: np.ndarray,
+    n_labels: int,
     schema: FeatureSchema,
     max_bins: int = 3,
     eps_mi: float = EPS_MI,
-    min_cell: int = MIN_CELL,
-    max_features: int | None = None,
-    n_labels: int | None = None,
 ) -> tuple[int, ...]:
-    """Histogram the samples, then forward-select features by conditional MI.
-
-    With n_labels given, labels are already codes 0..n_labels-1 (a caller
-    that fits several models on one labelled sample encodes it once).
-    """
-    return _forward_selection(samples, labels, schema, max_bins, eps_mi, min_cell, max_features, n_labels).selected
+    """Histogram the samples, then forward-select features by conditional MI on the label codes 0..n_labels-1."""
+    if len(codes) != samples.count:
+        raise ValueError("labels and samples must align")
+    return forward_select(build_histograms(samples, schema, max_bins=max_bins), codes, n_labels, eps_mi)[0]

@@ -24,8 +24,6 @@ import numpy as np
 
 from .data import FeatureSchema
 
-DEFAULT_SAMPLE_COUNT = 10_000
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -41,20 +39,12 @@ class SampleSet:
         return self.points.shape[0]
 
 
-def sample_ball(
-    center: np.ndarray,
-    r: float,
-    N: int = DEFAULT_SAMPLE_COUNT,
-    schema: FeatureSchema | None = None,
-    seed: int = 0,
-) -> SampleSet:
+def sample_ball(center: np.ndarray, r: float, N: int, schema: FeatureSchema, seed: int = 0) -> SampleSet:
     """Draw N points uniformly from the mixed-metric ball around `center`.
 
     Reproducible: the same (center, r, N, seed) yields a bit-identical
     SampleSet. r = 0 degenerates to N copies of the center.
     """
-    if schema is None:
-        raise ValueError("schema is required")
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if N < 1:

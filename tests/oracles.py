@@ -17,7 +17,7 @@ import numpy as np
 
 from aggrex.aggregate import _finish_solution, _iter_bits, _phi_to_rational
 from aggrex.data import Dataset, FeatureSchema, _region_code
-from aggrex.infofilter import EPS_MI, MIN_CELL, _cmi_scores, _encode_labels, _forward_selection
+from aggrex.infofilter import EPS_MI, _cmi_scores, build_histograms, forward_select
 from aggrex.tree import fit_job, fit_trees
 
 
@@ -93,12 +93,17 @@ def tree_fit(X, y, features, max_depth: int | None = 12, min_leaf: int = 2, clas
     return fit_trees([fit_job(X, y, features, classes)], max_depth, min_leaf)[0]
 
 
+def encode(labels):
+    """The labels as codes 0..C-1, and C, as `label_ball` encodes them."""
+    classes, codes = np.unique(np.asarray(labels, dtype=int), return_inverse=True)
+    return codes, classes.size
+
+
 def cond_mutual_info(feature: int, labels, leaves, bins) -> float:
     """Plug-in conditional MI (nats) between one feature's bins and the labels, given the leaves."""
     if feature < 0 or feature >= bins.n_features:
         raise IndexError(f"feature {feature} out of range for {bins.n_features} features")
-    y_codes, n_labels = _encode_labels(labels)
-    return float(_cmi_scores([feature], y_codes, n_labels, leaves, bins)[0])
+    return float(_cmi_scores([feature], *encode(labels), leaves, bins)[0])
 
 
 def dense_cmi_scores(features, y_codes, n_labels: int, leaves, bins) -> np.ndarray:
@@ -124,11 +129,11 @@ def dense_cmi_scores(features, y_codes, n_labels: int, leaves, bins) -> np.ndarr
     return np.cumsum(per_leaf, axis=1)[:, -1]
 
 
-def selection_trace(samples, labels, schema, max_bins=3, eps_mi=EPS_MI, min_cell=MIN_CELL, max_features=None) -> dict:
+def selection_trace(samples, labels, schema, max_bins=3, eps_mi=EPS_MI) -> dict:
     """JSON-ready dump of the filter's forward selection: each round's candidate scores, pick and leaf count."""
-    state = _forward_selection(samples, labels, schema, max_bins, eps_mi, min_cell, max_features)
-    rounds = [{**vars(rec), "scores": {str(f): score for f, score in sorted(rec.scores.items())}} for rec in state.trace]
-    return {"selected": list(state.selected), "rounds": rounds}
+    selected, rounds = forward_select(build_histograms(samples, schema, max_bins), *encode(labels), eps_mi)
+    rounds = [{**vars(rec), "scores": {str(f): score for f, score in sorted(rec.scores.items())}} for rec in rounds]
+    return {"selected": list(selected), "rounds": rounds}
 
 
 def local_fidelity(explainer, blackbox, points) -> float:

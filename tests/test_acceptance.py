@@ -28,7 +28,7 @@ from aggrex.infofilter import PartitionLeaves, select_informative_features
 from aggrex.sampler import derive_seed, sample_ball
 
 from conftest import random_pool
-from oracles import brute_force, cond_mutual_info, parse_lp
+from oracles import brute_force, cond_mutual_info, encode, parse_lp
 from test_aggregate import pool_from_sets
 from test_infofilter import mi_oracle, random_bins, random_leaves
 
@@ -136,9 +136,7 @@ def test_criterion_04_mi_estimator_oracle():
     copy = np.array([i % 2 for i in range(n)], dtype=np.int32)
     from aggrex.infofilter import BinAssignment
 
-    bins = BinAssignment(
-        edges=(np.array([0.0, 0.5, 1.0]),), n_bins=(2,), assignment=copy[:, None]
-    )
+    bins = BinAssignment((2,), copy[None, :])
     ln2_err = abs(cond_mutual_info(0, copy, PartitionLeaves.whole(n), bins) - math.log(2.0))
     report(
         4,
@@ -163,8 +161,9 @@ def test_criterion_05_filter_finds_planted_relevance():
             + s.points[:, relevant[2]].astype(int)
         )
         labels = code % 5
+        codes, n_labels = encode(labels)
         t0 = time.perf_counter()
-        selected = select_informative_features(s, labels, schema, max_bins=3)
+        selected = select_informative_features(s, codes, n_labels, schema, max_bins=3)
         slowest = max(slowest, time.perf_counter() - t0)
         if set(selected) <= set(relevant):
             contained += 1
@@ -198,9 +197,9 @@ def test_criterion_06_filter_runtime_scales_linearly():
     for t in range(5):
         for n_samples in sizes:
             s = sample_ball(center, 7.0, n_samples, schema, seed=50_000 + t)
-            y = labels_for(s)
+            codes, n_labels = encode(labels_for(s))
             t0 = time.perf_counter()
-            select_informative_features(s, y, schema, max_bins=3)
+            select_informative_features(s, codes, n_labels, schema, max_bins=3)
             fastest[n_samples] = min(fastest[n_samples], time.perf_counter() - t0)
     r1 = fastest[10000] / fastest[5000]
     r2 = fastest[20000] / fastest[10000]

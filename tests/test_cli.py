@@ -70,7 +70,7 @@ def wrong_values(key, element=False) -> list:
     if key.lo is not None:
         values.append(key.lo - (1 if key.kind is int else 0.5))
     if key.hi is not None:
-        values.append(key.hi + 0.5)
+        values.append(key.hi + (1 if key.kind is int else 0.5))
     if element:
         return values
     if key.each is None:
@@ -152,6 +152,9 @@ class TestConfig:
             ({"aggregate": {"use_filtered": True}, "filter": {"variant": "unfiltered"}}, [], "use_filtered"),
             ({"aggregate": {"inner_limit": 20}}, [], "aggregate.inner_limit"),
             ({"explainer": {"min_leaf": 0}}, [], "explainer.min_leaf"),
+            # past int32 row ids; 2**63 itself once overflowed numpy in the explain stage, after train had run
+            ({"sampler": {"N": 2**63}}, [], "sampler.N must be in [2, 2147483647]"),
+            ({"sampler": {"N": 2**31}}, [], "sampler.N must be in [2, 2147483647]"),
             ({"explainer": {"max_depth": -1}}, [], "explainer.max_depth"),
             # -1 continuous columns would run as none
             ({"dataset": {"path": "x.csv", "synth": None, "schema": {"m_cont": -1, "m_bin": 2}}}, [],
@@ -161,6 +164,7 @@ class TestConfig:
              "unknown config key dataset.schema.m_cat"),
         ],
         ids=["radius-not-sampled", "radius-too-wide", "variant-not-trained", "unknown-key", "min-leaf-zero",
+             "samples-2**63", "samples-2**31",
              "negative-max-depth", "negative-schema-width", "unknown-schema-key"],
     )
     def test_bad_config_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, flags, match):

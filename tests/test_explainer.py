@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,11 @@ from hypothesis import strategies as st
 from aggrex.blackbox import train_bagged_forest
 from aggrex.data import FeatureSchema, synth_multiclass
 from aggrex.explainer import _dropped_splits, _fit, _grown_from_twins, label_ball, train_local_explainer
-from aggrex.infofilter import select_informative_features
+from aggrex.infofilter import EPS_MI, select_informative_features
 from aggrex.sampler import sample_ball
 from aggrex.tree import tree_to_lines
 
-from oracles import TableOracle, local_fidelity, tree_fit
+from oracles import TableOracle, encode, local_fidelity, tree_fit
 
 
 class ConstantBox:
@@ -107,18 +109,16 @@ class TestTrainLocalExplainer:
         st.integers(0, 2**32 - 1),
         st.integers(1, 6),
         st.integers(2, 120),
-        st.sampled_from([(False, None), (True, None), (True, 0)]),
+        st.sampled_from([(False, EPS_MI), (True, EPS_MI), (True, math.inf)]),
     )
     def test_train_fidelity_equals_a_recount(self, seed, n_labels, N, variant):
-        # max_features=0 selects nothing: the single-leaf fallback
-        filtered, max_features = variant
+        # eps_mi=inf selects nothing: the single-leaf fallback
+        filtered, eps_mi = variant
         box = RandomLabelBox(seed, n_labels)
-        ex = explain(
-            box, CENTER, 1.5, N, schema=SCHEMA, seed=seed, filtered=filtered, max_features=max_features
-        )
+        ex = explain(box, CENTER, 1.5, N, schema=SCHEMA, seed=seed, filtered=filtered, eps_mi=eps_mi)
         points = sample_ball(CENTER, 1.5, N, SCHEMA, seed).points
         assert ex.train_fidelity == float(np.mean(ex.predict_batch(points) == box.predict_batch(points)))
-        if max_features == 0:
+        if filtered and eps_mi == math.inf:
             assert ex.leaf_count == 1 and ex.selected_features == ()
 
     def test_needs_two_samples(self):
@@ -127,10 +127,10 @@ class TestTrainLocalExplainer:
 
 
 def separately_trained(box, center, r, N, seed, filtered):
-    """The explainer's stages run on their own: raw labels, each stage encoding them itself."""
+    """The explainer's stages run on their own: the filter on the labels encoded here, the fit on the raw labels."""
     samples = sample_ball(center, r, N, SCHEMA, seed)
     labels = box.predict_batch(samples.points)
-    features = select_informative_features(samples, labels, SCHEMA) if filtered else tuple(range(SCHEMA.count))
+    features = select_informative_features(samples, *encode(labels), SCHEMA) if filtered else tuple(range(SCHEMA.count))
     if not features:
         values, counts = np.unique(labels, return_counts=True)
         return (), [f"node 0 leaf {int(values[np.argmax(counts)])}"], int(counts.max()) / N
@@ -164,16 +164,16 @@ class TestExplainerGroups:
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(2, 120)), min_size=1, max_size=5),
-        st.sampled_from([None, 0, 2]),
+        st.sampled_from([EPS_MI, 0.05, math.inf]),
     )
-    def test_a_group_gives_each_balls_own_explainers(self, specs, max_features):
-        # max_features=0 gives every filtered explainer the single-leaf fallback, which fits no tree
+    def test_a_group_gives_each_balls_own_explainers(self, specs, eps_mi):
+        # eps_mi=inf gives every filtered explainer the single-leaf fallback, which fits no tree
         balls = [
             label_ball(RandomLabelBox(seed, n_labels), CENTER, 1.5, N, SCHEMA, seed, center_index=i)
             for i, (seed, n_labels, N) in enumerate(specs)
         ]
-        group = train_local_explainer(balls, SCHEMA, (True, False), max_features=max_features)
-        alone = [ex for ball in balls for ex in train_local_explainer([ball], SCHEMA, (True, False), max_features=max_features)]
+        group = train_local_explainer(balls, SCHEMA, (True, False), eps_mi=eps_mi)
+        alone = [ex for ball in balls for ex in train_local_explainer([ball], SCHEMA, (True, False), eps_mi=eps_mi)]
         assert [summary(ex) for ex in group] == [summary(ex) for ex in alone]
         assert [(ex.center_index, ex.filtered) for ex in group] == [(i, f) for i in range(len(specs)) for f in (True, False)]
 

@@ -9,18 +9,17 @@ from hypothesis import strategies as st
 from aggrex import infofilter
 from aggrex.data import FeatureSchema
 from aggrex.infofilter import (
+    EPS_MI,
     BinAssignment,
     PartitionLeaves,
-    SelectionState,
     bin_partition,
     build_histograms,
     forward_select,
-    select_feature,
     select_informative_features,
 )
 from aggrex.sampler import sample_ball
 
-from oracles import cond_mutual_info, dense_cmi_scores, selection_trace
+from oracles import cond_mutual_info, dense_cmi_scores, encode, selection_trace
 
 
 def mi_oracle(feature, labels, leaves, bins):
@@ -29,7 +28,7 @@ def mi_oracle(feature, labels, leaves, bins):
     Independent of the production path: pure-python Counters, explicit
     probabilities, no shared helpers.
     """
-    n_total = bins.assignment.shape[0]
+    n_total = bins.n_samples
     total = 0.0
     for leaf in leaves:
         size = len(leaf)
@@ -37,7 +36,7 @@ def mi_oracle(feature, labels, leaves, bins):
         row = Counter()
         col = Counter()
         for x in leaf:
-            b = int(bins.assignment[x, feature])
+            b = int(bins.by_feature[feature, x])
             y = int(labels[x])
             cells[(b, y)] += 1
             row[b] += 1
@@ -51,11 +50,9 @@ def mi_oracle(feature, labels, leaves, bins):
 
 
 def random_bins(rng, n, m, max_bins=3):
-    """Random BinAssignment built directly (edges unused by the estimator)."""
+    """Random BinAssignment built directly."""
     n_bins = tuple(int(rng.integers(1, max_bins + 1)) for _ in range(m))
-    assignment = np.column_stack([rng.integers(0, nb, size=n) for nb in n_bins]).astype(np.int32)
-    edges = tuple(np.linspace(0.0, 1.0, nb + 1) for nb in n_bins)
-    return BinAssignment(edges=edges, n_bins=n_bins, assignment=assignment)
+    return BinAssignment(n_bins, np.array([rng.integers(0, nb, size=n) for nb in n_bins], dtype=np.int32))
 
 
 def random_leaves(rng, n):
@@ -86,11 +83,7 @@ class TestEstimatorOracle:
     def test_perfect_binary_copy_is_ln2(self):
         n = 40
         values = np.array([i % 2 for i in range(n)])
-        bins = BinAssignment(
-            edges=(np.array([0.0, 0.5, 1.0]),),
-            n_bins=(2,),
-            assignment=values[:, None].astype(np.int32),
-        )
+        bins = BinAssignment((2,), values[None, :].astype(np.int32))
         leaves = PartitionLeaves.whole(n)
         got = cond_mutual_info(0, values, leaves, bins)
         assert abs(got - math.log(2.0)) <= 1e-12
@@ -98,21 +91,14 @@ class TestEstimatorOracle:
     def test_constant_feature_zero(self):
         rng = np.random.default_rng(3)
         n = 30
-        bins = BinAssignment(
-            edges=(np.array([0.0, 1.0]),),
-            n_bins=(1,),
-            assignment=np.zeros((n, 1), dtype=np.int32),
-        )
+        bins = BinAssignment((1,), np.zeros((1, n), dtype=np.int32))
         labels = rng.integers(0, 3, size=n)
         assert cond_mutual_info(0, labels, PartitionLeaves.whole(n), bins) == 0.0
 
     def test_uniform_product_joint_zero(self):
         # joint uniform over 2x2 cells factorizes exactly
-        assignment = np.array([0, 0, 1, 1], dtype=np.int32)[:, None]
         labels = np.array([0, 1, 0, 1])
-        bins = BinAssignment(
-            edges=(np.array([0.0, 0.5, 1.0]),), n_bins=(2,), assignment=assignment
-        )
+        bins = BinAssignment((2,), np.array([[0, 0, 1, 1]], dtype=np.int32))
         got = cond_mutual_info(0, labels, PartitionLeaves.whole(4), bins)
         assert abs(got) <= 1e-12
 
@@ -131,9 +117,9 @@ class TestEstimatorOracle:
 
             nb = bins.n_bins[0]
             bin_perm = rng.permutation(nb)
-            remapped = bins.assignment.copy()
-            remapped[:, 0] = bin_perm[bins.assignment[:, 0]]
-            rebinned = BinAssignment(edges=bins.edges, n_bins=bins.n_bins, assignment=remapped)
+            remapped = bins.by_feature.copy()
+            remapped[0] = bin_perm[bins.by_feature[0]]
+            rebinned = BinAssignment(bins.n_bins, remapped)
             assert abs(cond_mutual_info(0, labels, leaves, rebinned) - base) <= 1e-12
 
     def test_feature_out_of_range(self):
@@ -157,37 +143,32 @@ class TestHistograms:
         s = self.as_samples([[0.0], [1.0], [1.0], [0.0]])
         bins = build_histograms(s, schema)
         assert bins.n_bins == (2,)
-        assert list(bins.assignment[:, 0]) == [0, 1, 1, 0]
+        assert list(bins.by_feature[0]) == [0, 1, 1, 0]
 
     def test_equal_width_three_bins(self):
         schema = self.schema(1, 0)
         s = self.as_samples([[0.0], [0.5], [1.0]])
         bins = build_histograms(s, schema, max_bins=3)
         assert bins.n_bins == (3,)
-        assert list(bins.assignment[:, 0]) == [0, 1, 2]
-        assert np.allclose(bins.edges[0], [0.0, 1 / 3, 2 / 3, 1.0])
+        assert list(bins.by_feature[0]) == [0, 1, 2]
 
     def test_constant_column_single_bin(self):
         schema = self.schema(1, 0)
         s = self.as_samples([[2.0], [2.0], [2.0]])
         bins = build_histograms(s, schema)
         assert bins.n_bins == (1,)
-        assert np.all(bins.assignment[:, 0] == 0)
+        assert np.all(bins.by_feature[0] == 0)
 
     def test_max_value_lands_in_top_bin(self):
         schema = self.schema(1, 0)
         s = self.as_samples([[float(v)] for v in range(10)])
         bins = build_histograms(s, schema, max_bins=3)
-        assert bins.assignment[-1, 0] == 2
+        assert bins.by_feature[0, -1] == 2
 
 
 class TestBinPartition:
     def make_bins(self, column, nb):
-        return BinAssignment(
-            edges=(np.linspace(0, 1, nb + 1),),
-            n_bins=(nb,),
-            assignment=np.asarray(column, dtype=np.int32)[:, None],
-        )
+        return BinAssignment((nb,), np.asarray(column, dtype=np.int32)[None, :])
 
     def test_two_bin_split(self):
         # first four samples in the low bin, the rest in the high bin
@@ -225,7 +206,7 @@ class TestBinPartition:
             leaves = random_leaves(rng, n)
             min_cell = int(rng.integers(0, 4))
             want = [
-                leaf[bins.assignment[leaf, 1] == bv]
+                leaf[bins.by_feature[1, leaf] == bv]
                 for leaf in leaves
                 for bv in range(bins.n_bins[1])
             ]
@@ -236,7 +217,7 @@ class TestBinPartition:
 
 def tuple_of_leaves_partition(bins, leaves, feature, min_cell):
     """The per-leaf partition the flat one replaced: each leaf's cells in bin order, one tuple."""
-    cells = (leaf[bins.assignment[leaf, feature] == b] for leaf in leaves for b in range(bins.n_bins[feature]))
+    cells = (leaf[bins.by_feature[feature, leaf] == b] for leaf in leaves for b in range(bins.n_bins[feature]))
     return tuple(cell for cell in cells if cell.size >= min_cell)
 
 
@@ -261,17 +242,10 @@ class TestFlatPartition:
 class TestSelection:
     def test_all_constant_terminates(self):
         n = 20
-        bins = BinAssignment(
-            edges=(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
-            n_bins=(1, 1),
-            assignment=np.zeros((n, 2), dtype=np.int32),
-        )
-        labels = np.arange(n) % 2
-        state = SelectionState.fresh(2, n)
-        out = select_feature(state, bins, labels)
-        assert out.selected == ()
-        assert out.unselected == ()
-        assert len(out.leaves) == len(state.leaves)
+        bins = BinAssignment((1, 1), np.zeros((2, n), dtype=np.int32))
+        selected, rounds = forward_select(bins, np.arange(n) % 2, 2)
+        assert selected == ()
+        assert [(r.selected, r.leaf_count) for r in rounds] == [(None, 1)]
 
     def test_perfect_predictor_selected_first(self):
         # 16 samples: feature 1 equals the label, features 0 and 2 cycle
@@ -281,66 +255,73 @@ class TestSelection:
         f_noise_a = np.array([(i // 2) % 2 for i in range(n)], dtype=np.int32)
         f_copy = labels.astype(np.int32)
         f_noise_b = np.array([(i // 4) % 2 for i in range(n)], dtype=np.int32)
-        assignment = np.column_stack([f_noise_a, f_copy, f_noise_b])
-        bins = BinAssignment(
-            edges=tuple(np.array([0.0, 0.5, 1.0]) for _ in range(3)),
-            n_bins=(2, 2, 2),
-            assignment=assignment,
-        )
-        state = SelectionState.fresh(3, n)
+        bins = BinAssignment((2, 2, 2), np.array([f_noise_a, f_copy, f_noise_b]))
         leaves = PartitionLeaves.whole(n)
         by_oracle = {f: mi_oracle(f, labels, leaves, bins) for f in range(3)}
         assert by_oracle[1] == max(by_oracle.values())
-        out = select_feature(state, bins, labels)
-        assert out.selected == (1,)
+        selected, rounds = forward_select(bins, labels, 2)
+        assert rounds[0].selected == 1
+        assert selected == (1,)
 
     def test_mi_tie_lower_index(self):
         n = 12
         labels = np.array([i % 2 for i in range(n)])
         copy = labels.astype(np.int32)
-        assignment = np.column_stack([copy, copy])
-        bins = BinAssignment(
-            edges=(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.5, 1.0])),
-            n_bins=(2, 2),
-            assignment=assignment,
-        )
-        out = select_feature(SelectionState.fresh(2, n), bins, labels)
-        assert out.selected == (0,)
+        bins = BinAssignment((2, 2), np.array([copy, copy]))
+        selected, rounds = forward_select(bins, labels, 2)
+        assert rounds[0].scores[0] == rounds[0].scores[1]
+        assert selected == (0,)
 
     def test_selected_feature_scores_zero_after_partition(self):
         rng = np.random.default_rng(21)
         n = 60
-        assignment = np.column_stack(
-            [rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 3, n)]
-        ).astype(np.int32)
-        bins = BinAssignment(
-            edges=tuple(np.linspace(0, 1, nb + 1) for nb in (3, 2, 3)),
-            n_bins=(3, 2, 3),
-            assignment=assignment,
-        )
+        by_feature = np.array([rng.integers(0, 3, n), rng.integers(0, 2, n), rng.integers(0, 3, n)], dtype=np.int32)
+        bins = BinAssignment((3, 2, 3), by_feature)
         labels = rng.integers(0, 2, n)
-        state = select_feature(SelectionState.fresh(3, n), bins, labels)
-        chosen = state.selected[0]
-        assert abs(cond_mutual_info(chosen, labels, state.leaves, bins)) <= 1e-12
+        chosen = forward_select(bins, *encode(labels))[0][0]
+        leaves = bin_partition(bins, PartitionLeaves.whole(n), chosen)
+        assert abs(cond_mutual_info(chosen, labels, leaves, bins)) <= 1e-12
 
     def test_empty_unselected_returns_empty(self):
-        state = SelectionState(selected=(), unselected=(), leaves=PartitionLeaves.whole(5))
-        bins = random_bins(np.random.default_rng(0), 5, 1)
-        out = forward_select(state, bins, np.zeros(5, dtype=int))
-        assert out.selected == ()
+        bins = BinAssignment((), np.zeros((0, 5), dtype=np.int32))
+        assert forward_select(bins, np.zeros(5, dtype=int), 1) == ((), [])
 
     def test_all_leaves_dropped_stops(self):
         # two samples land in different bins: both cells are singletons and
         # get dropped, so the loop stops with the one selected feature
-        bins = BinAssignment(
-            edges=(np.array([0.0, 0.5, 1.0]),),
-            n_bins=(2,),
-            assignment=np.array([[0], [1]], dtype=np.int32),
-        )
-        labels = np.array([0, 1])
-        out = forward_select(SelectionState.fresh(1, 2), bins, labels)
-        assert out.selected == (0,)
-        assert out.leaves.empty
+        bins = BinAssignment((2,), np.array([[0, 1]], dtype=np.int32))
+        selected, rounds = forward_select(bins, np.array([0, 1]), 2)
+        assert selected == (0,)
+        assert [(r.selected, r.leaf_count) for r in rounds] == [(0, 0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 80),
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.sampled_from([0.0, EPS_MI, 0.05, math.inf]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_rounds_record_the_selection(self, n, m, n_labels, eps_mi, seed):
+        # the picks are the selection; only a round stopped on eps_mi picks
+        # None; each leaf count is that of the bin_partition chain so far
+        rng = np.random.default_rng(seed)
+        bins = random_bins(rng, n, m, max_bins=4)
+        selected, rounds = forward_select(bins, *encode(rng.integers(0, n_labels, size=n)), eps_mi)
+        picks = [r.selected for r in rounds]
+        assert [f for f in picks if f is not None] == list(selected)
+        leaves = PartitionLeaves.whole(n)
+        for k, record in enumerate(rounds):
+            assert sorted(record.scores) == sorted(set(range(m)) - set(selected[:k]))
+            assert record.best_score == max(record.scores.values())
+            if record.selected is not None:
+                assert record.best_score > eps_mi
+                leaves = bin_partition(bins, leaves, record.selected)
+            assert record.leaf_count == len(leaves)
+        stopped_on_eps = rounds[-1].best_score <= eps_mi
+        assert (rounds[-1].selected is None) == stopped_on_eps
+        assert None not in picks[:-1]
+        assert stopped_on_eps or len(selected) == m or leaves.empty
 
 
 class TestBatchedScores:
@@ -351,14 +332,13 @@ class TestBatchedScores:
             m = int(rng.integers(1, 7))
             bins = random_bins(rng, n, m, max_bins=int(rng.integers(1, 5)))
             labels = rng.integers(0, int(rng.integers(1, 6)), size=n)
-            state = SelectionState.fresh(m, n)
-            while state.unselected and not state.leaves.empty:
-                leaves = state.leaves
-                state = select_feature(state, bins, labels)
-                for f, score in state.trace[-1].scores.items():
+            leaves = PartitionLeaves.whole(n)
+            for record in forward_select(bins, *encode(labels))[1]:
+                for f, score in record.scores.items():
                     assert score == cond_mutual_info(f, labels, leaves, bins)
                     assert abs(score - mi_oracle(f, labels, leaves, bins)) <= 1e-12
-
+                if record.selected is not None:
+                    leaves = bin_partition(bins, leaves, record.selected)
 
     @pytest.mark.parametrize("block", [1, 50, 200])
     def test_scores_do_not_depend_on_the_count_blocks(self, monkeypatch, block):
@@ -371,9 +351,9 @@ class TestBatchedScores:
             bins = random_bins(rng, n, m, max_bins=int(rng.integers(1, 5)))
             labels = rng.integers(0, int(rng.integers(1, 6)), size=n)
             monkeypatch.setattr(infofilter, "COUNT_BLOCK", 1 << 30)
-            want = round_scores(bins, labels, m)
+            want = round_scores(bins, labels)
             monkeypatch.setattr(infofilter, "COUNT_BLOCK", block)
-            assert round_scores(bins, labels, m) == want
+            assert round_scores(bins, labels) == want
 
     @pytest.mark.parametrize("block", [1 << 16, 50], ids=["one-block", "a-block-per-feature"])
     def test_cell_major_scores_equal_the_dense_formula(self, monkeypatch, block):
@@ -393,11 +373,8 @@ class TestBatchedScores:
             assert got.tobytes() == dense_cmi_scores(features, labels, n_labels, leaves, bins).tobytes()
 
 
-def round_scores(bins, labels, m):
-    state = SelectionState.fresh(m, len(labels))
-    while state.unselected and not state.leaves.empty:
-        state = select_feature(state, bins, labels)
-    return [record.scores for record in state.trace]
+def round_scores(bins, labels):
+    return [record.scores for record in forward_select(bins, *encode(labels))[1]]
 
 
 class TestEndToEnd:
@@ -405,29 +382,21 @@ class TestEndToEnd:
         schema = FeatureSchema.mixed(2, 2)
         s = sample_ball(np.array([0.0, 0.0, 0.0, 1.0]), 2.0, 300, schema, seed=1)
         labels = np.zeros(300, dtype=int)
-        assert select_informative_features(s, labels, schema) == ()
+        assert select_informative_features(s, *encode(labels), schema) == ()
 
     def test_binary_feature_equal_to_label(self):
         schema = FeatureSchema.mixed(2, 2)
         s = sample_ball(np.array([0.0, 0.0, 0.0, 1.0]), 2.0, 500, schema, seed=2)
         labels = s.points[:, 3].astype(int)
-        assert select_informative_features(s, labels, schema) == (3,)
+        assert select_informative_features(s, *encode(labels), schema) == (3,)
 
     def test_duplicate_free_and_bounded(self):
         schema = FeatureSchema.mixed(3, 3)
         s = sample_ball(np.zeros(6), 2.0, 400, schema, seed=3)
         labels = (s.points[:, 0] > 0).astype(int) + 2 * s.points[:, 4].astype(int)
-        selected = select_informative_features(s, labels, schema)
+        selected = select_informative_features(s, *encode(labels), schema)
         assert len(selected) == len(set(selected))
         assert len(selected) <= 6
-
-    def test_max_features_cap(self):
-        schema = FeatureSchema.mixed(3, 3)
-        s = sample_ball(np.zeros(6), 2.0, 400, schema, seed=4)
-        rng = np.random.default_rng(0)
-        labels = rng.integers(0, 3, 400)
-        selected = select_informative_features(s, labels, schema, max_features=2)
-        assert len(selected) <= 2
 
     def test_trace_shape(self):
         schema = FeatureSchema.mixed(1, 2)
@@ -444,9 +413,8 @@ class TestEndToEnd:
     def test_trace_rejects_misaligned_labels(self):
         schema = FeatureSchema.mixed(1, 2)
         s = sample_ball(np.array([0.0, 0.0, 1.0]), 2.0, 200, schema, seed=5)
-        labels = np.zeros(250, dtype=int)
         with pytest.raises(ValueError, match="align"):
-            selection_trace(s, labels, schema)
+            select_informative_features(s, np.zeros(250, dtype=int), 1, schema)
 
     def test_planted_relevance_containment_small(self):
         # three relevant binary features among twelve; labels pure per cell,
@@ -463,7 +431,7 @@ class TestEndToEnd:
                 + s.points[:, relevant[2]].astype(int)
             )
             labels = code % 5
-            selected = select_informative_features(s, labels, schema)
+            selected = select_informative_features(s, *encode(labels), schema)
             if set(selected) <= set(relevant):
                 hits += 1
         assert hits >= 9

@@ -28,10 +28,18 @@ def referenced(node) -> set[str]:
     return names
 
 
+def defined(stmt) -> list[str]:
+    """The names a top-level statement defines: a function's, a class's, or an assignment's targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
 def test_every_top_level_definition_is_used_by_the_package():
-    # A function or class that only __init__ re-exports, or only the tests
-    # call, belongs in the tests (tests/oracles.py holds the reference
-    # implementations).
+    # A function, class or constant that only __init__ re-exports, or only
+    # the tests use, belongs in the tests (tests/oracles.py holds the
+    # reference implementations).
     statements = [
         (path.name, stmt)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -40,9 +48,9 @@ def test_every_top_level_definition_is_used_by_the_package():
     ]
     uses = [(stmt, referenced(stmt)) for _, stmt in statements]
     unused = [
-        f"{module}:{stmt.name}"
+        f"{module}:{name}"
         for module, stmt in statements
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not any(stmt.name in names for other, names in uses if other is not stmt)
+        for name in defined(stmt)
+        if not any(name in names for other, names in uses if other is not stmt)
     ]
     assert not unused, f"used by no module of the package but __init__: {', '.join(unused)}"

@@ -1,15 +1,10 @@
-import inspect
 import math
 
 import numpy as np
 import pytest
 
 from aggrex.data import FeatureSchema
-from aggrex.sampler import (
-    DEFAULT_SAMPLE_COUNT,
-    derive_seed,
-    sample_ball,
-)
+from aggrex.sampler import derive_seed, sample_ball
 
 from oracles import mixed_distance
 
@@ -35,11 +30,6 @@ class TestSampleBall:
         center = np.array([0.5, -1.0, 2.0, 1.0, 0.0, 1.0, 0.0])
         s = sample_ball(center, 0.0, 50, MIXED, seed=1)
         assert np.all(s.points == center)
-
-    def test_default_sample_count_is_10000(self):
-        sig = inspect.signature(sample_ball)
-        assert sig.parameters["N"].default == 10_000
-        assert DEFAULT_SAMPLE_COUNT == 10_000
 
     def test_all_binary_radius_two_hamming(self):
         schema = FeatureSchema.mixed(0, 6)
