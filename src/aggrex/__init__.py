@@ -3,11 +3,9 @@
 from .aggregate import (
     AggregateSolution,
     CandidatePool,
-    IPModel,
     build_ip,
     build_pool,
     coverage,
-    export_lp,
     fidelity,
     solve_exact,
     solve_greedy,

@@ -11,11 +11,12 @@ and z (candidate claims point, only inside the candidate's ball):
          sum_i w_i <= K                  (budget)
 
 Out-of-ball z variables are presolved away (fixed to zero); they appear as
-comments in the exported LP for auditability. build_ip materializes the
-model only for that export: solve_exact branches over w directly, and for
-a fixed selection the z problem is a bipartite b-matching (disagreeing
-points to candidates, capacities from the fidelity rows) solved exactly by
-augmenting paths, so every solve_exact result is certified "optimal".
+comments in the LP text for auditability. build_ip renders the model as
+that text, straight from the pool's arrays, only for export: solve_exact
+branches over w directly, and for a fixed selection the z problem is a
+bipartite b-matching (disagreeing points to candidates, capacities from the
+fidelity rows) solved exactly by augmenting paths, so every solve_exact
+result is certified "optimal".
 
 The search works on claimable sets: a candidate can only ever claim its
 agreeing in-ball points, plus its disagreeing ones when its fidelity row
@@ -43,15 +44,14 @@ beat the best gain of the scan, and its nodes_explored counts the
 evaluations made. Results, node counts included, are those of a solve on
 a fresh pool.
 
-Fidelity-floor arithmetic is exact: phi is quantized to a rational with
-denominator 10^6 and every feasibility check runs on integers, so e.g.
-9 agreeing + 1 disagreeing claims at phi = 0.9 is feasible, not a float
-rounding accident.
+Fidelity-floor arithmetic is exact: phi is quantized to an integer
+numerator over PHI_DENOM = 10^6 and every feasibility check runs on
+integers, so e.g. 9 agreeing + 1 disagreeing claims at phi = 0.9 is
+feasible, not a float rounding accident.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,13 +60,13 @@ import numpy as np
 from .data import Dataset
 
 PHI_DENOM = 10**6
-METRIC_DESCRIPTOR = "max(Linf over continuous, L1 over binary)"
 
 
-def _phi_to_rational(phi: float) -> tuple[int, int]:
+def _phi_num(phi: float) -> int:
+    """The fidelity floor phi as a numerator over PHI_DENOM."""
     if not 0.0 <= phi <= 1.0:
         raise ValueError("fidelity floor must lie in [0, 1]")
-    return int(round(phi * PHI_DENOM)), PHI_DENOM
+    return int(round(phi * PHI_DENOM))
 
 
 def _iter_bits(mask: int):
@@ -129,7 +129,6 @@ class CandidatePool:
     radii: np.ndarray
     within: np.ndarray
     agree: np.ndarray
-    metric: str = METRIC_DESCRIPTOR
 
     def __post_init__(self):
         for name, dtype in (("radii", float), ("within", bool), ("agree", bool)):
@@ -147,22 +146,16 @@ class CandidatePool:
         return self.within.shape[0]
 
     @cached_property
-    def _ball_masks(self) -> tuple[int, ...]:
+    def ball_masks(self) -> tuple[int, ...]:
         return _row_masks(self.within)
 
     @cached_property
-    def _agree_masks(self) -> tuple[int, ...]:
+    def agree_masks(self) -> tuple[int, ...]:
         return _row_masks(self.agree)
 
     @cached_property
     def _floors(self) -> dict[int, _Floor]:
         return {}
-
-    def ball_masks(self) -> tuple[int, ...]:
-        return self._ball_masks
-
-    def agree_masks(self) -> tuple[int, ...]:
-        return self._agree_masks
 
     def _floor(self, phi_num: int) -> _Floor:
         floor = self._floors.get(phi_num)
@@ -240,40 +233,55 @@ def build_pool(dataset: Dataset, explainers, blackbox) -> CandidatePool:
     return CandidatePool(radii=radii, within=within, agree=agree)
 
 
-@dataclass
-class IPModel:
-    n: int
-    budget: int
-    fidelity_floor: float
-    phi_num: int
-    phi_den: int
-    z_support: tuple[tuple[int, int], ...]
-    agree: np.ndarray
-
-    def variable_count(self) -> int:
-        return 2 * self.n + len(self.z_support)
-
-    def constraint_count(self) -> int:
-        return 2 * len(self.z_support) + 2 * self.n + 1
+def _coef(value: float) -> str:
+    return f"{value:.12g}"
 
 
-def build_ip(pool: CandidatePool, budget: int, fidelity_floor: float) -> IPModel:
-    """Materialize the integer program with out-of-ball z variables presolved away."""
+def build_ip(pool: CandidatePool, budget: int, fidelity_floor: float) -> str:
+    """The integer program as LP text (Maximize / Subject To / Binary), out-of-ball z variables presolved away."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    phi_num, phi_den = _phi_to_rational(fidelity_floor)
-    support = tuple(
-        (i, j) for i in range(pool.n) for j in range(pool.n) if pool.within[i, j]
-    )
-    return IPModel(
-        n=pool.n,
-        budget=int(budget),
-        fidelity_floor=float(fidelity_floor),
-        phi_num=phi_num,
-        phi_den=phi_den,
-        z_support=support,
-        agree=pool.agree,
-    )
+    phi = _phi_num(fidelity_floor) / PHI_DENOM
+    n = pool.n
+    ball = [np.flatnonzero(row).tolist() for row in pool.within]  # each candidate's in-ball points
+    support = [(i, j) for i in range(n) for j in ball[i]]
+    lines = [
+        "\\ coverage-maximization integer program",
+        f"\\ budget K = {int(budget)}, fidelity floor = {_coef(float(fidelity_floor))}",
+        "\\ radius rows presolved: z variables exist only inside candidate balls;",
+        "\\ all other z_i_j are fixed to 0:",
+    ]
+    fixed = [f"z_{i}_{j}" for i, j in zip(*np.nonzero(~pool.within))]
+    for start in range(0, len(fixed), 12):
+        lines.append("\\   " + " ".join(fixed[start : start + 12]) + " = 0")
+    if not fixed:
+        lines.append("\\   (none)")
+    lines.append("Maximize")
+    lines.append(" obj: " + " + ".join(f"y_{j}" for j in range(n)))
+    lines.append("Subject To")
+    lines += [f" zw_{i}_{j}: z_{i}_{j} - w_{i} <= 0" for i, j in support]
+    lines += [f" yz_{i}_{j}: y_{j} - z_{i}_{j} >= 0" for i, j in support]
+    for j in range(n):
+        terms = "".join(f" - z_{i}_{j}" for i in np.flatnonzero(pool.within[:, j]).tolist())
+        lines.append(f" cov_{j}: y_{j}{terms} <= 0")
+    for i in range(n):
+        parts: list[str] = []
+        for j in ball[i]:
+            c = (1.0 if pool.agree[i, j] else 0.0) - phi
+            if not parts:
+                parts.append(f"{_coef(c)} z_{i}_{j}")
+            elif c < 0:
+                parts.append(f"- {_coef(-c)} z_{i}_{j}")
+            else:
+                parts.append(f"+ {_coef(c)} z_{i}_{j}")
+        lines.append(f" fid_{i}: " + " ".join(parts) + " >= 0")
+    lines.append(" budget: " + " + ".join(f"w_{i}" for i in range(n)) + f" <= {int(budget)}")
+    lines.append("Binary")
+    names = [f"w_{i}" for i in range(n)] + [f"y_{j}" for j in range(n)] + [f"z_{i}_{j}" for i, j in support]
+    for start in range(0, len(names), 10):
+        lines.append(" " + " ".join(names[start : start + 10]))
+    lines.append("End")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -286,7 +294,6 @@ class AggregateSolution:
     claimed_min_fidelity: float | None
     status: str
     nodes_explored: int = 0
-    wall_time_ms: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -298,13 +305,12 @@ class AggregateSolution:
             "claimed_min_fidelity": self.claimed_min_fidelity,
             "status": self.status,
             "nodes_explored": self.nodes_explored,
-            "wall_time_ms": self.wall_time_ms,
         }
 
 
 def coverage(sol: AggregateSolution, pool: CandidatePool) -> int:
     """Points inside at least one selected candidate's full ball (union count)."""
-    ball = pool.ball_masks()
+    ball = pool.ball_masks
     covered = 0
     for i in sol.selected:
         covered |= ball[i]
@@ -319,8 +325,8 @@ def fidelity(sol: AggregateSolution, pool: CandidatePool) -> float:
     """
     if not sol.selected:
         raise ValueError("fidelity undefined for empty aggregate")
-    ball = pool.ball_masks()
-    agree = pool.agree_masks()
+    ball = pool.ball_masks
+    agree = pool.agree_masks
     worst = 1.0
     for i in sol.selected:
         size = ball[i].bit_count()
@@ -331,13 +337,7 @@ def fidelity(sol: AggregateSolution, pool: CandidatePool) -> float:
 
 # -- inner claim problem ------------------------------------------------------
 
-def _claims_for_selection(
-    selected: tuple[int, ...],
-    ball: list[int],
-    agree: list[int],
-    phi_num: int,
-    phi_den: int,
-):
+def _claims_for_selection(selected: tuple[int, ...], ball: list[int], agree: list[int], phi_num: int):
     """Best z claims for a fixed selection: (z masks, objective).
 
     Agreeing in-ball points are always claimed (each adds 1 - phi >= 0 of
@@ -349,8 +349,6 @@ def _claims_for_selection(
     index order, takes the first eligible candidate with room, and only
     when none has room searches for a path that moves earlier points along.
     """
-    if not selected:
-        return {}, 0
     if phi_num == 0:
         z = {i: ball[i] for i in selected}
         covered = 0
@@ -362,7 +360,7 @@ def _claims_for_selection(
     covered = 0
     for i in selected:
         covered |= z[i]
-    room = {i: z[i].bit_count() * (phi_den - phi_num) // phi_num for i in selected}
+    room = {i: z[i].bit_count() * (PHI_DENOM - phi_num) // phi_num for i in selected}
     spendable = [(i, ball[i] & ~agree[i]) for i in selected if room[i] > 0]
     open_mask = 0
     for _, mask in spendable:
@@ -398,7 +396,7 @@ def _place(j: int, seen: set[int], spendable, held: dict[int, list[int]], room: 
     return False
 
 
-def _finish_solution(selected, z_masks, obj, status, pool, nodes, t0) -> AggregateSolution:
+def _finish_solution(selected, z_masks, obj, status, pool, nodes) -> AggregateSolution:
     z_assignment = {int(i): tuple(_iter_bits(m)) for i, m in z_masks.items() if m}
     sol = AggregateSolution(
         selected=tuple(int(i) for i in selected),
@@ -409,12 +407,11 @@ def _finish_solution(selected, z_masks, obj, status, pool, nodes, t0) -> Aggrega
         claimed_min_fidelity=None,
         status=status,
         nodes_explored=nodes,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
     )
     sol.ball_coverage = coverage(sol, pool)
     if sol.selected:
         sol.ball_min_fidelity = fidelity(sol, pool)
-        agree = pool.agree_masks()
+        agree = pool.agree_masks
         worst = 1.0
         for i in sol.selected:
             claims = z_masks.get(i, 0)
@@ -438,22 +435,21 @@ def solve_exact(pool: CandidatePool, budget: int, fidelity_floor: float, *, also
     solves its inner claim problem exactly (a b-matching), so the status is
     always "optimal".
     """
-    t0 = time.perf_counter()
     if budget < 0 or any(k < 0 for k in also):
         raise ValueError("budget must be nonnegative")
-    phi_num, phi_den = _phi_to_rational(fidelity_floor)
+    phi_num = _phi_num(fidelity_floor)
     if budget == 0:
-        return _finish_solution((), {}, 0, "optimal", pool, 1, t0)
+        return _finish_solution((), {}, 0, "optimal", pool, 1)
     floor = pool._floor(phi_num)
     key = min(budget, pool.n)
     if key not in floor.exact:
         todo = {min(k, pool.n) for k in (budget, *also) if k > 0} - floor.exact.keys()
-        _extend_exact(pool, floor, tuple(sorted(todo)), phi_num, phi_den)
+        _extend_exact(pool, floor, tuple(sorted(todo)), phi_num)
     selected, z, obj, nodes = floor.exact[key]
-    return _finish_solution(selected, z, obj, "optimal", pool, nodes, t0)
+    return _finish_solution(selected, z, obj, "optimal", pool, nodes)
 
 
-def _extend_exact(pool: CandidatePool, floor: _Floor, todo: tuple[int, ...], phi_num: int, phi_den: int) -> None:
+def _extend_exact(pool: CandidatePool, floor: _Floor, todo: tuple[int, ...], phi_num: int) -> None:
     """Solve the budgets in todo (ascending, none above n) in one depth-first search.
 
     Depth-first binary branching over the floor's undominated candidates
@@ -480,9 +476,9 @@ def _extend_exact(pool: CandidatePool, floor: _Floor, todo: tuple[int, ...], phi
     the nodes, bounds and leaves that search would.
     """
     budget = todo[-1]
-    _extend_greedy(pool, floor, budget, phi_num, phi_den)
-    ball = pool.ball_masks()
-    agree = pool.agree_masks()
+    _extend_greedy(pool, floor, budget, phi_num)
+    ball = pool.ball_masks
+    agree = pool.agree_masks
     claim, cap, steps = floor.claimable, floor.caps, floor.steps
     # per budget k: incumbent (selection, z masks), its objective, nodes explored
     found, best_obj, nodes = {}, [0] * (budget + 1), [0] * (budget + 1)
@@ -513,7 +509,7 @@ def _extend_exact(pool: CandidatePool, floor: _Floor, todo: tuple[int, ...], phi
                     selected.append(node[0])
                     node = node[1]
                 selected = tuple(sorted(selected))
-                z, obj = _claims_for_selection(selected, ball, agree, phi_num, phi_den)
+                z, obj = _claims_for_selection(selected, ball, agree, phi_num)
                 for k in leaves:
                     if obj > best_obj[k]:
                         best_obj[k] = obj
@@ -560,7 +556,7 @@ def _extend_exact(pool: CandidatePool, floor: _Floor, todo: tuple[int, ...], phi
         floor.exact[k] = (*found[k], best_obj[k], nodes[k])
 
 
-def _extend_greedy(pool: CandidatePool, floor: _Floor, budget: int, phi_num: int, phi_den: int) -> None:
+def _extend_greedy(pool: CandidatePool, floor: _Floor, budget: int, phi_num: int) -> None:
     """Scan until floor.steps reaches budget or greedy stalls.
 
     A candidate is evaluated only if its claimable set, joined with the
@@ -569,8 +565,8 @@ def _extend_greedy(pool: CandidatePool, floor: _Floor, budget: int, phi_num: int
     others leaves the run unchanged.
     """
     n = pool.n
-    ball = pool.ball_masks()
-    agree = pool.agree_masks()
+    ball = pool.ball_masks
+    agree = pool.agree_masks
     claim = floor.claimable
     steps = floor.steps
     while len(steps) <= budget and floor.stall_evals is None:
@@ -584,7 +580,7 @@ def _extend_greedy(pool: CandidatePool, floor: _Floor, budget: int, phi_num: int
             if i in selected or (reach | claim[i]).bit_count() - current_obj <= best_gain:
                 continue
             trial = tuple(sorted(selected + (i,)))
-            z, obj = _claims_for_selection(trial, ball, agree, phi_num, phi_den)
+            z, obj = _claims_for_selection(trial, ball, agree, phi_num)
             evals += 1
             if obj - current_obj > best_gain:  # strict: ties keep the lowest index
                 best_gain = obj - current_obj
@@ -603,18 +599,17 @@ def solve_greedy(pool: CandidatePool, budget: int, fidelity_floor: float) -> Agg
     nodes_explored counts the claim evaluations a fresh run makes; a scan
     skips the candidates whose claimable sets cannot beat its best gain.
     """
-    t0 = time.perf_counter()
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    phi_num, phi_den = _phi_to_rational(fidelity_floor)
+    phi_num = _phi_num(fidelity_floor)
     floor = pool._floor(phi_num)
-    _extend_greedy(pool, floor, budget, phi_num, phi_den)
+    _extend_greedy(pool, floor, budget, phi_num)
     if budget < len(floor.steps):
         selected, z, obj, evals = floor.steps[budget]
     else:
         selected, z, obj, _ = floor.steps[-1]
         evals = floor.stall_evals
-    return _finish_solution(selected, z, obj, "feasible", pool, evals, t0)
+    return _finish_solution(selected, z, obj, "feasible", pool, evals)
 
 
 def verify_solution(
@@ -624,7 +619,7 @@ def verify_solution(
     sol: AggregateSolution,
 ) -> list[str]:
     """Re-check every IP constraint family from raw pool data; returns violations."""
-    phi_num, phi_den = _phi_to_rational(fidelity_floor)
+    phi_num = _phi_num(fidelity_floor)
     violations: list[str] = []
     selected = set(sol.selected)
     if len(selected) != len(sol.selected):
@@ -656,72 +651,7 @@ def verify_solution(
         )
     for i in range(pool.n):
         js = sol.z_assignment.get(i, ())
-        row = sum((phi_den if pool.agree[i, j] else 0) - phi_num for j in js)
+        row = sum((PHI_DENOM if pool.agree[i, j] else 0) - phi_num for j in js)
         if row < 0:
-            violations.append(f"fidelity row violated for candidate {i}: slack {row}/{phi_den}")
+            violations.append(f"fidelity row violated for candidate {i}: slack {row}/{PHI_DENOM}")
     return violations
-
-
-# -- LP text format -----------------------------------------------------------
-
-def _coef(value: float) -> str:
-    return f"{value:.12g}"
-
-
-def export_lp(model: IPModel, path) -> None:
-    """Write the model in LP text format (Maximize / Subject To / Binary)."""
-    support = model.z_support
-    in_ball: dict[int, list[int]] = {j: [] for j in range(model.n)}
-    for i, j in support:
-        in_ball[j].append(i)
-    lines: list[str] = []
-    lines.append("\\ coverage-maximization integer program")
-    lines.append(f"\\ budget K = {model.budget}, fidelity floor = {_coef(model.fidelity_floor)}")
-    lines.append("\\ radius rows presolved: z variables exist only inside candidate balls;")
-    lines.append("\\ all other z_i_j are fixed to 0:")
-    support_set = set(support)
-    fixed = [
-        f"z_{i}_{j}" for i in range(model.n) for j in range(model.n) if (i, j) not in support_set
-    ]
-    if fixed:
-        for start in range(0, len(fixed), 12):
-            lines.append("\\   " + " ".join(fixed[start : start + 12]) + " = 0")
-    else:
-        lines.append("\\   (none)")
-    lines.append("Maximize")
-    lines.append(" obj: " + " + ".join(f"y_{j}" for j in range(model.n)))
-    lines.append("Subject To")
-    for i, j in support:
-        lines.append(f" zw_{i}_{j}: z_{i}_{j} - w_{i} <= 0")
-    for i, j in support:
-        lines.append(f" yz_{i}_{j}: y_{j} - z_{i}_{j} >= 0")
-    for j in range(model.n):
-        terms = "".join(f" - z_{i}_{j}" for i in in_ball[j])
-        lines.append(f" cov_{j}: y_{j}{terms} <= 0")
-    phi = model.phi_num / model.phi_den
-    for i in range(model.n):
-        parts: list[str] = []
-        for ii, j in support:
-            if ii != i:
-                continue
-            c = (1.0 if model.agree[i, j] else 0.0) - phi
-            if not parts:
-                parts.append(f"{_coef(c)} z_{i}_{j}")
-            elif c < 0:
-                parts.append(f"- {_coef(-c)} z_{i}_{j}")
-            else:
-                parts.append(f"+ {_coef(c)} z_{i}_{j}")
-        lines.append(f" fid_{i}: " + " ".join(parts) + " >= 0")
-    lines.append(" budget: " + " + ".join(f"w_{i}" for i in range(model.n)) + f" <= {model.budget}")
-    lines.append("Binary")
-    names = (
-        [f"w_{i}" for i in range(model.n)]
-        + [f"y_{j}" for j in range(model.n)]
-        + [f"z_{i}_{j}" for i, j in support]
-    )
-    for start in range(0, len(names), 10):
-        lines.append(" " + " ".join(names[start : start + 10]))
-    lines.append("End")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-

@@ -45,9 +45,6 @@ class BlackBoxModel:
     trees: list[DecisionTree]
     schema: FeatureSchema | None = None
 
-    def predict(self, x) -> int:
-        return int(self.predict_batch(np.asarray(x, dtype=float)[None, :])[0])
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         self._check_dim(X.shape[1])

@@ -3,9 +3,10 @@
 Every stage is deterministic given the config: randomness flows from one
 root seed (env var AGGREX_SEED overrides the config value), outputs land in
 a run directory stamped with a hash of the effective config rather than a
-timestamp, and files are written atomically. Per-cell wall times are kept
-out of sweep.csv (they land in timings.csv, which the manifest lists but
-does not hash) so reruns are byte-identical.
+timestamp, and files are written atomically. The aggregate stage times
+each solve itself and keeps those wall times out of sweep.csv and the
+solution files: they land in timings.csv, the one output the manifest
+lists but does not hash, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 config error.
 """
@@ -34,6 +35,8 @@ from .sampler import derive_seed
 from .tree import tree_from_lines, tree_to_lines, tree_to_rules
 
 SEED_ENV_VAR = "AGGREX_SEED"
+# sweep.csv's first line, which the report stage checks before it reads a row
+SWEEP_HEADER = "K,phi,solver,ip_coverage,ball_coverage,min_fidelity,ball_min_fidelity,status,nodes_explored"
 
 
 class ConfigError(ValueError):
@@ -495,23 +498,23 @@ def cmd_aggregate(cfg: dict) -> Path:
     pool = agg.build_pool(data, explainers, model)
     acfg = cfg["aggregate"]
     solvers = ["exact", "greedy"] if acfg["solver"] == "both" else [acfg["solver"]]
-    (rd / "solutions").mkdir(parents=True, exist_ok=True)
     sweep_rows = []
     timing_rows = []
     outputs = ["sweep.csv"]
-    unhashed = ["timings.csv"]
     for floor in acfg["floors"]:
         for budget in acfg["budgets"]:
             if acfg["export_lp"]:
                 lp_name = f"solutions/model_K{budget}_phi{_fmt(floor)}.lp"
-                agg.export_lp(agg.build_ip(pool, budget, floor), rd / lp_name)
+                _write_atomic(rd / lp_name, agg.build_ip(pool, budget, floor))
                 outputs.append(lp_name)
             for solver in solvers:
+                t0 = time.perf_counter()
                 if solver == "exact":
                     # the floor's first exact call searches once for all the sweep's budgets
                     sol = agg.solve_exact(pool, budget, floor, also=acfg["budgets"])
                 else:
                     sol = agg.solve_greedy(pool, budget, floor)
+                wall_ms = (time.perf_counter() - t0) * 1000.0
                 violations = agg.verify_solution(pool, budget, floor, sol)
                 if violations:
                     raise RuntimeError(
@@ -519,7 +522,7 @@ def cmd_aggregate(cfg: dict) -> Path:
                     )
                 name = f"solutions/sol_K{budget}_phi{_fmt(floor)}_{solver}.json"
                 _write_atomic(rd / name, canonical_json(sol.to_dict()))
-                unhashed.append(name)
+                outputs.append(name)
                 sweep_rows.append(
                     [
                         budget,
@@ -533,18 +536,39 @@ def cmd_aggregate(cfg: dict) -> Path:
                         sol.nodes_explored,
                     ]
                 )
-                timing_rows.append([budget, _fmt(floor), solver, _fmt(sol.wall_time_ms)])
-    header = "K,phi,solver,ip_coverage,ball_coverage,min_fidelity,ball_min_fidelity,status,nodes_explored"
+                timing_rows.append([budget, _fmt(floor), solver, _fmt(wall_ms)])
     _write_atomic(
         rd / "sweep.csv",
-        header + "\n" + "\n".join(",".join(str(v) for v in row) for row in sweep_rows) + "\n",
+        SWEEP_HEADER + "\n" + "\n".join(",".join(str(v) for v in row) for row in sweep_rows) + "\n",
     )
     _write_atomic(
         rd / "timings.csv",
-        "K,phi,solver,wall_ms\n" + "\n".join(",".join(row_val for row_val in map(str, row)) for row in timing_rows) + "\n",
+        "K,phi,solver,wall_ms\n" + "\n".join(",".join(str(v) for v in row) for row in timing_rows) + "\n",
     )
-    update_manifest(cfg, "aggregate", outputs, unhashed)
+    update_manifest(cfg, "aggregate", outputs, ["timings.csv"])
     return rd / "sweep.csv"
+
+
+def _read_sweep(path: Path) -> list[dict]:
+    """sweep.csv's rows as dicts keyed by SWEEP_HEADER, or a ConfigError naming the file if any line is off."""
+    try:
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
+    except ValueError as exc:  # undecodable bytes
+        raise ConfigError(f"corrupt sweep {path}: {exc}")
+    if not lines or lines[0] != SWEEP_HEADER:
+        raise ConfigError(f"corrupt sweep {path}: its first line is not the header {SWEEP_HEADER}")
+    header = SWEEP_HEADER.split(",")
+    rows = []
+    for number, line in enumerate(lines[1:], 2):
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ConfigError(f"corrupt sweep {path}: line {number} has {len(fields)} fields, not {len(header)}")
+        try:
+            int(fields[0])
+        except ValueError:
+            raise ConfigError(f"corrupt sweep {path}: line {number} has K {fields[0]!r}, not an integer") from None
+        rows.append(dict(zip(header, fields)))
+    return rows
 
 
 def cmd_report(cfg: dict) -> list[Path]:
@@ -552,9 +576,7 @@ def cmd_report(cfg: dict) -> list[Path]:
     sweep_path = rd / "sweep.csv"
     if not sweep_path.exists():
         raise ConfigError(f"missing inputs: {sweep_path}")
-    lines = sweep_path.read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    rows = _read_sweep(sweep_path)
     series_keys = sorted({(r["solver"], r["phi"]) for r in rows})
     budgets = sorted({int(r["K"]) for r in rows})
     out_paths = []

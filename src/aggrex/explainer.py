@@ -63,9 +63,6 @@ class LocalExplainer:
     filtered: bool
     train_fidelity: float
 
-    def predict(self, x) -> int:
-        return self.tree.predict(x)
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         return self.tree.predict_batch(X)
 

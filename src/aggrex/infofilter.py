@@ -38,8 +38,9 @@ recursion alive. Selection stops when no remaining feature scores above a
 small positive threshold (a plug-in estimate is almost never exactly zero
 in floating point), or when no feature or no leaf is left. Each round
 leaves a `RoundRecord`: every candidate's score, the pick (None in a round
-that stopped on the threshold), the best score and the leaf count after
-the split. The labels come in as codes 0..C-1, encoded once by the caller.
+that stopped on the threshold) and the leaf count after the split; the
+round's best score is the largest of its scores. The labels come in as
+codes 0..C-1, encoded once by the caller.
 """
 
 from __future__ import annotations
@@ -117,15 +118,15 @@ class PartitionLeaves:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One forward-selection round: each candidate's score, the pick and its score, and the leaf count after it.
+    """One forward-selection round: each candidate's score, the pick, and the leaf count after it.
 
     `selected` is None in the round that stopped selection, when the best
-    score did not clear eps_mi; that round's leaves are left as they were.
+    score, max(scores.values()), did not clear eps_mi; that round's leaves
+    are left as they were.
     """
 
     scores: dict[int, float]
     selected: int | None
-    best_score: float
     leaf_count: int
 
 
@@ -254,14 +255,13 @@ def forward_select(
         values = _cmi_scores(unselected, codes, n_labels, leaves, bins)
         scores = dict(zip(unselected, values.tolist()))
         pick = int(np.argmax(values))  # first maximum: ties keep the lowest feature index
-        best = float(values[pick])
-        if best <= eps_mi:
-            rounds.append(RoundRecord(scores, None, best, len(leaves)))
+        if values[pick] <= eps_mi:
+            rounds.append(RoundRecord(scores, None, len(leaves)))
             break
         feature = unselected.pop(pick)
         selected.append(feature)
         leaves = bin_partition(bins, leaves, feature)
-        rounds.append(RoundRecord(scores, feature, best, len(leaves)))
+        rounds.append(RoundRecord(scores, feature, len(leaves)))
     return tuple(selected), rounds
 
 

@@ -147,13 +147,6 @@ class DecisionTree:
     def leaf_count(self) -> int:
         return int(np.count_nonzero(self.feature < 0))
 
-    @property
-    def features_used(self) -> frozenset[int]:
-        return frozenset(np.unique(self.feature[self.feature >= 0]).tolist())
-
-    def predict(self, x) -> int:
-        return int(self.predict_batch(np.asarray(x, dtype=float)[None, :])[0])
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         return self.label[route(self, np.asarray(X, dtype=float))]
 

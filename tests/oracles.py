@@ -8,14 +8,13 @@ parts it does not restate.
 
 from __future__ import annotations
 
-import time
 from functools import reduce
 from itertools import combinations
 from operator import or_
 
 import numpy as np
 
-from aggrex.aggregate import _finish_solution, _iter_bits, _phi_to_rational
+from aggrex.aggregate import PHI_DENOM, _finish_solution, _iter_bits, _phi_num
 from aggrex.data import Dataset, FeatureSchema, _region_code
 from aggrex.infofilter import EPS_MI, _cmi_scores, build_histograms, forward_select
 from aggrex.tree import fit_job, fit_trees
@@ -93,6 +92,11 @@ def tree_fit(X, y, features, max_depth: int | None = 12, min_leaf: int = 2, clas
     return fit_trees([fit_job(X, y, features, classes)], max_depth, min_leaf)[0]
 
 
+def features_used(tree) -> frozenset[int]:
+    """The features the tree splits on."""
+    return frozenset(np.unique(tree.feature[tree.feature >= 0]).tolist())
+
+
 def encode(labels):
     """The labels as codes 0..C-1, and C, as `label_ball` encodes them."""
     classes, codes = np.unique(np.asarray(labels, dtype=int), return_inverse=True)
@@ -157,20 +161,19 @@ def brute_force(pool, budget: int, fidelity_floor: float):
     fidelity row is checked in integers. Refuses instances with n > 12 or
     more than 20 disagreeing in-ball pairs.
     """
-    t0 = time.perf_counter()
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if pool.n > 12:
         raise BruteForceRefused(f"n = {pool.n} exceeds the brute-force limit of 12")
     if pool.disagree_pair_count() > 20:
         raise BruteForceRefused(f"{pool.disagree_pair_count()} disagreeing in-ball pairs exceed the limit of 20")
-    phi_num, phi_den = _phi_to_rational(fidelity_floor)
-    ball, agree = pool.ball_masks(), pool.agree_masks()
+    phi_num = _phi_num(fidelity_floor)
+    ball, agree = pool.ball_masks, pool.agree_masks
     best, checked = (-1, (), {}), 0
     for k in range(min(budget, pool.n) + 1):
         for sel in combinations(range(pool.n), k):
             base = {i: ball[i] & agree[i] for i in sel}
-            slack = {i: base[i].bit_count() * (phi_den - phi_num) for i in sel}
+            slack = {i: base[i].bit_count() * (PHI_DENOM - phi_num) for i in sel}
             pairs = [(i, j) for i in sel for j in _iter_bits(ball[i] & ~agree[i])]
             for mask in range(1 << len(pairs)):
                 checked += 1
@@ -183,20 +186,19 @@ def brute_force(pool, budget: int, fidelity_floor: float):
                 covered = reduce(or_, z.values(), 0).bit_count()
                 if covered > best[0]:
                     best = (covered, sel, z)
-    return _finish_solution(best[1], best[2], best[0], "optimal", pool, checked, t0)
+    return _finish_solution(best[1], best[2], best[0], "optimal", pool, checked)
 
 
-def parse_lp(path) -> dict:
-    """Structural re-parse of an exported LP: variable and constraint counts."""
+def parse_lp(text: str) -> dict:
+    """Structural re-parse of LP text: variable and constraint counts."""
     section, n_constraints, binary = None, 0, []
-    with open(path, encoding="utf-8") as fh:
-        for line in map(str.strip, fh):
-            if not line or line.startswith("\\"):
-                continue
-            if line.lower() in ("maximize", "minimize", "subject to", "bounds", "binary", "end"):
-                section = line.lower()
-            elif section == "subject to" and ":" in line:
-                n_constraints += 1
-            elif section == "binary":
-                binary.extend(line.split())
+    for line in map(str.strip, text.splitlines()):
+        if not line or line.startswith("\\"):
+            continue
+        if line.lower() in ("maximize", "minimize", "subject to", "bounds", "binary", "end"):
+            section = line.lower()
+        elif section == "subject to" and ":" in line:
+            n_constraints += 1
+        elif section == "binary":
+            binary.extend(line.split())
     return {"n_constraints": n_constraints, "n_variables": len(binary), "binary_variables": binary}

@@ -15,7 +15,6 @@ import pytest
 
 from aggrex.aggregate import (
     build_ip,
-    export_lp,
     solve_exact,
     solve_greedy,
     verify_solution,
@@ -274,23 +273,20 @@ def test_criterion_08_protocol_sweep(tmp_path):
     )
 
 
-def test_criterion_09_lp_round_trip(tmp_path):
+def test_criterion_09_lp_round_trip():
     bad = 0
     for t in range(20):
         pool = random_pool(seed=60_000 + t)
-        model = build_ip(pool, 1 + t % 4, FLOORS[t % 4])
-        path = tmp_path / f"model_{t}.lp"
-        export_lp(model, path)
-        parsed = parse_lp(path)
-        if parsed["n_variables"] != model.variable_count() or parsed["n_constraints"] != model.constraint_count():
+        parsed = parse_lp(build_ip(pool, 1 + t % 4, FLOORS[t % 4]))
+        in_ball = int(pool.within.sum())  # one z variable per in-ball pair
+        if parsed["n_variables"] != 2 * pool.n + in_ball or parsed["n_constraints"] != 2 * in_ball + 2 * pool.n + 1:
             bad += 1
-    two = build_ip(pool_from_sets([{0, 1}, {0, 1}]), 1, 0.5)
-    export_lp(two, tmp_path / "two.lp")
-    n_two = parse_lp(tmp_path / "two.lp")["n_variables"]
+    n_two = parse_lp(build_ip(pool_from_sets([{0, 1}, {0, 1}]), 1, 0.5))["n_variables"]
     report(
         9,
         bad == 0 and n_two == 8,
-        f"re-parsed variable/constraint counts match the model on {20 - bad}/20 random exports; "
+        f"re-parsed variable/constraint counts match the pool's 2n + |in-ball| variables and "
+        f"2|in-ball| + 2n + 1 constraints on {20 - bad}/20 random LP texts; "
         f"the 2-candidate model has exactly {n_two} binary variables",
     )
 
@@ -338,11 +334,14 @@ def test_criterion_10_pipeline_determinism(tmp_path, monkeypatch):
 
 # sha256 of the criterion-10 run's outputs. They pin the bytes every
 # same-output refactor must keep; change them only with a change that is
-# meant to alter the output, and say why.
+# meant to alter the output, and say why. A glob's digest is that of its
+# files' bytes joined in name order: the 12 solution files, one per
+# (K, phi, solver) cell, pin the selections themselves.
 PINNED_SHA256 = {
     "model.txt": "802b10b50381ac14571101390f4f44fd945855e56f712d4bf07fc5821d34c365",
     "explainers.json": "2c722af76007efed93f3476a4ac19b5b549ee6d485aad3dd11f968ff5d79d43a",
     "sweep.csv": "e34ee2236f6874d51cf1b39032310794613a5a26fec436547467988a1f9ad1bb",
+    "solutions/sol_*.json": "902fd652ab91bf998e1c0e543a2d68260d45a029fea69361d885310569d77189",
 }
 
 
@@ -351,4 +350,9 @@ def test_criterion_10_output_bytes_pinned(tmp_path, monkeypatch):
     cfg = load_config(None, json.loads(json.dumps(DETERMINISM_CONFIG)))
     cmd_sweep(cfg)
     rd = tmp_path / run_dir_for(cfg)
-    assert {name: hashlib.sha256((rd / name).read_bytes()).hexdigest() for name in PINNED_SHA256} == PINNED_SHA256
+    assert len(list(rd.glob("solutions/sol_*.json"))) == 12
+    digests = {
+        name: hashlib.sha256(b"".join(path.read_bytes() for path in sorted(rd.glob(name)))).hexdigest()
+        for name in PINNED_SHA256
+    }
+    assert digests == PINNED_SHA256

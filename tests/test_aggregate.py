@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -21,7 +22,6 @@ from aggrex.aggregate import (
     build_ip,
     build_pool,
     coverage,
-    export_lp,
     fidelity,
     solve_exact,
     solve_greedy,
@@ -173,24 +173,40 @@ class TestEvaluators:
             fidelity(sol, pool)
 
 
+def z_binaries(text):
+    return {name for name in parse_lp(text)["binary_variables"] if name.startswith("z_")}
+
+
+def fid_coefficients(text):
+    """{(i, j): coefficient of z_i_j} over every fid row of the LP text."""
+    out = {}
+    for line in text.splitlines():
+        name, _, body = line.strip().partition(": ")
+        if name.startswith("fid_"):
+            tokens = ["+", *body.removesuffix(">= 0").split()]
+            for sign, coef, var in zip(tokens[0::3], tokens[1::3], tokens[2::3]):
+                _, i, j = var.split("_")
+                out[int(i), int(j)] = float(coef) * (-1 if sign == "-" else 1)
+    return out
+
+
 class TestBuildIP:
     def test_two_candidate_counts(self):
-        pool = pool_from_sets([{0, 1}, {0, 1}])
-        m = build_ip(pool, 1, 0.5)
-        assert m.variable_count() == 8  # 2 w + 2 y + 4 z
-        assert m.constraint_count() == 13  # 4 + 4 + 2 + 2 + 1
-        assert len(m.z_support) == 4
+        text = build_ip(pool_from_sets([{0, 1}, {0, 1}]), 1, 0.5)
+        parsed = parse_lp(text)
+        assert parsed["n_variables"] == 8  # 2 w + 2 y + 4 z
+        assert parsed["n_constraints"] == 13  # 4 + 4 + 2 + 2 + 1
+        assert len(z_binaries(text)) == 4
 
     def test_floor_zero_nonnegative_coefficients(self):
         pool = random_pool(3)
-        m = build_ip(pool, 2, 0.0)
-        for i, j in m.z_support:
-            assert (1.0 if m.agree[i, j] else 0.0) - m.fidelity_floor >= 0.0
+        coefs = fid_coefficients(build_ip(pool, 2, 0.0))
+        assert coefs == {(i, j): 1.0 if pool.agree[i, j] else 0.0 for i, j in zip(*np.nonzero(pool.within))}
+        assert min(coefs.values()) >= 0.0
 
     def test_identity_within_diagonal_support(self):
         pool = pool_from_sets([{0}, {1}, {2}])
-        m = build_ip(pool, 1, 0.5)
-        assert set(m.z_support) == {(0, 0), (1, 1), (2, 2)}
+        assert z_binaries(build_ip(pool, 1, 0.5)) == {"z_0_0", "z_1_1", "z_2_2"}
 
     def test_negative_budget_rejected(self):
         pool = pool_from_sets([{0}])
@@ -418,40 +434,46 @@ class TestVerifier:
 
 
 class TestLPExport:
-    def test_round_trip_counts(self, tmp_path):
+    def test_round_trip_counts(self):
         for t in range(5):
             pool = random_pool(seed=5000 + t)
-            m = build_ip(pool, 2, 0.7)
-            path = tmp_path / f"model_{t}.lp"
-            export_lp(m, path)
-            parsed = parse_lp(path)
-            assert parsed["n_variables"] == m.variable_count()
-            assert parsed["n_constraints"] == m.constraint_count()
+            parsed = parse_lp(build_ip(pool, 2, 0.7))
+            in_ball = int(pool.within.sum())
+            assert parsed["n_variables"] == 2 * pool.n + in_ball
+            assert parsed["n_constraints"] == 2 * in_ball + 2 * pool.n + 1
 
-    def test_two_candidate_model_has_8_binaries(self, tmp_path):
+    def test_two_candidate_model_has_8_binaries(self):
         pool = pool_from_sets([{0, 1}, {0, 1}])
-        m = build_ip(pool, 1, 0.5)
-        path = tmp_path / "two.lp"
-        export_lp(m, path)
-        parsed = parse_lp(path)
+        parsed = parse_lp(build_ip(pool, 1, 0.5))
         assert parsed["n_variables"] == 8
         names = set(parsed["binary_variables"])
         assert {"w_0", "w_1", "y_0", "y_1", "z_0_0", "z_0_1", "z_1_0", "z_1_1"} == names
 
-    def test_budget_row_verbatim(self, tmp_path):
+    def test_budget_row_verbatim(self):
         pool = pool_from_sets([{0, 1}, {0, 1}])
-        m = build_ip(pool, 5, 0.5)
-        path = tmp_path / "budget.lp"
-        export_lp(m, path)
-        assert "budget: w_0 + w_1 <= 5" in path.read_text()
+        assert "budget: w_0 + w_1 <= 5" in build_ip(pool, 5, 0.5)
 
-    def test_presolved_pairs_listed_in_comments(self, tmp_path):
+    def test_presolved_pairs_listed_in_comments(self):
         pool = pool_from_sets([{0}, {1}])
-        m = build_ip(pool, 1, 0.5)
-        path = tmp_path / "fixed.lp"
-        export_lp(m, path)
-        text = path.read_text()
-        assert "z_0_1 z_1_0 = 0" in text
+        assert "z_0_1 z_1_0 = 0" in build_ip(pool, 1, 0.5)
+
+    # sha256 of the LP text at budget 2 of two fixed pools: one with every pair
+    # in-ball, one with presolved pairs
+    PINNED = {
+        ("full", 0.0): "58137e2352b7bbd17f45a4493ee467aba4aed2b131d989019951e2a88dde2426",
+        ("full", 0.7): "cb026efacd4edadd6ad7f416931a55a7207406af6401c140b32ba1267159de7c",
+        ("presolved", 0.0): "15a8c777306ab32af5141293473a78873f41533f51f8245832c7c91d2bc1b302",
+        ("presolved", 0.7): "73b36aff37fdce5e462976316a1528c6d02fe2a04be43e67a67cfd9e9e5c1c93",
+    }
+
+    @pytest.mark.parametrize("name, floor", sorted(PINNED))
+    def test_text_bytes_pinned(self, name, floor):
+        pools = {
+            "full": lambda: pool_from_sets([{0, 1, 2}] * 3, agree_sets=[{0, 1}, {1, 2}, {0, 1, 2}]),
+            "presolved": lambda: random_pool(3),
+        }
+        text = build_ip(pools[name](), 2, floor)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[name, floor]
 
 
 class TestInnerClaimLimit:
@@ -567,8 +589,8 @@ class TestClaimMatchingOracle:
             pool = CandidatePool(radii=np.ones(n), within=within, agree=agree)
             selected = tuple(sorted(rng.choice(n, size=int(rng.integers(2, 7)), replace=False).tolist()))
             phi_num = int(rng.choice([5, 6, 7, 8, 9])) * 10**5
-            ball, agree_m = pool.ball_masks(), pool.agree_masks()
-            z, obj = _claims_for_selection(selected, ball, agree_m, phi_num, 10**6)
+            ball, agree_m = pool.ball_masks, pool.agree_masks
+            z, obj = _claims_for_selection(selected, ball, agree_m, phi_num)
             over_twenty += sum((ball[i] & ~agree_m[i]).bit_count() for i in selected) > 20
 
             sure = [j for j in range(n) if any(within[i, j] and agree[i, j] for i in selected)]
@@ -594,6 +616,8 @@ class TestClaimMatchingOracle:
                 claimed |= mask
             assert claimed.bit_count() == obj
         assert over_twenty >= 100
+        for phi_num in (0, 900_000):  # an empty selection claims nothing at any floor
+            assert _claims_for_selection((), ball, agree_m, phi_num) == ({}, 0)
 
 
 def highs_optimum(pool, budget, floor):
@@ -648,9 +672,7 @@ def highs_optimum(pool, budget, floor):
 
 
 def solution_bytes(sol):
-    out = sol.to_dict()
-    del out["wall_time_ms"]
-    return out
+    return sol.to_dict()
 
 
 class TestExactAtSweepSize:
@@ -753,12 +775,12 @@ def static_preorder_exact(pool, budget, floor):
     in descending claim-cap order, ties by index, and the bound is the same
     claimable-set bound without the leaf and greedy shortcuts.
     """
-    phi_num, phi_den = round(floor * PHI_DENOM), PHI_DENOM
-    n, ball, agree = pool.n, pool.ball_masks(), pool.agree_masks()
+    phi_num = round(floor * PHI_DENOM)
+    n, ball, agree = pool.n, pool.ball_masks, pool.agree_masks
     claimable, max_claim = [], []
     for i in range(n):
         sure = ball[i] & agree[i]
-        cap = n if phi_num == 0 else sure.bit_count() * (phi_den - phi_num) // phi_num
+        cap = n if phi_num == 0 else sure.bit_count() * (PHI_DENOM - phi_num) // phi_num
         claimable.append(sure | (ball[i] & ~agree[i] if cap > 0 else 0))
         max_claim.append(min(claimable[i].bit_count(), sure.bit_count() + cap))
     order = sorted(range(n), key=lambda i: (-max_claim[i], i))
@@ -767,7 +789,7 @@ def static_preorder_exact(pool, budget, floor):
     while stack:
         k, covered, selected = stack.pop()
         if len(selected) == budget or k == n:
-            best = max(best, _claims_for_selection(tuple(sorted(selected)), ball, agree, phi_num, phi_den)[1])
+            best = max(best, _claims_for_selection(tuple(sorted(selected)), ball, agree, phi_num)[1])
             continue
         rest = order[k:]
         reach = 0
@@ -788,8 +810,8 @@ def unskipped_greedy_steps(pool, budget, floor):
     from the empty selection on, up to the budget, and the evaluation count
     of the scan that stalled (None if none did).
     """
-    phi_num, phi_den = round(floor * PHI_DENOM), PHI_DENOM
-    ball, agree = pool.ball_masks(), pool.agree_masks()
+    phi_num = round(floor * PHI_DENOM)
+    ball, agree = pool.ball_masks, pool.agree_masks
     steps = [((), {}, 0, 0)]
     evals = 0
     while len(steps) <= budget:
@@ -799,7 +821,7 @@ def unskipped_greedy_steps(pool, budget, floor):
             if i in selected:
                 continue
             trial = tuple(sorted(selected + (i,)))
-            z, obj = _claims_for_selection(trial, ball, agree, phi_num, phi_den)
+            z, obj = _claims_for_selection(trial, ball, agree, phi_num)
             evals += 1
             if obj > (best[2] if best else current):
                 best = (trial, z, obj)
@@ -986,10 +1008,10 @@ class TestFrozenPool:
     def test_pool_does_not_share_the_callers_arrays(self):
         within = np.eye(3, dtype=bool)
         pool = CandidatePool(radii=np.ones(3), within=within, agree=np.ones((3, 3), dtype=bool))
-        masks = pool.ball_masks()
+        masks = pool.ball_masks
         within[0, 1] = True
         assert not pool.within[0, 1]
-        assert pool.ball_masks() == masks == (1, 2, 4)
+        assert pool.ball_masks == masks == (1, 2, 4)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -1030,7 +1052,7 @@ class TestBroadcastBallTest:
     def test_masks_match_rows(self, n):
         rng = np.random.default_rng(n)
         pool = CandidatePool(radii=np.ones(n), within=rng.random((n, n)) < 0.4, agree=rng.random((n, n)) < 0.6)
-        for masks, matrix in ((pool.ball_masks(), pool.within), (pool.agree_masks(), pool.agree)):
+        for masks, matrix in ((pool.ball_masks, pool.within), (pool.agree_masks, pool.agree)):
             assert len(masks) == n
             for i in range(n):
                 assert masks[i] < 1 << n

@@ -162,13 +162,13 @@ class TestForest:
         schema = FeatureSchema.mixed(2, 0)
         d = Dataset(np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.array([7, 7, 7]), schema)
         f = train_bagged_forest(d, n_trees=5, seed=0)
-        assert f.predict([100.0, -100.0]) == 7
+        assert f.predict_batch([[100.0, -100.0]])[0] == 7
 
     def test_one_row_one_tree(self):
         schema = FeatureSchema.mixed(1, 0)
         d = Dataset(np.array([[3.0]]), np.array([4]), schema)
         f = train_bagged_forest(d, n_trees=1, seed=0)
-        assert f.predict([3.0]) == 4
+        assert f.predict_batch([[3.0]])[0] == 4
 
     def test_retrain_same_seed_identical_on_probe_grid(self):
         d = synth_multiclass(seed=8, n=120, m_cont=3, m_bin=2, classes=3, relevant=(0, 3))
@@ -186,14 +186,14 @@ class TestForest:
             label_set=(2, 3),
             trees=[constant_tree(2), constant_tree(2), constant_tree(3)],
         )
-        assert f.predict([0.0]) == 2
+        assert f.predict_batch([[0.0]])[0] == 2
 
     def test_vote_tie_smaller_label(self):
         f = BlackBoxModel(
             label_set=(1, 3),
             trees=[constant_tree(1), constant_tree(1), constant_tree(3), constant_tree(3)],
         )
-        assert f.predict([0.0]) == 1
+        assert f.predict_batch([[0.0]])[0] == 1
 
     def test_labels_stay_in_label_set(self):
         d = synth_multiclass(seed=2, n=150, m_cont=4, m_bin=2, classes=4, relevant=(0, 1, 4))
@@ -210,7 +210,7 @@ class TestForest:
         d = synth_multiclass(seed=2, n=30, m_cont=2, m_bin=0, classes=2, relevant=(0,))
         f = train_bagged_forest(d, n_trees=2, seed=0)
         with pytest.raises(ValueError):
-            f.predict([1.0, 2.0, 3.0])
+            f.predict_batch([[1.0, 2.0, 3.0]])
 
     def test_bagging_sanity_vs_single_tree(self):
         # forest training accuracy >= a single tree trained the same way
@@ -320,5 +320,5 @@ class TestModelFile:
         f = load_model(path)
         assert f.label_set == (-1, 4)
         with pytest.raises(ValueError, match="references feature 2"):
-            f.predict([0.0, 0.0])
+            f.predict_batch([[0.0, 0.0]])
         assert f.predict_batch(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])).tolist() == [-1, 4]

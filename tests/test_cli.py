@@ -16,6 +16,7 @@ from aggrex.blackbox import load_model
 from aggrex.cli import (
     DEFAULT_CONFIG,
     KEYS,
+    SWEEP_HEADER,
     ConfigError,
     _write_bundle,
     build_parser,
@@ -530,7 +531,8 @@ class TestAggregateStage:
     def test_lp_export_flag(self, tmp_path):
         cfg, _ = self.run_pipeline(tmp_path, aggregate={"budgets": [2], "floors": [0.7], "solver": "exact", "export_lp": True})
         rd = run_dir_for(cfg)
-        assert list((rd / "solutions").glob("model_*.lp"))
+        assert [p.name for p in (rd / "solutions").glob("*.lp*")] == ["model_K2_phi0.7.lp"]  # no .tmp left behind
+        assert "solutions/model_K2_phi0.7.lp" in json.loads((rd / "manifest.json").read_text())["hashes"]
 
     def test_one_exact_search_per_floor(self, tmp_path):
         # the first exact call at each floor names every budget of the
@@ -578,6 +580,27 @@ class TestReportStage:
         cfg = load_config(None, small_config(tmp_path))
         with pytest.raises(ConfigError, match="missing inputs"):
             cmd_report(cfg)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("a,b,c\n1,2,3\n", "first line is not the header"),
+            (SWEEP_HEADER + "\nx,0.5,exact,1,1,1,1,optimal,1\n", "line 2 has K 'x', not an integer"),
+            ("", "first line is not the header"),
+            (SWEEP_HEADER[:20] + "\n", "first line is not the header"),
+            (SWEEP_HEADER + "\n1,0.5,exact\n", "line 2 has 3 fields, not 9"),
+        ],
+        ids=["foreign-header", "non-integer-K", "empty", "truncated-header", "short-row"],
+    )
+    def test_corrupt_sweep_exits_2_without_reports(self, tmp_path, capsys, text, match):
+        path = write_config(tmp_path, small_config(tmp_path))
+        rd = run_dir_for(load_config(str(path), {}))
+        rd.mkdir(parents=True)
+        (rd / "sweep.csv").write_text(text, encoding="utf-8")
+        assert main(["report", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(rd / "sweep.csv") in err and match in err
+        assert not list(rd.glob("report_*.csv"))
 
 
 class TestCsvDatasetPath:
@@ -643,7 +666,17 @@ class TestManifest:
         assert {"train", "explain", "aggregate"} <= set(manifest["stages"])
         assert "model.txt" in manifest["hashes"]
         assert "sweep.csv" in manifest["hashes"]
-        assert "timings.csv" in manifest["unhashed"]
+        # the solution files hold no wall time, so timings.csv is the one output left unhashed
+        assert manifest["unhashed"] == ["timings.csv"]
+        solutions = sorted(f"solutions/{p.name}" for p in (rd / "solutions").glob("sol_*.json"))
+        assert len(solutions) == 3 * 2 * 2
+        assert manifest["stages"]["aggregate"]["outputs"] == sorted(["sweep.csv", "timings.csv", *solutions])
+        assert set(manifest["hashes"]) == {
+            "config.json", "dataset_used.csv", "model.txt", "explainers.json", "explainers_rules.txt", "sweep.csv",
+            *solutions,
+        }
+        for name, digest in manifest["hashes"].items():
+            assert hashlib.sha256((rd / name).read_bytes()).hexdigest() == digest, name
         assert manifest["seed"] == cfg["seed"]
 
     def test_run_dir_depends_on_config(self, tmp_path):

@@ -12,15 +12,12 @@ from aggrex.infofilter import EPS_MI, select_informative_features
 from aggrex.sampler import sample_ball
 from aggrex.tree import tree_to_lines
 
-from oracles import TableOracle, encode, local_fidelity, tree_fit
+from oracles import TableOracle, encode, features_used, local_fidelity, tree_fit
 
 
 class ConstantBox:
     def predict_batch(self, X):
         return np.zeros(X.shape[0], dtype=int)
-
-    def predict(self, x):
-        return 0
 
 
 class FeatureIndicatorBox:
@@ -31,9 +28,6 @@ class FeatureIndicatorBox:
 
     def predict_batch(self, X):
         return np.asarray(X)[:, self.feature].astype(int)
-
-    def predict(self, x):
-        return int(x[self.feature])
 
 
 class RandomLabelBox:
@@ -69,7 +63,7 @@ class TestTrainLocalExplainer:
         )
         assert 3 in ex.selected_features
         assert ex.leaf_count == 2
-        assert ex.tree.features_used == {3}
+        assert features_used(ex.tree) == {3}
         assert ex.train_fidelity == 1.0
 
     def test_filtered_beats_unfiltered_complexity(self):
@@ -94,7 +88,7 @@ class TestTrainLocalExplainer:
         d = synth_multiclass(seed=3, n=200, m_cont=2, m_bin=3, classes=3, relevant=(0, 2))
         box = train_bagged_forest(d, n_trees=5, seed=1)
         ex = explain(box, d.X[0], 1.5, 300, schema=d.schema, seed=9, filtered=True)
-        assert ex.tree.features_used <= set(ex.selected_features)
+        assert features_used(ex.tree) <= set(ex.selected_features)
 
     def test_deterministic(self):
         box = FeatureIndicatorBox(3)
@@ -233,11 +227,11 @@ class TestGrownFromTwins:
         for seed in range(40):
             ball = random_ball(seed, n_labels)
             twin = _fit([ball], [EVERY], 12, min_leaf)[0][0]
-            used = tuple(sorted(twin.features_used))
+            used = tuple(sorted(features_used(twin)))
             if len(used) < len(EVERY):
                 cases.setdefault("twin reused", (ball, used, 12))
             cases.setdefault("root refit", (ball, tuple(f for f in EVERY if f != twin.feature[0]), 12))
-            if twin.features_used & {2, 3, 4}:
+            if features_used(twin) & {2, 3, 4}:
                 cases.setdefault("binary features dropped", (ball, (0, 1), 12))
             cases.setdefault("empty selection", (ball, (), 12))
             for name, max_depth, depth in (("graft at max_depth - 1", 3, 2), ("no depth cap", None, 4)):
@@ -284,7 +278,7 @@ class TestLocalFidelity:
         ex = explain(box, points[0], 1.0, 200, schema=schema, seed=3)
         got = local_fidelity(ex, box, points)
         manual = sum(
-            1 for i in range(30) if ex.predict(points[i]) == box.predict(points[i])
+            1 for i in range(30) if ex.predict_batch(points[i : i + 1])[0] == box.predict(points[i])
         ) / 30
         assert got == manual
 

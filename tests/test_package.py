@@ -54,3 +54,49 @@ def test_every_top_level_definition_is_used_by_the_package():
         if not any(name in names for other, names in uses if other is not stmt)
     ]
     assert not unused, f"used by no module of the package but __init__: {', '.join(unused)}"
+
+
+# Members that only the benchmark (perfbench/) reads from outside the package.
+READ_BY_PERFBENCH = {"disagree_pair_count"}
+
+
+def member_name(stmt) -> str | None:
+    """The member a class-body statement defines: a method, a property or a field; None for dunders and the rest."""
+    if isinstance(stmt, ast.FunctionDef):
+        name = stmt.name
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        name = stmt.target.id
+    else:
+        return None
+    return None if name.startswith("__") else name
+
+
+def test_every_class_member_is_used_by_the_package():
+    # A method, property or dataclass / NamedTuple field that only the tests
+    # read belongs in the tests. A member's own body does not count as a use,
+    # nor does a use inside a member that is itself unused.
+    units, members = [], []  # the package's statements, each class cut into its body's; (label, name, statement)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(stmt, ast.ClassDef):
+                units.append(stmt)
+                continue
+            units += [*stmt.body, *stmt.bases, *stmt.keywords, *stmt.decorator_list]
+            members += [(f"{path.name}:{stmt.name}.{name}", name, s) for s in stmt.body if (name := member_name(s))]
+    uses = [(id(unit), referenced(unit)) for unit in units]
+    unused: set[str] = set()
+    while True:  # until no member is left whose only uses lie in unused members
+        dead = {id(stmt) for label, _, stmt in members if label in unused}
+        found = {
+            label
+            for label, name, stmt in members
+            if not any(name in names for unit, names in uses if unit != id(stmt) and unit not in dead)
+        }
+        if found == unused:
+            break
+        unused = found
+    assert {label.rsplit(".", 1)[1] for label in unused} == READ_BY_PERFBENCH, (
+        f"class members read by no other code of the package: {', '.join(sorted(unused))}"
+    )

@@ -23,7 +23,7 @@ from aggrex.tree import (
     tree_to_rules,
 )
 
-from oracles import tree_fit
+from oracles import features_used, tree_fit
 
 
 def predictions(tree, X):
@@ -36,7 +36,7 @@ class TestTreeFit:
         y = np.array([3, 3, 3])
         t, _ = tree_fit(X, y, [0])
         assert t.leaf_count == 1
-        assert t.predict([5.0]) == 3
+        assert t.predict_batch([[5.0]])[0] == 3
 
     def test_xor_four_leaves_perfect_fit(self):
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
@@ -50,14 +50,14 @@ class TestTreeFit:
         y = np.array([0, 0, 1, 0])
         t, _ = tree_fit(X, y, [0], min_leaf=4)
         assert t.leaf_count == 1
-        assert t.predict([9.0]) == 0
+        assert t.predict_batch([[9.0]])[0] == 0
 
     def test_feature_restriction_respected(self):
         rng = np.random.default_rng(0)
         X = rng.random((60, 4))
         y = (X[:, 3] > 0.5).astype(int)  # signal lives in an excluded feature
         t, _ = tree_fit(X, y, [0, 1], max_depth=4)
-        assert t.features_used <= {0, 1}
+        assert features_used(t) <= {0, 1}
 
     def test_tie_breaks_lower_feature(self):
         # two identical columns: the split must use feature 0
@@ -93,7 +93,7 @@ class TestTreeFit:
         X = np.array([[0.0], [0.0]])
         y = np.array([2, 5])
         t, _ = tree_fit(X, y, [0])
-        assert t.predict([0.0]) == 2
+        assert t.predict_batch([[0.0]])[0] == 2
 
 
 class TestTreeText:
@@ -106,7 +106,7 @@ class TestTreeText:
         t2, consumed = tree_from_lines(lines)
         assert consumed == len(lines)
         assert t2.leaf_count == t.leaf_count
-        assert t2.features_used == t.features_used
+        assert features_used(t2) == features_used(t)
         probe = rng.random((40, 3))
         assert np.array_equal(predictions(t, probe), predictions(t2, probe))
         assert tree_to_lines(t2) == lines
@@ -858,7 +858,7 @@ class TestRouter:
         want = [scalar_leaf(t, x) for x in probe]
         assert route(t, probe).tolist() == want
         assert t.predict_batch(probe).tolist() == t.label[want].tolist()
-        assert [t.predict(x) for x in probe[:5]] == t.label[want[:5]].tolist()
+        assert [int(t.predict_batch(probe[k : k + 1])[0]) for k in range(5)] == t.label[want[:5]].tolist()
 
     def test_threshold_value_goes_left(self):
         t, _ = tree_fit(np.array([[0.0], [1.0]]), np.array([4, 9]), [0], min_leaf=1)
@@ -867,9 +867,9 @@ class TestRouter:
 
     def test_single_leaf_tree(self):
         t = DecisionTree.leaf(-3)
-        assert t.leaf_count == 1 and t.features_used == frozenset()
+        assert t.leaf_count == 1 and features_used(t) == frozenset()
         assert t.predict_batch(np.zeros((4, 2))).tolist() == [-3] * 4
-        assert t.predict([7.0]) == -3
+        assert t.predict_batch([[7.0]])[0] == -3
 
     def test_rows_narrower_than_a_split_feature_rejected(self):
         # flat indexing would otherwise read the next row's values
@@ -935,7 +935,7 @@ class TestArrays:
         feature = np.array([0, -1, -1])
         t = DecisionTree(feature=feature, threshold=[0.5, 0.0, 0.0], label=[-1, 1, 2], right=[2, -1, -1])
         feature[0] = -1
-        assert t.feature[0] == 0 and t.leaf_count == 2 and t.features_used == {0}
+        assert t.feature[0] == 0 and t.leaf_count == 2 and features_used(t) == {0}
 
     def test_ragged_arrays_rejected(self):
         with pytest.raises(ValueError, match="label"):
