@@ -58,6 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
+from .tree import route, stack_trees
 
 PHI_DENOM = 10**6
 
@@ -203,7 +204,8 @@ def build_pool(dataset: Dataset, explainers, blackbox) -> CandidatePool:
     within[i][j] tests whether point j lies in the mixed-metric ball of
     radius radii[i] around point i, the ball `sampler.sample_ball` draws
     from, for all pairs at once; agree[i][j] compares explainer i and the
-    black box at point j.
+    black box at point j, every explainer's tree routing every point in
+    one level loop over the stacked trees.
     """
     n = dataset.n
     if len(explainers) != n:
@@ -226,10 +228,8 @@ def build_pool(dataset: Dataset, explainers, blackbox) -> CandidatePool:
         col = X[:, b]
         flips += col[None, :] != col[:, None]
     within = (linf <= radii[:, None]) & (flips <= np.floor(radii)[:, None])
-    f_labels = blackbox.predict_batch(X)
-    agree = np.zeros((n, n), dtype=bool)
-    for i, ex in enumerate(explainers):
-        agree[i, :] = ex.predict_batch(X) == f_labels
+    trees, roots = stack_trees([ex.tree for ex in explainers])
+    agree = trees.label[route(trees, X, roots)] == blackbox.predict_batch(X)
     return CandidatePool(radii=radii, within=within, agree=agree)
 
 
@@ -618,8 +618,14 @@ def verify_solution(
     fidelity_floor: float,
     sol: AggregateSolution,
 ) -> list[str]:
-    """Re-check every IP constraint family from raw pool data; returns violations."""
+    """Re-check every IP constraint family from raw pool data; returns violations.
+
+    Only a claiming candidate's fidelity row can be violated; each is read
+    from pool.agree with one index array, of the candidate's in-range
+    points: a point out of range is reported and never read.
+    """
     phi_num = _phi_num(fidelity_floor)
+    n = pool.n
     violations: list[str] = []
     selected = set(sol.selected)
     if len(selected) != len(sol.selected):
@@ -627,31 +633,33 @@ def verify_solution(
     if len(selected) > budget:
         violations.append(f"budget violated: {len(selected)} > {budget}")
     for i in sorted(selected):
-        if not (0 <= i < pool.n):
+        if not (0 <= i < n):
             violations.append(f"selected candidate {i} out of range")
     for i in sol.z_assignment:
         if i not in selected:
             violations.append(f"z for unselected candidate {i} (z <= w violated)")
     covered: set[int] = set()
+    claims: dict[int, np.ndarray] = {}  # each in-range claiming candidate's in-range points
     for i, js in sol.z_assignment.items():
-        in_range = 0 <= i < pool.n
+        in_range = 0 <= i < n
         if not in_range:
             violations.append(f"claiming candidate {i} out of range")
         if len(set(js)) != len(js):
             violations.append(f"candidate {i} claims a point twice")
         for j in js:
-            if not (0 <= j < pool.n):
+            if not (0 <= j < n):
                 violations.append(f"claimed point {j} out of range")
             elif in_range and not pool.within[i, j]:
                 violations.append(f"radius row violated: point {j} outside ball of candidate {i}")
+        if in_range:
+            claims[i] = np.array([j for j in js if 0 <= j < n], dtype=np.int64)
         covered.update(js)
     if len(covered) != sol.ip_coverage:
         violations.append(
             f"coverage linking violated: |union z| = {len(covered)} but ip_coverage = {sol.ip_coverage}"
         )
-    for i in range(pool.n):
-        js = sol.z_assignment.get(i, ())
-        row = sum((PHI_DENOM if pool.agree[i, j] else 0) - phi_num for j in js)
+    for i in sorted(claims):
+        row = PHI_DENOM * int(np.count_nonzero(pool.agree[i, claims[i]])) - phi_num * claims[i].size
         if row < 0:
             violations.append(f"fidelity row violated for candidate {i}: slack {row}/{PHI_DENOM}")
     return violations

@@ -3,10 +3,14 @@
 Every stage is deterministic given the config: randomness flows from one
 root seed (env var AGGREX_SEED overrides the config value), outputs land in
 a run directory stamped with a hash of the effective config rather than a
-timestamp, and files are written atomically. The aggregate stage times
-each solve itself and keeps those wall times out of sweep.csv and the
-solution files: they land in timings.csv, the one output the manifest
-lists but does not hash, so reruns are byte-identical.
+timestamp, and files are written atomically. The aggregate and report
+stages keep their outputs in memory and write them in one batch, none
+renamed into place before all are written, so a failure leaves the
+earlier outputs as they were; the manifest hashes those bytes as
+written. The aggregate stage times each solve itself and keeps those
+wall times out of sweep.csv and the solution files: they land in
+timings.csv, the one output the manifest lists but does not hash, so
+reruns are byte-identical.
 
 Exit codes: 0 success, 2 config error.
 """
@@ -21,7 +25,7 @@ import math
 import os
 import sys
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -210,6 +214,11 @@ def validate_config(cfg: dict) -> None:
     for path, key in KEYS.items():
         node, name = _slot(cfg, path)
         node[name] = key.check(node[name])
+    if cfg["filter"]["max_bins"] > cfg["sampler"]["N"]:  # more bins than samples leaves bins empty in every ball
+        raise ConfigError(
+            f"filter.max_bins {cfg['filter']['max_bins']} is above sampler.N {cfg['sampler']['N']}: "
+            "a ball's samples cannot fill more bins than there are samples"
+        )
     radii = cfg["sampler"]["radii"]
     too_wide = [r for r in radii if not math.isfinite(r + r)]  # the ball's width c + r - (c - r) at c = 0
     if too_wide:
@@ -252,29 +261,29 @@ def run_dir_for(cfg: dict) -> Path:
 
 @contextmanager
 def _atomic_files(*paths: Path):
-    """Text handles on a `.tmp` file beside each path, renamed onto the paths in order when the block ends.
+    """A `.tmp` path beside each path, for the block to write; each is renamed onto its path, in order, when it ends.
 
     If the block raises, every `.tmp` file is removed instead, so each path
     keeps its earlier bytes or gets all of the new ones.
     """
     tmps = [path.with_name(path.name + ".tmp") for path in paths]
-    with ExitStack() as stack:
-        try:
-            for path in paths:
-                path.parent.mkdir(parents=True, exist_ok=True)
-            yield [stack.enter_context(open(tmp, "w", encoding="utf-8")) for tmp in tmps]
-        except BaseException:
-            stack.close()
-            for tmp in tmps:
-                tmp.unlink(missing_ok=True)
-            raise
+    try:
+        for parent in dict.fromkeys(path.parent for path in paths):
+            parent.mkdir(parents=True, exist_ok=True)
+        yield tmps
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise
     for tmp, path in zip(tmps, paths):
         os.replace(tmp, path)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    with _atomic_files(path) as (fh,):
-        fh.write(text)
+def _write_atomic(rd: Path, files: dict[str, bytes]) -> None:
+    """Write each file, named by its path in rd: all of them, or none if a write fails."""
+    with _atomic_files(*(rd / name for name in files)) as tmps:
+        for tmp, data in zip(tmps, files.values()):
+            tmp.write_bytes(data)
 
 
 def _write_bundle(fh, records) -> None:
@@ -291,11 +300,12 @@ def _write_bundle(fh, records) -> None:
     fh.write("]\n}\n" if empty else "\n  ]\n}\n")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def update_manifest(cfg: dict, stage: str, outputs: list[str], unhashed: list[str] = ()) -> None:
+def update_manifest(cfg: dict, stage: str, hashes: dict[str, str], unhashed: list[str] = ()) -> None:
+    """Record a stage's outputs in the run's manifest.json: hashes maps each hashed output's name to its digest."""
     rd = run_dir_for(cfg)
     manifest_path = rd / "manifest.json"
     manifest = {
@@ -309,11 +319,15 @@ def update_manifest(cfg: dict, stage: str, outputs: list[str], unhashed: list[st
     }
     if manifest_path.exists():
         manifest.update(json.loads(manifest_path.read_text(encoding="utf-8")))
-    manifest["stages"][stage] = {"outputs": sorted(set(outputs) | set(unhashed))}
-    for name in outputs:
-        manifest["hashes"][name] = _sha256(rd / name)
+    manifest["stages"][stage] = {"outputs": sorted(set(hashes) | set(unhashed))}
+    manifest["hashes"].update(hashes)
     manifest["unhashed"] = sorted(set(manifest["unhashed"]) | set(unhashed))
-    _write_atomic(manifest_path, canonical_json(manifest))
+    _write_atomic(rd, {manifest_path.name: canonical_json(manifest).encode()})
+
+
+def _hashes_read_back(rd: Path, *names: str) -> dict[str, str]:
+    """The digest of each named file in rd, read back from disk one at a time: for outputs a stage streamed."""
+    return {name: _sha256((rd / name).read_bytes()) for name in names}
 
 
 def prepare_dataset(cfg: dict) -> Dataset:
@@ -356,8 +370,8 @@ def cmd_train(cfg: dict) -> Path:
     model = bb.train_bagged_forest(data, n_trees=cfg["blackbox"]["n_trees"], seed=cfg["seed"])
     bb.save_model(model, rd / "model.txt.tmp")
     os.replace(rd / "model.txt.tmp", rd / "model.txt")
-    _write_atomic(rd / "config.json", canonical_json(cfg))
-    update_manifest(cfg, "train", ["config.json", "dataset_used.csv", "model.txt"])
+    _write_atomic(rd, {"config.json": canonical_json(cfg).encode()})
+    update_manifest(cfg, "train", _hashes_read_back(rd, "config.json", "dataset_used.csv", "model.txt"))
     return rd / "model.txt"
 
 
@@ -428,9 +442,10 @@ def cmd_explain(cfg: dict) -> Path:
             del explainers, ex  # written out: the next group's fit need not hold them either
 
     # Each group's records are written out before the next group is labelled: the stage holds no finished explainer.
-    with _atomic_files(rd / "explainers.json", rd / "explainers_rules.txt") as (bundle, rules):
-        _write_bundle(bundle, records(rules))
-    update_manifest(cfg, "explain", ["explainers.json", "explainers_rules.txt"])
+    with _atomic_files(rd / "explainers.json", rd / "explainers_rules.txt") as (bundle_tmp, rules_tmp):
+        with open(bundle_tmp, "w", encoding="utf-8") as bundle, open(rules_tmp, "w", encoding="utf-8") as rules:
+            _write_bundle(bundle, records(rules))
+    update_manifest(cfg, "explain", _hashes_read_back(rd, "explainers.json", "explainers_rules.txt"))
     return rd / "explainers.json"
 
 
@@ -500,13 +515,11 @@ def cmd_aggregate(cfg: dict) -> Path:
     solvers = ["exact", "greedy"] if acfg["solver"] == "both" else [acfg["solver"]]
     sweep_rows = []
     timing_rows = []
-    outputs = ["sweep.csv"]
+    files = {}  # each hashed output's bytes, by its path in the run directory
     for floor in acfg["floors"]:
         for budget in acfg["budgets"]:
             if acfg["export_lp"]:
-                lp_name = f"solutions/model_K{budget}_phi{_fmt(floor)}.lp"
-                _write_atomic(rd / lp_name, agg.build_ip(pool, budget, floor))
-                outputs.append(lp_name)
+                files[f"solutions/model_K{budget}_phi{_fmt(floor)}.lp"] = agg.build_ip(pool, budget, floor).encode()
             for solver in solvers:
                 t0 = time.perf_counter()
                 if solver == "exact":
@@ -521,8 +534,7 @@ def cmd_aggregate(cfg: dict) -> Path:
                         f"solver {solver} produced an invalid solution at K={budget}, phi={floor}: {violations}"
                     )
                 name = f"solutions/sol_K{budget}_phi{_fmt(floor)}_{solver}.json"
-                _write_atomic(rd / name, canonical_json(sol.to_dict()))
-                outputs.append(name)
+                files[name] = canonical_json(sol.to_dict()).encode()
                 sweep_rows.append(
                     [
                         budget,
@@ -537,16 +549,15 @@ def cmd_aggregate(cfg: dict) -> Path:
                     ]
                 )
                 timing_rows.append([budget, _fmt(floor), solver, _fmt(wall_ms)])
-    _write_atomic(
-        rd / "sweep.csv",
-        SWEEP_HEADER + "\n" + "\n".join(",".join(str(v) for v in row) for row in sweep_rows) + "\n",
-    )
-    _write_atomic(
-        rd / "timings.csv",
-        "K,phi,solver,wall_ms\n" + "\n".join(",".join(str(v) for v in row) for row in timing_rows) + "\n",
-    )
-    update_manifest(cfg, "aggregate", outputs, ["timings.csv"])
+    files["sweep.csv"] = _csv(SWEEP_HEADER, sweep_rows)
+    # nothing is written until every cell is solved and verified, and every file before any is renamed
+    _write_atomic(rd, {**files, "timings.csv": _csv("K,phi,solver,wall_ms", timing_rows)})
+    update_manifest(cfg, "aggregate", {name: _sha256(data) for name, data in files.items()}, ["timings.csv"])
     return rd / "sweep.csv"
+
+
+def _csv(header: str, rows) -> bytes:
+    return (header + "\n" + "\n".join(",".join(str(v) for v in row) for row in rows) + "\n").encode()
 
 
 def _read_sweep(path: Path) -> list[dict]:
@@ -579,7 +590,7 @@ def cmd_report(cfg: dict) -> list[Path]:
     rows = _read_sweep(sweep_path)
     series_keys = sorted({(r["solver"], r["phi"]) for r in rows})
     budgets = sorted({int(r["K"]) for r in rows})
-    out_paths = []
+    files = {}
     metrics = {
         "ip_coverage": "report_ip_coverage.csv",
         "ball_coverage": "report_ball_coverage.csv",
@@ -595,11 +606,11 @@ def cmd_report(cfg: dict) -> list[Path]:
             for solver, phi in series_keys:
                 cell = by_cell.get((k, solver, phi))
                 row.append(cell[metric] if cell else "")
-            body.append(",".join(row))
-        _write_atomic(rd / fname, ",".join(cols) + "\n" + "\n".join(body) + "\n")
-        out_paths.append(rd / fname)
-    update_manifest(cfg, "report", [p.name for p in out_paths])
-    return out_paths
+            body.append(row)
+        files[fname] = _csv(",".join(cols), body)
+    _write_atomic(rd, files)
+    update_manifest(cfg, "report", {name: _sha256(data) for name, data in files.items()})
+    return [rd / name for name in files]
 
 
 def cmd_sweep(cfg: dict) -> Path:

@@ -63,9 +63,6 @@ class LocalExplainer:
     filtered: bool
     train_fidelity: float
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.tree.predict_batch(X)
-
     @property
     def leaf_count(self) -> int:
         return self.tree.leaf_count

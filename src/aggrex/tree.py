@@ -95,9 +95,12 @@ A tree is four read-only node arrays in pre-order, as in scikit-learn's
 `Tree`: `feature` (-1 at a leaf), `threshold`, `label` (-1 at a split) and
 `right`, a split's right child (a split's left child is the next node).
 `route` moves only the rows still at a split, one level per step, so its
-temporaries span one tree's rows. A forest does not route: `stack_trees`
-concatenates its trees' arrays as the input of the compiled forest in
-`blackbox`, which finds every tree's exit leaf without walking the levels.
+temporaries span one tree's rows, or with a vector of root nodes one
+entry per (root, row) pair: the aggregate pool routes every dataset point
+through every explainer tree, stacked by `stack_trees`, in one level loop.
+A forest does not route: `stack_trees` concatenates its trees' arrays as
+the input of the compiled forest in `blackbox`, which finds every tree's
+exit leaf without walking the levels.
 
 Trees serialize to a line-oriented text grammar, one pre-order record per
 line: `node <id> split <feature> <threshold>` | `node <id> leaf <label>`.
@@ -160,26 +163,30 @@ def stack_trees(trees) -> tuple[DecisionTree, np.ndarray]:
     return DecisionTree(feature, threshold, label, right), roots
 
 
-def route(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    """Leaf node reached by each row of X.
+def route(tree: DecisionTree, X: np.ndarray, roots: np.ndarray | None = None) -> np.ndarray:
+    """Leaf node reached by each row of X from the root, or (k, rows) leaves from each of k `roots`.
 
-    Each step moves every row still at a split one level down (left when
-    the value is <= the threshold, so NaN goes right) and drops the rows
-    that reached a leaf, so the loop runs once per level of the deepest
-    path taken.
+    With roots, [t, j] is the leaf row j reaches when it starts at node
+    roots[t] (such as the trees' roots in a `stack_trees` tree). Each step
+    moves every (start, row) entry still at a split one level down (left
+    when the value is <= the threshold, so NaN goes right) and drops the
+    entries that reached a leaf, so the loop runs once per level of the
+    deepest path taken.
     """
-    width = X.shape[1]
+    rows, width = X.shape
     if tree.feature.max() >= width:  # flat indexing would read the next row's values
         raise ValueError(f"rows have {width} features, tree splits on feature {tree.feature.max()}")
-    flat = X.ravel()  # row i's feature f is flat[i * width + f]
-    node = np.zeros(X.shape[0], dtype=np.int64)
+    flat = X.ravel()  # row j's feature f is flat[j * width + f]
+    starts = np.zeros(1, dtype=np.int64) if roots is None else np.asarray(roots, dtype=np.int64)
+    node = np.repeat(starts, rows)  # entry t * rows + j: row j from starts[t]
+    offset = np.tile(np.arange(rows) * width, starts.size)  # each entry's row start in flat
     live = np.flatnonzero(tree.feature[node] >= 0)
     while live.size:
         at = node[live]
-        at = np.where(flat[live * width + tree.feature[at]] <= tree.threshold[at], at + 1, tree.right[at])
+        at = np.where(flat[offset[live] + tree.feature[at]] <= tree.threshold[at], at + 1, tree.right[at])
         node[live] = at
         live = live[tree.feature[at] >= 0]
-    return node
+    return node if roots is None else node.reshape(starts.size, rows)
 
 
 def _class_sum(terms: np.ndarray) -> np.ndarray:

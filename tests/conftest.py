@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aggrex.aggregate import CandidatePool
+from aggrex.tree import DecisionTree
 
 
 def random_pool(
@@ -45,6 +46,30 @@ def geometric_pool(seed: int) -> CandidatePool:
     within = np.abs(points[None, :, :] - points[:, None, :]).max(axis=2) <= radii[:, None]
     agree = rng.random((n, n)) < rng.uniform(0.6, 0.95, size=(n, 1))
     return CandidatePool(radii=radii, within=within, agree=agree)
+
+
+def random_tree(rng, width: int, depth: int, thresholds) -> DecisionTree:
+    """A random tree at most `depth` levels deep, splitting on features below `width` at values drawn from `thresholds`.
+
+    A node above the cap splits with probability 0.8, so a depth-0 tree is
+    a single leaf and deeper trees mix leaves in at every level.
+    """
+    feature, threshold, label, right = [], [], [], []
+
+    def grow(level):
+        node = len(feature)
+        splits = level < depth and rng.random() < 0.8
+        feature.append(int(rng.integers(width)) if splits else -1)
+        threshold.append(float(rng.choice(thresholds)) if splits else 0.0)
+        label.append(-1 if splits else int(rng.integers(3)))
+        right.append(-1)
+        if splits:
+            grow(level + 1)
+            right[node] = len(feature)
+            grow(level + 1)
+
+    grow(0)
+    return DecisionTree(feature, threshold, label, right)
 
 
 @pytest.fixture

@@ -145,7 +145,16 @@ def local_fidelity(explainer, blackbox, points) -> float:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a non-empty matrix")
-    return float(np.mean(explainer.predict_batch(points) == blackbox.predict_batch(points)))
+    return float(np.mean(explainer.tree.predict_batch(points) == blackbox.predict_batch(points)))
+
+
+def pool_agreement(dataset, explainers, blackbox) -> np.ndarray:
+    """agree[i, j]: explainer i and the black box give point j one label, one explainer's tree at a time."""
+    labels = blackbox.predict_batch(dataset.X)
+    agree = np.zeros((dataset.n, dataset.n), dtype=bool)
+    for i, ex in enumerate(explainers):
+        agree[i, :] = ex.tree.predict_batch(dataset.X) == labels
+    return agree
 
 
 class BruteForceRefused(ValueError):

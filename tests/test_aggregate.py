@@ -31,8 +31,8 @@ from aggrex.data import Dataset, FeatureSchema
 from aggrex.explainer import LocalExplainer
 from aggrex.tree import DecisionTree
 
-from conftest import geometric_pool, random_pool
-from oracles import BruteForceRefused, TableOracle, brute_force, mixed_distance, parse_lp
+from conftest import geometric_pool, random_pool, random_tree
+from oracles import BruteForceRefused, TableOracle, brute_force, mixed_distance, parse_lp, pool_agreement
 
 
 def pool_from_sets(balls, agree_sets=None, n=None):
@@ -129,6 +129,24 @@ class TestBuildPool:
         exps = [constant_explainer(0, d.X[0], 1.0, 0) for _ in range(d.n)]
         with pytest.raises(ValueError):
             build_pool(d, exps, f)
+
+    def test_agreement_matches_one_explainer_at_a_time(self):
+        # 300 random trees of depth 0-8, cutting at the data's own values, so some points sit on a threshold
+        rng = np.random.default_rng(300)
+        schema = FeatureSchema(("a", "b", "c", "d"), ("continuous", "continuous", "binary", "binary"))
+        X = np.hstack([rng.normal(size=(300, 2)).round(1), rng.integers(0, 2, size=(300, 2))])
+        d = Dataset(X, np.zeros(300, dtype=int), schema)
+        exps = [
+            dataclasses.replace(
+                constant_explainer(i, X[i], 1.0, 0), tree=random_tree(rng, 4, int(rng.integers(9)), X[:, :2].ravel())
+            )
+            for i in range(d.n)
+        ]
+        f = SimpleNamespace(predict_batch=lambda X: (X[:, 0] > 0).astype(int) + X[:, 2].astype(int))
+        pool = build_pool(d, exps, f)
+        want = pool_agreement(d, exps, f)
+        assert 0 < want.sum() < want.size
+        assert np.array_equal(pool.agree, want)
 
 
 class TestEvaluators:
@@ -418,14 +436,16 @@ class TestVerifier:
             # numpy would read -1 as the last row, where the claim lies in the ball
             ((-1,), {-1: (2,)}, ["selected candidate -1 out of range", "claiming candidate -1 out of range"]),
             ((7,), {}, ["selected candidate 7 out of range"]),
+            # a fidelity row reads no point out of range: not 5, nor -1 as the last point (which disagrees)
+            ((0,), {0: (5,)}, ["claimed point 5 out of range"]),
+            ((0,), {0: (-1,)}, ["claimed point -1 out of range"]),
         ],
-        ids=["negative", "past-the-end"],
+        ids=["negative", "past-the-end", "claimed-past-the-end", "claimed-negative"],
     )
     def test_detects_candidate_index_out_of_range(self, selected, z, words):
-        pool = pool_from_sets([{0}, {1}, {2}])
+        pool = pool_from_sets([{0}, {1}, {2}], agree_sets=[{0}, {1}, {2}])
         sol = AggregateSolution(selected, z, sum(map(len, z.values())), 1, 1.0, 1.0, "optimal")
-        violations = verify_solution(pool, 1, 0.5, sol)
-        assert all(word in violations for word in words), violations
+        assert verify_solution(pool, 1, 0.5, sol) == words
 
     def test_clean_solution_passes(self):
         pool = random_pool(9)

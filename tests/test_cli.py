@@ -157,6 +157,9 @@ class TestConfig:
             ({"sampler": {"N": 2**63}}, [], "sampler.N must be in [2, 2147483647]"),
             ({"sampler": {"N": 2**31}}, [], "sampler.N must be in [2, 2147483647]"),
             ({"explainer": {"max_depth": -1}}, [], "explainer.max_depth"),
+            # a ball's N samples fill at most N bins; 2**31 - 1 bins would exhaust memory in the explain stage
+            ({"filter": {"max_bins": 201}}, [], "filter.max_bins 201 is above sampler.N 200"),
+            ({}, ["--max-bins", "2147483647"], "filter.max_bins 2147483647 is above sampler.N 200"),
             # -1 continuous columns would run as none
             ({"dataset": {"path": "x.csv", "synth": None, "schema": {"m_cont": -1, "m_bin": 2}}}, [],
              "dataset.schema.m_cont must be nonnegative"),
@@ -166,7 +169,7 @@ class TestConfig:
         ],
         ids=["radius-not-sampled", "radius-too-wide", "variant-not-trained", "unknown-key", "min-leaf-zero",
              "samples-2**63", "samples-2**31",
-             "negative-max-depth", "negative-schema-width", "unknown-schema-key"],
+             "negative-max-depth", "bins-above-samples", "bins-2**31-1", "negative-schema-width", "unknown-schema-key"],
     )
     def test_bad_config_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, flags, match):
         out_dir = tmp_path / "runs"
@@ -175,6 +178,9 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "config error" in err and match in err
         assert not list(tmp_path.rglob("run-*"))
+
+    def test_max_bins_may_equal_the_sample_count(self, tmp_path):
+        assert load_config(None, small_config(tmp_path, filter={"max_bins": 200}))["filter"]["max_bins"] == 200
 
     @pytest.mark.parametrize(
         "extra, match",
@@ -547,6 +553,28 @@ class TestAggregateStage:
         assert [(r["phi"], r["K"], r["solver"]) for r in rows] == [
             (phi, k, solver) for phi in ("0.5", "0.9") for k in ("2", "3", "1") for solver in ("exact", "greedy")
         ]
+
+    def test_failed_cell_writes_nothing(self, tmp_path, monkeypatch):
+        cfg, _ = self.run_pipeline(tmp_path)
+        rd = run_dir_for(cfg)
+        # mark every output, so a rerun's bytes, which equal the first run's, would show where they land
+        outputs = [rd / "sweep.csv", rd / "timings.csv", rd / "manifest.json", *(rd / "solutions").iterdir()]
+        for path in outputs:
+            path.write_bytes(b"earlier run\n" + path.read_bytes())
+        before = {path: path.read_bytes() for path in rd.rglob("*") if path.is_file()}
+        verify = cli_module.agg.verify_solution
+        calls = []
+
+        def flags_the_third_cell(*args):
+            calls.append(1)
+            return ["planted violation"] if len(calls) == 3 else verify(*args)
+
+        monkeypatch.setattr(cli_module.agg, "verify_solution", flags_the_third_cell)
+        with pytest.raises(RuntimeError, match="planted violation"):
+            cmd_aggregate(cfg)
+        assert len(calls) == 3
+        assert not list(rd.rglob("*.tmp"))
+        assert {path: path.read_bytes() for path in rd.rglob("*") if path.is_file()} == before
 
     def test_unfiltered_variant_aggregates_unfiltered(self, tmp_path):
         cfg, sweep_path = self.run_pipeline(tmp_path, filter={"variant": "unfiltered"})

@@ -111,7 +111,7 @@ class TestTrainLocalExplainer:
         box = RandomLabelBox(seed, n_labels)
         ex = explain(box, CENTER, 1.5, N, schema=SCHEMA, seed=seed, filtered=filtered, eps_mi=eps_mi)
         points = sample_ball(CENTER, 1.5, N, SCHEMA, seed).points
-        assert ex.train_fidelity == float(np.mean(ex.predict_batch(points) == box.predict_batch(points)))
+        assert ex.train_fidelity == float(np.mean(ex.tree.predict_batch(points) == box.predict_batch(points)))
         if filtered and eps_mi == math.inf:
             assert ex.leaf_count == 1 and ex.selected_features == ()
 
@@ -278,7 +278,7 @@ class TestLocalFidelity:
         ex = explain(box, points[0], 1.0, 200, schema=schema, seed=3)
         got = local_fidelity(ex, box, points)
         manual = sum(
-            1 for i in range(30) if ex.predict_batch(points[i : i + 1])[0] == box.predict(points[i])
+            1 for i in range(30) if ex.tree.predict_batch(points[i : i + 1])[0] == box.predict(points[i])
         ) / 30
         assert got == manual
 

@@ -23,6 +23,7 @@ from aggrex.tree import (
     tree_to_rules,
 )
 
+from conftest import random_tree
 from oracles import features_used, tree_fit
 
 
@@ -895,6 +896,26 @@ class TestRouter:
         ranks = CompiledForest(trees, (0, 1, 2, 3, 7)).exit_ranks(X)
         for t, reached in zip(trees, ranks.T):
             assert np.flatnonzero(t.feature < 0)[reached].tolist() == route(t, X).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.lists(st.integers(0, 8), min_size=1, max_size=6),
+        st.integers(0, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_route_from_every_root_matches_each_tree(self, width, depths, rows, seed):
+        # thresholds come from a small grid that the rows draw most values from, so many rows sit exactly on a cut
+        rng = np.random.default_rng(seed)
+        grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        trees = [random_tree(rng, width, depth, grid) for depth in depths]
+        X = np.where(rng.random((rows, width)) < 0.8, rng.choice(grid, (rows, width)), rng.normal(size=(rows, width)))
+        stacked, roots = stack_trees(trees)
+        leaves = route(stacked, X, roots)
+        assert leaves.shape == (len(trees), rows)
+        for t, (tree, leaf) in enumerate(zip(trees, leaves)):
+            assert (leaf - roots[t]).tolist() == route(tree, X).tolist()
+            assert stacked.label[leaf].tolist() == tree.predict_batch(X).tolist()
 
 
 # -- the array layout and its text form -----------------------------------------
