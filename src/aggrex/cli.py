@@ -1,18 +1,19 @@
 """Pipeline CLI: train, explain, aggregate, sweep (those three in order), report.
 
 Every stage is deterministic given the config: randomness flows from one
-root seed (env var AGGREX_SEED overrides the config value), outputs land in
-a run directory stamped with a hash of the effective config rather than a
-timestamp, and files are written atomically. The aggregate and report
-stages keep their outputs in memory and write them in one batch, none
-renamed into place before all are written, so a failure leaves the
-earlier outputs as they were; the manifest hashes those bytes as
-written. The aggregate stage times each solve itself and keeps those
-wall times out of sweep.csv and the solution files: they land in
-timings.csv, the one output the manifest lists but does not hash, so
-reruns are byte-identical.
+root seed (env var AGGREX_SEED overrides the config value), and outputs
+land in a run directory stamped with a hash of the effective config
+rather than a timestamp. Each stage writes through one writer,
+`_stage_outputs`: its outputs go to `.tmp` files, its manifest entry
+hashes them as written, and all of them, then the manifest, are renamed
+into place in one commit when the stage ends, so a failed stage leaves
+the run directory as it was. The aggregate stage times each solve itself
+and keeps those wall times out of sweep.csv and the solution files: they
+land in timings.csv, the one output the manifest lists but does not
+hash, so reruns are byte-identical.
 
-Exit codes: 0 success, 2 config error.
+Exit codes: 0 success, 2 config error (a bad config, or an input file or
+manifest that does not parse).
 """
 
 from __future__ import annotations
@@ -95,11 +96,10 @@ class Key(NamedTuple):
                 raise self._wrong_kind(value) from None
             if kind is float and not math.isfinite(out):
                 raise ConfigError(f"{name} must be finite, got {out!r}")
-            if (self.lo is not None and out < self.lo) or (self.hi is not None and out > self.hi):
-                if self.hi is not None:
-                    rule = f"in [{self.lo}, {self.hi}]"
-                else:
-                    rule = "nonnegative" if self.lo == 0 else f"at least {self.lo}"
+            if self.hi is not None and out > self.hi:
+                raise ConfigError(f"{name} must be in [{self.lo}, {self.hi}], got {out!r}")
+            if self.lo is not None and out < self.lo:
+                rule = "nonnegative" if self.lo == 0 else f"at least {self.lo}"
                 raise ConfigError(f"{name} must be {rule}, got {out!r}")
             return out
         if not (value in kind if isinstance(kind, tuple) else isinstance(value, kind)):
@@ -124,8 +124,9 @@ KEYS = {
         Key("dataset.synth", {"n": 60, "m_cont": 4, "m_bin": 2, "classes": 5, "relevant": [0, 1, 4]}, None, dict,
             null=True),
         Key("dataset.schema", None, None, dict, null=True),  # for path datasets: {"m_cont": int, "m_bin": int}
-        Key("blackbox.n_trees", 50, "--n-trees", int, lo=1),
-        # the tree fit holds sample row ids, and the filter bin indices, as int32
+        # Counts stop at 2**31 - 1, so an integer past int64 is a config error, not a fit that runs until
+        # memory is gone. The tree fit holds sample row ids, and the filter bin indices, as int32.
+        Key("blackbox.n_trees", 50, "--n-trees", int, lo=1, hi=2**31 - 1),
         Key("sampler.N", 10000, "--samples", int, lo=2, hi=2**31 - 1),
         Key("sampler.radii", [3.0, 7.0, 11.0, 15.0], "--radii", float, lo=0, each="radius"),
         Key("filter.max_bins", 3, "--max-bins", int, lo=2, hi=2**31 - 1),
@@ -244,7 +245,7 @@ def validate_config(cfg: dict) -> None:
     block = "schema" if ds["path"] is not None else "synth"
     sub = ds[block]
     for name in ("m_cont", "m_bin") if block == "schema" else ("n", "m_cont", "m_bin", "classes"):
-        sub[name] = Key(f"dataset.{block}.{name}", None, None, int, lo=0).check(sub.get(name))
+        sub[name] = Key(f"dataset.{block}.{name}", None, None, int, lo=0, hi=2**31 - 1).check(sub.get(name))
     if block == "synth":
         sub["relevant"] = Key("dataset.synth.relevant", None, None, int, each="index").check(sub.get("relevant"))
 
@@ -260,30 +261,50 @@ def run_dir_for(cfg: dict) -> Path:
 
 
 @contextmanager
-def _atomic_files(*paths: Path):
-    """A `.tmp` path beside each path, for the block to write; each is renamed onto its path, in order, when it ends.
+def _stage_outputs(cfg: dict, stage: str, *names: str, unhashed=()):
+    """A `.tmp` path for each output, named by its path in the run directory (the unhashed ones last), to write.
 
-    If the block raises, every `.tmp` file is removed instead, so each path
-    keeps its earlier bytes or gets all of the new ones.
+    When the block ends, the stage is committed: its manifest entry lists
+    its outputs with the digest of each hashed one, read from its `.tmp`
+    file, and every `.tmp` is renamed onto its output, manifest.json last.
+    The manifest is read before the block runs, and a corrupt one is a
+    ConfigError. If anything raises, every `.tmp` file is removed instead,
+    so the run directory keeps all of its earlier bytes.
     """
+    rd = run_dir_for(cfg)
+    paths = [rd / name for name in (*names, *unhashed, "manifest.json")]
     tmps = [path.with_name(path.name + ".tmp") for path in paths]
+    manifest = {"stages": {}, "hashes": {}, "unhashed": []}
+    try:  # the manifest so far, checked before the block runs
+        recorded = json.loads(paths[-1].read_text(encoding="utf-8")) if paths[-1].exists() else {}
+        if not isinstance(recorded, dict):
+            raise ValueError("it is not a JSON object")
+        manifest.update(recorded)
+        if not isinstance(manifest["stages"], dict):
+            raise ValueError("stages is not a JSON object")
+        if not isinstance(manifest["hashes"], dict) or not all(isinstance(v, str) for v in manifest["hashes"].values()):
+            raise ValueError("hashes is not an object of digests")
+        if not isinstance(manifest["unhashed"], list) or not all(isinstance(v, str) for v in manifest["unhashed"]):
+            raise ValueError("unhashed is not a list of names")
+    except ValueError as exc:  # JSONDecodeError and undecodable bytes are ValueErrors
+        raise ConfigError(f"corrupt manifest {paths[-1]}: {exc}") from None
+    # the header is the run's own, not what was recorded: the directory's name is a hash of this config
+    manifest.update(run_id=rd.name, seed=cfg["seed"], standardized=cfg["dataset"]["standardize"], config=cfg)
     try:
         for parent in dict.fromkeys(path.parent for path in paths):
             parent.mkdir(parents=True, exist_ok=True)
-        yield tmps
+        yield tmps[:-1]
+        manifest["stages"][stage] = {"outputs": sorted({*names, *unhashed})}
+        for name, tmp in zip(names, tmps):
+            manifest["hashes"][name] = hashlib.sha256(tmp.read_bytes()).hexdigest()
+        manifest["unhashed"] = sorted({*manifest["unhashed"], *unhashed})
+        tmps[-1].write_bytes(canonical_json(manifest).encode())
     except BaseException:
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
         raise
     for tmp, path in zip(tmps, paths):
         os.replace(tmp, path)
-
-
-def _write_atomic(rd: Path, files: dict[str, bytes]) -> None:
-    """Write each file, named by its path in rd: all of them, or none if a write fails."""
-    with _atomic_files(*(rd / name for name in files)) as tmps:
-        for tmp, data in zip(tmps, files.values()):
-            tmp.write_bytes(data)
 
 
 def _write_bundle(fh, records) -> None:
@@ -298,36 +319,6 @@ def _write_bundle(fh, records) -> None:
         fh.write(("\n    " if empty else ",\n    ") + canonical_json(rec)[:-1].replace("\n", "\n    "))
         empty = False
     fh.write("]\n}\n" if empty else "\n  ]\n}\n")
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def update_manifest(cfg: dict, stage: str, hashes: dict[str, str], unhashed: list[str] = ()) -> None:
-    """Record a stage's outputs in the run's manifest.json: hashes maps each hashed output's name to its digest."""
-    rd = run_dir_for(cfg)
-    manifest_path = rd / "manifest.json"
-    manifest = {
-        "run_id": rd.name,
-        "seed": cfg["seed"],
-        "standardized": cfg["dataset"]["standardize"],
-        "config": cfg,
-        "stages": {},
-        "hashes": {},
-        "unhashed": [],
-    }
-    if manifest_path.exists():
-        manifest.update(json.loads(manifest_path.read_text(encoding="utf-8")))
-    manifest["stages"][stage] = {"outputs": sorted(set(hashes) | set(unhashed))}
-    manifest["hashes"].update(hashes)
-    manifest["unhashed"] = sorted(set(manifest["unhashed"]) | set(unhashed))
-    _write_atomic(rd, {manifest_path.name: canonical_json(manifest).encode()})
-
-
-def _hashes_read_back(rd: Path, *names: str) -> dict[str, str]:
-    """The digest of each named file in rd, read back from disk one at a time: for outputs a stage streamed."""
-    return {name: _sha256((rd / name).read_bytes()) for name in names}
 
 
 def prepare_dataset(cfg: dict) -> Dataset:
@@ -362,17 +353,14 @@ def prepare_dataset(cfg: dict) -> Dataset:
 # -- stages -------------------------------------------------------------------
 
 def cmd_train(cfg: dict) -> Path:
-    data = prepare_dataset(cfg)  # before the run directory, so a bad dataset block leaves none
-    rd = run_dir_for(cfg)
-    rd.mkdir(parents=True, exist_ok=True)
-    write_dataset(data, rd / "dataset_used.csv.tmp")
-    os.replace(rd / "dataset_used.csv.tmp", rd / "dataset_used.csv")
+    data = prepare_dataset(cfg)
+    # fitted before the run directory is made, so a bad dataset block or a failed fit leaves none
     model = bb.train_bagged_forest(data, n_trees=cfg["blackbox"]["n_trees"], seed=cfg["seed"])
-    bb.save_model(model, rd / "model.txt.tmp")
-    os.replace(rd / "model.txt.tmp", rd / "model.txt")
-    _write_atomic(rd, {"config.json": canonical_json(cfg).encode()})
-    update_manifest(cfg, "train", _hashes_read_back(rd, "config.json", "dataset_used.csv", "model.txt"))
-    return rd / "model.txt"
+    with _stage_outputs(cfg, "train", "config.json", "dataset_used.csv", "model.txt") as (config, dataset, model_tmp):
+        config.write_bytes(canonical_json(cfg).encode())
+        write_dataset(data, dataset)
+        bb.save_model(model, model_tmp)
+    return run_dir_for(cfg) / "model.txt"
 
 
 def _variants(cfg: dict) -> list[bool]:
@@ -442,10 +430,9 @@ def cmd_explain(cfg: dict) -> Path:
             del explainers, ex  # written out: the next group's fit need not hold them either
 
     # Each group's records are written out before the next group is labelled: the stage holds no finished explainer.
-    with _atomic_files(rd / "explainers.json", rd / "explainers_rules.txt") as (bundle_tmp, rules_tmp):
+    with _stage_outputs(cfg, "explain", "explainers.json", "explainers_rules.txt") as (bundle_tmp, rules_tmp):
         with open(bundle_tmp, "w", encoding="utf-8") as bundle, open(rules_tmp, "w", encoding="utf-8") as rules:
             _write_bundle(bundle, records(rules))
-    update_manifest(cfg, "explain", _hashes_read_back(rd, "explainers.json", "explainers_rules.txt"))
     return rd / "explainers.json"
 
 
@@ -473,7 +460,9 @@ def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
             widest = int(tree.feature.max())
             if widest >= data.m:
                 raise ValueError(f"a tree splits on feature {widest}, but the dataset has {data.m} features")
-            i = int(rec["center_index"])
+            i = rec["center_index"]
+            if isinstance(i, bool) or not isinstance(i, int):  # int() would read 1.5 as 1, and fail on Infinity
+                raise ValueError(f"record {k} has center_index {i!r}, not an integer")
             if not 0 <= i < data.n:  # a negative index would pick a row from the end
                 raise ValueError(f"record {k} has center_index {i}, but the dataset has points 0..{data.n - 1}")
             picked[i] = LocalExplainer(
@@ -487,7 +476,7 @@ def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
             )
     except KeyError as exc:
         raise ConfigError(f"corrupt bundle {bundle_path}: missing field {exc}")
-    except (ValueError, TypeError, IndexError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, TypeError, IndexError, OverflowError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"corrupt bundle {bundle_path}: {exc}")
     if len(picked) != data.n:
         raise ConfigError(
@@ -550,9 +539,11 @@ def cmd_aggregate(cfg: dict) -> Path:
                 )
                 timing_rows.append([budget, _fmt(floor), solver, _fmt(wall_ms)])
     files["sweep.csv"] = _csv(SWEEP_HEADER, sweep_rows)
-    # nothing is written until every cell is solved and verified, and every file before any is renamed
-    _write_atomic(rd, {**files, "timings.csv": _csv("K,phi,solver,wall_ms", timing_rows)})
-    update_manifest(cfg, "aggregate", {name: _sha256(data) for name, data in files.items()}, ["timings.csv"])
+    timings = _csv("K,phi,solver,wall_ms", timing_rows)
+    # nothing is written until every cell is solved and verified
+    with _stage_outputs(cfg, "aggregate", *files, unhashed=["timings.csv"]) as tmps:
+        for tmp, data in zip(tmps, [*files.values(), timings]):
+            tmp.write_bytes(data)
     return rd / "sweep.csv"
 
 
@@ -591,14 +582,8 @@ def cmd_report(cfg: dict) -> list[Path]:
     series_keys = sorted({(r["solver"], r["phi"]) for r in rows})
     budgets = sorted({int(r["K"]) for r in rows})
     files = {}
-    metrics = {
-        "ip_coverage": "report_ip_coverage.csv",
-        "ball_coverage": "report_ball_coverage.csv",
-        "min_fidelity": "report_min_fidelity.csv",
-        "ball_min_fidelity": "report_ball_min_fidelity.csv",
-    }
     by_cell = {(int(r["K"]), r["solver"], r["phi"]): r for r in rows}
-    for metric, fname in metrics.items():
+    for metric in ("ip_coverage", "ball_coverage", "min_fidelity", "ball_min_fidelity"):
         cols = ["K"] + [f"{solver}_phi{phi}" for solver, phi in series_keys]
         body = []
         for k in budgets:
@@ -607,9 +592,10 @@ def cmd_report(cfg: dict) -> list[Path]:
                 cell = by_cell.get((k, solver, phi))
                 row.append(cell[metric] if cell else "")
             body.append(row)
-        files[fname] = _csv(",".join(cols), body)
-    _write_atomic(rd, files)
-    update_manifest(cfg, "report", {name: _sha256(data) for name, data in files.items()})
+        files[f"report_{metric}.csv"] = _csv(",".join(cols), body)
+    with _stage_outputs(cfg, "report", *files) as tmps:
+        for tmp, data in zip(tmps, files.values()):
+            tmp.write_bytes(data)
     return [rd / name for name in files]
 
 

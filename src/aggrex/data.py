@@ -116,9 +116,9 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
     """Read a header CSV with one "label" column into a Dataset.
 
     Rows are kept in file order; no imputation. Raises ParseError with the
-    offending 1-based data-row index on malformed rows and on a NaN or
-    infinite feature value (naming its column too), SchemaViolation on
-    binary-column values outside {0,1}.
+    offending 1-based data-row index on malformed rows, on a label that is
+    not an int64 integer, and on a NaN or infinite feature value (naming
+    its column too), SchemaViolation on binary-column values outside {0,1}.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -145,9 +145,12 @@ def load_dataset(path, schema: FeatureSchema) -> Dataset:
                 raise ParseError(f"row {ridx}: {exc}") from None
             lab = row[label_pos].strip()
             try:
-                labels.append(int(lab))
+                label = int(lab)
             except ValueError:
                 raise ParseError(f"row {ridx}: label {lab!r} is not an integer") from None
+            if not -(2**63) <= label < 2**63:
+                raise ParseError(f"row {ridx}: label {lab!r} is outside int64")
+            labels.append(label)
     if not rows:
         raise ParseError("no data rows")
     X = np.array(rows, dtype=float)

@@ -29,10 +29,7 @@ from .data import FeatureSchema
 class SampleSet:
     """N perturbation points around a center, all inside the mixed-metric ball."""
 
-    center: np.ndarray
-    radius: float
     points: np.ndarray
-    seed: int
 
     @property
     def count(self) -> int:
@@ -76,7 +73,7 @@ def sample_ball(center: np.ndarray, r: float, N: int, schema: FeatureSchema, see
         points[:, bi] = block
 
     points.setflags(write=False)
-    return SampleSet(center=center, radius=float(r), points=points, seed=int(seed))
+    return SampleSet(points)
 
 
 def derive_seed(root_seed: int, *indices: int) -> int:

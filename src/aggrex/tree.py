@@ -690,14 +690,17 @@ def tree_from_lines(lines) -> tuple[DecisionTree, int]:
     Returns (tree, records consumed). Records are read only up to the
     tree's last one, so an iterator over concatenated trees (a forest has
     no separators) is left at the next tree's first record. Raises
-    ValueError on a malformed or truncated record stream, a record whose
-    id is not its pre-order position, a negative split feature or a
-    non-finite threshold.
+    ValueError on a malformed, non-string or truncated record stream, a
+    record id that is not its pre-order position, a split feature outside
+    0..2**63 - 1, a leaf label outside int64 or a non-finite threshold.
     """
     nodes: list[list] = []
     open_splits: list[int] = []  # splits whose right child comes next, innermost last
     for pos, record in enumerate(lines):
-        parts = record.split()
+        try:
+            parts = record.split()
+        except AttributeError:
+            raise ValueError(f"record {pos} is not a string: {record!r}") from None
         if len(parts) < 4 or parts[0] != "node":
             raise ValueError(f"bad node record: {record!r}")
         if int(parts[1]) != pos:
@@ -705,7 +708,10 @@ def tree_from_lines(lines) -> tuple[DecisionTree, int]:
         if parts[2] == "leaf":
             if len(parts) != 4:
                 raise ValueError(f"bad leaf record: {record!r}")
-            nodes.append([-1, 0.0, int(parts[3]), -1])
+            label = int(parts[3])
+            if not -(2**63) <= label < 2**63:
+                raise ValueError(f"leaf label outside int64: {record!r}")
+            nodes.append([-1, 0.0, label, -1])
             if not open_splits:
                 return DecisionTree(*zip(*nodes)), pos + 1
             nodes[open_splits.pop()][3] = pos + 1
@@ -715,6 +721,8 @@ def tree_from_lines(lines) -> tuple[DecisionTree, int]:
             f, t = int(parts[3]), float(parts[4])
             if f < 0:
                 raise ValueError(f"negative split feature: {record!r}")
+            if f >= 2**63:
+                raise ValueError(f"split feature outside int64: {record!r}")
             if not math.isfinite(t):
                 raise ValueError(f"non-finite threshold: {record!r}")
             nodes.append([f, t, -1, -1])

@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shutil
 import tracemalloc
 from unittest import mock
 
@@ -34,6 +36,7 @@ from aggrex.data import synth_multiclass, write_dataset
 from aggrex.explainer import train_local_explainer
 from aggrex.tree import DecisionTree, tree_to_lines
 from oracles import tree_fit
+from test_acceptance import DETERMINISM_CONFIG
 
 
 def small_config(output_dir, **extra):
@@ -166,10 +169,15 @@ class TestConfig:
             # the schema block replaces its null default whole, so its keys are checked on their own
             ({"dataset": {"path": "x.csv", "synth": None, "schema": {"m_cont": 2, "m_bin": 2, "m_cat": 1}}}, [],
              "unknown config key dataset.schema.m_cat"),
+            # unbounded, these would build a schema of 10**23 feature names, or fit trees until memory ran out
+            ({"dataset": {"synth": {"n": 16, "m_cont": 10**23, "m_bin": 2, "classes": 3, "relevant": [0]}}}, [],
+             "dataset.synth.m_cont must be in [0, 2147483647]"),
+            ({"blackbox": {"n_trees": 10**23}}, [], "blackbox.n_trees must be in [1, 2147483647]"),
         ],
         ids=["radius-not-sampled", "radius-too-wide", "variant-not-trained", "unknown-key", "min-leaf-zero",
              "samples-2**63", "samples-2**31",
-             "negative-max-depth", "bins-above-samples", "bins-2**31-1", "negative-schema-width", "unknown-schema-key"],
+             "negative-max-depth", "bins-above-samples", "bins-2**31-1", "negative-schema-width", "unknown-schema-key",
+             "schema-width-past-int64", "trees-past-int64"],
     )
     def test_bad_config_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, flags, match):
         out_dir = tmp_path / "runs"
@@ -363,6 +371,19 @@ class TestTrainStage:
         first = cmd_train(cfg).read_bytes()
         second = cmd_train(cfg).read_bytes()
         assert first == second
+
+    def test_failed_model_write_leaves_no_outputs(self, tmp_path, monkeypatch):
+        # dataset_used.csv and config.json were once renamed into place before the model was written
+        cfg = load_config(None, small_config(tmp_path))
+
+        def fails(model, path):
+            path.write_text("half a model")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli_module.bb, "save_model", fails)
+        with pytest.raises(OSError, match="disk full"):
+            cmd_train(cfg)
+        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
 
 class TestExplainStage:
@@ -650,8 +671,12 @@ class TestCsvDatasetPath:
             ("a,b,c,label\n\xff,1.0,1.0,0\n", "can't decode byte 0xff"),
             ("a,b,c,label\n0.5,1.0,1.0,0\n0.5,nan,1.0,1\n", "row 2: column 'b' holds nan, not a finite number"),
             ("a,b,c,label\n0.5,1.0,-inf,0\n", "row 1: column 'c' holds -inf, not a finite number"),
+            (
+                "a,b,c,label\n0.5,1.0,1.0,0\n0.5,1.0,1.0,99999999999999999999999\n",
+                "row 2: label '99999999999999999999999' is outside int64",
+            ),
         ],
-        ids=["bad-cell", "missing-file", "too-few-columns", "not-utf8", "nan-cell", "inf-cell"],
+        ids=["bad-cell", "missing-file", "too-few-columns", "not-utf8", "nan-cell", "inf-cell", "label-past-int64"],
     )
     def test_bad_dataset_file_exits_2_before_any_run_dir(self, tmp_path, capsys, text, match):
         csv_path = tmp_path / "points.csv"
@@ -707,6 +732,41 @@ class TestManifest:
             assert hashlib.sha256((rd / name).read_bytes()).hexdigest() == digest, name
         assert manifest["seed"] == cfg["seed"]
 
+    def test_corrupt_manifest_exits_2_leaving_the_run_as_it_was(self, tmp_path, capsys):
+        # each once ended in a traceback after the stage's outputs were renamed, or was merged as it stood
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        rd = run_dir_for(load_config(str(path), {}))
+        cases = [
+            (b'{"stages": [', "Expecting"),
+            (b"[]", "it is not a JSON object"),
+            (b'{"stages": []}', "stages is not a JSON object"),
+            (b'{"hashes": {"model.txt": 5}}', "hashes is not an object of digests"),
+            (b'{"unhashed": "timings.csv"}', "unhashed is not a list of names"),
+            (b"\xff", "can't decode byte 0xff"),
+        ]
+        for stage in ("explain", "aggregate"):
+            for text, match in cases:
+                (rd / "manifest.json").write_bytes(text)
+                before = {p: p.read_bytes() for p in rd.rglob("*") if p.is_file()}
+                capsys.readouterr()
+                assert main([stage, "--config", str(path)]) == 2, (stage, text)
+                err = capsys.readouterr().err
+                assert f"config error: corrupt manifest {rd / 'manifest.json'}: " in err and match in err
+                assert {p: p.read_bytes() for p in rd.rglob("*") if p.is_file()} == before
+
+    def test_next_stage_writes_the_runs_own_header(self, tmp_path):
+        # a header edited behind the run (here a NaN seed, which strict JSON has no word for) was once kept as found
+        cfg = load_config(None, small_config(tmp_path))
+        cmd_sweep(cfg)
+        rd = run_dir_for(cfg)
+        clean = (rd / "manifest.json").read_bytes()
+        (rd / "manifest.json").write_text(
+            json.dumps({**json.loads(clean), "seed": float("nan"), "run_id": "run-elsewhere", "config": {"seed": 1}})
+        )
+        cmd_aggregate(cfg)
+        assert (rd / "manifest.json").read_bytes() == clean
+
     def test_run_dir_depends_on_config(self, tmp_path):
         cfg_a = load_config(None, small_config(tmp_path))
         cfg_b = load_config(None, small_config(tmp_path, seed=12))
@@ -716,8 +776,14 @@ class TestManifest:
 class TestCorruptInputs:
     @pytest.mark.parametrize(
         "corrupt",
-        [lambda lines: lines[:-2], lambda lines: [lines[0], "node 0 split -1 0.5", *lines[2:]]],
-        ids=["truncated", "negative-feature"],
+        [
+            lambda lines: lines[:-2],
+            lambda lines: [lines[0], "node 0 split -1 0.5", *lines[2:]],
+            # these two once ended in an OverflowError traceback (exit 1)
+            lambda lines: [lines[0], "node 0 split 100000000000000000000000 0.5", *lines[2:]],
+            lambda lines: [re.sub(r"leaf \d+$", "leaf 100000000000000000000000", line) for line in lines],
+        ],
+        ids=["truncated", "negative-feature", "feature-past-int64", "label-past-int64"],
     )
     def test_corrupt_model_exits_2(self, tmp_path, capsys, corrupt):
         path = write_config(tmp_path, small_config(tmp_path))
@@ -808,6 +874,44 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert "config error" in err and "explainers.json" in err and f"center_index {center_index}" in err
 
+    @pytest.mark.parametrize("center_index", [float("inf"), 1.5, "3", True])
+    def test_bundle_center_index_not_an_integer_exits_2(self, tmp_path, capsys, center_index):
+        # Infinity once ended in an OverflowError traceback, and 1.5 was read as 1
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
+        bundle = json.loads(bundle_path.read_text())
+        bundle["explainers"][1]["center_index"] = center_index
+        bundle_path.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["aggregate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "explainers.json" in err
+        assert f"center_index {center_index!r}, not an integer" in err
+
+    @pytest.mark.parametrize(
+        "tree, match",
+        [
+            (["node 0 leaf 100000000000000000000000"], "leaf label outside int64"),
+            (["node 0 split 9223372036854775808 0.5", "node 1 leaf 0", "node 2 leaf 1"], "split feature outside int64"),
+            ([0], "record 0 is not a string"),
+            (["node 0 split 0 0.5", "node 1 leaf x", "node 2 leaf 1"], "invalid literal for int()"),
+        ],
+        ids=["label-past-int64", "feature-past-int64", "not-a-string", "malformed"],
+    )
+    def test_bundle_tree_outside_the_tree_arrays_exits_2(self, tmp_path, capsys, tree, match):
+        # the first three once ended in an OverflowError or AttributeError traceback (exit 1)
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
+        bundle = json.loads(bundle_path.read_text())
+        bundle["explainers"][2]["tree"] = tree
+        bundle_path.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["aggregate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "explainers.json" in err and match in err
+
     def test_trailing_bundle_record_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config(tmp_path))
         assert main(["sweep", "--config", str(path)]) == 0
@@ -820,6 +924,98 @@ class TestCorruptInputs:
         assert main(["aggregate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "explainers.json" in err and "trailing" in err
+
+
+# A mutation swaps one token of an input for one of these: NaN, an infinity, an integer past int64, or a
+# value of another JSON type (a string literal is swapped only for a value that is not a string).
+REPLACEMENTS = [b"NaN", b"Infinity", b"-Infinity", b"100000000000000000000000", b"null", b"true", b"[]", b'"x"']
+JSON_TOKEN = re.compile(rb'"[^"\n]*"|[\w.+-]+')  # a string literal whole, or a number or a literal
+FIELD = re.compile(rb'[^\s,"]+')  # a field of a text file, or a word of a multi-word JSON string
+
+
+def swappable_spans(data: bytes, is_json: bool) -> list[tuple[int, int]]:
+    """The spans of data a mutation may swap."""
+    if not is_json:
+        return [m.span() for m in FIELD.finditer(data)]
+    spans = []
+    for m in JSON_TOKEN.finditer(data):
+        spans.append(m.span())
+        if m.group().startswith(b'"') and b" " in m.group():  # a tree record: each of its words too
+            spans += [(m.start() + w.start(), m.start() + w.end()) for w in FIELD.finditer(m.group())]
+    return spans
+
+
+@st.composite
+def mutated(draw, data: bytes, is_json: bool) -> bytes:
+    """data truncated at a byte, with a line deleted or duplicated, or with one token swapped."""
+    kind = draw(st.sampled_from(["truncate", "delete", "duplicate", "swap"]))
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    lines = data.splitlines(keepends=True)
+    if kind != "swap":
+        i = draw(st.integers(0, len(lines) - 1))
+        return b"".join(lines[:i] + lines[i + (kind == "delete"):])
+    start, end = draw(st.sampled_from(swappable_spans(data, is_json)))
+    string = data[start:start + 1] == b'"'
+    new = draw(st.sampled_from([r for r in REPLACEMENTS if not (string and r.startswith(b'"'))]))
+    return data[:start] + new + data[end:]
+
+
+def inputs_and_runs(work) -> dict:
+    """The bytes of a work directory's config and dataset files and of every file under its runs/."""
+    paths = [work / "config.json", work / "points.csv", *(work / "runs").rglob("*")]
+    return {path: path.read_bytes() for path in paths if path.is_file()}
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A tiny run taken through every stage from a dataset CSV, with paths relative to its work directory.
+
+    Returns the work directory, the run directory and inputs_and_runs of the work directory.
+    """
+    work = tmp_path_factory.mktemp("finished")
+    synth = DETERMINISM_CONFIG["dataset"]["synth"]
+    write_dataset(synth_multiclass(seed=DETERMINISM_CONFIG["seed"], **synth), work / "points.csv")
+    schema = {"m_cont": synth["m_cont"], "m_bin": synth["m_bin"]}
+    cfg = {**DETERMINISM_CONFIG, "dataset": {"path": "points.csv", "synth": None, "schema": schema}}
+    (work / "config.json").write_text(json.dumps(cfg, indent=2), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(work)
+        for stage in ("train", "explain", "aggregate", "report"):
+            assert main([stage, "--config", "config.json"]) == 0
+        rd = work / run_dir_for(load_config("config.json", {}))
+    return work, rd, inputs_and_runs(work)
+
+
+class TestMutatedInputs:
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_next_stage_exits_0_or_2_and_commits_all_or_nothing(self, finished_run, monkeypatch, data):
+        work, rd, files = finished_run
+        monkeypatch.chdir(work)  # the config names its dataset and output_dir relative to it
+        shutil.rmtree(work / "runs")
+        for path, content in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(content)
+        stages = {"config.json": ["train"], "points.csv": ["train"], "model.txt": ["explain"],
+                  "explainers.json": ["aggregate"], "manifest.json": ["train", "explain", "aggregate", "report"]}
+        name = data.draw(st.sampled_from(sorted(stages)), label="input")
+        stage = data.draw(st.sampled_from(stages[name]), label="stage")
+        path = work / name if name in ("config.json", "points.csv") else rd / name
+        path.write_bytes(data.draw(mutated(files[path], name.endswith(".json")), label="mutated"))
+        before = inputs_and_runs(work)
+        code = main([stage, "--config", "config.json"])
+        assert code in (0, 2)
+        assert not list(work.rglob("*.tmp"))
+        if code == 2:
+            assert inputs_and_runs(work) == before  # every run directory as it was, and no new one
+        for manifest in (work / "runs").glob("run-*/manifest.json"):
+            if manifest == path and code == 2:
+                continue  # still the mutated bytes
+            for output, digest in json.loads(manifest.read_text(encoding="utf-8"))["hashes"].items():
+                if manifest.parent / output != path:  # the mutated file changed behind its manifest's back
+                    assert hashlib.sha256((manifest.parent / output).read_bytes()).hexdigest() == digest, output
 
 
 class TestExplainMemory:

@@ -135,8 +135,7 @@ class TestHistograms:
     def as_samples(self, points):
         from aggrex.sampler import SampleSet
 
-        pts = np.asarray(points, dtype=float)
-        return SampleSet(center=pts[0], radius=1.0, points=pts, seed=0)
+        return SampleSet(np.asarray(points, dtype=float))
 
     def test_binary_column_identity(self):
         schema = self.schema(0, 1)

@@ -989,6 +989,28 @@ class TestParserRejects:
         with pytest.raises(ValueError, match="bad split record"):
             tree_from_lines(["node 0 split 0 0.5 junk", "node 1 leaf 0", "node 2 leaf 1"])
 
+    @pytest.mark.parametrize(
+        "records, match",
+        [
+            (["node 0 split 9223372036854775808 0.5", "node 1 leaf 0", "node 2 leaf 1"], "split feature outside int64"),
+            (["node 0 leaf 9223372036854775808"], "leaf label outside int64"),
+            (["node 0 leaf -9223372036854775809"], "leaf label outside int64"),
+            ([0], "record 0 is not a string"),
+            (["node 0 split 0 0.5", None, "node 2 leaf 1"], "record 1 is not a string"),
+        ],
+        ids=["feature-past-int64", "label-past-int64", "label-below-int64", "int-record", "null-record"],
+    )
+    def test_records_the_tree_arrays_cannot_hold(self, records, match):
+        with pytest.raises(ValueError, match=match):
+            tree_from_lines(records)
+
+    def test_int64_extremes_parse(self):
+        records = [
+            "node 0 split 9223372036854775807 0.5", "node 1 leaf -9223372036854775808", "node 2 leaf 9223372036854775807"
+        ]
+        tree, _ = tree_from_lines(records)
+        assert tree_to_lines(tree) == records
+
 
 class TestRootDepth:
     """A job whose root sits at depth d grows what a job at depth 0 grows under a cap d lower."""
