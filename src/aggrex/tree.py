@@ -30,7 +30,11 @@ to -inf node by node; in the other with zero bits, which never hold a
 valid cut).
 
 A group sorts once: each root's many-valued columns are stable-argsorted,
-and a depth holds one (F, R) `order` array, the rows of every node that
+a chunk of roots at a time. A chunk is a run of consecutive roots with as
+many rows and as many columns, up to ROOT_CELLS (column, row) cells (a
+larger root is a chunk of its own), classed, sorted and ranked by one set
+of numpy calls, so a forest's small bootstrap roots share them. A depth
+holds one (F, R) `order` array, the rows of every node that
 goes on, node after node, each column in ascending value order (a job
 with none keeps one constant column, as `order` also says which rows are
 a node's). Where some grid column of the group holds a tie (or a NaN,
@@ -110,6 +114,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -121,6 +126,10 @@ import numpy as np
 GROUP_CELLS = 3 << 14
 # (class, column, row) cells of the class table one split search spans
 SEARCH_CELLS = 1 << 14
+# (column, row) cells of the roots `_root_columns` classes and sorts together: a forest's small bootstrap
+# roots share their numpy calls, while the explain stage's roots (3 600 cells at the protocol shape) stay
+# one to a chunk, so its traced peak stays at 1.70 MB on tests/test_cli.py's config (1 << 14: 1.72 MB).
+ROOT_CELLS = 1 << 12
 
 _DTYPES = {"feature": np.int64, "threshold": np.float64, "label": np.int64, "right": np.int64}
 
@@ -306,6 +315,15 @@ def _stops(counts: np.ndarray, size: np.ndarray, depth: np.ndarray, depth_cap: f
     return (counts.max(axis=1) == size) | (depth >= depth_cap) | (size < 2 * min_leaf)
 
 
+def _root_chunks(jobs: list[FitJob], roots: list[int]):
+    """((rows, columns), chunk) of each run of consecutive roots of one shape, within ROOT_CELLS cells or one root."""
+    for (n, m), same in groupby(roots, lambda j: (jobs[j].codes.size, len(jobs[j].features))):
+        same = list(same)
+        per = max(1, ROOT_CELLS // (n * m))
+        for i in range(0, len(same), per):
+            yield (n, m), same[i : i + per]
+
+
 def _root_columns(jobs: list[FitJob], width: int, first_row: np.ndarray, goes_on: np.ndarray):
     """The two sections of the roots that go on: (ranks, order, many_of, bits, two_of, two_rows).
 
@@ -322,6 +340,13 @@ def _root_columns(jobs: list[FitJob], width: int, first_row: np.ndarray, goes_on
     threshold is read. The arrays are allocated at the group's full width,
     since a section's width is known only once every root is classed, and
     returned cut to the sections' widths.
+
+    Roots are classed, sorted and ranked a chunk at a time (`_root_chunks`):
+    consecutive roots with as many rows and as many columns, stacked into
+    one (columns, rows) array of at most ROOT_CELLS cells, or one root
+    larger than that. Each column is classed, sorted and ranked on its own
+    rows, so a chunk gives every root what it would alone; the chunk's
+    arrays are then copied into each root's slices.
     """
     roots = np.flatnonzero(goes_on).tolist()
     n_rows = first_row[-1] + jobs[-1].codes.size
@@ -332,38 +357,45 @@ def _root_columns(jobs: list[FitJob], width: int, first_row: np.ndarray, goes_on
     two_of = np.full((len(jobs), width), -1)
     two_rows = np.zeros((2, len(jobs), width), dtype=np.int64)
     n_many, n_two, end, tied = 1, 0, 0, False
-    for j in roots:
-        job = jobs[j]
-        n = job.codes.size
-        rows = slice(first_row[j], first_row[j] + n)
-        start, end = end, end + n
-        cols = job.X.T[job.features]  # (m, N), C-contiguous
+    for (n, m), chunk in _root_chunks(jobs, roots):
+        cols = np.concatenate([jobs[j].X.T[jobs[j].features] for j in chunk])  # (roots * m, N), C-contiguous
         lo, hi = cols.min(axis=1, keepdims=True), cols.max(axis=1, keepdims=True)  # NaN where a NaN is held
         # Two values: none strictly between the extremes. A column holding a NaN or +inf stays in the grid, whose
         # thresholds come from each node's own rows; the job's rows could give another one (NaN, or -0.0 for 0.0).
         two = (lo < hi) & (hi < np.inf) & ~((cols > lo) & (cols < hi)).any(axis=1, keepdims=True)
         many = ~(two | (lo == hi))
         two, many = two[:, 0].nonzero()[0], many[:, 0].nonzero()[0]
-        n_many, n_two = max(n_many, many.size), max(n_two, two.size)
-        many_of[j, : many.size], two_of[j, : two.size] = many, two
         upper = cols[two] > lo[two]
-        bits[: two.size, rows] = upper
-        two_rows[:, j, : two.size] = upper.argmin(axis=1), upper.argmax(axis=1)
+        low_row, high_row = upper.argmin(axis=1), upper.argmax(axis=1)
         cols = cols[many]
         by_value = cols.argsort(axis=1, kind="stable")
         flat = by_value + np.arange(0, by_value.size, n)[:, None]
         ordered = cols.ravel().take(flat)
-        del cols  # each root's values are freed as soon as they are ranked
+        del cols  # each chunk's values are freed as soon as they are ranked
         rank = np.zeros(by_value.shape, dtype=np.int32)
         np.cumsum(ordered[:, 1:] > ordered[:, :-1], axis=1, out=rank[:, 1:])
         del ordered
         tied = tied or bool((rank[:, -1] < n - 1).any())  # a tie, or a NaN (never greater than its neighbour)
         by_row = np.empty_like(rank)
         by_row.put(flat, rank)
-        ranks[: many.size, rows] = by_row
-        order[: many.size, start:end] = by_value
-        order[many.size :, start:end] = np.arange(n)
-        del by_value, flat, rank, by_row
+        del flat, rank
+        # each root's columns of a section are a run of the chunk's, cut where the chunk's column index passes a root
+        bounds = np.arange(0, (len(chunk) + 1) * m, m)
+        two_at, many_at = np.searchsorted(two, bounds).tolist(), np.searchsorted(many, bounds).tolist()
+        two, many, positions = two % m, many % m, np.arange(n)  # chunk columns to job columns
+        for r, j in enumerate(chunk):
+            rows = slice(first_row[j], first_row[j] + n)
+            start, end = end, end + n
+            t0, t1, k0, k1 = two_at[r], two_at[r + 1], many_at[r], many_at[r + 1]
+            many_of[j, : k1 - k0], two_of[j, : t1 - t0] = many[k0:k1], two[t0:t1]
+            bits[: t1 - t0, rows] = upper[t0:t1]
+            two_rows[:, j, : t1 - t0] = low_row[t0:t1], high_row[t0:t1]
+            ranks[: k1 - k0, rows] = by_row[k0:k1]
+            order[: k1 - k0, start:end] = by_value[k0:k1]
+            order[k1 - k0 :, start:end] = positions
+        n_many = max(n_many, max(b - a for a, b in zip(many_at, many_at[1:])))
+        n_two = max(n_two, max(b - a for a, b in zip(two_at, two_at[1:])))
+        del by_value, by_row
     order += np.repeat(first_row[roots], [jobs[j].codes.size for j in roots]).astype(np.int32)  # job rows to group rows
     two_rows += first_row[:, None]
     ranks = ranks[:n_many] if tied else None
@@ -379,16 +411,18 @@ def _thresholds(jobs: list[FitJob], first_row: np.ndarray, levels, cuts) -> list
     split = np.concatenate([level_split for _, level_split, _, _ in levels])
     job = np.concatenate([level_job[level_split] for level_job, level_split, _, _ in levels])
     feature = np.concatenate([level_feature[level_split] for _, level_split, level_feature, _ in levels])
-    below_rows, above_rows = (np.concatenate(rows) for rows in zip(*cuts))
-    below, above = np.empty(job.size), np.empty(job.size)
+    by_job = np.argsort(job, kind="stable")  # the splits job by job, so each job's values are one gather
+    job, feature = job[by_job], feature[by_job]
+    rows = np.stack([np.concatenate(rows) for rows in zip(*cuts)])[:, by_job] - first_row[job]  # below, above
+    starts = np.searchsorted(job, np.arange(len(jobs) + 1)).tolist()
+    below, above = np.empty((2, job.size))
     for j, fit in enumerate(jobs):  # read from each job's own values, not a copy of them all
-        at = np.flatnonzero(job == j)
-        below[at] = fit.X[below_rows[at] - first_row[j], feature[at]]
-        above[at] = fit.X[above_rows[at] - first_row[j], feature[at]]
+        at = slice(starts[j], starts[j + 1])
+        below[at], above[at] = fit.X[rows[:, at], feature[at]]
     with np.errstate(over="ignore"):
         mid = (below + above) / 2.0
     threshold = np.zeros(split.size)
-    threshold[split] = np.where((below <= mid) & (mid < above), mid, below)
+    threshold[np.flatnonzero(split)[by_job]] = np.where((below <= mid) & (mid < above), mid, below)
     return np.split(threshold, np.cumsum([level_split.size for _, level_split, _, _ in levels])[:-1])
 
 

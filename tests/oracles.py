@@ -2,7 +2,7 @@
 
 None of these runs in the pipeline. Each restates one step of it directly
 and slowly (an exhaustive solver, a lookup-table black box, the ball test
-one pair at a time, ...), reusing the package's private helpers for the
+one pair at a time, a tree group's roots one at a time, ...), reusing the package's private helpers for the
 parts it does not restate.
 """
 
@@ -90,6 +90,54 @@ def synth_label_fn(schema: FeatureSchema, relevant, classes: int):
 def tree_fit(X, y, features, max_depth: int | None = 12, min_leaf: int = 2, classes=None):
     """(tree, agree) of one Gini tree on X[:, features] vs integer labels y: `fit_trees` on a group of one."""
     return fit_trees([fit_job(X, y, features, classes)], max_depth, min_leaf)[0]
+
+
+def root_columns(jobs, width: int, first_row: np.ndarray, goes_on: np.ndarray):
+    """`tree._root_columns` one root at a time: each root's columns classed, sorted and ranked on their own.
+
+    Returns the same (ranks, order, many_of, bits, two_of, two_rows): see
+    `_root_columns` for what each holds.
+    """
+    roots = np.flatnonzero(goes_on).tolist()
+    n_rows = first_row[-1] + jobs[-1].codes.size
+    ranks = np.zeros((width, n_rows), dtype=np.int32)
+    order = np.empty((width, sum(jobs[j].codes.size for j in roots)), dtype=np.int32)
+    bits = np.zeros((width, n_rows), dtype=np.int8)
+    many_of = np.full((len(jobs), width), -1)
+    two_of = np.full((len(jobs), width), -1)
+    two_rows = np.zeros((2, len(jobs), width), dtype=np.int64)
+    n_many, n_two, end, tied = 1, 0, 0, False
+    for j in roots:
+        job = jobs[j]
+        n = job.codes.size
+        rows = slice(first_row[j], first_row[j] + n)
+        start, end = end, end + n
+        cols = job.X.T[job.features]  # (m, N)
+        lo, hi = cols.min(axis=1, keepdims=True), cols.max(axis=1, keepdims=True)  # NaN where a NaN is held
+        two = (lo < hi) & (hi < np.inf) & ~((cols > lo) & (cols < hi)).any(axis=1, keepdims=True)
+        many = ~(two | (lo == hi))
+        two, many = two[:, 0].nonzero()[0], many[:, 0].nonzero()[0]
+        n_many, n_two = max(n_many, many.size), max(n_two, two.size)
+        many_of[j, : many.size], two_of[j, : two.size] = many, two
+        upper = cols[two] > lo[two]
+        bits[: two.size, rows] = upper
+        two_rows[:, j, : two.size] = upper.argmin(axis=1), upper.argmax(axis=1)
+        cols = cols[many]
+        by_value = cols.argsort(axis=1, kind="stable")
+        flat = by_value + np.arange(0, by_value.size, n)[:, None]
+        ordered = cols.ravel().take(flat)
+        rank = np.zeros(by_value.shape, dtype=np.int32)
+        np.cumsum(ordered[:, 1:] > ordered[:, :-1], axis=1, out=rank[:, 1:])
+        tied = tied or bool((rank[:, -1] < n - 1).any())  # a tie, or a NaN (never greater than its neighbour)
+        by_row = np.empty_like(rank)
+        by_row.put(flat, rank)
+        ranks[: many.size, rows] = by_row
+        order[: many.size, start:end] = by_value
+        order[many.size :, start:end] = np.arange(n)
+    order += np.repeat(first_row[roots], [jobs[j].codes.size for j in roots]).astype(np.int32)  # job rows to group rows
+    two_rows += first_row[:, None]
+    ranks = ranks[:n_many] if tied else None
+    return ranks, order[:n_many], many_of[:, :n_many], bits[:n_two], two_of[:, :n_two], two_rows[:, :, :n_two]
 
 
 def features_used(tree) -> frozenset[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -225,6 +226,44 @@ class TestForest:
             forest_acc.append(np.mean(forest.predict_batch(d.X) == d.y))
             single_acc.append(np.mean(single.predict_batch(d.X) == d.y))
         assert np.mean(forest_acc) >= np.mean(single_acc)
+
+
+def rare_class_dataset(n, labels, seed):
+    """n rows of three features, each labelled from labels[:-1], but one row that holds labels[-1]."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.normal(size=n), rng.integers(0, 4, size=n) * 0.5, rng.integers(0, 2, size=n)])
+    y = np.array(labels)[rng.integers(0, len(labels) - 1, size=n)]
+    y[n // 2] = labels[-1]  # a class about a third of the bootstraps miss
+    return Dataset(X, y, FeatureSchema.mixed(2, 1))
+
+
+class TestForestPins:
+    """model.txt bytes of forests whose bootstraps hold different class sets."""
+
+    # sha256 of model.txt, recorded before the forest encoded its labels once
+    # for every bootstrap. A bootstrap that misses a class fits its tree on
+    # the classes it holds. With 8 or more classes the trees group by their
+    # class count (`tree.fit_trees`), here 9, 8 and the shared group below 8;
+    # on this dataset, one tree changes if every tree is fitted on all nine.
+    CASES = {
+        "a-class-some-bootstraps-miss": (
+            rare_class_dataset(40, [0, 2, 3, 7], seed=11), 12, 5,
+            "a7c8f5d74b7dc70ca280b2f3e2fa2141832a78d5bc3559118deaf5b698538281",
+        ),
+        "nine-classes": (
+            rare_class_dataset(60, [0, 1, 3, 5, 7, 9, 11, 13, 16], seed=63), 16, 6,
+            "e93e3c847cc7c06f32f49c6fcc06256340040237f4999c223d9908ff01471468",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_model_bytes_pinned(self, case, tmp_path):
+        d, n_trees, seed, digest = self.CASES[case]
+        rng = np.random.default_rng(seed)  # the bootstraps the forest draws, to check the case covers what it names
+        held = {np.unique(d.y[rng.integers(0, d.n, size=d.n)]).size for _ in range(n_trees)}
+        assert len(d.label_set) in held and min(held) < len(d.label_set)
+        save_model(train_bagged_forest(d, n_trees=n_trees, seed=seed), tmp_path / "model.txt")
+        assert hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest() == digest
 
 
 class TestTableOracle:

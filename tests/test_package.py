@@ -58,6 +58,27 @@ def test_every_top_level_definition_is_used_by_the_package():
 
 # Members that only the benchmark (perfbench/) reads from outside the package.
 READ_BY_PERFBENCH = {"disagree_pair_count"}
+# Members that no code reads yet, each kept for the reader named beside it.
+KEPT_UNREAD = {
+    "scores": "RoundRecord.scores, each filter round's candidate scores: the selection.json of ROADMAP item 5",
+}
+
+
+def member_uses(node) -> set[str]:
+    """The member names node reads: attribute reads, keyword-argument names and string constants.
+
+    A bare name is a local or a global, never a member, so it does not
+    count; a string constant does, as `getattr` and `vars` take one.
+    """
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.keyword) and sub.arg is not None:
+            names.add(sub.arg)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
 
 
 def member_name(stmt) -> str | None:
@@ -73,8 +94,10 @@ def member_name(stmt) -> str | None:
 
 def test_every_class_member_is_used_by_the_package():
     # A method, property or dataclass / NamedTuple field that only the tests
-    # read belongs in the tests. A member's own body does not count as a use,
-    # nor does a use inside a member that is itself unused.
+    # read belongs in the tests. Only what `member_uses` finds counts as a
+    # use, so a local variable that shares a member's name does not. A
+    # member's own body does not count as a use, nor does a use inside a
+    # member that is itself unused.
     units, members = [], []  # the package's statements, each class cut into its body's; (label, name, statement)
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
@@ -85,7 +108,7 @@ def test_every_class_member_is_used_by_the_package():
                 continue
             units += [*stmt.body, *stmt.bases, *stmt.keywords, *stmt.decorator_list]
             members += [(f"{path.name}:{stmt.name}.{name}", name, s) for s in stmt.body if (name := member_name(s))]
-    uses = [(id(unit), referenced(unit)) for unit in units]
+    uses = [(id(unit), member_uses(unit)) for unit in units]
     unused: set[str] = set()
     while True:  # until no member is left whose only uses lie in unused members
         dead = {id(stmt) for label, _, stmt in members if label in unused}
@@ -97,6 +120,6 @@ def test_every_class_member_is_used_by_the_package():
         if found == unused:
             break
         unused = found
-    assert {label.rsplit(".", 1)[1] for label in unused} == READ_BY_PERFBENCH, (
+    assert {label.rsplit(".", 1)[1] for label in unused} == READ_BY_PERFBENCH | KEPT_UNREAD.keys(), (
         f"class members read by no other code of the package: {', '.join(sorted(unused))}"
     )

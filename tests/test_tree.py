@@ -24,7 +24,7 @@ from aggrex.tree import (
 )
 
 from conftest import random_tree
-from oracles import features_used, tree_fit
+from oracles import features_used, root_columns, tree_fit
 
 
 def predictions(tree, X):
@@ -192,6 +192,7 @@ def reference_tree_fit(X, y, features, max_depth, min_leaf):
 
 
 ADJACENT_FLOATS = np.array([np.nextafter(1.0, -np.inf), 1.0, np.nextafter(1.0, np.inf), 3.0, np.nextafter(3.0, np.inf)])
+SPECIAL_VALUES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0])
 
 
 def tie_rich_columns(draw, rng, n, m, kinds=("coarse", "fine", "binary", "constant", "copy", "adjacent")):
@@ -209,6 +210,8 @@ def tie_rich_columns(draw, rng, n, m, kinds=("coarse", "fine", "binary", "consta
             cols.append(rng.normal(size=n))
         elif kind == "adjacent":  # neighbouring floats, whose midpoints round onto one of them
             cols.append(rng.choice(ADJACENT_FLOATS, size=n))
+        elif kind == "special":  # one to three of NaN, +-inf, +-0.0 and 1.0: constant, two- or many-valued
+            cols.append(rng.choice(rng.choice(SPECIAL_VALUES, size=int(rng.integers(1, 4))), size=n))
         else:
             cols.append(rng.integers(0, 4, size=n) * 0.5)
     return cols
@@ -758,6 +761,68 @@ class TestTieFreeGroups:
         ]
         assert ranks_kept(problems) == [False]
         self.fits(problems)
+
+
+ROOT_KINDS = ("coarse", "fine", "binary", "constant", "copy", "adjacent", "special")
+
+
+@st.composite
+def root_groups(draw):
+    """1-8 jobs at depths 0-3 whose roots go on or stop.
+
+    Each job keeps the last one's rows, its feature count, both or neither,
+    so runs of one shape and of mixed shapes both occur.
+    """
+    jobs = []
+    for _ in range(draw(st.integers(1, 8))):
+        if not jobs or draw(st.booleans()):
+            n = draw(st.integers(2, 30))  # a root of one row is pure and never goes on
+        if not jobs or draw(st.booleans()):
+            m = draw(st.integers(1, 5))
+            n_features = draw(st.integers(1, m))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        X = np.column_stack(tie_rich_columns(draw, rng, n, m, ROOT_KINDS))
+        features = draw(st.sets(st.integers(0, m - 1), min_size=n_features, max_size=n_features))
+        jobs.append(fit_job(X, rng.integers(0, 3, size=n), features, depth=draw(st.integers(0, 3))))
+    goes_on = np.array(draw(st.lists(st.booleans(), min_size=len(jobs), max_size=len(jobs))))
+    return jobs, goes_on
+
+
+def assert_same_root_columns(jobs, goes_on):
+    """`_root_columns` returns what the per-root oracle does: each array's dtype, shape and values."""
+    width = max(len(job.features) for job in jobs)
+    n_rows = np.array([job.codes.size for job in jobs])
+    first_row = np.cumsum(n_rows) - n_rows
+    got = tree_module._root_columns(jobs, width, first_row, goes_on)
+    want = root_columns(jobs, width, first_row, goes_on)
+    assert (got[0] is None) == (want[0] is None)
+    for name, g, w in zip(("ranks", "order", "many_of", "bits", "two_of", "two_rows"), got, want):
+        if w is not None:
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+            np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+class TestRootColumns:
+    """A group's roots classed, sorted and ranked a chunk at a time give what each root gives alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(root_groups(), st.sampled_from([1, 200, tree_module.ROOT_CELLS]))
+    def test_matches_the_per_root_oracle(self, group, root_cells):
+        with mock.patch.object(tree_module, "ROOT_CELLS", root_cells):
+            assert_same_root_columns(*group)
+
+    def test_no_root_goes_on(self):
+        rng = np.random.default_rng(3)
+        jobs = [fit_job(rng.normal(size=(5, 2)), rng.integers(0, 2, size=5), [0, 1]) for _ in range(3)]
+        assert_same_root_columns(jobs, np.zeros(3, dtype=bool))
+
+    def test_a_forest_group_shares_its_chunks(self):
+        # the wide benchmark's bootstrap roots: 20 rows of 12 columns, 17 to a chunk
+        rng = np.random.default_rng(4)
+        jobs = [fit_job(rng.normal(size=(20, 12)).round(1), rng.integers(0, 4, size=20), range(12)) for _ in range(50)]
+        goes_on = np.ones(50, dtype=bool)
+        assert [len(chunk) for _, chunk in tree_module._root_chunks(jobs, list(range(50)))] == [17, 17, 16]
+        assert_same_root_columns(jobs, goes_on)
 
 
 class TestCountDtype:
