@@ -127,20 +127,17 @@ class CandidatePool:
     per fidelity floor (claimable sets, dominance and greedy's run).
     """
 
-    radii: np.ndarray
     within: np.ndarray
     agree: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("radii", float), ("within", bool), ("agree", bool)):
-            arr = np.array(getattr(self, name), dtype=dtype)
+        for name in ("within", "agree"):
+            arr = np.array(getattr(self, name), dtype=bool)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        n = self.radii.shape[0]
+        n = self.within.shape[0]
         if self.within.shape != (n, n) or self.agree.shape != (n, n):
-            raise ValueError(
-                f"within {self.within.shape} and agree {self.agree.shape} must be ({n}, {n}) for {n} radii"
-            )
+            raise ValueError(f"within {self.within.shape} and agree {self.agree.shape} must both be ({n}, {n})")
 
     @property
     def n(self) -> int:
@@ -230,7 +227,7 @@ def build_pool(dataset: Dataset, explainers, blackbox) -> CandidatePool:
     within = (linf <= radii[:, None]) & (flips <= np.floor(radii)[:, None])
     trees, roots = stack_trees([ex.tree for ex in explainers])
     agree = trees.label[route(trees, X, roots)] == blackbox.predict_batch(X)
-    return CandidatePool(radii=radii, within=within, agree=agree)
+    return CandidatePool(within=within, agree=agree)
 
 
 def _coef(value: float) -> str:

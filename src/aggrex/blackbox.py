@@ -142,15 +142,11 @@ def train_bagged_forest(d: Dataset, n_trees: int = 50, seed: int = 0) -> BlackBo
     if n_trees < 1:
         raise ValueError("need at least one tree")
     rng = np.random.default_rng(seed)
-    labels, codes = np.unique(d.y, return_inverse=True)  # encoded once; each resample keeps the classes it holds
-
-    def job(idx: np.ndarray):
-        code = codes[idx]
-        held = np.bincount(code, minlength=labels.size) > 0
-        return fit_job(d.X[idx], (np.cumsum(held) - 1)[code], range(d.m), classes=labels[held])
-
-    # drawn as fit_trees asks for them, so only the resamples of the run being fitted are held
-    jobs = (job(rng.integers(0, d.n, size=d.n)) for _ in range(n_trees))
+    labels, codes = np.unique(d.y, return_inverse=True)  # encoded once, for every resample
+    # drawn as fit_trees asks for them, so only the resamples of the run being fitted are held; each fits on the
+    # dataset's full class list, where a class it misses is an empty one
+    resamples = (rng.integers(0, d.n, size=d.n) for _ in range(n_trees))
+    jobs = (fit_job(d.X[idx], codes[idx], range(d.m), classes=labels) for idx in resamples)
     trees = [tree for tree, _ in fit_trees(jobs, max_depth=FOREST_MAX_DEPTH, min_leaf=FOREST_MIN_LEAF)]
     return BlackBoxModel(label_set=d.label_set, trees=trees, schema=d.schema)
 

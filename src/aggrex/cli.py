@@ -10,10 +10,11 @@ into place in one commit when the stage ends, so a failed stage leaves
 the run directory as it was. The aggregate stage times each solve itself
 and keeps those wall times out of sweep.csv and the solution files: they
 land in timings.csv, the one output the manifest lists but does not
-hash, so reruns are byte-identical.
+hash, so reruns are byte-identical. A stage checks each input the
+manifest lists against its recorded digest before reading it.
 
-Exit codes: 0 success, 2 config error (a bad config, or an input file or
-manifest that does not parse).
+Exit codes: 0 success, 2 config error (a bad config, an input file or
+manifest that does not parse, or an input its digest does not match).
 """
 
 from __future__ import annotations
@@ -260,23 +261,12 @@ def run_dir_for(cfg: dict) -> Path:
     return Path(cfg["output_dir"]) / f"run-{stamp}"
 
 
-@contextmanager
-def _stage_outputs(cfg: dict, stage: str, *names: str, unhashed=()):
-    """A `.tmp` path for each output, named by its path in the run directory (the unhashed ones last), to write.
-
-    When the block ends, the stage is committed: its manifest entry lists
-    its outputs with the digest of each hashed one, read from its `.tmp`
-    file, and every `.tmp` is renamed onto its output, manifest.json last.
-    The manifest is read before the block runs, and a corrupt one is a
-    ConfigError. If anything raises, every `.tmp` file is removed instead,
-    so the run directory keeps all of its earlier bytes.
-    """
-    rd = run_dir_for(cfg)
-    paths = [rd / name for name in (*names, *unhashed, "manifest.json")]
-    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+def _read_manifest(rd: Path) -> dict:
+    """The run directory's manifest so far (an empty one if it has none), or a ConfigError if it is corrupt."""
+    path = rd / "manifest.json"
     manifest = {"stages": {}, "hashes": {}, "unhashed": []}
-    try:  # the manifest so far, checked before the block runs
-        recorded = json.loads(paths[-1].read_text(encoding="utf-8")) if paths[-1].exists() else {}
+    try:
+        recorded = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
         if not isinstance(recorded, dict):
             raise ValueError("it is not a JSON object")
         manifest.update(recorded)
@@ -287,7 +277,37 @@ def _stage_outputs(cfg: dict, stage: str, *names: str, unhashed=()):
         if not isinstance(manifest["unhashed"], list) or not all(isinstance(v, str) for v in manifest["unhashed"]):
             raise ValueError("unhashed is not a list of names")
     except ValueError as exc:  # JSONDecodeError and undecodable bytes are ValueErrors
-        raise ConfigError(f"corrupt manifest {paths[-1]}: {exc}") from None
+        raise ConfigError(f"corrupt manifest {path}: {exc}") from None
+    return manifest
+
+
+def _check_inputs(rd: Path, *names: str) -> None:
+    """A ConfigError naming the first input whose bytes are not those the manifest records a digest of.
+
+    An input the manifest does not list is not checked, nor is a missing
+    one, which its loader reports.
+    """
+    hashes = _read_manifest(rd)["hashes"]
+    for name in names:
+        path = rd / name
+        if name in hashes and path.exists() and hashlib.sha256(path.read_bytes()).hexdigest() != hashes[name]:
+            raise ConfigError(f"input {path} does not match its digest in {rd / 'manifest.json'}")
+
+
+@contextmanager
+def _stage_outputs(rd: Path, cfg: dict, stage: str, *names: str, unhashed=()):
+    """A `.tmp` path for each output, named by its path in run directory rd (the unhashed ones last), to write.
+
+    When the block ends, the stage is committed: its manifest entry lists
+    its outputs with the digest of each hashed one, read from its `.tmp`
+    file, and every `.tmp` is renamed onto its output, manifest.json last.
+    The manifest is read (`_read_manifest`) before the block runs. If
+    anything raises, every `.tmp` file is removed instead, so the run
+    directory keeps all of its earlier bytes.
+    """
+    paths = [rd / name for name in (*names, *unhashed, "manifest.json")]
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+    manifest = _read_manifest(rd)
     # the header is the run's own, not what was recorded: the directory's name is a hash of this config
     manifest.update(run_id=rd.name, seed=cfg["seed"], standardized=cfg["dataset"]["standardize"], config=cfg)
     try:
@@ -355,12 +375,13 @@ def prepare_dataset(cfg: dict) -> Dataset:
 def cmd_train(cfg: dict) -> Path:
     data = prepare_dataset(cfg)
     # fitted before the run directory is made, so a bad dataset block or a failed fit leaves none
-    model = bb.train_bagged_forest(data, n_trees=cfg["blackbox"]["n_trees"], seed=cfg["seed"])
-    with _stage_outputs(cfg, "train", "config.json", "dataset_used.csv", "model.txt") as (config, dataset, model_tmp):
+    forest = bb.train_bagged_forest(data, n_trees=cfg["blackbox"]["n_trees"], seed=cfg["seed"])
+    rd = run_dir_for(cfg)
+    with _stage_outputs(rd, cfg, "train", "config.json", "dataset_used.csv", "model.txt") as (config, dataset, model):
         config.write_bytes(canonical_json(cfg).encode())
         write_dataset(data, dataset)
-        bb.save_model(model, model_tmp)
-    return run_dir_for(cfg) / "model.txt"
+        bb.save_model(forest, model)
+    return rd / "model.txt"
 
 
 def _variants(cfg: dict) -> list[bool]:
@@ -388,6 +409,7 @@ def _load_model(rd: Path, data: Dataset) -> bb.BlackBoxModel:
 
 def cmd_explain(cfg: dict) -> Path:
     rd = run_dir_for(cfg)
+    _check_inputs(rd, "model.txt")
     data = prepare_dataset(cfg)
     model = _load_model(rd, data)
     variants = _variants(cfg)
@@ -430,7 +452,7 @@ def cmd_explain(cfg: dict) -> Path:
             del explainers, ex  # written out: the next group's fit need not hold them either
 
     # Each group's records are written out before the next group is labelled: the stage holds no finished explainer.
-    with _stage_outputs(cfg, "explain", "explainers.json", "explainers_rules.txt") as (bundle_tmp, rules_tmp):
+    with _stage_outputs(rd, cfg, "explain", "explainers.json", "explainers_rules.txt") as (bundle_tmp, rules_tmp):
         with open(bundle_tmp, "w", encoding="utf-8") as bundle, open(rules_tmp, "w", encoding="utf-8") as rules:
             _write_bundle(bundle, records(rules))
     return rd / "explainers.json"
@@ -496,6 +518,7 @@ def _fmt(value) -> str:
 
 def cmd_aggregate(cfg: dict) -> Path:
     rd = run_dir_for(cfg)
+    _check_inputs(rd, "model.txt", "explainers.json")
     data = prepare_dataset(cfg)
     model = _load_model(rd, data)
     explainers = _load_bundle_explainers(cfg, data)
@@ -541,7 +564,7 @@ def cmd_aggregate(cfg: dict) -> Path:
     files["sweep.csv"] = _csv(SWEEP_HEADER, sweep_rows)
     timings = _csv("K,phi,solver,wall_ms", timing_rows)
     # nothing is written until every cell is solved and verified
-    with _stage_outputs(cfg, "aggregate", *files, unhashed=["timings.csv"]) as tmps:
+    with _stage_outputs(rd, cfg, "aggregate", *files, unhashed=["timings.csv"]) as tmps:
         for tmp, data in zip(tmps, [*files.values(), timings]):
             tmp.write_bytes(data)
     return rd / "sweep.csv"
@@ -578,6 +601,7 @@ def cmd_report(cfg: dict) -> list[Path]:
     sweep_path = rd / "sweep.csv"
     if not sweep_path.exists():
         raise ConfigError(f"missing inputs: {sweep_path}")
+    _check_inputs(rd, "sweep.csv")
     rows = _read_sweep(sweep_path)
     series_keys = sorted({(r["solver"], r["phi"]) for r in rows})
     budgets = sorted({int(r["K"]) for r in rows})
@@ -593,7 +617,7 @@ def cmd_report(cfg: dict) -> list[Path]:
                 row.append(cell[metric] if cell else "")
             body.append(row)
         files[f"report_{metric}.csv"] = _csv(",".join(cols), body)
-    with _stage_outputs(cfg, "report", *files) as tmps:
+    with _stage_outputs(rd, cfg, "report", *files) as tmps:
         for tmp, data in zip(tmps, files.values()):
             tmp.write_bytes(data)
     return [rd / name for name in files]

@@ -28,10 +28,9 @@ rows match; by induction the two trees agree down to the first dropped
 split on each path. Below it, the filtered subtree is the fit of a job
 holding that node's rows in ascending order (a stable presort of a subset
 is the subset of the presort), the selected features, the ball's full
-class list (so the class table and the order its Gini terms are summed
-in stay the same) and the node's depth (so the depth cap still counts
-from the root). A twin that splits only on selected features is the
-filtered tree itself.
+class list (which the rows' label codes index, as in the twin's fit) and
+the node's depth (so the depth cap still counts from the root). A twin
+that splits only on selected features is the filtered tree itself.
 """
 
 from __future__ import annotations

@@ -54,40 +54,27 @@ never partitioned.
 
 The split search is class-major and covers a block of consecutive nodes,
 about SEARCH_CELLS cells of the (C, F, positions) class table at a time,
-with one `take`, one `cumsum` and one Gini pass per block. A group makes
-one (C, rows) one-hot table, int16 while every tree has fewer than 2^15
-rows, else int32; the block takes its columns by `order`, subtracts each
-node's predecessor's counts at its first position (one scatter over
-(class, column, node)) and sums them in place, so each node's counts
-restart at its first row and every running sum is one node's integer
-class count, below 2^15, exact when cast to float in the Gini formula.
-Node size, left and right sizes and parent Gini are per-position arrays,
-so every cut's float formula is the per-node one, and the class terms
-are summed by `_class_sum` in the order numpy sums a row, so each Gini
-is bit for bit the row-major one. A cut where the value does not
-strictly increase (checked only where the group keeps ranks), or that
-leaves fewer than min_leaf rows on a side, scores -inf, as does a node's
-best in a padding slot, set after the per-column maxima. A node's grid
-winner is its first maximum in feature-major order (`maximum.reduceat`
-per column, the first column at the node's maximum, then the first
-position there), which is the (lower feature, lower threshold) tie
-order. The two-valued cuts
-come from one weighted `bincount` over (class, slot, node) of the
-depth's rows, the rows on each cut's upper side, and their Gini and gain
-follow the grid's float expressions in the grid's order, so every cut
-scores bit for bit what it would in the grid. The node's split is the
-better of the two sections' winners, an exact tie going to the lower job
-column, which keeps the tie order. Groups pad the class table with empty
-classes only while the padded count stays below 8, since `_class_sum`
-adds 8 or more terms in another order; jobs with 8 or more classes share
-a group only with jobs of as many. The chosen cut's
-left counts become the left child's counts, and the parent's counts
-minus them the right child's, so no node counts its labels again; each
-depth's Gini comes from those counts in one row-major pass (the same
-float the search gave the cut, as the sums run over the same C terms in
-the same order). The fit also sums each leaf's majority count: the
-number of training rows the tree predicts correctly. The pre-order
-arrays are assembled from the depths at the end.
+with one `take`, one `cumsum` and one Gini pass per block
+(`_search_block`). A group makes one (C, rows) one-hot table, int16
+while every tree has fewer than 2^15 rows, else int32; a block's running
+sums restart at each node's first row, so each is one node's integer
+class count, exact when cast to float. Every Gini of the fit sums its
+class terms through `_class_sum`, one class after another, and scores a
+side by one expression (`_side_impurity`), so each Gini is bit for bit
+the row-by-row one. An empty class adds an exact +0.0 to every sum, so a
+group pads each job's classes to its widest class list. A node's grid
+winner is its first maximum in feature-major order, which is the (lower
+feature, lower threshold) tie order. The two-valued cuts come from one
+weighted `bincount` over (class, slot, node) of the depth's rows on each
+cut's upper side (`_search_two_valued`), and score bit for bit what they
+would in the grid. The node's split is the better of the two sections'
+winners, an exact tie going to the lower job column, which keeps the tie
+order. The chosen cut's left counts become the left child's counts, and
+the parent's counts minus them the right child's, so no node counts its
+labels again, and each depth's Gini is the float the search gave the
+cut. The fit also sums each leaf's majority count: the number of
+training rows the tree predicts correctly. The pre-order arrays are
+assembled from the depths at the end.
 
 A threshold is the midpoint between the values either side of the cut,
 unless the midpoint rounds onto the upper value (neighbouring floats) or
@@ -199,30 +186,18 @@ def route(tree: DecisionTree, X: np.ndarray, roots: np.ndarray | None = None) ->
 
 
 def _class_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 (the classes) in the order numpy's sum over a contiguous last axis takes.
+    """Sum over axis 0 (the classes), adding the classes one after another.
 
-    That order is pairwise: sequential below 8 terms; up to 128 terms, eight
-    running sums over blocks of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the tail added one by one; above 128, the two halves (the first
-    rounded down to a multiple of 8) summed apart and added. So a class-major
-    Gini is bit for bit the row-major one. Below 8 terms `sum(axis=0)` adds
-    the rows one by one, which is that order.
+    Every Gini in a fit sums its class terms here, so a class-major Gini is
+    bit for bit the row-by-row one, whatever the array's layout, and an
+    empty class adds an exact +0.0 (the terms are squares). numpy's own sum
+    would not do: it adds 8 or more terms pairwise where the class axis is
+    the array's innermost.
     """
-    n = terms.shape[0]
-    if n < 8:
-        return terms.sum(axis=0)
-    if n <= 128:
-        blocks = n - n % 8
-        r = terms[:8].copy()
-        for i in range(8, blocks, 8):
-            r += terms[i : i + 8]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for row in terms[blocks:]:
-            total += row
-        return total
-    half = n // 2
-    half -= half % 8
-    return _class_sum(terms[:half]) + _class_sum(terms[half:])
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 class FitJob(NamedTuple):
@@ -285,29 +260,35 @@ def fit_trees(jobs, max_depth: int | None = 12, min_leaf: int = 2) -> list[tuple
     """(tree, agree) of each job, in order, the trees of a run (see `runs`) grown together.
 
     Jobs are drawn as the runs need them, so an iterator of jobs is never
-    held whole. Jobs with fewer than 8 classes share a run's class table,
-    padded with empty classes; a job with 8 or more shares it only with
-    jobs of as many classes, because `_class_sum` adds 8 or more terms in
-    another order, where a padded zero would move the rounding.
+    held whole. A run's jobs share one class table, padded with empty
+    classes, which add nothing to any Gini.
     """
     out: list = []
     for run in runs(jobs, lambda job: (len(job.features), job.codes.size)):
-        by_classes: dict[int, list[int]] = {}
-        for i, job in enumerate(run):
-            n_classes = len(job.labels)
-            by_classes.setdefault(n_classes if n_classes >= 8 else 0, []).append(i)
-        fitted: list = [None] * len(run)
-        for members in by_classes.values():
-            for i, result in zip(members, _fit_group([run[i] for i in members], max_depth, min_leaf)):
-                fitted[i] = result
-        out += fitted
+        out += _fit_group(run, max_depth, min_leaf)
         del run  # drawing the next run's jobs need not hold this one's
     return out
 
 
 def _gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
     """Each node's Gini impurity from its (nodes, C) class counts."""
-    return 1.0 - ((counts / size[:, None]) ** 2).sum(axis=1)
+    share = counts.T / size
+    share *= share
+    return 1.0 - _class_sum(share)
+
+
+def _side_impurity(counts: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """n * (1 - sum over classes of (counts / n)^2) of each side, from its (C, ...) class counts.
+
+    `n` broadcasts against one class's counts; `out`, a float buffer of
+    counts' shape (which may be counts itself), holds the class terms.
+    """
+    np.divide(counts, n, out=out)
+    out *= out  # the same floats ** 2 gives
+    impurity = _class_sum(out)
+    np.subtract(1.0, impurity, out=impurity)
+    impurity *= n
+    return impurity
 
 
 def _stops(counts: np.ndarray, size: np.ndarray, depth: np.ndarray, depth_cap: float, min_leaf: int) -> np.ndarray:
@@ -583,8 +564,8 @@ def _search_block(order, ranks, pad, table, starts, sizes, counts, gini, min_lea
     and summed in place along the positions; each node's counts restart
     at its first row, where the previous node's counts are subtracted
     before the sum. Node size, left and right sizes and parent Gini are
-    per-position arrays, so each cut's Gini formula is the row-major one,
-    its class terms summed by `_class_sum`. Invalid cuts score -inf, and
+    per-position arrays, so each cut's Gini formula is the per-node one,
+    each side scored by `_side_impurity`. Invalid cuts score -inf, and
     so does a node's best in a padding slot. A node's best is the first
     maximum in feature-major order: each column's maximum over the node
     (`maximum.reduceat`), the first column at the node's maximum, then the
@@ -602,23 +583,14 @@ def _search_block(order, ranks, pad, table, starts, sizes, counts, gini, min_lea
     left_n = pos + 1.0
     right_n = n - left_n
     right_n[right_n == 0] = 1.0  # a node's last position, never a valid cut: no division by zero
-    share = cum / left_n
-    share *= share  # the same floats ** 2 gives
-    gini_l = _class_sum(share)
-    np.subtract(1.0, gini_l, out=gini_l)
-    # the counts right of each cut are the node's less the left ones; the arithmetic
-    # runs in place, as reusing warm buffers takes several percent off a fit
+    share = np.empty(cum.shape)  # both sides' class terms: reusing warm buffers takes several percent off a fit
+    gain = _side_impurity(cum, left_n, share)
+    # the counts right of each cut are the node's less the left ones
     np.subtract(np.repeat(counts.T.astype(cum.dtype), sizes, axis=1)[:, None, :], cum, out=cum)
-    np.divide(cum, right_n, out=share)
-    share *= share
-    gini_r = _class_sum(share)
+    right = _side_impurity(cum, right_n, share)
     del share  # the largest temporary: free it before the (F, P) grids that follow
-    np.subtract(1.0, gini_r, out=gini_r)
-    gain = gini_l  # parent Gini - (left_n * gini_l + right_n * gini_r) / n, in place
-    gain *= left_n
-    gini_r *= right_n
-    gain += gini_r
-    del gini_r
+    gain += right  # parent Gini - (left side + right side) / n, in place
+    del right
     gain /= n
     np.subtract(np.repeat(gini, sizes), gain, out=gain)
     if ranks is not None:
@@ -641,11 +613,12 @@ def _search_two_valued(bits, codes, rows, node_of, counts, sizes, gini, min_leaf
     row's side of each two-valued slot's only cut. One weighted count over
     (class, slot, node) of the rows on the upper side gives every cut's
     right counts; the left ones are the node's less those. Both sides are
-    scored in one (C, side, slot, node) array by `_search_block`'s float
-    expressions in its order, so a cut's gain is bit for bit the one the
-    cut grid would give it. A side with fewer than min_leaf rows (or none)
-    scores -inf, as does every node when there is no two-valued slot; a
-    node's best is its first maximum, the lowest slot.
+    scored in one (C, side, slot, node) array by `_side_impurity`, and the
+    gain follows `_search_block`'s float expressions in its order, so a
+    cut's gain is bit for bit the one the cut grid would give it. A side
+    with fewer than min_leaf rows (or none) scores -inf, as does every
+    node when there is no two-valued slot; a node's best is its first
+    maximum, the lowest slot.
     """
     n_slots, (n_nodes, n_classes) = bits.shape[0], counts.shape
     if not n_slots:
@@ -659,13 +632,9 @@ def _search_two_valued(bits, codes, rows, node_of, counts, sizes, gini, min_leaf
     side_n = sides.sum(axis=0)  # exact: integer counts
     invalid = side_n.min(axis=0) < max(min_leaf, 1)
     np.maximum(side_n, 1.0, out=side_n)  # a side with no rows is never valid: no division by zero
-    sides /= side_n
-    sides *= sides
-    side_gini = _class_sum(sides)
+    side = _side_impurity(sides, side_n, sides)
     del sides
-    np.subtract(1.0, side_gini, out=side_gini)
-    side_gini *= side_n
-    gain = side_gini[0] + side_gini[1]  # parent Gini - (left_n * gini_l + right_n * gini_r) / n
+    gain = side[0] + side[1]  # parent Gini - (left side + right side) / n
     gain /= sizes
     np.subtract(gini, gain, out=gain)
     gain[invalid] = -np.inf

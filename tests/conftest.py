@@ -28,8 +28,7 @@ def random_pool(
         agree = rng.random((n, n)) < agree_prob
         per_candidate = (within & ~agree).sum(axis=1)
         if per_candidate.max(initial=0) <= max_pairs_per_candidate and per_candidate.sum() <= max_pairs_total:
-            radii = rng.uniform(0.5, 2.0, size=n)
-            return CandidatePool(radii=radii, within=within, agree=agree)
+            return CandidatePool(within=within, agree=agree)
     raise RuntimeError(f"could not generate a bounded pool from seed {seed}")
 
 
@@ -45,7 +44,7 @@ def geometric_pool(seed: int) -> CandidatePool:
     radii = rng.uniform(0.08, 0.25, size=n)
     within = np.abs(points[None, :, :] - points[:, None, :]).max(axis=2) <= radii[:, None]
     agree = rng.random((n, n)) < rng.uniform(0.6, 0.95, size=(n, 1))
-    return CandidatePool(radii=radii, within=within, agree=agree)
+    return CandidatePool(within=within, agree=agree)
 
 
 def random_tree(rng, width: int, depth: int, thresholds) -> DecisionTree:

@@ -49,7 +49,7 @@ def pool_from_sets(balls, agree_sets=None, n=None):
         for i, good in enumerate(agree_sets):
             for j in good:
                 agree[i, j] = True
-    return CandidatePool(radii=np.ones(n), within=within, agree=agree)
+    return CandidatePool(within=within, agree=agree)
 
 
 def exhaustive_oracle(pool, budget, floor):
@@ -293,7 +293,7 @@ class TestSolveExact:
             within = rng.random((n, n)) < 0.6
             np.fill_diagonal(within, True)
             agree = rng.random((n, n)) < 0.7
-            pool = CandidatePool(radii=np.ones(n), within=within, agree=agree)
+            pool = CandidatePool(within=within, agree=agree)
             budget = int(rng.integers(1, 3))
             floor = [0.0, 0.5, 0.7, 1.0][t % 4]
             want = exhaustive_oracle(pool, budget, floor)
@@ -382,7 +382,7 @@ class TestBruteForce:
     def test_refuses_large_n(self):
         n = 13
         within = np.eye(n, dtype=bool)
-        pool = CandidatePool(radii=np.ones(n), within=within, agree=np.ones((n, n), dtype=bool))
+        pool = CandidatePool(within=within, agree=np.ones((n, n), dtype=bool))
         with pytest.raises(BruteForceRefused):
             brute_force(pool, 1, 0.5)
 
@@ -390,7 +390,7 @@ class TestBruteForce:
         n = 6
         within = np.ones((n, n), dtype=bool)
         agree = np.zeros((n, n), dtype=bool)
-        pool = CandidatePool(radii=np.ones(n), within=within, agree=agree)
+        pool = CandidatePool(within=within, agree=agree)
         with pytest.raises(BruteForceRefused):
             brute_force(pool, 1, 0.5)
 
@@ -519,7 +519,7 @@ class TestInnerClaimLimit:
             for j in extra:
                 within[i, j] = True
                 agree[i, j] = False
-        return CandidatePool(radii=np.ones(n), within=within, agree=agree)
+        return CandidatePool(within=within, agree=agree)
 
     def test_more_than_twenty_pairs_stays_optimal(self):
         pool = self.augmenting_pool()
@@ -606,7 +606,7 @@ class TestClaimMatchingOracle:
             n = int(rng.integers(20, 61))
             within = rng.random((n, n)) < rng.uniform(0.2, 0.6)
             agree = rng.random((n, n)) < rng.uniform(0.3, 0.9)
-            pool = CandidatePool(radii=np.ones(n), within=within, agree=agree)
+            pool = CandidatePool(within=within, agree=agree)
             selected = tuple(sorted(rng.choice(n, size=int(rng.integers(2, 7)), replace=False).tolist()))
             phi_num = int(rng.choice([5, 6, 7, 8, 9])) * 10**5
             ball, agree_m = pool.ball_masks, pool.agree_masks
@@ -918,7 +918,7 @@ class TestBoundedSearch:
         # that of a search for that budget alone on a fresh pool
         def lone(k, floor):
             with mock.patch.object(aggregate, "_extend_exact", wraps=aggregate._extend_exact) as search:
-                sol = solve_exact(CandidatePool(radii=pool.radii, within=pool.within, agree=pool.agree), k, floor)
+                sol = solve_exact(CandidatePool(within=pool.within, agree=pool.agree), k, floor)
             assert [call.args[2] for call in search.call_args_list] == [(min(k, pool.n),)]
             return solution_bytes(sol)
 
@@ -946,7 +946,7 @@ class TestBoundedSearch:
         # greedy never reads the undominated candidates, so a greedy-only
         # pool never runs the n x n dominance product; the first exact solve
         # at a floor runs it once, and solves as on a fresh pool
-        fresh = CandidatePool(radii=pool.radii, within=pool.within, agree=pool.agree)
+        fresh = CandidatePool(within=pool.within, agree=pool.agree)
         want = {f: [solution_bytes(solve_exact(fresh, k, f)) for k in (budget, budget + 1)] for f in FLOORS}
         with mock.patch.object(aggregate, "_undominated", wraps=aggregate._undominated) as dominance:
             for floor in FLOORS:
@@ -1015,7 +1015,7 @@ class TestFrozenPool:
 
     def test_arrays_are_read_only(self):
         for pool in self.pools():
-            for arr in (pool.within, pool.agree, pool.radii):
+            for arr in (pool.within, pool.agree):
                 with pytest.raises(ValueError):
                     arr[0, ...] = 0
 
@@ -1027,7 +1027,7 @@ class TestFrozenPool:
 
     def test_pool_does_not_share_the_callers_arrays(self):
         within = np.eye(3, dtype=bool)
-        pool = CandidatePool(radii=np.ones(3), within=within, agree=np.ones((3, 3), dtype=bool))
+        pool = CandidatePool(within=within, agree=np.ones((3, 3), dtype=bool))
         masks = pool.ball_masks
         within[0, 1] = True
         assert not pool.within[0, 1]
@@ -1035,7 +1035,9 @@ class TestFrozenPool:
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
-            CandidatePool(radii=np.ones(3), within=np.eye(3, dtype=bool), agree=np.ones((3, 2), dtype=bool))
+            CandidatePool(within=np.eye(3, dtype=bool), agree=np.ones((3, 2), dtype=bool))
+        with pytest.raises(ValueError):  # n is read from within, which must be square too
+            CandidatePool(within=np.ones((3, 2), dtype=bool), agree=np.ones((3, 2), dtype=bool))
 
 
 @st.composite
@@ -1071,7 +1073,7 @@ class TestBroadcastBallTest:
     @pytest.mark.parametrize("n", [1, 7, 9, 63, 64, 65, 130])
     def test_masks_match_rows(self, n):
         rng = np.random.default_rng(n)
-        pool = CandidatePool(radii=np.ones(n), within=rng.random((n, n)) < 0.4, agree=rng.random((n, n)) < 0.6)
+        pool = CandidatePool(within=rng.random((n, n)) < 0.4, agree=rng.random((n, n)) < 0.6)
         for masks, matrix in ((pool.ball_masks, pool.within), (pool.agree_masks, pool.agree)):
             assert len(masks) == n
             for i in range(n):

@@ -240,11 +240,11 @@ def rare_class_dataset(n, labels, seed):
 class TestForestPins:
     """model.txt bytes of forests whose bootstraps hold different class sets."""
 
-    # sha256 of model.txt, recorded before the forest encoded its labels once
-    # for every bootstrap. A bootstrap that misses a class fits its tree on
-    # the classes it holds. With 8 or more classes the trees group by their
-    # class count (`tree.fit_trees`), here 9, 8 and the shared group below 8;
-    # on this dataset, one tree changes if every tree is fitted on all nine.
+    # sha256 of model.txt, recorded while a bootstrap that missed a class fitted
+    # its tree on the classes it held, and trees of 8 or more classes were
+    # grouped by their class count and summed their Gini terms pairwise. Every
+    # bootstrap now fits on the dataset's full class list, whose empty classes
+    # add exact zeros to sums taken in class order; both pins held.
     CASES = {
         "a-class-some-bootstraps-miss": (
             rare_class_dataset(40, [0, 2, 3, 7], seed=11), 12, 5,

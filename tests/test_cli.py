@@ -63,6 +63,19 @@ def write_config(tmp_path, cfg, name="config.json"):
     return path
 
 
+def edit_run_file(path, text):
+    """Write text over a file of a run and record its digest in the run's manifest, as its stage would have.
+
+    The next stage then reads the edited file with its own parser, where a
+    file edited behind the manifest would be refused for its digest.
+    """
+    path.write_text(text)
+    manifest_path = path.parent / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["hashes"][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(canonical_json(manifest))
+
+
 def wrong_values(key, element=False) -> list:
     """Values that key's row in the table rules out: another kind, outside its bounds, null where it is not allowed."""
     values = [float("nan"), float("inf"), float("-inf")]
@@ -578,10 +591,11 @@ class TestAggregateStage:
     def test_failed_cell_writes_nothing(self, tmp_path, monkeypatch):
         cfg, _ = self.run_pipeline(tmp_path)
         rd = run_dir_for(cfg)
-        # mark every output, so a rerun's bytes, which equal the first run's, would show where they land
-        outputs = [rd / "sweep.csv", rd / "timings.csv", rd / "manifest.json", *(rd / "solutions").iterdir()]
-        for path in outputs:
+        # mark every output, so a rerun's bytes, which equal the first run's, would show where they land; the
+        # manifest, which the stage reads first, is marked by writing it compact instead of indented
+        for path in [rd / "sweep.csv", rd / "timings.csv", *(rd / "solutions").iterdir()]:
             path.write_bytes(b"earlier run\n" + path.read_bytes())
+        (rd / "manifest.json").write_text(json.dumps(json.loads((rd / "manifest.json").read_text())))
         before = {path: path.read_bytes() for path in rd.rglob("*") if path.is_file()}
         verify = cli_module.agg.verify_solution
         calls = []
@@ -755,6 +769,38 @@ class TestManifest:
                 assert f"config error: corrupt manifest {rd / 'manifest.json'}: " in err and match in err
                 assert {p: p.read_bytes() for p in rd.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize(
+        "stage, name",
+        [
+            ("explain", "model.txt"), ("aggregate", "model.txt"), ("aggregate", "explainers.json"),
+            ("report", "sweep.csv"),
+        ],
+    )
+    def test_an_input_edited_behind_the_manifest_exits_2_before_any_output(self, tmp_path, capsys, stage, name):
+        # with its final newline cut, model.txt once ran, and the manifest kept its stale digest
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        assert main(["report", "--config", str(path)]) == 0
+        rd = run_dir_for(load_config(str(path), {}))
+        (rd / name).write_bytes((rd / name).read_bytes()[:-1])
+        before = {p: p.read_bytes() for p in rd.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main([stage, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: input {rd / name} does not match its digest in {rd / 'manifest.json'}" in err
+        assert {p: p.read_bytes() for p in rd.rglob("*") if p.is_file()} == before
+
+    def test_an_input_the_manifest_does_not_list_is_read_as_it_is(self, tmp_path):
+        cfg = load_config(None, small_config(tmp_path))
+        cmd_train(cfg)
+        rd = run_dir_for(cfg)
+        manifest = json.loads((rd / "manifest.json").read_text())
+        del manifest["hashes"]["model.txt"]
+        (rd / "manifest.json").write_text(canonical_json(manifest))
+        (rd / "model.txt").write_bytes((rd / "model.txt").read_bytes()[:-1])
+        cmd_explain(cfg)
+        assert "model.txt" not in json.loads((rd / "manifest.json").read_text())["hashes"]
+
     def test_next_stage_writes_the_runs_own_header(self, tmp_path):
         # a header edited behind the run (here a NaN seed, which strict JSON has no word for) was once kept as found
         cfg = load_config(None, small_config(tmp_path))
@@ -789,7 +835,7 @@ class TestCorruptInputs:
         path = write_config(tmp_path, small_config(tmp_path))
         assert main(["train", "--config", str(path)]) == 0
         model_path = run_dir_for(load_config(str(path), {})) / "model.txt"
-        model_path.write_text("\n".join(corrupt(model_path.read_text().splitlines())) + "\n")
+        edit_run_file(model_path, "\n".join(corrupt(model_path.read_text().splitlines())) + "\n")
         capsys.readouterr()
         assert main(["explain", "--config", str(path)]) == 2
         err = capsys.readouterr().err
@@ -803,7 +849,7 @@ class TestCorruptInputs:
         bundle = json.loads(bundle_path.read_text())
         tree = next(rec["tree"] for rec in bundle["explainers"] if len(rec["tree"]) > 1)
         del tree[-1]
-        bundle_path.write_text(json.dumps(bundle))
+        edit_run_file(bundle_path, json.dumps(bundle))
         capsys.readouterr()
         assert main(["aggregate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
@@ -814,7 +860,7 @@ class TestCorruptInputs:
         assert main(["sweep", "--config", str(path)]) == 0
         bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
         text = bundle_path.read_text()
-        bundle_path.write_text(text[: len(text) // 2])
+        edit_run_file(bundle_path, text[: len(text) // 2])
         capsys.readouterr()
         assert main(["aggregate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
@@ -826,7 +872,7 @@ class TestCorruptInputs:
         bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
         bundle = json.loads(bundle_path.read_text())
         del bundle["explainers"][3]["train_fidelity"]
-        bundle_path.write_text(json.dumps(bundle))
+        edit_run_file(bundle_path, json.dumps(bundle))
         capsys.readouterr()
         assert main(["aggregate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
@@ -841,7 +887,7 @@ class TestCorruptInputs:
         at = next(i for i, line in enumerate(lines) if " split " in line)
         node, _, _, threshold = lines[at].rsplit(" ", 3)
         lines[at] = f"{node} split 4 {threshold}"  # the dataset has features 0..3
-        model_path.write_text("\n".join(lines) + "\n")
+        edit_run_file(model_path, "\n".join(lines) + "\n")
         capsys.readouterr()
         assert main([stage, "--config", str(path)]) == 2
         err = capsys.readouterr().err
@@ -854,7 +900,7 @@ class TestCorruptInputs:
         bundle = json.loads(bundle_path.read_text())
         for rec in bundle["explainers"]:
             rec["tree"] = ["node 0 split 9 0.5", "node 1 leaf 0", "node 2 leaf 1"]  # the dataset has features 0..3
-        bundle_path.write_text(json.dumps(bundle))
+        edit_run_file(bundle_path, json.dumps(bundle))
         capsys.readouterr()
         assert main(["aggregate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
@@ -868,7 +914,7 @@ class TestCorruptInputs:
         bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
         bundle = json.loads(bundle_path.read_text())
         bundle["explainers"][0]["center_index"] = center_index  # the dataset has points 0..15
-        bundle_path.write_text(json.dumps(bundle))
+        edit_run_file(bundle_path, json.dumps(bundle))
         capsys.readouterr()
         assert main(["aggregate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
@@ -882,7 +928,7 @@ class TestCorruptInputs:
         bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
         bundle = json.loads(bundle_path.read_text())
         bundle["explainers"][1]["center_index"] = center_index
-        bundle_path.write_text(json.dumps(bundle))
+        edit_run_file(bundle_path, json.dumps(bundle))
         capsys.readouterr()
         assert main(["aggregate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
@@ -906,7 +952,7 @@ class TestCorruptInputs:
         bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
         bundle = json.loads(bundle_path.read_text())
         bundle["explainers"][2]["tree"] = tree
-        bundle_path.write_text(json.dumps(bundle))
+        edit_run_file(bundle_path, json.dumps(bundle))
         capsys.readouterr()
         assert main(["aggregate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
@@ -919,7 +965,7 @@ class TestCorruptInputs:
         bundle = json.loads(bundle_path.read_text())
         tree = bundle["explainers"][0]["tree"]
         tree.append(f"node {len(tree)} leaf 12345")
-        bundle_path.write_text(json.dumps(bundle))
+        edit_run_file(bundle_path, json.dumps(bundle))
         capsys.readouterr()
         assert main(["aggregate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
@@ -999,7 +1045,8 @@ class TestMutatedInputs:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(content)
         stages = {"config.json": ["train"], "points.csv": ["train"], "model.txt": ["explain"],
-                  "explainers.json": ["aggregate"], "manifest.json": ["train", "explain", "aggregate", "report"]}
+                  "explainers.json": ["aggregate"], "sweep.csv": ["report"],
+                  "manifest.json": ["train", "explain", "aggregate", "report"]}
         name = data.draw(st.sampled_from(sorted(stages)), label="input")
         stage = data.draw(st.sampled_from(stages[name]), label="stage")
         path = work / name if name in ("config.json", "points.csv") else rd / name
@@ -1007,6 +1054,8 @@ class TestMutatedInputs:
         before = inputs_and_runs(work)
         code = main([stage, "--config", "config.json"])
         assert code in (0, 2)
+        if name in ("model.txt", "explainers.json", "sweep.csv") and before[path] != files[path]:
+            assert code == 2  # an input the stage reads, listed in the manifest, changed behind it
         assert not list(work.rglob("*.tmp"))
         if code == 2:
             assert inputs_and_runs(work) == before  # every run directory as it was, and no new one
@@ -1014,8 +1063,9 @@ class TestMutatedInputs:
             if manifest == path and code == 2:
                 continue  # still the mutated bytes
             for output, digest in json.loads(manifest.read_text(encoding="utf-8"))["hashes"].items():
-                if manifest.parent / output != path:  # the mutated file changed behind its manifest's back
-                    assert hashlib.sha256((manifest.parent / output).read_bytes()).hexdigest() == digest, output
+                if code == 2 and manifest.parent / output == path:
+                    continue  # the refused input stays as mutated
+                assert hashlib.sha256((manifest.parent / output).read_bytes()).hexdigest() == digest, output
 
 
 class TestExplainMemory:

@@ -123,6 +123,11 @@ class TestTreeText:
 
 # -- reference: the per-feature split search the whole-node search replaced --
 
+def in_order_sum(terms, axis=-1):
+    """The sum along axis, adding one term after another: the last running sum of a cumulative sum."""
+    return np.cumsum(terms, axis=axis).take(-1, axis=axis)
+
+
 def reference_split_for_feature(xs, y_codes, n_classes, min_leaf, parent_gini):
     """Best (gain, threshold) for one feature column, or None if no valid split."""
     order = np.argsort(xs, kind="stable")
@@ -142,8 +147,8 @@ def reference_split_for_feature(xs, y_codes, n_classes, min_leaf, parent_gini):
     valid = (left_n >= min_leaf) & (right_n >= min_leaf)
     if not np.any(valid):
         return None
-    gini_l = 1.0 - np.sum((left_counts / left_n[:, None]) ** 2, axis=1)
-    gini_r = 1.0 - np.sum((right_counts / right_n[:, None]) ** 2, axis=1)
+    gini_l = 1.0 - in_order_sum((left_counts / left_n[:, None]) ** 2)
+    gini_r = 1.0 - in_order_sum((right_counts / right_n[:, None]) ** 2)
     weighted = (left_n * gini_l + right_n * gini_r) / n
     gain = np.where(valid, parent_gini - weighted, -np.inf)
     best = int(np.argmax(gain))
@@ -172,7 +177,7 @@ def reference_tree_fit(X, y, features, max_depth, min_leaf):
         if np.max(counts) == n_here or (max_depth is not None and depth >= max_depth) or n_here < 2 * min_leaf:
             lines.append(f"node {nid} leaf {label}")
             return
-        parent_gini = 1.0 - float(np.sum((counts / n_here) ** 2))
+        parent_gini = 1.0 - float(in_order_sum((counts / n_here) ** 2))
         best = None
         for f in features:
             cand = reference_split_for_feature(X[idx, f], y_codes[idx], n_classes, min_leaf, parent_gini)
@@ -252,7 +257,7 @@ class TestWholeNodeSplitSearch:
 
 
 def recounted_gini(counts, n):
-    return 1.0 - float(((np.array(counts) / n) ** 2).sum())
+    return 1.0 - float(in_order_sum((np.array(counts) / n) ** 2))
 
 
 def node_split(order, xs, table, min_leaf, parent_gini, ranked=True):
@@ -280,8 +285,8 @@ def node_split(order, xs, table, min_leaf, parent_gini, ranked=True):
 class TestInheritedGini:
     """A child's Gini, taken from the chosen cut's counts, is bit for bit what a recount gives.
 
-    numpy sums 8 or more terms pairwise, so C = 8 and 9 run a second
-    summation order.
+    C = 8 and 9 are class counts where numpy's own sum of a row would add
+    the terms pairwise, not in order.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -319,8 +324,8 @@ def row_major_best_split(order, xs, onehot, min_leaf, parent_gini):
     right = cum[0, -1] - left
     left_n = cut + 1.0
     right_n = n - left_n
-    gini_l = 1.0 - ((left / left_n[:, None]) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((right / right_n[:, None]) ** 2).sum(axis=1)
+    gini_l = 1.0 - in_order_sum((left / left_n[:, None]) ** 2)
+    gini_r = 1.0 - in_order_sum((right / right_n[:, None]) ** 2)
     gain = parent_gini - (left_n * gini_l + right_n * gini_r) / n
     best = int(gain.argmax())
     return (
@@ -367,14 +372,24 @@ class TestClassMajorSplitSearch:
 
     @pytest.mark.parametrize("n_terms", [*range(1, 141), 200, 256, 257, 517])
     def test_class_sum_is_numpy_row_sum(self, n_terms):
-        # numpy sums a contiguous last axis pairwise; a numpy that sums in another order fails here
+        # The sum of a row one term after another, on a C-contiguous and on a transposed class axis. Below 8
+        # terms numpy's row sum, which the golden digests were recorded with, adds in that order too; from 8 on
+        # it adds pairwise where the class axis is innermost, as at (1, 1), which the fit must not follow.
         rng = np.random.default_rng(n_terms)
         for shape in ((3, 17), (1, 1)):
             rows = rng.random((*shape, n_terms)) * 10.0 ** rng.integers(-12, 13, size=(*shape, n_terms))
             rows *= rng.choice([-1.0, 1.0], size=rows.shape)
-            want = rows.sum(axis=-1)
-            got = _class_sum(np.ascontiguousarray(np.moveaxis(rows, -1, 0)))
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            want = np.empty(shape)
+            for at in np.ndindex(shape):
+                total = float(rows[at][0])
+                for term in rows[at][1:].tolist():
+                    total += term
+                want[at] = total
+            for terms in (np.ascontiguousarray(np.moveaxis(rows, -1, 0)), np.moveaxis(rows, -1, 0)):
+                got = _class_sum(terms)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            if n_terms < 8:
+                assert rows.sum(axis=-1).tobytes() == want.tobytes()
 
 
 class TestLevelSearch:
@@ -446,11 +461,11 @@ def recursive_best_split(order, xs, table, sizes, min_leaf, parent_gini):
     right_n = left_n[::-1]
     share = left / left_n
     share *= share
-    gini_l = _class_sum(share)
+    gini_l = in_order_sum(share, axis=0)
     np.subtract(1.0, gini_l, out=gini_l)
     np.divide(cum[:, :1, -1:] - left, right_n, out=share)
     share *= share
-    gini_r = _class_sum(share)
+    gini_r = in_order_sum(share, axis=0)
     np.subtract(1.0, gini_r, out=gini_r)
     gain = left_n * gini_l
     gain += right_n * gini_r
@@ -522,7 +537,7 @@ def recursive_tree_fit(X, y, features, max_depth, min_leaf):
         leaf(counts)
     else:
         order = cols.argsort(axis=1, kind="stable")
-        gini = 1.0 - float(((np.array(counts) / n_rows) ** 2).sum())
+        gini = 1.0 - float(in_order_sum((np.array(counts) / n_rows) ** 2))
         build(order, np.take_along_axis(cols, order, axis=1), counts, gini, 0)
     return tree_to_lines(DecisionTree(*zip(*nodes))), agree
 
@@ -579,9 +594,9 @@ class TestGroupedFit:
             (mixed, np.full(n, 4), [0, 1, 2, 3]),  # a pure root
             (mixed[idx], rng.integers(0, 3, size=n)[idx], [0, 1, 2, 3]),  # bootstrap duplicates
             (binary, (binary[:, 0] + 2 * binary[:, 1]).astype(int), [0, 1]),  # binary columns only
-            (mixed, rng.integers(0, 5, size=n), [0, 3]),  # 5 classes, padded next to 9
-            (mixed, rng.integers(0, 9, size=n), [1, 2, 3]),  # 9 classes: grouped apart
-            (mixed[:, :1], rng.integers(0, 12, size=n), [0]),  # 12 classes: grouped apart
+            (mixed, rng.integers(0, 5, size=n), [0, 3]),  # 5 classes, padded to the group's 12
+            (mixed, rng.integers(0, 9, size=n), [1, 2, 3]),  # 9 classes, padded to 12
+            (mixed[:, :1], rng.integers(0, 12, size=n), [0]),  # 12 classes
         ]
         want = [recursive_tree_fit(X, y, f, max_depth, min_leaf) for X, y, f in problems]
         assert fitted_records(problems, max_depth, min_leaf) == want
@@ -590,7 +605,7 @@ class TestGroupedFit:
     def test_a_near_tie_keeps_its_class_order(self):
         # Two cuts whose gains differ only in the last bit, where the order the 6 class terms are
         # added in decides the winner. Padded to 9 classes, as in a group with a 9-class job, the
-        # terms would be added pairwise and the other cut would win at node 10.
+        # terms are still added in order; added pairwise, the other cut would win at node 10.
         digits = ("1102120011122221022000121", "2111201022211020110002110", "3412024422430052035104440")
         col0, col1, y = (np.array([int(c) for c in text]) for text in digits)
         six = (np.column_stack([col0, col1]).astype(float), y, [0, 1])
@@ -598,6 +613,27 @@ class TestGroupedFit:
         want = recursive_tree_fit(*six, None, 1)
         assert want[0][10] == "node 10 split 1 1.5"
         assert fitted_records([six, nine], None, 1) == [want, recursive_tree_fit(*nine, None, 1)]
+
+    @pytest.mark.parametrize("n_classes", [3, 9])
+    @pytest.mark.parametrize("missing", ["first", "middle", "last"])
+    def test_empty_classes_change_nothing(self, n_classes, missing):
+        # a forest's bootstrap fits on the dataset's class list, which may hold classes the resample missed
+        rng = np.random.default_rng(n_classes)
+        labels = np.arange(n_classes) * 2 - 3
+        held = np.delete(labels, {"first": 0, "middle": n_classes // 2, "last": n_classes - 1}[missing])
+        n = 120
+        X = np.column_stack([rng.normal(size=n), rng.integers(0, 2, n), rng.integers(0, 5, n) * 0.25, rng.normal(size=n)])
+        codes = rng.integers(0, held.size, size=n)
+        with_empty = fit_job(X, np.searchsorted(labels, held[codes]), range(4), classes=labels)
+        without = fit_job(X, codes, range(4), classes=held)
+
+        def fitted(job, max_depth, min_leaf):
+            [(tree, agree)] = fit_trees([job], max_depth, min_leaf)
+            return tree_to_lines(tree), agree
+
+        for max_depth, min_leaf in ((None, 1), (12, 2)):
+            want = recursive_tree_fit(X, held[codes], range(4), max_depth, min_leaf)
+            assert fitted(with_empty, max_depth, min_leaf) == fitted(without, max_depth, min_leaf) == want
 
     def test_runs_draw_their_items_lazily(self):
         drawn = []
