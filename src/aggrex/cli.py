@@ -10,8 +10,9 @@ into place in one commit when the stage ends, so a failed stage leaves
 the run directory as it was. The aggregate stage times each solve itself
 and keeps those wall times out of sweep.csv and the solution files: they
 land in timings.csv, the one output the manifest lists but does not
-hash, so reruns are byte-identical. A stage checks each input the
-manifest lists against its recorded digest before reading it.
+hash, so reruns are byte-identical. Only train reads the dataset source;
+later stages read the run directory, train's dataset_used.csv included,
+each input once, its bytes checked against the digest the manifest holds.
 
 Exit codes: 0 success, 2 config error (a bad config, an input file or
 manifest that does not parse, or an input its digest does not match).
@@ -281,17 +282,25 @@ def _read_manifest(rd: Path) -> dict:
     return manifest
 
 
-def _check_inputs(rd: Path, *names: str) -> None:
-    """A ConfigError naming the first input whose bytes are not those the manifest records a digest of.
+# the stage that writes each input a later stage reads
+_WRITER = {"dataset_used.csv": "train", "model.txt": "train", "explainers.json": "explain", "sweep.csv": "aggregate"}
 
-    An input the manifest does not list is not checked, nor is a missing
-    one, which its loader reports.
+
+def _read_input(rd: Path, name: str) -> bytes:
+    """The bytes of input `name` of run directory rd, read once, or a ConfigError naming the file.
+
+    The file must exist and, if the manifest lists it, give the digest
+    recorded there; an input the manifest does not list is read as it is.
     """
+    path = rd / name
     hashes = _read_manifest(rd)["hashes"]
-    for name in names:
-        path = rd / name
-        if name in hashes and path.exists() and hashlib.sha256(path.read_bytes()).hexdigest() != hashes[name]:
-            raise ConfigError(f"input {path} does not match its digest in {rd / 'manifest.json'}")
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ConfigError(f"missing input {path}; run the {_WRITER[name]} stage first") from None
+    if name in hashes and hashlib.sha256(data).hexdigest() != hashes[name]:
+        raise ConfigError(f"input {path} does not match its digest in {rd / 'manifest.json'}")
+    return data
 
 
 @contextmanager
@@ -342,6 +351,7 @@ def _write_bundle(fh, records) -> None:
 
 
 def prepare_dataset(cfg: dict) -> Dataset:
+    """The config's dataset as train fits it: read or synthesised, standardised if asked, its balls checked."""
     ds = cfg["dataset"]
     if ds["path"] is not None:
         sch = ds["schema"]
@@ -358,6 +368,8 @@ def prepare_dataset(cfg: dict) -> Dataset:
         if data.n < 2:
             raise ConfigError(f"dataset.standardize needs at least 2 rows, the dataset has {data.n}")
         data = standardize(data)
+    elif data.n == 0:  # a CSV without rows does not load, so only a synth block gets here
+        raise ConfigError("dataset.synth.n is 0: there are no rows to train on")
     cont = data.X[:, data.schema.continuous_idx]
     for radius in cfg["sampler"]["radii"]:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -393,10 +405,20 @@ def _variants(cfg: dict) -> list[bool]:
     return [True, False]
 
 
+def _run_dataset(cfg: dict, rd: Path) -> Dataset:
+    """The rows train fit the model on, from rd's dataset_used.csv, under the schema of the config's dataset block."""
+    _read_input(rd, "dataset_used.csv")  # checked, then loaded by path
+    ds = cfg["dataset"]
+    block = ds["synth"] if ds["path"] is None else ds["schema"]
+    try:
+        return load_dataset(rd / "dataset_used.csv", FeatureSchema.mixed(block["m_cont"], block["m_bin"]))
+    except ValueError as exc:  # ParseError, SchemaViolation and undecodable bytes are ValueErrors
+        raise ConfigError(f"corrupt dataset {rd / 'dataset_used.csv'}: {exc}")
+
+
 def _load_model(rd: Path, data: Dataset) -> bb.BlackBoxModel:
     model_path = rd / "model.txt"
-    if not model_path.exists():
-        raise ConfigError(f"missing model file {model_path}; run the train stage first")
+    _read_input(rd, "model.txt")  # checked, then loaded by path: perfbench's tracer times bb.load_model
     try:
         model = bb.load_model(model_path)
     except ValueError as exc:
@@ -409,8 +431,7 @@ def _load_model(rd: Path, data: Dataset) -> bb.BlackBoxModel:
 
 def cmd_explain(cfg: dict) -> Path:
     rd = run_dir_for(cfg)
-    _check_inputs(rd, "model.txt")
-    data = prepare_dataset(cfg)
+    data = _run_dataset(cfg, rd)
     model = _load_model(rd, data)
     variants = _variants(cfg)
     centers = [(slot, radius, i) for slot, radius in enumerate(cfg["sampler"]["radii"]) for i in range(data.n)]
@@ -468,12 +489,11 @@ def _aggregated_slice(cfg: dict) -> tuple[float, bool]:
 def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
     rd = run_dir_for(cfg)
     bundle_path = rd / "explainers.json"
-    if not bundle_path.exists():
-        raise ConfigError(f"missing bundle {bundle_path}; run the explain stage first")
+    raw = _read_input(rd, "explainers.json")
     radius, want_filtered = _aggregated_slice(cfg)
     picked: dict[int, LocalExplainer] = {}
     try:
-        for k, rec in enumerate(json.loads(bundle_path.read_text(encoding="utf-8"))["explainers"]):
+        for k, rec in enumerate(json.loads(raw.decode("utf-8"))["explainers"]):
             if rec["radius"] != radius or rec["filtered"] != want_filtered:
                 continue
             tree, consumed = tree_from_lines(rec["tree"])
@@ -502,24 +522,19 @@ def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
         raise ConfigError(f"corrupt bundle {bundle_path}: {exc}")
     if len(picked) != data.n:
         raise ConfigError(
-            f"bundle holds {len(picked)} explainers for radius {radius} "
+            f"bundle {bundle_path} holds {len(picked)} explainers for radius {radius} "
             f"({'filtered' if want_filtered else 'unfiltered'}), dataset has {data.n} points"
         )
     return [picked[i] for i in range(data.n)]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+def _fmt(value: float | None) -> str:
+    return "" if value is None else f"{value:.10g}"
 
 
 def cmd_aggregate(cfg: dict) -> Path:
     rd = run_dir_for(cfg)
-    _check_inputs(rd, "model.txt", "explainers.json")
-    data = prepare_dataset(cfg)
+    data = _run_dataset(cfg, rd)
     model = _load_model(rd, data)
     explainers = _load_bundle_explainers(cfg, data)
     pool = agg.build_pool(data, explainers, model)
@@ -574,10 +589,12 @@ def _csv(header: str, rows) -> bytes:
     return (header + "\n" + "\n".join(",".join(str(v) for v in row) for row in rows) + "\n").encode()
 
 
-def _read_sweep(path: Path) -> list[dict]:
-    """sweep.csv's rows as dicts keyed by SWEEP_HEADER, or a ConfigError naming the file if any line is off."""
+def _read_sweep(rd: Path) -> list[dict]:
+    """rd's sweep.csv rows as dicts keyed by SWEEP_HEADER, or a ConfigError naming the file if any line is off."""
+    path = rd / "sweep.csv"
+    raw = _read_input(rd, "sweep.csv")
     try:
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
+        lines = raw.decode("utf-8").strip().splitlines()
     except ValueError as exc:  # undecodable bytes
         raise ConfigError(f"corrupt sweep {path}: {exc}")
     if not lines or lines[0] != SWEEP_HEADER:
@@ -598,11 +615,7 @@ def _read_sweep(path: Path) -> list[dict]:
 
 def cmd_report(cfg: dict) -> list[Path]:
     rd = run_dir_for(cfg)
-    sweep_path = rd / "sweep.csv"
-    if not sweep_path.exists():
-        raise ConfigError(f"missing inputs: {sweep_path}")
-    _check_inputs(rd, "sweep.csv")
-    rows = _read_sweep(sweep_path)
+    rows = _read_sweep(rd)
     series_keys = sorted({(r["solver"], r["phi"]) for r in rows})
     budgets = sorted({int(r["K"]) for r in rows})
     files = {}

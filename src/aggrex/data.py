@@ -3,15 +3,14 @@
 Ingestion is CSV-only (header row, a "label" column of integers). Binary
 columns must hold {0,1} exactly; missing and non-finite values are
 rejected rather than imputed. Continuous columns can be standardized to
-zero mean / unit standard deviation, with the per-column (shift, scale)
-recorded so the mapping is invertible.
+zero mean / unit standard deviation.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,17 +66,11 @@ class FeatureSchema:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature matrix + integer labels under a FeatureSchema.
-
-    ``scaler`` holds per-continuous-feature (shift, scale) pairs when the
-    dataset has been standardized; None means raw values.
-    """
+    """Immutable feature matrix + integer labels under a FeatureSchema."""
 
     X: np.ndarray
     y: np.ndarray
     schema: FeatureSchema
-    scaler: dict[int, tuple[float, float]] | None = None
-    warnings_: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -174,26 +167,21 @@ def standardize(d: Dataset) -> Dataset:
     """Shift/scale each continuous column to zero mean, unit standard deviation.
 
     Binary columns are untouched. A zero-variance continuous column keeps
-    scale 1 (and a warning is recorded on the result) rather than failing:
-    screening-style data routinely contains near-constant flags.
+    scale 1, with a warning, rather than failing: screening-style data
+    routinely contains near-constant flags.
     """
     if d.n < 2:
         raise ValueError("standardize needs at least 2 rows")
     X = d.X.copy()
-    scaler: dict[int, tuple[float, float]] = {}
-    notes = list(d.warnings_)
     for j in d.schema.continuous_idx:
         col = X[:, int(j)]
         shift = float(col.mean())
         scale = float(col.std())
         if scale == 0.0:
             scale = 1.0
-            msg = f"constant continuous column {d.schema.names[int(j)]}: scale set to 1"
-            notes.append(msg)
-            warnings.warn(msg)
+            warnings.warn(f"constant continuous column {d.schema.names[int(j)]}: scale set to 1")
         X[:, int(j)] = (col - shift) / scale
-        scaler[int(j)] = (shift, scale)
-    return Dataset(X, d.y, d.schema, scaler=scaler, warnings_=tuple(notes))
+    return Dataset(X, d.y, d.schema)
 
 
 def _region_code(x: np.ndarray, schema: FeatureSchema, relevant: tuple[int, ...]) -> int:

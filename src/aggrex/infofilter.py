@@ -181,8 +181,6 @@ def _cmi_scores(
     same order tie exactly, leaving the tie to the lowest index.
     """
     n_feat = len(features)
-    if n_feat == 0 or leaves.empty:
-        return np.zeros(n_feat)
     n_leaves = len(leaves)
     width = max(bins.n_bins)
     members, leaf_of, sizes = leaves.members, leaves.leaf_of, leaves.sizes

@@ -71,14 +71,13 @@ class TableOracle:
         return np.array([self.predict(x) for x in np.asarray(X, dtype=float)], dtype=int)
 
 
-def inverse_scale(d: Dataset) -> Dataset:
-    """Undo standardize using the recorded scaler."""
-    if d.scaler is None:
-        return d
+def inverse_scale(d: Dataset, raw: Dataset) -> Dataset:
+    """Undo standardize on d, with each continuous column's shift and scale computed from raw, the data d came from."""
     X = d.X.copy()
-    for j, (shift, scale) in d.scaler.items():
-        X[:, j] = X[:, j] * scale + shift
-    return Dataset(X, d.y, d.schema, scaler=None, warnings_=d.warnings_)
+    for j in raw.schema.continuous_idx:
+        shift, scale = np.mean(raw.X[:, j]), np.std(raw.X[:, j])
+        X[:, j] = X[:, j] * (scale if scale > 0 else 1.0) + shift
+    return Dataset(X, d.y, d.schema)
 
 
 def synth_label_fn(schema: FeatureSchema, relevant, classes: int):

@@ -231,6 +231,11 @@ class TestBuildIP:
         with pytest.raises(ValueError):
             build_ip(pool, -1, 0.5)
 
+    def test_floor_is_rounded_to_a_millionth_not_truncated(self):
+        # 0.000249 * 10**6 is 248.99999999999997 in floats: truncated, the rows would read 0.000248
+        pool = pool_from_sets([{0, 1}, {1}], agree_sets=[{0}, {1}])
+        assert fid_coefficients(build_ip(pool, 1, 0.000249)) == {(0, 0): 0.999751, (0, 1): -0.000249, (1, 1): 0.999751}
+
 
 class TestSolveExact:
     def test_budget_zero(self):
@@ -321,6 +326,17 @@ class TestSolveExact:
             pool = random_pool(seed=3000 + t)
             sol = solve_exact(pool, 2, 0.8)
             assert sol.ball_coverage >= sol.ip_coverage
+
+    def test_an_equal_coverage_leaf_keeps_the_incumbent(self):
+        # Each candidate agrees on one point of its ball, so at phi 0.5 it claims that point and one more.
+        # Greedy stops at (0, 1) with 3 claims. The search then meets two leaves of 4 claims, (1, 2) and
+        # later (1, 4) in pre-order; only a strictly better leaf replaces the incumbent, so (1, 2) stays.
+        pool = pool_from_sets([{0, 3}, {1, 2, 3, 4}, {0, 1, 2, 4}, {3}, {0, 2, 4}], agree_sets=[{0}, {3}, {0}, {3}, {0}])
+        greedy = solve_greedy(pool, 2, 0.5)
+        assert (greedy.selected, greedy.ip_coverage) == ((0, 1), 3)
+        assert _claims_for_selection((1, 4), pool.ball_masks, pool.agree_masks, PHI_DENOM // 2)[1] == 4
+        exact = solve_exact(pool, 2, 0.5)
+        assert (exact.selected, exact.ip_coverage) == ((1, 2), 4)
 
 
 class TestSolveGreedy:
@@ -424,6 +440,13 @@ class TestVerifier:
         pool = pool_from_sets([{0, 1, 2}], agree_sets=[{0}], n=3)
         sol = AggregateSolution((0,), {0: (0, 1, 2)}, 3, 3, 1 / 3, 1 / 3, "optimal")
         assert any("fidelity" in v for v in verify_solution(pool, 1, 0.9, sol))
+
+    def test_detects_a_fidelity_row_one_millionth_short(self):
+        # phi 0.666667 is 666667 / 10**6: 2 agreeing claims of 3 leave the row 2 * 10**6 - 3 * 666667 = -1
+        pool = pool_from_sets([{0, 1, 2}], agree_sets=[{0, 1}], n=3)
+        sol = AggregateSolution((0,), {0: (0, 1, 2)}, 3, 3, 2 / 3, 2 / 3, "optimal")
+        assert verify_solution(pool, 1, 0.666667, sol) == ["fidelity row violated for candidate 0: slack -1/1000000"]
+        assert verify_solution(pool, 1, 0.666666, sol) == []
 
     def test_detects_coverage_miscount(self):
         pool = pool_from_sets([{0, 1}], n=2)

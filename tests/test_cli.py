@@ -30,6 +30,7 @@ from aggrex.cli import (
     cmd_train,
     load_config,
     main,
+    prepare_dataset,
     run_dir_for,
 )
 from aggrex.data import synth_multiclass, write_dataset
@@ -186,11 +187,17 @@ class TestConfig:
             ({"dataset": {"synth": {"n": 16, "m_cont": 10**23, "m_bin": 2, "classes": 3, "relevant": [0]}}}, [],
              "dataset.synth.m_cont must be in [0, 2147483647]"),
             ({"blackbox": {"n_trees": 10**23}}, [], "blackbox.n_trees must be in [1, 2147483647]"),
+            # unstandardized, an empty dataset once ended in a ValueError traceback from the forest fit (exit 1)
+            ({"dataset": {"standardize": False,
+                          "synth": {"n": 0, "m_cont": 2, "m_bin": 2, "classes": 3, "relevant": [0]}}}, [],
+             "dataset.synth.n is 0: there are no rows to train on"),
+            ({"dataset": {"synth": {"n": 16, "m_cont": 2, "m_bin": 2, "classes": 1, "relevant": [0]}}}, [],
+             "dataset.synth: need at least 2 classes"),
         ],
         ids=["radius-not-sampled", "radius-too-wide", "variant-not-trained", "unknown-key", "min-leaf-zero",
              "samples-2**63", "samples-2**31",
              "negative-max-depth", "bins-above-samples", "bins-2**31-1", "negative-schema-width", "unknown-schema-key",
-             "schema-width-past-int64", "trees-past-int64"],
+             "schema-width-past-int64", "trees-past-int64", "empty-dataset", "one-class"],
     )
     def test_bad_config_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, flags, match):
         out_dir = tmp_path / "runs"
@@ -278,6 +285,13 @@ class TestConfig:
         assert main(["sweep", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"dataset.standardize needs at least 2 rows, the dataset has {n}" in err
+        assert not list(tmp_path.rglob("run-*"))
+
+    def test_non_integer_seed_variable_exits_2_before_any_run_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AGGREX_SEED", "abc")
+        path = write_config(tmp_path, small_config(tmp_path / "runs"))
+        assert main(["train", "--config", str(path)]) == 2
+        assert "config error: AGGREX_SEED must be an integer, got 'abc'" in capsys.readouterr().err
         assert not list(tmp_path.rglob("run-*"))
 
     def test_numeric_text_runs_as_its_number(self, tmp_path):
@@ -641,7 +655,7 @@ class TestReportStage:
 
     def test_missing_sweep_reports_absent_file(self, tmp_path):
         cfg = load_config(None, small_config(tmp_path))
-        with pytest.raises(ConfigError, match="missing inputs"):
+        with pytest.raises(ConfigError, match="missing input .*sweep.csv; run the aggregate stage first"):
             cmd_report(cfg)
 
     @pytest.mark.parametrize(
@@ -715,6 +729,28 @@ class TestCsvDatasetPath:
         err = capsys.readouterr().err
         assert "config error" in err and "sampler.radii: radius 1e+307" in err and "around center 3" in err
         assert not list(tmp_path.rglob("run-*"))
+
+    def test_source_edited_after_train_leaves_later_stages_as_they_were(self, tmp_path):
+        # explain and aggregate once re-read the source, so they ran on the edited rows while model.txt did not
+        cfg = load_config(None, small_config(tmp_path, dataset=path_dataset(tmp_path)))
+        cmd_sweep(cfg)
+        cmd_report(cfg)
+        rd = run_dir_for(cfg)
+
+        def outputs():
+            return {p: p.read_bytes() for p in rd.rglob("*") if p.is_file() and p.name != "timings.csv"}
+
+        clean = outputs()
+        source = tmp_path / "points.csv"
+        header, first, *rest = source.read_text().splitlines()
+        value, tail = first.split(",", 1)
+        source.write_text("\n".join([header, f"{float(value) + 0.25!r},{tail}", *rest]) + "\n")
+        write_dataset(prepare_dataset(cfg), tmp_path / "edited.csv")
+        assert (tmp_path / "edited.csv").read_bytes() != (rd / "dataset_used.csv").read_bytes()
+        cmd_explain(cfg)
+        cmd_aggregate(cfg)
+        cmd_report(cfg)
+        assert outputs() == clean
 
     def test_path_without_schema_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="schema"):
@@ -821,26 +857,46 @@ class TestManifest:
 
 class TestCorruptInputs:
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, match",
         [
-            lambda lines: lines[:-2],
-            lambda lines: [lines[0], "node 0 split -1 0.5", *lines[2:]],
+            (lambda lines: lines[:-2], "truncated tree record stream"),
+            (lambda lines: [lines[0], "node 0 split -1 0.5", *lines[2:]], "negative split feature"),
             # these two once ended in an OverflowError traceback (exit 1)
-            lambda lines: [lines[0], "node 0 split 100000000000000000000000 0.5", *lines[2:]],
-            lambda lines: [re.sub(r"leaf \d+$", "leaf 100000000000000000000000", line) for line in lines],
+            (lambda lines: [lines[0], "node 0 split 100000000000000000000000 0.5", *lines[2:]],
+             "split feature outside int64"),
+            (lambda lines: [re.sub(r"leaf \d+$", "leaf 100000000000000000000000", line) for line in lines],
+             "leaf label outside int64"),
+            (lambda lines: [], "empty model file"),
+            (lambda lines: [lines[0].replace(" v1 ", " v0 "), *lines[1:]], "unsupported model version 'v0'"),
+            (lambda lines: [lines[0].replace(" bagged_forest ", " boosted "), *lines[1:]],
+             "unsupported model kind 'boosted'"),
         ],
-        ids=["truncated", "negative-feature", "feature-past-int64", "label-past-int64"],
+        ids=["truncated", "negative-feature", "feature-past-int64", "label-past-int64", "empty", "wrong-version",
+             "wrong-kind"],
     )
-    def test_corrupt_model_exits_2(self, tmp_path, capsys, corrupt):
+    def test_corrupt_model_exits_2(self, tmp_path, capsys, corrupt, match):
         path = write_config(tmp_path, small_config(tmp_path))
         assert main(["train", "--config", str(path)]) == 0
         model_path = run_dir_for(load_config(str(path), {})) / "model.txt"
         edit_run_file(model_path, "\n".join(corrupt(model_path.read_text().splitlines())) + "\n")
         capsys.readouterr()
         assert main(["explain", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "model.txt" in err
+        assert f"config error: corrupt model file {model_path}: {match}" in capsys.readouterr().err
         assert main(["aggregate", "--config", str(path)]) == 2
+
+    def test_bundle_short_of_a_center_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
+        bundle = json.loads(bundle_path.read_text())
+        bundle["explainers"] = [rec for rec in bundle["explainers"] if rec["center_index"] != 5]
+        edit_run_file(bundle_path, json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["aggregate", "--config", str(path)]) == 2
+        assert (
+            f"config error: bundle {bundle_path} holds 15 explainers for radius 1.5 (filtered), dataset has 16 points"
+            in capsys.readouterr().err
+        )
 
     def test_corrupt_bundle_tree_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config(tmp_path))
@@ -1044,9 +1100,10 @@ class TestMutatedInputs:
         for path, content in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(content)
-        stages = {"config.json": ["train"], "points.csv": ["train"], "model.txt": ["explain"],
-                  "explainers.json": ["aggregate"], "sweep.csv": ["report"],
-                  "manifest.json": ["train", "explain", "aggregate", "report"]}
+        every = ["train", "explain", "aggregate", "report"]
+        stages = {"config.json": ["train"], "points.csv": every, "dataset_used.csv": ["explain", "aggregate"],
+                  "model.txt": ["explain"], "explainers.json": ["aggregate"], "sweep.csv": ["report"],
+                  "manifest.json": every}
         name = data.draw(st.sampled_from(sorted(stages)), label="input")
         stage = data.draw(st.sampled_from(stages[name]), label="stage")
         path = work / name if name in ("config.json", "points.csv") else rd / name
@@ -1054,8 +1111,13 @@ class TestMutatedInputs:
         before = inputs_and_runs(work)
         code = main([stage, "--config", "config.json"])
         assert code in (0, 2)
-        if name in ("model.txt", "explainers.json", "sweep.csv") and before[path] != files[path]:
+        if name in ("dataset_used.csv", "model.txt", "explainers.json", "sweep.csv") and before[path] != files[path]:
             assert code == 2  # an input the stage reads, listed in the manifest, changed behind it
+        if name == "points.csv" and stage != "train":
+            # a later stage reads the run's own dataset_used.csv, so it writes what it wrote from the source as trained
+            assert code == 0
+            unmutated = {p: b for p, b in files.items() if p != path and p.name != "timings.csv"}
+            assert {p: b for p, b in inputs_and_runs(work).items() if p != path and p.name != "timings.csv"} == unmutated
         assert not list(work.rglob("*.tmp"))
         if code == 2:
             assert inputs_and_runs(work) == before  # every run directory as it was, and no new one

@@ -103,11 +103,10 @@ class TestStandardize:
     def test_constant_column_scale_one(self):
         schema = FeatureSchema(("a", "b"), ("continuous", "continuous"))
         d = Dataset(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), np.array([0, 1, 0]), schema)
-        with pytest.warns(UserWarning, match="constant"):
+        with pytest.warns(UserWarning, match="constant continuous column a: scale set to 1"):
             s = standardize(d)
-        assert np.all(s.X[:, 0] == 0.0)
-        assert s.scaler[0] == (5.0, 1.0)
-        assert any("scale set to 1" in w for w in s.warnings_)
+        assert np.all(s.X[:, 0] == 0.0)  # (5 - 5) / 1
+        assert np.allclose(s.X[:, 1], (np.array([1.0, 2.0, 3.0]) - 2.0) / np.sqrt(2 / 3))
 
     def test_binary_untouched(self):
         schema = FeatureSchema(("a", "flag"), ("continuous", "binary"))
@@ -117,7 +116,7 @@ class TestStandardize:
 
     def test_inverse_recovers_within_1e12(self):
         d = synth_multiclass(seed=3, n=100, m_cont=5, m_bin=3, classes=4, relevant=(0, 5))
-        back = inverse_scale(standardize(d))
+        back = inverse_scale(standardize(d), d)
         denom = np.maximum(np.abs(d.X), 1.0)
         assert np.max(np.abs(back.X - d.X) / denom) < 1e-12
 
