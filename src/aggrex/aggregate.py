@@ -23,7 +23,10 @@ agreeing in-ball points, plus its disagreeing ones when its fidelity row
 has slack. It branches dynamically, always on the remaining candidate
 with the largest capped gain, and only over undominated candidates: i is
 dropped when some other candidate's agreeing in-ball set holds all of i's
-claimable set, since that one claims it all for free.
+claimable set, since that one claims it all for free. It has one bound: a
+node with count candidates fixed in can reach at most the points their
+claimable sets cover plus the sum of the K - count largest capped gains
+of the rest (a gain capped by the candidate's claim cap).
 
 Two coverage numbers coexist: ip_coverage counts the points actually
 claimed through z (a solver may drop in-ball points to satisfy a fidelity
@@ -456,12 +459,11 @@ def _extend_exact(pool: CandidatePool, floor: _Floor, todo: tuple[int, ...], phi
     parent's gains less that entry, so only a 1-branch recomputes them.
     A candidate's capped gain is the smaller of its claim cap and the part
     of its claimable set not yet covered by the fixed-in candidates'. The
-    node bound for budget K is that covered count plus the cheaper of (sum
-    of the K - count largest gains, size of the claimable points the
-    remaining candidates still reach). Everything over-counts the true
-    claims, so pruning is safe. A node is a leaf for K when it holds K
-    candidates or none remain; a leaf whose covered count does not beat
-    K's incumbent is not solved.
+    one node bound for budget K is that covered count plus the sum of the
+    K - count largest gains; it over-counts the true claims, so pruning is
+    safe, and the node branches on the budgets it keeps open. A node is a
+    leaf for K when it holds K candidates or none remain; a leaf whose
+    covered count does not beat K's incumbent is not solved.
 
     None of this shape depends on the budget, so the searches for all
     budgets walk one tree. Each frame carries the budgets still open at
@@ -534,20 +536,13 @@ def _extend_exact(pool: CandidatePool, floor: _Floor, todo: tuple[int, ...], phi
                 kept.append(k)
         if not kept:
             continue
-        reach = 0
-        for key in keys:
-            reach |= claim[key % n]
-        bound = base + (reach & ~covered).bit_count()
-        budgets = tuple(k for k in kept if bound > best_obj[k])
-        if not budgets:
-            continue
-        for k in budgets:
+        for k in kept:
             nodes[k] += 2
         pick = keys[0] % n
         rest = keys[1:]
         # LIFO: push the 0-branch first so the 1-branch is explored first
-        stack.append((covered, count, chain, rest, False, budgets))
-        stack.append((covered | claim[pick], count + 1, (pick, chain), rest, True, budgets))
+        stack.append((covered, count, chain, rest, False, kept))
+        stack.append((covered | claim[pick], count + 1, (pick, chain), rest, True, kept))
 
     for k in todo:
         floor.exact[k] = (*found[k], best_obj[k], nodes[k])

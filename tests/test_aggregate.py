@@ -730,17 +730,18 @@ class TestExactAtSweepSize:
             assert verify_solution(pool, budget, floor, sol) == []
 
     def test_node_counts_pinned(self):
-        # recorded when branching became dynamic over undominated candidates;
-        # the selections are those the static preorder search picked
+        # recorded when the search kept one bound (covered count plus the
+        # largest capped gains); the selections are those the static
+        # preorder search picked
         pool = geometric_pool(17)
         want = [
             (1, (19,)),
             (5, (1, 19)),
             (13, (1, 19, 34)),
             (27, (1, 19, 34, 48)),
-            (103, (1, 19, 31, 34, 48)),
-            (263, (1, 19, 31, 33, 34, 48)),
-            (341, (1, 19, 31, 33, 34, 44, 48)),
+            (105, (1, 19, 31, 34, 48)),
+            (295, (1, 19, 31, 33, 34, 48)),
+            (491, (1, 19, 31, 33, 34, 44, 48)),
         ]
         got = [(sol.nodes_explored, sol.selected) for sol in (solve_exact(pool, k, 0.9) for k in range(1, 8))]
         assert got == want
@@ -1026,6 +1027,13 @@ class TestVerifierSoundness:
         assume(mutated is not None)
         bad, at_budget, word = mutated
         assert any(word in v for v in verify_solution(pool, at_budget, floor, bad))
+
+    def test_a_point_claimed_twice_is_reported(self):
+        pool = pool_from_sets([{0, 1}, {1}, {2}])
+        sol = solve_exact(pool, 1, 0.5)
+        assert sol.z_assignment == {0: (0, 1)} and verify_solution(pool, 1, 0.5, sol) == []
+        twice = dataclasses.replace(sol, z_assignment={0: (0, 1, 1)})
+        assert verify_solution(pool, 1, 0.5, twice) == ["candidate 0 claims a point twice"]
 
 
 class TestFrozenPool:

@@ -64,13 +64,13 @@ def write_config(tmp_path, cfg, name="config.json"):
     return path
 
 
-def edit_run_file(path, text):
-    """Write text over a file of a run and record its digest in the run's manifest, as its stage would have.
+def edit_run_file(path, content):
+    """Write text or bytes over a file of a run and record its digest in the run's manifest, as its stage would have.
 
     The next stage then reads the edited file with its own parser, where a
     file edited behind the manifest would be refused for its digest.
     """
-    path.write_text(text)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     manifest_path = path.parent / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["hashes"][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -193,11 +193,13 @@ class TestConfig:
              "dataset.synth.n is 0: there are no rows to train on"),
             ({"dataset": {"synth": {"n": 16, "m_cont": 2, "m_bin": 2, "classes": 1, "relevant": [0]}}}, [],
              "dataset.synth: need at least 2 classes"),
+            # dataset.synth may be null, but only beside a dataset.path
+            ({"dataset": {"synth": None}}, [], "config error: dataset needs either a path or a synth block\n"),
         ],
         ids=["radius-not-sampled", "radius-too-wide", "variant-not-trained", "unknown-key", "min-leaf-zero",
              "samples-2**63", "samples-2**31",
              "negative-max-depth", "bins-above-samples", "bins-2**31-1", "negative-schema-width", "unknown-schema-key",
-             "schema-width-past-int64", "trees-past-int64", "empty-dataset", "one-class"],
+             "schema-width-past-int64", "trees-past-int64", "empty-dataset", "one-class", "no-dataset-source"],
     )
     def test_bad_config_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, flags, match):
         out_dir = tmp_path / "runs"
@@ -679,6 +681,33 @@ class TestReportStage:
         assert "config error" in err and str(rd / "sweep.csv") in err and match in err
         assert not list(rd.glob("report_*.csv"))
 
+    def test_undecodable_sweep_exits_2_without_reports(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        sweep_path = run_dir_for(load_config(str(path), {})) / "sweep.csv"
+        raw = sweep_path.read_bytes() + b"\xff\n"
+        edit_run_file(sweep_path, raw)
+        with pytest.raises(UnicodeDecodeError) as decode:
+            raw.decode("utf-8")
+        capsys.readouterr()
+        assert main(["report", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: corrupt sweep {sweep_path}: {decode.value}\n"
+        assert not list(sweep_path.parent.glob("report_*.csv"))
+
+    def test_budget_zero_rows_read_back(self, tmp_path):
+        # an empty selection has no fidelity: its row writes those fields empty, and the report copies them
+        aggregate_cfg = {"budgets": [0, 1], "floors": [0.5], "solver": "both"}
+        cfg = load_config(None, small_config(tmp_path, aggregate=aggregate_cfg))
+        cmd_sweep(cfg)
+        cmd_report(cfg)
+        rd = run_dir_for(cfg)
+        rows = (rd / "sweep.csv").read_text().splitlines()
+        assert rows[1:3] == ["0,0.5,exact,0,0,,,optimal,1", "0,0.5,greedy,0,0,,,feasible,0"]
+        for metric, want in (("ip_coverage", "0,0,0"), ("ball_coverage", "0,0,0"), ("min_fidelity", "0,,"),
+                             ("ball_min_fidelity", "0,,")):
+            report = (rd / f"report_{metric}.csv").read_text().splitlines()
+            assert report[:2] == ["K,exact_phi0.5,greedy_phi0.5", want], metric
+
 
 class TestCsvDatasetPath:
     def test_pipeline_from_csv_file(self, tmp_path):
@@ -703,8 +732,10 @@ class TestCsvDatasetPath:
                 "a,b,c,label\n0.5,1.0,1.0,0\n0.5,1.0,1.0,99999999999999999999999\n",
                 "row 2: label '99999999999999999999999' is outside int64",
             ),
+            ("a,b,c,label\n0.5,1.0,1.0,0\n0.5,1.0,1.0,1.5\n", "points.csv: row 2: label '1.5' is not an integer\n"),
         ],
-        ids=["bad-cell", "missing-file", "too-few-columns", "not-utf8", "nan-cell", "inf-cell", "label-past-int64"],
+        ids=["bad-cell", "missing-file", "too-few-columns", "not-utf8", "nan-cell", "inf-cell", "label-past-int64",
+             "non-integer-label"],
     )
     def test_bad_dataset_file_exits_2_before_any_run_dir(self, tmp_path, capsys, text, match):
         csv_path = tmp_path / "points.csv"
@@ -870,9 +901,12 @@ class TestCorruptInputs:
             (lambda lines: [lines[0].replace(" v1 ", " v0 "), *lines[1:]], "unsupported model version 'v0'"),
             (lambda lines: [lines[0].replace(" bagged_forest ", " boosted "), *lines[1:]],
              "unsupported model kind 'boosted'"),
+            (lambda lines: [lines[0], "node 0", *lines[2:]], "bad node record: 'node 0'\n"),
+            (lambda lines: [lines[0], "node 0 branch 0 0.5", *lines[2:]],
+             "unknown node type in record: 'node 0 branch 0 0.5'\n"),
         ],
         ids=["truncated", "negative-feature", "feature-past-int64", "label-past-int64", "empty", "wrong-version",
-             "wrong-kind"],
+             "wrong-kind", "short-record", "unknown-node-type"],
     )
     def test_corrupt_model_exits_2(self, tmp_path, capsys, corrupt, match):
         path = write_config(tmp_path, small_config(tmp_path))
@@ -916,11 +950,13 @@ class TestCorruptInputs:
         assert main(["sweep", "--config", str(path)]) == 0
         bundle_path = run_dir_for(load_config(str(path), {})) / "explainers.json"
         text = bundle_path.read_text()
-        edit_run_file(bundle_path, text[: len(text) // 2])
+        half = text[: len(text) // 2]
+        edit_run_file(bundle_path, half)
+        with pytest.raises(json.JSONDecodeError) as decode:
+            json.loads(half)
         capsys.readouterr()
         assert main(["aggregate", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "explainers.json" in err
+        assert capsys.readouterr().err == f"config error: corrupt bundle {bundle_path}: {decode.value}\n"
 
     def test_bundle_record_without_train_fidelity_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config(tmp_path))
