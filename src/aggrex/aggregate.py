@@ -213,8 +213,6 @@ def build_pool(dataset: Dataset, explainers, blackbox) -> CandidatePool:
     for i, ex in enumerate(explainers):
         if ex.center_index != i:
             raise ValueError(f"explainer {i} has center_index {ex.center_index}")
-        if ex.center.shape != (dataset.m,):
-            raise ValueError("explainer center does not match the dataset schema")
     radii = np.array([ex.radius for ex in explainers], dtype=float)
     X = dataset.X
     # [i, j] compares point j with center i, one column at a time so the

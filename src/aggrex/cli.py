@@ -509,7 +509,6 @@ def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
                 raise ValueError(f"record {k} has center_index {i}, but the dataset has points 0..{data.n - 1}")
             picked[i] = LocalExplainer(
                 center_index=i,
-                center=data.X[i],
                 radius=float(rec["radius"]),
                 selected_features=tuple(rec["selected_features"]),
                 tree=tree,

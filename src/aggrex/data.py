@@ -36,8 +36,6 @@ class FeatureSchema:
     kinds: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.names) != len(self.kinds):
-            raise SchemaViolation("names and kinds must have equal length")
         if len(self.names) == 0:
             raise SchemaViolation("schema needs at least one feature")
         bad = [k for k in self.kinds if k not in (CONTINUOUS, BINARY)]
@@ -77,12 +75,6 @@ class Dataset:
         y = np.asarray(self.y, dtype=int)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        if X.ndim != 2 or X.shape[1] != self.schema.count:
-            raise SchemaViolation(
-                f"matrix shape {X.shape} does not match schema with {self.schema.count} features"
-            )
-        if y.shape != (X.shape[0],):
-            raise SchemaViolation("labels must be one integer per row")
         if np.any(y < 0):
             raise SchemaViolation("labels must be nonnegative integers")
         for j in self.schema.binary_idx:

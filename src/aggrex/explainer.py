@@ -55,7 +55,6 @@ DEFAULT_MIN_LEAF = 2
 @dataclass
 class LocalExplainer:
     center_index: int
-    center: np.ndarray
     radius: float
     selected_features: tuple[int, ...]
     tree: DecisionTree
@@ -71,7 +70,6 @@ class LocalExplainer:
 class LabelledBall:
     """Ball samples with their black-box labels, encoded once for every fit on them."""
 
-    center: np.ndarray
     radius: float
     center_index: int  # the dataset row the ball is centred on, or -1
     samples: SampleSet
@@ -88,7 +86,7 @@ def label_ball(
     samples = sample_ball(center, r, N, schema, seed)
     labels = blackbox.predict_batch(samples.points)
     classes, codes = np.unique(np.asarray(labels, dtype=int), return_inverse=True)
-    return LabelledBall(np.asarray(center, dtype=float), float(r), int(center_index), samples, classes, codes)
+    return LabelledBall(float(r), int(center_index), samples, classes, codes)
 
 
 def explainer_groups(balls, schema: FeatureSchema):
@@ -145,7 +143,6 @@ def train_local_explainer(
             out.append(
                 LocalExplainer(
                     center_index=ball.center_index,
-                    center=ball.center,
                     radius=ball.radius,
                     selected_features=tuple(features[filtered][i]),
                     tree=tree,

@@ -138,8 +138,6 @@ def build_histograms(samples: SampleSet, schema: FeatureSchema, max_bins: int = 
     if max_bins < 2:
         raise ValueError("need at least 2 bins")
     points = samples.points
-    if points.shape[0] == 0:
-        raise ValueError("empty sample set")
     n_bins: list[int] = []
     columns = np.ascontiguousarray(points.T)  # one strided pass, so each feature below reads a contiguous row
     by_feature = np.empty(columns.shape, dtype=np.int32)  # feature-major too: each row is one feature's bins
@@ -221,10 +219,6 @@ def bin_partition(
     min_cell: int = MIN_CELL,
 ) -> PartitionLeaves:
     """Split every leaf by the feature's bin index; drop empty and sub-min_cell cells."""
-    if feature < 0 or feature >= bins.n_features:
-        raise IndexError(f"feature {feature} out of range")
-    if leaves.empty:
-        return leaves
     nb = bins.n_bins[feature]
     # A stable sort by (leaf, bin) lists the cells in leaf-then-bin order
     # and keeps each cell's samples in their order within the leaf.

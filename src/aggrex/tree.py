@@ -216,22 +216,16 @@ class FitJob(NamedTuple):
     depth: int = 0
 
 
-def fit_job(X: np.ndarray, y: np.ndarray, features, classes: np.ndarray | None = None, depth: int = 0) -> FitJob:
-    """The job of fitting a tree on X[:, features] vs integer labels y, its root at `depth`.
+def fit_job(X: np.ndarray, codes: np.ndarray, features, classes: np.ndarray, depth: int = 0) -> FitJob:
+    """The job of fitting a tree on X[:, features] vs each row's index into classes, its root at `depth`.
 
-    With classes given (sorted distinct labels), y already holds each
-    row's index into it and is not encoded again.
+    `classes` are the sorted distinct labels, which each caller encodes
+    once for all of its jobs.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit a tree on zero points")
+    codes = np.asarray(codes, dtype=int)
     features = sorted(int(f) for f in features)
-    if not features:
-        raise ValueError("feature subset must be non-empty")
-    if classes is None:
-        classes, y = np.unique(y, return_inverse=True)
-    return FitJob(X, y, features, np.asarray(classes).tolist(), int(depth))
+    return FitJob(X, codes, features, np.asarray(classes).tolist(), int(depth))
 
 
 def runs(items, grid):
@@ -735,7 +729,7 @@ def tree_from_lines(lines) -> tuple[DecisionTree, int]:
     raise ValueError("truncated tree record stream")
 
 
-def tree_to_rules(tree: DecisionTree, feature_names=None) -> str:
+def tree_to_rules(tree: DecisionTree, feature_names) -> str:
     """Human-readable nested if/else rendering."""
     out: list[str] = []
     feature, threshold, label, right = (a.tolist() for a in (tree.feature, tree.threshold, tree.label, tree.right))
@@ -749,7 +743,6 @@ def tree_to_rules(tree: DecisionTree, feature_names=None) -> str:
             out.append(f"{pad}predict {label[node]}")
         else:
             f = feature[node]
-            name = feature_names[f] if feature_names is not None else f"x{f}"
-            out.append(f"{pad}if {name} <= {threshold[node]:.6g}:")
+            out.append(f"{pad}if {feature_names[f]} <= {threshold[node]:.6g}:")
             stack += [(right[node], indent + 1), (None, indent), (node + 1, indent + 1)]
     return "\n".join(out) + "\n"

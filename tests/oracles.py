@@ -86,9 +86,15 @@ def synth_label_fn(schema: FeatureSchema, relevant, classes: int):
     return lambda x: _region_code(np.asarray(x, dtype=float), schema, relevant) % classes
 
 
-def tree_fit(X, y, features, max_depth: int | None = 12, min_leaf: int = 2, classes=None):
+def labelled_job(X, y, features, depth: int = 0):
+    """`tree.fit_job` on integer labels y, encoded first as `encode` encodes them."""
+    classes, codes = np.unique(np.asarray(y, dtype=int), return_inverse=True)
+    return fit_job(X, codes, features, classes, depth)
+
+
+def tree_fit(X, y, features, max_depth: int | None = 12, min_leaf: int = 2):
     """(tree, agree) of one Gini tree on X[:, features] vs integer labels y: `fit_trees` on a group of one."""
-    return fit_trees([fit_job(X, y, features, classes)], max_depth, min_leaf)[0]
+    return fit_trees([labelled_job(X, y, features)], max_depth, min_leaf)[0]
 
 
 def root_columns(jobs, width: int, first_row: np.ndarray, goes_on: np.ndarray):

@@ -79,10 +79,9 @@ def exhaustive_oracle(pool, budget, floor):
     return best
 
 
-def constant_explainer(i, center, radius, label):
+def constant_explainer(i, radius, label):
     return LocalExplainer(
         center_index=i,
-        center=np.asarray(center, dtype=float),
         radius=radius,
         selected_features=(),
         tree=DecisionTree.leaf(label),
@@ -101,14 +100,14 @@ class TestBuildPool:
     def test_zero_radius_identity(self):
         d = self.line_dataset()
         f = TableOracle([(tuple(d.X[i]), int(d.y[i])) for i in range(d.n)], schema=d.schema)
-        exps = [constant_explainer(i, d.X[i], 0.0, int(d.y[i])) for i in range(d.n)]
+        exps = [constant_explainer(i, 0.0, int(d.y[i])) for i in range(d.n)]
         pool = build_pool(d, exps, f)
         assert np.array_equal(pool.within, np.eye(d.n, dtype=bool))
 
     def test_perfect_explainers_agree_everywhere(self):
         d = self.line_dataset()
         f = TableOracle([(tuple(d.X[i]), 1) for i in range(d.n)], schema=d.schema)
-        exps = [constant_explainer(i, d.X[i], 1.0, 1) for i in range(d.n)]
+        exps = [constant_explainer(i, 1.0, 1) for i in range(d.n)]
         pool = build_pool(d, exps, f)
         assert np.all(pool.agree)
 
@@ -116,7 +115,7 @@ class TestBuildPool:
         # points at 0,1,2,3,4 with r = 1.5: within iff |i - j| <= 1
         d = self.line_dataset()
         f = TableOracle([(tuple(d.X[i]), int(d.y[i])) for i in range(d.n)], schema=d.schema)
-        exps = [constant_explainer(i, d.X[i], 1.5, int(d.y[i])) for i in range(d.n)]
+        exps = [constant_explainer(i, 1.5, int(d.y[i])) for i in range(d.n)]
         pool = build_pool(d, exps, f)
         expected = np.array(
             [[abs(i - j) <= 1 for j in range(5)] for i in range(5)]
@@ -126,8 +125,15 @@ class TestBuildPool:
     def test_wrong_center_index_rejected(self):
         d = self.line_dataset()
         f = TableOracle([(tuple(d.X[i]), 0) for i in range(d.n)], schema=d.schema)
-        exps = [constant_explainer(0, d.X[0], 1.0, 0) for _ in range(d.n)]
+        exps = [constant_explainer(0, 1.0, 0) for _ in range(d.n)]
         with pytest.raises(ValueError):
+            build_pool(d, exps, f)
+
+    def test_one_explainer_too_few_rejected(self):
+        d = self.line_dataset()
+        f = TableOracle([(tuple(d.X[i]), 0) for i in range(d.n)], schema=d.schema)
+        exps = [constant_explainer(i, 1.0, 0) for i in range(d.n - 1)]
+        with pytest.raises(ValueError, match=r"^need one explainer per dataset point \(5\), got 4$"):
             build_pool(d, exps, f)
 
     def test_agreement_matches_one_explainer_at_a_time(self):
@@ -138,7 +144,7 @@ class TestBuildPool:
         d = Dataset(X, np.zeros(300, dtype=int), schema)
         exps = [
             dataclasses.replace(
-                constant_explainer(i, X[i], 1.0, 0), tree=random_tree(rng, 4, int(rng.integers(9)), X[:, :2].ravel())
+                constant_explainer(i, 1.0, 0), tree=random_tree(rng, 4, int(rng.integers(9)), X[:, :2].ravel())
             )
             for i in range(d.n)
         ]
@@ -345,6 +351,10 @@ class TestSolveGreedy:
         sol = solve_greedy(pool, 0, 0.5)
         assert sol.selected == () and sol.ip_coverage == 0
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="^budget must be nonnegative$"):
+            solve_greedy(random_pool(5), -1, 0.5)
+
     def test_disjoint_balls_greedy_optimal(self):
         pool = pool_from_sets([{0, 1}, {2, 3}, {4}], n=5)
         greedy = solve_greedy(pool, 2, 0.0)
@@ -447,6 +457,11 @@ class TestVerifier:
         sol = AggregateSolution((0,), {0: (0, 1, 2)}, 3, 3, 2 / 3, 2 / 3, "optimal")
         assert verify_solution(pool, 1, 0.666667, sol) == ["fidelity row violated for candidate 0: slack -1/1000000"]
         assert verify_solution(pool, 1, 0.666666, sol) == []
+
+    def test_detects_a_candidate_selected_twice(self):
+        pool = pool_from_sets([{0}, {1}], agree_sets=[{0}, {1}])
+        sol = AggregateSolution((0, 0), {0: (0,)}, 1, 1, 1.0, 1.0, "optimal")
+        assert verify_solution(pool, 2, 0.5, sol) == ["selected contains duplicates"]
 
     def test_detects_coverage_miscount(self):
         pool = pool_from_sets([{0, 1}], n=2)
@@ -1042,7 +1057,7 @@ class TestFrozenPool:
         yield pool_from_sets([{0, 1}, {1}])
         d = TestBuildPool().line_dataset()
         f = TableOracle([(tuple(d.X[i]), int(d.y[i])) for i in range(d.n)], schema=d.schema)
-        yield build_pool(d, [constant_explainer(i, d.X[i], 1.0, 0) for i in range(d.n)], f)
+        yield build_pool(d, [constant_explainer(i, 1.0, 0) for i in range(d.n)], f)
 
     def test_arrays_are_read_only(self):
         for pool in self.pools():
@@ -1094,7 +1109,7 @@ class TestBroadcastBallTest:
     @given(ball_problems())
     def test_within_matches_within_ball(self, problem):
         d, radii = problem
-        exps = [constant_explainer(i, d.X[i], radii[i], 0) for i in range(d.n)]
+        exps = [constant_explainer(i, radii[i], 0) for i in range(d.n)]
         f = SimpleNamespace(predict_batch=lambda X: np.zeros(len(X), dtype=int))
         pool = build_pool(d, exps, f)
         want = np.array([[mixed_distance(d.X[j], d.X[i], d.schema) <= radii[i] for j in range(d.n)] for i in range(d.n)])

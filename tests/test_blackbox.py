@@ -133,6 +133,18 @@ class TestForestVote:
             assert np.flatnonzero(tree.feature < 0)[ranks[:, t]].tolist() == route(tree, X).tolist()
         assert model.predict_batch(X).tolist() == reference_vote(model, X).tolist()
 
+    @pytest.mark.parametrize("n_leaves", [65, 130, 200])
+    def test_trees_past_64_leaves_match_per_tree_walks(self, n_leaves):
+        # masks of 2, 3 and 4 words beside a one-word tree: an exit leaf may lie in any word
+        rng = np.random.default_rng(n_leaves)
+        trees = [random_tree(rng, n_leaves, range(3), (0, 1, 2)), random_tree(rng, 5, range(3), (0, 1, 2))]
+        X = rng.choice(PROBES, size=(300, 3))
+        model = BlackBoxModel(label_set=(0, 1, 2), trees=trees)
+        ranks = model._forest.exit_ranks(X)
+        for t, tree in enumerate(trees):
+            assert np.flatnonzero(tree.feature < 0)[ranks[:, t]].tolist() == route(tree, X).tolist()
+        assert model.predict_batch(X).tolist() == reference_vote(model, X).tolist()
+
     def test_split_and_leaf_trees_tie(self):
         split, _ = tree_fit(np.array([[0.0], [1.0]]), np.array([2, 5]), [0], min_leaf=1)
         model = BlackBoxModel(label_set=(2, 5), trees=[constant_tree(5), split])
@@ -158,6 +170,16 @@ class TestForest:
                 tracemalloc.stop()
 
         assert peak(8) < peak(2) + X.nbytes / 2
+
+    def test_empty_dataset_rejected(self):
+        d = Dataset(np.empty((0, 2)), np.empty(0, dtype=int), FeatureSchema.mixed(2, 0))
+        with pytest.raises(ValueError, match="^cannot train on an empty dataset$"):
+            train_bagged_forest(d)
+
+    def test_zero_trees_rejected(self):
+        d = synth_multiclass(seed=1, n=10, m_cont=2, m_bin=0, classes=2, relevant=(0,))
+        with pytest.raises(ValueError, match="^need at least one tree$"):
+            train_bagged_forest(d, n_trees=0)
 
     def test_single_class_constant_model(self):
         schema = FeatureSchema.mixed(2, 0)

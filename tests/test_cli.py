@@ -3,7 +3,9 @@ import io
 import json
 import os
 import re
+import runpy
 import shutil
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -208,6 +210,20 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "config error" in err and match in err
         assert not list(tmp_path.rglob("run-*"))
+
+    def test_synth_without_features_exits_2_before_any_run_dir(self, tmp_path, capsys):
+        synth = {"n": 16, "m_cont": 0, "m_bin": 0, "classes": 3, "relevant": [0]}
+        path = write_config(tmp_path, small_config(tmp_path / "runs", dataset={"synth": synth}))
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: dataset.synth: schema needs at least one feature\n"
+        assert not (tmp_path / "runs").exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config file {path}: [Errno 2] No such file or directory: '{path}'\n"
+        )
 
     def test_max_bins_may_equal_the_sample_count(self, tmp_path):
         assert load_config(None, small_config(tmp_path, filter={"max_bins": 200}))["filter"]["max_bins"] == 200
@@ -748,6 +764,15 @@ class TestCsvDatasetPath:
         assert "config error" in err and "dataset.path" in err and match in err
         assert not list(tmp_path.rglob("run-*"))
 
+    def test_row_with_the_wrong_field_count_exits_2_before_any_run_dir(self, tmp_path, capsys):
+        csv_path = tmp_path / "points.csv"
+        csv_path.write_text("a,b,c,label\n0.5,1.0,1.0,0\n0.5,1.0,0\n", encoding="utf-8")
+        dataset = {"path": str(csv_path), "synth": None, "schema": {"m_cont": 3, "m_bin": 0}}
+        path = write_config(tmp_path, small_config(tmp_path / "runs", dataset=dataset))
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: dataset.path {csv_path}: row 2: expected 4 fields, got 3\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_ball_overflowing_at_a_center_exits_2_before_any_run_dir(self, tmp_path, capsys):
         # a finite value near the float maximum: its ball's width (c + r) - (c - r) overflows, which
         # the radius alone (a ball at 0) does not show
@@ -918,6 +943,20 @@ class TestCorruptInputs:
         assert f"config error: corrupt model file {model_path}: {match}" in capsys.readouterr().err
         assert main(["aggregate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("stage", ["explain", "aggregate"])
+    def test_corrupt_run_dataset_exits_2(self, tmp_path, capsys, stage):
+        # re-hashed, so that the file passes its digest check and only its parser refuses it
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", str(path)]) == 0
+        data_path = run_dir_for(load_config(str(path), {})) / "dataset_used.csv"
+        header, first, *rest = data_path.read_text().splitlines()
+        edit_run_file(data_path, "\n".join([header, "x" + first[first.index(","):], *rest]) + "\n")
+        capsys.readouterr()
+        assert main([stage, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: corrupt dataset {data_path}: row 1: could not convert string to float: 'x'\n"
+        )
+
     def test_bundle_short_of_a_center_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config(tmp_path))
         assert main(["sweep", "--config", str(path)]) == 0
@@ -942,8 +981,7 @@ class TestCorruptInputs:
         edit_run_file(bundle_path, json.dumps(bundle))
         capsys.readouterr()
         assert main(["aggregate", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "explainers.json" in err and "truncated" in err
+        assert capsys.readouterr().err == f"config error: corrupt bundle {bundle_path}: truncated tree record stream\n"
 
     def test_truncated_bundle_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config(tmp_path))
@@ -967,8 +1005,9 @@ class TestCorruptInputs:
         edit_run_file(bundle_path, json.dumps(bundle))
         capsys.readouterr()
         assert main(["aggregate", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "explainers.json" in err and "train_fidelity" in err
+        assert capsys.readouterr().err == (
+            f"config error: corrupt bundle {bundle_path}: missing field 'train_fidelity'\n"
+        )
 
     @pytest.mark.parametrize("stage", ["explain", "aggregate"])
     def test_model_wider_than_dataset_exits_2(self, tmp_path, capsys, stage):
@@ -1216,6 +1255,16 @@ class TestExplainMemory:
 
 
 class TestMainEntry:
+    def test_module_runs_as_a_script(self, monkeypatch, capsys):
+        # `python -m aggrex.cli`, run in this process; a fresh copy of the module, so runpy does not warn
+        # that one is imported already
+        monkeypatch.delitem(sys.modules, "aggrex.cli")
+        monkeypatch.setattr(sys, "argv", ["aggrex", "--help"])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("aggrex.cli", run_name="__main__")
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: aggrex ")
+
     def test_full_sweep_via_main(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config(tmp_path))
         assert main(["sweep", "--config", str(path)]) == 0

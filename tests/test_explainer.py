@@ -119,6 +119,10 @@ class TestTrainLocalExplainer:
         with pytest.raises(ValueError):
             explain(ConstantBox(), CENTER, 1.0, 1, schema=SCHEMA, seed=0)
 
+    def test_needs_two_bins(self):
+        with pytest.raises(ValueError, match="^need at least 2 bins$"):
+            explain(ConstantBox(), CENTER, 1.0, 50, schema=SCHEMA, seed=0, max_bins=1)
+
 
 def separately_trained(box, center, r, N, seed, filtered):
     """The explainer's stages run on their own: the filter on the labels encoded here, the fit on the raw labels."""

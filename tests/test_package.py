@@ -15,6 +15,16 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_the_package_exports_what_readme_documents():
+    # the package's surface is the pipeline README's library section shows; every other name is internal
+    # to its module, so a later export of an internal step fails here until README documents it
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = [alias.name for stmt in init.body if isinstance(stmt, ast.ImportFrom) for alias in stmt.names]
+    library = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    assert [name for name in exported if not re.search(rf"`{name}`", library)] == []
+    assert len(exported) == 12
+
+
 def referenced(node) -> set[str]:
     """Every name node uses: bare names, attribute names and the names it imports."""
     names = set()

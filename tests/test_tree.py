@@ -24,7 +24,7 @@ from aggrex.tree import (
 )
 
 from conftest import random_tree
-from oracles import features_used, root_columns, tree_fit
+from oracles import features_used, labelled_job, root_columns, tree_fit
 
 
 def predictions(tree, X):
@@ -560,7 +560,8 @@ def fit_groups(draw):
 
 
 def fitted_records(problems, max_depth, min_leaf):
-    return [(tree_to_lines(t), agree) for t, agree in fit_trees([fit_job(*p) for p in problems], max_depth, min_leaf)]
+    jobs = [labelled_job(*p) for p in problems]
+    return [(tree_to_lines(t), agree) for t, agree in fit_trees(jobs, max_depth, min_leaf)]
 
 
 class TestGroupedFit:
@@ -819,7 +820,7 @@ def root_groups(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         X = np.column_stack(tie_rich_columns(draw, rng, n, m, ROOT_KINDS))
         features = draw(st.sets(st.integers(0, m - 1), min_size=n_features, max_size=n_features))
-        jobs.append(fit_job(X, rng.integers(0, 3, size=n), features, depth=draw(st.integers(0, 3))))
+        jobs.append(labelled_job(X, rng.integers(0, 3, size=n), features, depth=draw(st.integers(0, 3))))
     goes_on = np.array(draw(st.lists(st.booleans(), min_size=len(jobs), max_size=len(jobs))))
     return jobs, goes_on
 
@@ -849,13 +850,15 @@ class TestRootColumns:
 
     def test_no_root_goes_on(self):
         rng = np.random.default_rng(3)
-        jobs = [fit_job(rng.normal(size=(5, 2)), rng.integers(0, 2, size=5), [0, 1]) for _ in range(3)]
+        jobs = [labelled_job(rng.normal(size=(5, 2)), rng.integers(0, 2, size=5), [0, 1]) for _ in range(3)]
         assert_same_root_columns(jobs, np.zeros(3, dtype=bool))
 
     def test_a_forest_group_shares_its_chunks(self):
         # the wide benchmark's bootstrap roots: 20 rows of 12 columns, 17 to a chunk
         rng = np.random.default_rng(4)
-        jobs = [fit_job(rng.normal(size=(20, 12)).round(1), rng.integers(0, 4, size=20), range(12)) for _ in range(50)]
+        jobs = [
+            labelled_job(rng.normal(size=(20, 12)).round(1), rng.integers(0, 4, size=20), range(12)) for _ in range(50)
+        ]
         goes_on = np.ones(50, dtype=bool)
         assert [len(chunk) for _, chunk in tree_module._root_chunks(jobs, list(range(50)))] == [17, 17, 16]
         assert_same_root_columns(jobs, goes_on)
@@ -1121,7 +1124,7 @@ class TestRootDepth:
     def test_a_job_at_depth_d_is_the_job_at_depth_0_with_the_cap_d_lower(self, group, depths):
         problems, max_depth, min_leaf = group
         for cap in (max_depth, None if max_depth is None else max_depth + 4):
-            at_depth = [fit_job(*p, depth=d) for p, d in zip(problems, depths)]
+            at_depth = [labelled_job(*p, depth=d) for p, d in zip(problems, depths)]
             got = [(tree_to_lines(t), agree) for t, agree in fit_trees(at_depth, cap, min_leaf)]
             want = [
                 fitted_records([p], None if cap is None else max(cap - d, 0), min_leaf)[0]
@@ -1131,5 +1134,5 @@ class TestRootDepth:
 
     def test_a_root_at_the_cap_is_a_leaf(self):
         X = np.arange(8.0)[:, None]
-        tree, agree = fit_trees([fit_job(X, np.arange(8) % 2, [0], depth=3)], 3, 1)[0]
+        tree, agree = fit_trees([labelled_job(X, np.arange(8) % 2, [0], depth=3)], 3, 1)[0]
         assert tree_to_lines(tree) == ["node 0 leaf 0"] and agree == 4
