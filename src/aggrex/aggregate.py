@@ -26,7 +26,9 @@ dropped when some other candidate's agreeing in-ball set holds all of i's
 claimable set, since that one claims it all for free. It has one bound: a
 node with count candidates fixed in can reach at most the points their
 claimable sets cover plus the sum of the K - count largest capped gains
-of the rest (a gain capped by the candidate's claim cap).
+of the rest (a gain capped by the candidate's claim cap), and never more
+than the floor's reach, the union of every claimable set, so a budget
+whose incumbent claims the reach closes at the root.
 
 Two coverage numbers coexist: ip_coverage counts the points actually
 claimed through z (a solver may drop in-ball points to satisfy a fidelity
@@ -42,10 +44,12 @@ greedy solve extends only as far as its budget needs, and one exact result
 per budget. An exact solve for a budget not yet solved runs one search
 for it and for the other budgets its caller names, warm-started by the
 greedy path, so a sweep that names all its budgets searches once per
-floor. Greedy evaluates a candidate only when its claimable set could
-beat the best gain of the scan, and its nodes_explored counts the
-evaluations made. Results, node counts included, are those of a solve on
-a fresh pool.
+floor. The warm start is also the tie rule: a leaf replaces an incumbent
+only when it claims more, so where greedy's step is optimal it is the
+selection reported. Greedy evaluates a candidate only when its claimable
+set could beat the best gain of the scan, and its nodes_explored counts
+the evaluations made. Results, node counts included, are those of a
+solve on a fresh pool.
 
 Fidelity-floor arithmetic is exact: phi is quantized to an integer
 numerator over PHI_DENOM = 10^6 and every feasibility check runs on
@@ -87,9 +91,10 @@ class _Floor:
     claimable[i] is the set of points candidate i can ever claim (agreeing
     in-ball points, plus disagreeing ones when its fidelity row has any
     slack; claimable_matrix holds the same sets as rows, and sure the
-    agreeing in-ball ones), caps[i] the most claims its row allows, and
-    undominated the candidates the exact search branches on, computed by
-    the first exact solve at this floor (greedy never reads it).
+    agreeing in-ball ones), caps[i] the most claims its row allows, reach
+    the size of the union of every claimable set (no selection claims
+    more), and undominated the candidates the exact search branches on,
+    computed by the first exact solve at this floor (greedy never reads it).
 
     steps and stall_evals are greedy's run, extended on demand:
     steps[k] = (selection, z masks, objective, evaluations after k scans),
@@ -104,6 +109,7 @@ class _Floor:
 
     claimable: tuple[int, ...]
     caps: tuple[int, ...]
+    reach: int
     claimable_matrix: np.ndarray
     sure: np.ndarray
     steps: list = field(default_factory=lambda: [((), {}, 0, 0)])
@@ -169,7 +175,7 @@ class CandidatePool:
 
 
 def _build_floor(within: np.ndarray, agree: np.ndarray, phi_num: int) -> _Floor:
-    """Claimable sets and claim caps at one floor."""
+    """Claimable sets, claim caps and reach at one floor."""
     n = within.shape[0]
     sure = within & agree
     n_sure = sure.sum(axis=1)
@@ -177,7 +183,11 @@ def _build_floor(within: np.ndarray, agree: np.ndarray, phi_num: int) -> _Floor:
     claimable = sure | (within & (room > 0)[:, None])
     caps = np.minimum(claimable.sum(axis=1), n_sure + room)
     return _Floor(
-        claimable=_row_masks(claimable), caps=tuple(caps.tolist()), claimable_matrix=claimable, sure=sure
+        claimable=_row_masks(claimable),
+        caps=tuple(caps.tolist()),
+        reach=int(claimable.any(axis=0).sum()),
+        claimable_matrix=claimable,
+        sure=sure,
     )
 
 
@@ -458,10 +468,11 @@ def _extend_exact(pool: CandidatePool, floor: _Floor, todo: tuple[int, ...], phi
     A candidate's capped gain is the smaller of its claim cap and the part
     of its claimable set not yet covered by the fixed-in candidates'. The
     one node bound for budget K is that covered count plus the sum of the
-    K - count largest gains; it over-counts the true claims, so pruning is
-    safe, and the node branches on the budgets it keeps open. A node is a
-    leaf for K when it holds K candidates or none remain; a leaf whose
-    covered count does not beat K's incumbent is not solved.
+    K - count largest gains, capped at the floor's reach; it over-counts
+    the true claims, so pruning is safe, and the node branches on the
+    budgets it keeps open. A node is a leaf for K when it holds K
+    candidates or none remain; a leaf whose covered count does not beat
+    K's incumbent is not solved.
 
     None of this shape depends on the budget, so the searches for all
     budgets walk one tree. Each frame carries the budgets still open at
@@ -471,12 +482,16 @@ def _extend_exact(pool: CandidatePool, floor: _Floor, todo: tuple[int, ...], phi
     its budget and changes only at its own leaves, met in the order a
     search for that budget alone meets them, so each budget sees exactly
     the nodes, bounds and leaves that search would.
+
+    The greedy start is also the tie rule: a leaf replaces an incumbent
+    only when it claims strictly more, so an optimal greedy step is the
+    selection kept, whatever equal-coverage leaves the search meets.
     """
     budget = todo[-1]
     _extend_greedy(pool, floor, budget, phi_num)
     ball = pool.ball_masks
     agree = pool.agree_masks
-    claim, cap, steps = floor.claimable, floor.caps, floor.steps
+    claim, cap, steps, reach = floor.claimable, floor.caps, floor.steps, floor.reach
     # per budget k: incumbent (selection, z masks), its objective, nodes explored
     found, best_obj, nodes = {}, [0] * (budget + 1), [0] * (budget + 1)
     for k in todo:
@@ -530,7 +545,7 @@ def _extend_exact(pool: CandidatePool, floor: _Floor, todo: tuple[int, ...], phi
             for key in keys[q : k - count]:
                 bound -= key // n
             q = k - count
-            if bound > best_obj[k]:
+            if bound > best_obj[k] < reach:  # the bound, capped at the reach, beats the incumbent
                 kept.append(k)
         if not kept:
             continue

@@ -139,8 +139,6 @@ KEYS = {
         Key("aggregate.budgets", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10], "--budgets", int, lo=0, each="budget"),
         Key("aggregate.floors", [0.5, 0.7, 0.9], "--floors", float, lo=0, hi=1, each="fidelity floor"),
         Key("aggregate.solver", "both", "--solver", ("exact", "greedy", "both")),
-        Key("aggregate.radius", None, "--agg-radius", float, null=True),  # default: first sampler radius
-        Key("aggregate.use_filtered", None, None, bool, null=True),  # default: filtered when the variant produced any
         Key("aggregate.export_lp", False, "--export-lp", bool),
         Key("output_dir", "runs", "--output-dir", str),
     )
@@ -221,19 +219,6 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(
             f"filter.max_bins {cfg['filter']['max_bins']} is above sampler.N {cfg['sampler']['N']}: "
             "a ball's samples cannot fill more bins than there are samples"
-        )
-    radii = cfg["sampler"]["radii"]
-    too_wide = [r for r in radii if not math.isfinite(r + r)]  # the ball's width c + r - (c - r) at c = 0
-    if too_wide:
-        raise ConfigError(f"sampler.radii: radius {too_wide[0]!r} gives a ball wider than the largest float")
-    radius, filtered = _aggregated_slice(cfg)
-    if radius not in radii:
-        raise ConfigError(f"aggregate.radius {radius} is not one of sampler.radii")
-    if filtered not in _variants(cfg):
-        kind = "filtered" if filtered else "unfiltered"
-        raise ConfigError(
-            f"aggregate.use_filtered wants {kind} explainers, which filter.variant "
-            f"{cfg['filter']['variant']!r} does not train"
         )
     ds = cfg["dataset"]
     if ds["path"] is None and ds["synth"] is None:
@@ -396,15 +381,6 @@ def cmd_train(cfg: dict) -> Path:
     return rd / "model.txt"
 
 
-def _variants(cfg: dict) -> list[bool]:
-    variant = cfg["filter"]["variant"]
-    if variant == "filtered":
-        return [True]
-    if variant == "unfiltered":
-        return [False]
-    return [True, False]
-
-
 def _run_dataset(cfg: dict, rd: Path) -> Dataset:
     """The rows train fit the model on, from rd's dataset_used.csv, under the schema of the config's dataset block."""
     _read_input(rd, "dataset_used.csv")  # checked, then loaded by path
@@ -433,7 +409,7 @@ def cmd_explain(cfg: dict) -> Path:
     rd = run_dir_for(cfg)
     data = _run_dataset(cfg, rd)
     model = _load_model(rd, data)
-    variants = _variants(cfg)
+    variants = {"filtered": [True], "unfiltered": [False], "both": [True, False]}[cfg["filter"]["variant"]]
     centers = [(slot, radius, i) for slot, radius in enumerate(cfg["sampler"]["radii"]) for i in range(data.n)]
     balls = (
         label_ball(model, data.X[i], radius, cfg["sampler"]["N"], data.schema, derive_seed(cfg["seed"], i, slot), i)
@@ -479,18 +455,13 @@ def cmd_explain(cfg: dict) -> Path:
     return rd / "explainers.json"
 
 
-def _aggregated_slice(cfg: dict) -> tuple[float, bool]:
-    """(radius, filtered) of the explainers the aggregate stage reads."""
-    a = cfg["aggregate"]
-    radius = cfg["sampler"]["radii"][0] if a["radius"] is None else a["radius"]
-    return radius, cfg["filter"]["variant"] != "unfiltered" if a["use_filtered"] is None else a["use_filtered"]
-
-
 def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
+    """The explainers the aggregate stage pools: the first sampler radius's, filtered unless the variant is unfiltered."""
     rd = run_dir_for(cfg)
     bundle_path = rd / "explainers.json"
     raw = _read_input(rd, "explainers.json")
-    radius, want_filtered = _aggregated_slice(cfg)
+    radius = cfg["sampler"]["radii"][0]
+    want_filtered = cfg["filter"]["variant"] != "unfiltered"
     picked: dict[int, LocalExplainer] = {}
     try:
         for k, rec in enumerate(json.loads(raw.decode("utf-8"))["explainers"]):

@@ -38,9 +38,6 @@ class FeatureSchema:
     def __post_init__(self):
         if len(self.names) == 0:
             raise SchemaViolation("schema needs at least one feature")
-        bad = [k for k in self.kinds if k not in (CONTINUOUS, BINARY)]
-        if bad:
-            raise SchemaViolation(f"unknown feature kinds: {bad}")
 
     @property
     def count(self) -> int:

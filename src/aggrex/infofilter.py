@@ -266,6 +266,4 @@ def select_informative_features(
     eps_mi: float = EPS_MI,
 ) -> tuple[int, ...]:
     """Histogram the samples, then forward-select features by conditional MI on the label codes 0..n_labels-1."""
-    if len(codes) != samples.count:
-        raise ValueError("labels and samples must align")
     return forward_select(build_histograms(samples, schema, max_bins=max_bins), codes, n_labels, eps_mi)[0]

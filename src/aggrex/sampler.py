@@ -31,10 +31,6 @@ class SampleSet:
 
     points: np.ndarray
 
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
 
 def sample_ball(center: np.ndarray, r: float, N: int, schema: FeatureSchema, seed: int = 0) -> SampleSet:
     """Draw N points uniformly from the mixed-metric ball around `center`.

@@ -761,6 +761,17 @@ class TestExactAtSweepSize:
         got = [(sol.nodes_explored, sol.selected) for sol in (solve_exact(pool, k, 0.9) for k in range(1, 8))]
         assert got == want
 
+    def test_budgets_at_the_reach_close_at_the_root(self):
+        # ball 0 holds every point, but no other candidate is dominated: each agrees at point 5, where 0 does
+        # not. Once greedy's step claims the floor's reach (all 6 points at phi 0.5 from K=1, at phi 0.9 from
+        # K=2, where 0 cannot spend point 5), every larger budget closes at its root. The gains bound alone,
+        # never capped at the reach, searched 3 to 15 nodes for each of those budgets.
+        balls = [range(6), {1, 5}, {2, 5}, {3, 5}, {4, 5}, {0, 5}]
+        pool = pool_from_sets(balls, agree_sets=[range(5), *balls[1:]])
+        got = [(sol.nodes_explored, sol.selected, sol.ip_coverage)
+               for phi in (0.5, 0.9) for sol in (solve_exact(pool, k, phi) for k in range(1, 6))]
+        assert got == [(1, (0,), 6)] * 5 + [(1, (0,), 5)] + [(1, (0, 1), 6)] * 4
+
     def test_one_search_for_the_pinned_sweep_matches_lone_searches(self):
         # asked largest first with the sweep named, one search solves all
         # seven budgets; each equals the lone search test_node_counts_pinned pins

@@ -167,9 +167,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "extra, flags, match",
         [
-            ({}, ["--radii", "1.0", "--agg-radius", "2.0"], "aggregate.radius"),
+            # a run aggregates its first radius, filtered unless the variant is unfiltered: no key picks another
+            ({"aggregate": {"radius": 1.5}}, [], "unknown config key aggregate.radius"),
+            ({"aggregate": {"use_filtered": False}}, [], "unknown config key aggregate.use_filtered"),
             ({}, ["--radii", "1.5,1e308"], "sampler.radii: radius 1e+308"),  # its ball's width overflows
-            ({"aggregate": {"use_filtered": True}, "filter": {"variant": "unfiltered"}}, [], "use_filtered"),
             ({"aggregate": {"inner_limit": 20}}, [], "aggregate.inner_limit"),
             ({"explainer": {"min_leaf": 0}}, [], "explainer.min_leaf"),
             # past int32 row ids; 2**63 itself once overflowed numpy in the explain stage, after train had run
@@ -198,7 +199,7 @@ class TestConfig:
             # dataset.synth may be null, but only beside a dataset.path
             ({"dataset": {"synth": None}}, [], "config error: dataset needs either a path or a synth block\n"),
         ],
-        ids=["radius-not-sampled", "radius-too-wide", "variant-not-trained", "unknown-key", "min-leaf-zero",
+        ids=["aggregate-radius-key", "use-filtered-key", "radius-too-wide", "unknown-key", "min-leaf-zero",
              "samples-2**63", "samples-2**31",
              "negative-max-depth", "bins-above-samples", "bins-2**31-1", "negative-schema-width", "unknown-schema-key",
              "schema-width-past-int64", "trees-past-int64", "empty-dataset", "one-class", "no-dataset-source"],
@@ -250,12 +251,11 @@ class TestConfig:
             ({"sampler": {"radii": [False]}}, "sampler.radii must be a number, got False"),
             ({"dataset": {"standardize": "no"}}, "dataset.standardize must be true or false, got 'no'"),
             ({"aggregate": {"export_lp": "yes"}}, "aggregate.export_lp must be true or false, got 'yes'"),
-            ({"aggregate": {"use_filtered": 1}}, "aggregate.use_filtered must be true, false or null, got 1"),
             ({"dataset": {"path": 1, "synth": None, "schema": {"m_cont": 2, "m_bin": 2}}}, "dataset.path must be a file path"),
         ],
         ids=["N-text", "n-trees-null", "max-bins-list", "budget-text", "budgets-scalar", "floor-object",
              "radius-text", "N-infinite", "relevant-text", "relevant-out-of-range", "radius-nan", "budget-true",
-             "n-trees-true", "radius-false", "standardize-text", "export-lp-text", "use-filtered-number", "path-number"],
+             "n-trees-true", "radius-false", "standardize-text", "export-lp-text", "path-number"],
     )
     def test_non_numeric_value_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, match):
         out_dir = tmp_path / "runs"
@@ -386,12 +386,12 @@ class TestConfig:
         # the run-<hash> stamp hashes the effective config, so a drift in the
         # table's defaults would rename every run directory
         digest = hashlib.sha256(canonical_json(DEFAULT_CONFIG).encode()).hexdigest()
-        assert digest == "6dd9134ef18ab17577f75d1506f910cff65c68d43db1bbc472487461340faed2"
+        assert digest == "d0562a6b004e05dd570b8a581925ea857f6c4fe6a62d4b535c66fb503e72aa84"
         options = {option for action in build_parser()._actions for option in action.option_strings}
         assert options - {"-h", "--help"} == {
             "--config", "--seed", "--output-dir", "--dataset-path", "--standardize", "--no-standardize", "--n-trees",
             "--samples", "--radii", "--max-bins", "--eps-mi", "--variant", "--max-depth", "--min-leaf", "--budgets",
-            "--floors", "--solver", "--agg-radius", "--export-lp",
+            "--floors", "--solver", "--export-lp",
         }
 
 

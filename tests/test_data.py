@@ -159,10 +159,6 @@ class TestSchemaInvariants:
         assert set(s.continuous_idx) | set(s.binary_idx) == set(range(5))
         assert not set(s.continuous_idx) & set(s.binary_idx)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(SchemaViolation):
-            FeatureSchema(("a",), ("categorical",))
-
     def test_dataset_rejects_non_binary(self):
         s = FeatureSchema(("f",), ("binary",))
         with pytest.raises(SchemaViolation):

@@ -408,12 +408,6 @@ class TestEndToEnd:
             if rec["selected"] is not None:
                 assert max(rec["scores"].values()) > 0
 
-    def test_trace_rejects_misaligned_labels(self):
-        schema = FeatureSchema.mixed(1, 2)
-        s = sample_ball(np.array([0.0, 0.0, 1.0]), 2.0, 200, schema, seed=5)
-        with pytest.raises(ValueError, match="align"):
-            select_informative_features(s, np.zeros(250, dtype=int), 1, schema)
-
     def test_planted_relevance_containment_small(self):
         # three relevant binary features among twelve; labels pure per cell,
         # so selection must stop inside the relevant set

@@ -75,17 +75,16 @@ KEPT_UNREAD = {
 
 
 def member_uses(node) -> set[str]:
-    """The member names node reads: attribute reads, keyword-argument names and string constants.
+    """The member names node reads: attribute reads and string constants.
 
     A bare name is a local or a global, never a member, so it does not
-    count; a string constant does, as `getattr` and `vars` take one.
+    count; nor does a keyword argument's name, which sets a field rather
+    than reads it. A string constant does, as `getattr` and `vars` take one.
     """
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             names.add(sub.attr)
-        elif isinstance(sub, ast.keyword) and sub.arg is not None:
-            names.add(sub.arg)
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             names.add(sub.value)
     return names

@@ -45,7 +45,7 @@ class TestSampleBall:
         center = np.array([0.5, -1.0, 2.0, 1.0, 0.0, 1.0, 0.0])
         r = 2.5
         s = sample_ball(center, r, 400, MIXED, seed=3)
-        for i in range(s.count):
+        for i in range(s.points.shape[0]):
             assert mixed_distance(s.points[i], center, MIXED) <= r
 
     def test_deterministic(self):
