@@ -144,9 +144,6 @@ class CandidatePool:
             arr = np.array(getattr(self, name), dtype=bool)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        n = self.within.shape[0]
-        if self.within.shape != (n, n) or self.agree.shape != (n, n):
-            raise ValueError(f"within {self.within.shape} and agree {self.agree.shape} must both be ({n}, {n})")
 
     @property
     def n(self) -> int:
@@ -331,8 +328,6 @@ def fidelity(sol: AggregateSolution, pool: CandidatePool) -> float:
     A selected candidate with an empty ball contributes 1 vacuously (the
     ratio's denominator would be 0 otherwise).
     """
-    if not sol.selected:
-        raise ValueError("fidelity undefined for empty aggregate")
     ball = pool.ball_masks
     agree = pool.agree_masks
     worst = 1.0

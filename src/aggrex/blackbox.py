@@ -21,8 +21,10 @@ votes.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -160,8 +162,12 @@ def save_model(model: BlackBoxModel, path) -> None:
 
 
 def load_model(path) -> BlackBoxModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    return parse_model(Path(path).read_text(encoding="utf-8"))
+
+
+def parse_model(text: str) -> BlackBoxModel:
+    """The forest a model file's text holds; a \r\n or \r ends a line too, as it does where `open` reads the file."""
+    lines = [ln.rstrip("\n") for ln in io.StringIO(text, newline=None) if ln.strip()]
     if not lines:
         raise ValueError("empty model file")
     header = lines[0].split()

@@ -11,8 +11,8 @@ the run directory as it was. The aggregate stage times each solve itself
 and keeps those wall times out of sweep.csv and the solution files: they
 land in timings.csv, the one output the manifest lists but does not
 hash, so reruns are byte-identical. Only train reads the dataset source;
-later stages read the run directory, train's dataset_used.csv included,
-each input once, its bytes checked against the digest the manifest holds.
+later stages read the run directory: the manifest once, then each input
+once, train's dataset_used.csv included, parsing the bytes they checked.
 
 Exit codes: 0 success, 2 config error (a bad config, an input file or
 manifest that does not parse, or an input its digest does not match).
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -215,6 +216,10 @@ def validate_config(cfg: dict) -> None:
     for path, key in KEYS.items():
         node, name = _slot(cfg, path)
         node[name] = key.check(node[name])
+    radii = cfg["sampler"]["radii"]
+    for slot, radius in enumerate(radii):
+        if radius in radii[:slot]:  # its balls would train twice, and the bundle could not tell its slots apart
+            raise ConfigError(f"sampler.radii lists radius {radius!r} more than once")
     if cfg["filter"]["max_bins"] > cfg["sampler"]["N"]:  # more bins than samples leaves bins empty in every ball
         raise ConfigError(
             f"filter.max_bins {cfg['filter']['max_bins']} is above sampler.N {cfg['sampler']['N']}: "
@@ -271,14 +276,14 @@ def _read_manifest(rd: Path) -> dict:
 _WRITER = {"dataset_used.csv": "train", "model.txt": "train", "explainers.json": "explain", "sweep.csv": "aggregate"}
 
 
-def _read_input(rd: Path, name: str) -> bytes:
+def _read_input(rd: Path, manifest: dict, name: str) -> bytes:
     """The bytes of input `name` of run directory rd, read once, or a ConfigError naming the file.
 
-    The file must exist and, if the manifest lists it, give the digest
-    recorded there; an input the manifest does not list is read as it is.
+    The file must exist and, if the stage's manifest lists it, give the
+    digest recorded there; an input it does not list is read as it is.
     """
     path = rd / name
-    hashes = _read_manifest(rd)["hashes"]
+    hashes = manifest["hashes"]
     try:
         data = path.read_bytes()
     except FileNotFoundError:
@@ -289,19 +294,18 @@ def _read_input(rd: Path, name: str) -> bytes:
 
 
 @contextmanager
-def _stage_outputs(rd: Path, cfg: dict, stage: str, *names: str, unhashed=()):
+def _stage_outputs(rd: Path, cfg: dict, manifest: dict, stage: str, *names: str, unhashed=()):
     """A `.tmp` path for each output, named by its path in run directory rd (the unhashed ones last), to write.
 
-    When the block ends, the stage is committed: its manifest entry lists
-    its outputs with the digest of each hashed one, read from its `.tmp`
-    file, and every `.tmp` is renamed onto its output, manifest.json last.
-    The manifest is read (`_read_manifest`) before the block runs. If
+    When the block ends, the stage is committed on top of `manifest`, the
+    stage's one read of the run's manifest: its entry lists its outputs
+    with the digest of each hashed one, read from its `.tmp` file, and
+    every `.tmp` is renamed onto its output, manifest.json last. If
     anything raises, every `.tmp` file is removed instead, so the run
     directory keeps all of its earlier bytes.
     """
     paths = [rd / name for name in (*names, *unhashed, "manifest.json")]
     tmps = [path.with_name(path.name + ".tmp") for path in paths]
-    manifest = _read_manifest(rd)
     # the header is the run's own, not what was recorded: the directory's name is a hash of this config
     manifest.update(run_id=rd.name, seed=cfg["seed"], standardized=cfg["dataset"]["standardize"], config=cfg)
     try:
@@ -341,7 +345,8 @@ def prepare_dataset(cfg: dict) -> Dataset:
     if ds["path"] is not None:
         sch = ds["schema"]
         try:
-            data = load_dataset(ds["path"], FeatureSchema.mixed(sch["m_cont"], sch["m_bin"]))
+            with open(ds["path"], newline="", encoding="utf-8") as fh:
+                data = load_dataset(fh, FeatureSchema.mixed(sch["m_cont"], sch["m_bin"]))
         except (ValueError, OSError) as exc:  # ParseError, SchemaViolation and undecodable bytes are ValueErrors
             raise ConfigError(f"dataset.path {ds['path']}: {exc}")
     else:
@@ -374,41 +379,39 @@ def cmd_train(cfg: dict) -> Path:
     # fitted before the run directory is made, so a bad dataset block or a failed fit leaves none
     forest = bb.train_bagged_forest(data, n_trees=cfg["blackbox"]["n_trees"], seed=cfg["seed"])
     rd = run_dir_for(cfg)
-    with _stage_outputs(rd, cfg, "train", "config.json", "dataset_used.csv", "model.txt") as (config, dataset, model):
-        config.write_bytes(canonical_json(cfg).encode())
-        write_dataset(data, dataset)
-        bb.save_model(forest, model)
+    with _stage_outputs(rd, cfg, _read_manifest(rd), "train", "config.json", "dataset_used.csv", "model.txt") as tmps:
+        tmps[0].write_bytes(canonical_json(cfg).encode())
+        write_dataset(data, tmps[1])
+        bb.save_model(forest, tmps[2])
     return rd / "model.txt"
 
 
-def _run_dataset(cfg: dict, rd: Path) -> Dataset:
-    """The rows train fit the model on, from rd's dataset_used.csv, under the schema of the config's dataset block."""
-    _read_input(rd, "dataset_used.csv")  # checked, then loaded by path
+def _fit_inputs(cfg: dict, rd: Path, manifest: dict) -> tuple[Dataset, bb.BlackBoxModel]:
+    """Train's rows, from rd's dataset_used.csv under the schema of the config's dataset block, and its model."""
+    raw = _read_input(rd, manifest, "dataset_used.csv")
     ds = cfg["dataset"]
     block = ds["synth"] if ds["path"] is None else ds["schema"]
     try:
-        return load_dataset(rd / "dataset_used.csv", FeatureSchema.mixed(block["m_cont"], block["m_bin"]))
+        lines = io.StringIO(raw.decode("utf-8"), newline="")  # split as `open(path, newline="")` splits them
+        data = load_dataset(lines, FeatureSchema.mixed(block["m_cont"], block["m_bin"]))
     except ValueError as exc:  # ParseError, SchemaViolation and undecodable bytes are ValueErrors
         raise ConfigError(f"corrupt dataset {rd / 'dataset_used.csv'}: {exc}")
-
-
-def _load_model(rd: Path, data: Dataset) -> bb.BlackBoxModel:
     model_path = rd / "model.txt"
-    _read_input(rd, "model.txt")  # checked, then loaded by path: perfbench's tracer times bb.load_model
+    raw = _read_input(rd, manifest, "model.txt")
     try:
-        model = bb.load_model(model_path)
+        model = bb.parse_model(raw.decode("utf-8"))
     except ValueError as exc:
         raise ConfigError(f"corrupt model file {model_path}: {exc}")
     widest = max(int(t.feature.max()) for t in model.trees)
     if widest >= data.m:
         raise ConfigError(f"model file {model_path} splits on feature {widest}, but the dataset has {data.m} features")
-    return model
+    return data, model
 
 
 def cmd_explain(cfg: dict) -> Path:
     rd = run_dir_for(cfg)
-    data = _run_dataset(cfg, rd)
-    model = _load_model(rd, data)
+    manifest = _read_manifest(rd)
+    data, model = _fit_inputs(cfg, rd, manifest)
     variants = {"filtered": [True], "unfiltered": [False], "both": [True, False]}[cfg["filter"]["variant"]]
     centers = [(slot, radius, i) for slot, radius in enumerate(cfg["sampler"]["radii"]) for i in range(data.n)]
     balls = (
@@ -449,17 +452,20 @@ def cmd_explain(cfg: dict) -> Path:
             del explainers, ex  # written out: the next group's fit need not hold them either
 
     # Each group's records are written out before the next group is labelled: the stage holds no finished explainer.
-    with _stage_outputs(rd, cfg, "explain", "explainers.json", "explainers_rules.txt") as (bundle_tmp, rules_tmp):
-        with open(bundle_tmp, "w", encoding="utf-8") as bundle, open(rules_tmp, "w", encoding="utf-8") as rules:
+    with _stage_outputs(rd, cfg, manifest, "explain", "explainers.json", "explainers_rules.txt") as tmps:
+        with open(tmps[0], "w", encoding="utf-8") as bundle, open(tmps[1], "w", encoding="utf-8") as rules:
             _write_bundle(bundle, records(rules))
     return rd / "explainers.json"
 
 
 def _load_bundle_explainers(cfg: dict, data: Dataset) -> list[LocalExplainer]:
-    """The explainers the aggregate stage pools: the first sampler radius's, filtered unless the variant is unfiltered."""
     rd = run_dir_for(cfg)
+    return _bundle_explainers(cfg, data, rd, _read_input(rd, _read_manifest(rd), "explainers.json"))
+
+
+def _bundle_explainers(cfg: dict, data: Dataset, rd: Path, raw: bytes) -> list[LocalExplainer]:
+    """The explainers the aggregate stage pools: the first sampler radius's, filtered unless the variant is unfiltered."""
     bundle_path = rd / "explainers.json"
-    raw = _read_input(rd, "explainers.json")
     radius = cfg["sampler"]["radii"][0]
     want_filtered = cfg["filter"]["variant"] != "unfiltered"
     picked: dict[int, LocalExplainer] = {}
@@ -504,9 +510,9 @@ def _fmt(value: float | None) -> str:
 
 def cmd_aggregate(cfg: dict) -> Path:
     rd = run_dir_for(cfg)
-    data = _run_dataset(cfg, rd)
-    model = _load_model(rd, data)
-    explainers = _load_bundle_explainers(cfg, data)
+    manifest = _read_manifest(rd)
+    data, model = _fit_inputs(cfg, rd, manifest)
+    explainers = _bundle_explainers(cfg, data, rd, _read_input(rd, manifest, "explainers.json"))
     pool = agg.build_pool(data, explainers, model)
     acfg = cfg["aggregate"]
     solvers = ["exact", "greedy"] if acfg["solver"] == "both" else [acfg["solver"]]
@@ -549,7 +555,7 @@ def cmd_aggregate(cfg: dict) -> Path:
     files["sweep.csv"] = _csv(SWEEP_HEADER, sweep_rows)
     timings = _csv("K,phi,solver,wall_ms", timing_rows)
     # nothing is written until every cell is solved and verified
-    with _stage_outputs(rd, cfg, "aggregate", *files, unhashed=["timings.csv"]) as tmps:
+    with _stage_outputs(rd, cfg, manifest, "aggregate", *files, unhashed=["timings.csv"]) as tmps:
         for tmp, data in zip(tmps, [*files.values(), timings]):
             tmp.write_bytes(data)
     return rd / "sweep.csv"
@@ -559,10 +565,10 @@ def _csv(header: str, rows) -> bytes:
     return (header + "\n" + "\n".join(",".join(str(v) for v in row) for row in rows) + "\n").encode()
 
 
-def _read_sweep(rd: Path) -> list[dict]:
+def _read_sweep(rd: Path, manifest: dict) -> list[dict]:
     """rd's sweep.csv rows as dicts keyed by SWEEP_HEADER, or a ConfigError naming the file if any line is off."""
     path = rd / "sweep.csv"
-    raw = _read_input(rd, "sweep.csv")
+    raw = _read_input(rd, manifest, "sweep.csv")
     try:
         lines = raw.decode("utf-8").strip().splitlines()
     except ValueError as exc:  # undecodable bytes
@@ -585,7 +591,8 @@ def _read_sweep(rd: Path) -> list[dict]:
 
 def cmd_report(cfg: dict) -> list[Path]:
     rd = run_dir_for(cfg)
-    rows = _read_sweep(rd)
+    manifest = _read_manifest(rd)
+    rows = _read_sweep(rd, manifest)
     series_keys = sorted({(r["solver"], r["phi"]) for r in rows})
     budgets = sorted({int(r["K"]) for r in rows})
     files = {}
@@ -600,7 +607,7 @@ def cmd_report(cfg: dict) -> list[Path]:
                 row.append(cell[metric] if cell else "")
             body.append(row)
         files[f"report_{metric}.csv"] = _csv(",".join(cols), body)
-    with _stage_outputs(rd, cfg, "report", *files) as tmps:
+    with _stage_outputs(rd, cfg, manifest, "report", *files) as tmps:
         for tmp, data in zip(tmps, files.values()):
             tmp.write_bytes(data)
     return [rd / name for name in files]
@@ -666,11 +673,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
-    if isinstance(out, list):
-        for path in out:
-            print(path)
-    else:
-        print(out)
+    for path in out if isinstance(out, list) else [out]:
+        print(path)
     print(f"done in {elapsed:.1f}s", file=sys.stderr)
     return 0
 

@@ -94,45 +94,45 @@ class Dataset:
         return tuple(sorted(set(int(v) for v in self.y)))
 
 
-def load_dataset(path, schema: FeatureSchema) -> Dataset:
-    """Read a header CSV with one "label" column into a Dataset.
+def load_dataset(lines, schema: FeatureSchema) -> Dataset:
+    """Read the lines of a header CSV with one "label" column into a Dataset.
 
-    Rows are kept in file order; no imputation. Raises ParseError with the
-    offending 1-based data-row index on malformed rows, on a label that is
-    not an int64 integer, and on a NaN or infinite feature value (naming
+    `lines` is a file opened with newline="" or an io.StringIO(text,
+    newline=""). Rows keep file order; no imputation. Raises ParseError with
+    the offending 1-based data-row index on malformed rows, on a label that
+    is not an int64 integer, and on a NaN or infinite feature value (naming
     its column too), SchemaViolation on binary-column values outside {0,1}.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("no data rows") from None
+    header = [h.strip() for h in header]
+    if LABEL_COLUMN not in header:
+        raise ParseError(f'missing "{LABEL_COLUMN}" column')
+    label_pos = header.index(LABEL_COLUMN)
+    feat_pos = [i for i in range(len(header)) if i != label_pos]
+    if len(feat_pos) != schema.count:
+        raise ParseError(
+            f"file has {len(feat_pos)} feature columns, schema expects {schema.count}"
+        )
+    rows, labels = [], []
+    for ridx, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise ParseError(f"row {ridx}: expected {len(header)} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("no data rows") from None
-        header = [h.strip() for h in header]
-        if LABEL_COLUMN not in header:
-            raise ParseError(f'missing "{LABEL_COLUMN}" column')
-        label_pos = header.index(LABEL_COLUMN)
-        feat_pos = [i for i in range(len(header)) if i != label_pos]
-        if len(feat_pos) != schema.count:
-            raise ParseError(
-                f"file has {len(feat_pos)} feature columns, schema expects {schema.count}"
-            )
-        rows, labels = [], []
-        for ridx, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ParseError(f"row {ridx}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(row[i]) for i in feat_pos])
-            except ValueError as exc:
-                raise ParseError(f"row {ridx}: {exc}") from None
-            lab = row[label_pos].strip()
-            try:
-                label = int(lab)
-            except ValueError:
-                raise ParseError(f"row {ridx}: label {lab!r} is not an integer") from None
-            if not -(2**63) <= label < 2**63:
-                raise ParseError(f"row {ridx}: label {lab!r} is outside int64")
-            labels.append(label)
+            rows.append([float(row[i]) for i in feat_pos])
+        except ValueError as exc:
+            raise ParseError(f"row {ridx}: {exc}") from None
+        lab = row[label_pos].strip()
+        try:
+            label = int(lab)
+        except ValueError:
+            raise ParseError(f"row {ridx}: label {lab!r} is not an integer") from None
+        if not -(2**63) <= label < 2**63:
+            raise ParseError(f"row {ridx}: label {lab!r} is outside int64")
+        labels.append(label)
     if not rows:
         raise ParseError("no data rows")
     X = np.array(rows, dtype=float)

@@ -40,8 +40,6 @@ def sample_ball(center: np.ndarray, r: float, N: int, schema: FeatureSchema, see
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    if N < 1:
-        raise ValueError("need at least one sample")
     center = np.asarray(center, dtype=float)
     if center.shape != (schema.count,):
         raise ValueError(f"center has shape {center.shape}, schema expects ({schema.count},)")

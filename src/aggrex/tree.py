@@ -129,11 +129,8 @@ class DecisionTree:
     right: np.ndarray
 
     def __post_init__(self) -> None:
-        n_nodes = len(self.feature)
         for name, dtype in _DTYPES.items():
             arr = np.array(getattr(self, name), dtype=dtype)
-            if arr.shape != (n_nodes,):
-                raise ValueError(f"{name} must be a vector of {n_nodes} nodes, got shape {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

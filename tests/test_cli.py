@@ -1,12 +1,15 @@
+import builtins
 import hashlib
 import io
 import json
 import os
+import pathlib
 import re
 import runpy
 import shutil
 import sys
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -198,11 +201,15 @@ class TestConfig:
              "dataset.synth: need at least 2 classes"),
             # dataset.synth may be null, but only beside a dataset.path
             ({"dataset": {"synth": None}}, [], "config error: dataset needs either a path or a synth block\n"),
+            # its balls trained twice, and the aggregate stage pooled the later slot's trees, not the first's
+            ({"sampler": {"radii": [1.5, 2.0, 1.5]}}, [],
+             "config error: sampler.radii lists radius 1.5 more than once\n"),
         ],
         ids=["aggregate-radius-key", "use-filtered-key", "radius-too-wide", "unknown-key", "min-leaf-zero",
              "samples-2**63", "samples-2**31",
              "negative-max-depth", "bins-above-samples", "bins-2**31-1", "negative-schema-width", "unknown-schema-key",
-             "schema-width-past-int64", "trees-past-int64", "empty-dataset", "one-class", "no-dataset-source"],
+             "schema-width-past-int64", "trees-past-int64", "empty-dataset", "one-class", "no-dataset-source",
+             "repeated-radius"],
     )
     def test_bad_config_exits_2_before_any_run_dir(self, tmp_path, capsys, extra, flags, match):
         out_dir = tmp_path / "runs"
@@ -904,6 +911,37 @@ class TestManifest:
         )
         cmd_aggregate(cfg)
         assert (rd / "manifest.json").read_bytes() == clean
+
+    def test_each_stage_reads_the_manifest_and_each_input_once(self, tmp_path, monkeypatch):
+        # stages once parsed the manifest once per input and again to commit, and reopened dataset_used.csv and
+        # model.txt by path after their digest checks, so the bytes they parsed were not the bytes they checked
+        cfg = load_config(None, small_config(tmp_path))
+        cmd_sweep(cfg)
+        cmd_report(cfg)
+        rd = run_dir_for(cfg)
+        real_open = io.open
+        reads = []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            path = pathlib.Path(file) if isinstance(file, (str, os.PathLike)) else None
+            if path is not None and path.parent == rd and path.suffix != ".tmp" and not set(mode) & set("wax+"):
+                reads.append(path.name)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        if hasattr(pathlib, "_NormalAccessor"):  # Python 3.10's Path.open calls the io.open it bound at import
+            monkeypatch.setattr(pathlib._NormalAccessor, "open", staticmethod(counting_open))
+        run_inputs = {"manifest.json": 1, "dataset_used.csv": 1, "model.txt": 1}
+        for stage, once in [
+            (cmd_train, {"manifest.json": 1}),
+            (cmd_explain, run_inputs),
+            (cmd_aggregate, {**run_inputs, "explainers.json": 1}),
+            (cmd_report, {"manifest.json": 1, "sweep.csv": 1}),
+        ]:
+            reads.clear()
+            stage(cfg)
+            assert Counter(reads) == once, stage.__name__
 
     def test_run_dir_depends_on_config(self, tmp_path):
         cfg_a = load_config(None, small_config(tmp_path))

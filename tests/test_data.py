@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -23,43 +25,56 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
+def load(path, schema):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return load_dataset(fh, schema)
+
+
 class TestLoad:
     def test_three_row_round_trip(self, tmp_path):
         path = write(tmp_path, "a,b,flag,label\n1.5,2.0,0,1\n-0.5,3.25,1,0\n0.0,0.0,0,2\n")
-        d = load_dataset(path, SCHEMA_2C1B)
+        d = load(path, SCHEMA_2C1B)
         assert d.n == 3 and d.m == 3
         assert d.X[1, 2] == 1.0
         assert list(d.y) == [1, 0, 2]
 
+    def test_text_lines_parse_as_the_file_does(self, tmp_path):
+        # a run's dataset_used.csv is parsed from the bytes its digest check read, through StringIO
+        text = "a,b,flag,label\r\n1.5,2.0,0,1\r\n-0.5,3.25,1,0\r\n"
+        from_file = load(write(tmp_path, text), SCHEMA_2C1B)
+        from_text = load_dataset(io.StringIO(text, newline=""), SCHEMA_2C1B)
+        assert np.array_equal(from_file.X, from_text.X) and np.array_equal(from_file.y, from_text.y)
+        assert from_text.n == 2
+
     def test_binary_value_two_rejected(self, tmp_path):
         path = write(tmp_path, "a,b,flag,label\n1.0,2.0,2,1\n")
         with pytest.raises(SchemaViolation):
-            load_dataset(path, SCHEMA_2C1B)
+            load(path, SCHEMA_2C1B)
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "")
         with pytest.raises(ParseError, match="no data rows"):
-            load_dataset(path, SCHEMA_2C1B)
+            load(path, SCHEMA_2C1B)
 
     def test_header_only(self, tmp_path):
         path = write(tmp_path, "a,b,flag,label\n")
         with pytest.raises(ParseError, match="no data rows"):
-            load_dataset(path, SCHEMA_2C1B)
+            load(path, SCHEMA_2C1B)
 
     def test_missing_label_column(self, tmp_path):
         path = write(tmp_path, "a,b,flag\n1.0,2.0,0\n")
         with pytest.raises(ParseError, match="label"):
-            load_dataset(path, SCHEMA_2C1B)
+            load(path, SCHEMA_2C1B)
 
     def test_malformed_row_reports_index(self, tmp_path):
         path = write(tmp_path, "a,b,flag,label\n1.0,2.0,0,1\n1.0,oops,0,1\n")
         with pytest.raises(ParseError, match="row 2"):
-            load_dataset(path, SCHEMA_2C1B)
+            load(path, SCHEMA_2C1B)
 
     def test_missing_value_rejected(self, tmp_path):
         path = write(tmp_path, "a,b,flag,label\n1.0,,0,1\n")
         with pytest.raises(ParseError, match="row 1"):
-            load_dataset(path, SCHEMA_2C1B)
+            load(path, SCHEMA_2C1B)
 
     @pytest.mark.parametrize(
         "text, match",
@@ -72,21 +87,21 @@ class TestLoad:
     )
     def test_non_finite_value_reports_row_and_column(self, tmp_path, text, match):
         with pytest.raises(ParseError, match=match):
-            load_dataset(write(tmp_path, text), SCHEMA_2C1B)
+            load(write(tmp_path, text), SCHEMA_2C1B)
 
     def test_column_count_mismatch(self, tmp_path):
         path = write(tmp_path, "a,b,label\n1.0,2.0,1\n")
         with pytest.raises(ParseError):
-            load_dataset(path, SCHEMA_2C1B)
+            load(path, SCHEMA_2C1B)
 
     def test_load_write_load_idempotent(self, tmp_path):
         d = synth_multiclass(seed=7, n=40, m_cont=3, m_bin=2, classes=3, relevant=(0, 1))
         p1 = tmp_path / "one.csv"
         p2 = tmp_path / "two.csv"
         write_dataset(d, p1)
-        d1 = load_dataset(p1, d.schema)
+        d1 = load(p1, d.schema)
         write_dataset(d1, p2)
-        d2 = load_dataset(p2, d.schema)
+        d2 = load(p2, d.schema)
         assert np.array_equal(d1.X, d2.X)
         assert np.array_equal(d.X, d1.X)
         assert np.array_equal(d.y, d1.y)

@@ -68,8 +68,6 @@ class TestSampleBall:
         with pytest.raises(ValueError):
             sample_ball(center, -1.0, 10, MIXED, seed=0)
         with pytest.raises(ValueError):
-            sample_ball(center, 1.0, 0, MIXED, seed=0)
-        with pytest.raises(ValueError):
             sample_ball(np.zeros(3), 1.0, 10, MIXED, seed=0)
 
     def test_fractional_radius_never_flips(self):

@@ -1062,10 +1062,6 @@ class TestArrays:
         feature[0] = -1
         assert t.feature[0] == 0 and t.leaf_count == 2 and features_used(t) == {0}
 
-    def test_ragged_arrays_rejected(self):
-        with pytest.raises(ValueError, match="label"):
-            DecisionTree(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0], label=[1], right=[2, -1, -1])
-
 
 class TestParserRejects:
     def test_negative_split_feature(self):
